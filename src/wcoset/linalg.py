@@ -1,18 +1,21 @@
-"""Exact dense linear algebra over Q and over rational functions.
+"""Exact sparse linear algebra over Q and over rational functions.
 
-Matrices are lists of row lists.  Rank over Q goes through fraction-free
-Bareiss elimination on an integer-cleared copy (row scaling preserves rank);
-matrices containing RatFun entries use straightforward fraction-free
-elimination over the function field, guarded by a column cap since symbolic
-entry swell is real.
+Matrices are lists of row lists.  Inside, a row is a ``{col: value}`` dict of
+its nonzeros, and one Gaussian elimination over the entry field serves both
+``Fraction`` and ``RatFun`` entries.  It takes the columns in order and pivots
+on the sparsest remaining row with a nonzero in the current column, so its
+pivot columns are exactly those of the reduced row echelon form.  Rank is the
+number of pivots.  Matrices with non-constant RatFun entries are limited to
+SYMBOLIC_DIM_LIMIT columns, since symbolic entry swell is real.
 
-Kernel bases are returned in reduced row echelon form of the solution space
-(free columns parameterized in order), so output is reproducible.
+Kernel bases are read off the pivot rows back-substituted to reduced row
+echelon form (free columns parameterized in order), so output is
+reproducible.  Products are row-sparse: each nonzero ``A[i][p]`` meets only
+the nonzeros of row ``p`` of ``B``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ResourceBound, ShapeMismatch
@@ -28,21 +31,21 @@ def is_symbolic(M) -> bool:
 def mat_mul(A, B):
     if A and B and len(A[0]) != len(B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
+    m = len(B[0]) if B else 0
     if not A or not B:
-        return [[Fraction(0)] * (len(B[0]) if B else 0) for _ in A]
-    n, k, m = len(A), len(B), len(B[0])
+        return [[Fraction(0)] * m for _ in A]
+    # entries are Fraction or RatFun, both false exactly when zero
+    B_rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = Fraction(0)
-            for p in range(k):
-                a = Ai[p]
-                if sc_is_zero(a):
-                    continue
-                acc = acc + a * B[p][j]
-            row.append(acc)
+    for Ai in A:
+        acc = {}
+        for p, a in enumerate(Ai):
+            if a:
+                for j, b in B_rows[p]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+        row = [Fraction(0)] * m
+        for j, x in acc.items():
+            row[j] = x
         out.append(row)
     return out
 
@@ -66,117 +69,60 @@ def stack(mats):
     return out
 
 
-def _int_rows(M):
-    """Scale each row by the lcm of entry denominators: integer rows, same rank."""
-    out = []
-    for row in M:
-        dens = [x.denominator for x in row]
-        m = math.lcm(*dens) if dens else 1
-        out.append([int(x * m) for x in row])
-    return out
-
-
-def _bareiss_rank(M) -> int:
-    M = [row[:] for row in M]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        for r in range(row + 1, n):
-            if all(c == 0 for c in M[r]):
-                continue
-            factor = M[r][col]
-            for c in range(col, m):
-                M[r][c] = (p * M[r][c] - factor * M[row][c]) // prev
-        prev = p
-        row += 1
-        rank += 1
-        if row == n:
-            break
-    return rank
-
-
-def _field_rank(M) -> int:
-    """Gaussian elimination over the entry field (used for RatFun matrices)."""
-    n = len(M)
-    m = len(M[0]) if n else 0
-    if m > SYMBOLIC_DIM_LIMIT and is_symbolic(M):
+def _check_symbolic_width(M, ncols):
+    if ncols > SYMBOLIC_DIM_LIMIT and is_symbolic(M):
         raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
-    M = [row[:] for row in M]
-    rank = 0
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if not sc_is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
+
+
+def _add_multiple(r, g, items):
+    """r += g * row in place, for sparse rows r (a dict) and `items` of row."""
+    for j, x in items:
+        if j in r:
+            y = r[j] + g * x
+            if y:
+                r[j] = y
+            else:
+                del r[j]
+        else:
+            r[j] = g * x
+
+
+def _eliminate(M):
+    """Forward sparse elimination of a dense matrix.
+
+    Returns {pivot column: pivot row}, each pivot row scaled to 1 at its
+    pivot column and stored without that entry.  Remaining rows wait in
+    buckets by leading column; at each column the sparsest row of its bucket
+    is the pivot and is subtracted from the others, which move on to the
+    bucket of their new leading column, or vanish.
+    """
+    buckets = {}
+    for row in M:
+        r = {j: x for j, x in enumerate(row) if x}
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    pivots = {}
+    for col in range(len(M[0])):
+        rows = buckets.pop(col, None)
+        if rows is None:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        for r in range(row + 1, n):
-            f = M[r][col]
-            if sc_is_zero(f):
-                continue
-            scale = f / p
-            M[r] = [M[r][c] - scale * M[row][c] for c in range(m)]
-        row += 1
-        rank += 1
-        if row == n:
-            break
-    return rank
+        piv = min(rows, key=len)
+        p = piv.pop(col)
+        items = [(j, x / p) for j, x in piv.items()]
+        pivots[col] = dict(items)
+        for r in rows:
+            if r is not piv:
+                _add_multiple(r, -r.pop(col), items)
+                if r:
+                    buckets.setdefault(min(r), []).append(r)
+    return pivots
 
 
 def rank(M) -> int:
     if not M or not M[0]:
         return 0
-    if is_symbolic(M):
-        return _field_rank(M)
-    return _bareiss_rank(_int_rows(M))
-
-
-def rref(M):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    n = len(M)
-    m = len(M[0]) if n else 0
-    M = [row[:] for row in M]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if not sc_is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        p = M[row][col]
-        M[row] = [x / p for x in M[row]]
-        for r in range(n):
-            if r == row:
-                continue
-            f = M[r][col]
-            if sc_is_zero(f):
-                continue
-            M[r] = [M[r][c] - f * M[row][c] for c in range(m)]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return M[:row], pivots
+    _check_symbolic_width(M, len(M[0]))
+    return len(_eliminate(M))
 
 
 def kernel_basis(M, ncols=None):
@@ -186,16 +132,21 @@ def kernel_basis(M, ncols=None):
     if not M:
         return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
                 for i in range(ncols)]
-    if is_symbolic(M) and ncols > SYMBOLIC_DIM_LIMIT:
-        raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
-    R, pivots = rref(M)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    _check_symbolic_width(M, ncols)
+    # back-substitute from the last pivot: each row then meets no other pivot
+    reduced = {}
+    for col, row in sorted(_eliminate(M).items(), reverse=True):
+        for p in [j for j in row if j in reduced]:
+            _add_multiple(row, -row.pop(p), reduced[p].items())
+        reduced[col] = row
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in reduced:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
+        for p, row in reduced.items():
+            if f in row:
+                v[p] = -row[f]
         basis.append(v)
     return basis

@@ -7,9 +7,10 @@ composite field; on the degree-d slice of the source it lands in degree
 d + w_P - 1 - c(lambda|mu) of the target module over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
-basis, columns by the source basis).  Kernels are computed by exact rank
-(fraction-free over Q, field elimination over rational functions); kernel
-bases, when requested, come back in reduced echelon form.
+basis, columns by the source basis).  Kernels are computed by exact rank,
+through one sparse elimination over the entry field (Q or rational
+functions) whose pivot columns are those of the reduced row echelon form;
+kernel bases, when requested, come back in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -158,15 +159,20 @@ def joint_kernel(maps, degrees, sys: Optional[System] = None,
     return KernelReport(degrees, dims, bases)
 
 
-def compose_check(sys: System, s2: ScreeningOp, s1: ScreeningOp, degrees) -> dict:
-    """True per degree iff the composed residues vanish on the whole slice."""
+def compose_check(sys: System, s2: ScreeningOp, s1: ScreeningOp, degrees,
+                  cap: Optional[int] = None) -> dict:
+    """True per degree iff the composed residues vanish on the whole slice.
+
+    `cap` bounds every slice of both residue maps, as in `residue_map`, so an
+    oversized slice raises before any composition is built.
+    """
     if s2.source != s1.target():
         raise MomentumMismatch("target momentum of the first map must equal the "
                                "source of the second")
     degrees = list(degrees)
-    m1 = residue_map(sys, s1, degrees)
+    m1 = residue_map(sys, s1, degrees, cap)
     shifted = [d + s1.degree_shift() for d in degrees]
-    m2 = residue_map(sys, s2, shifted)
+    m2 = residue_map(sys, s2, shifted, cap)
     out = {}
     for d in degrees:
         A = m2.blocks[d + s1.degree_shift()]

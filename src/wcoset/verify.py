@@ -217,7 +217,7 @@ def check_resolution(k1: Fraction, k2: Fraction, max_degree: int = 3,
     for i in range(terms):
         si = cat.wakimoto_shifted_screening(spec, i)
         sj = cat.wakimoto_shifted_screening(spec, i + 1)
-        out = compose_check(sys, sj, si, range(max_degree + 2))
+        out = compose_check(sys, sj, si, range(max_degree + 2), cap)
         rep.add_check(f"S.S=0 on W[-{i}a]..W[-{i + 2}a]", all(out.values()))
     gm = residue_map(sys, S0, degrees, cap)
     dims = joint_kernel([gm], degrees, cap=cap).dims

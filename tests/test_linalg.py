@@ -1,0 +1,379 @@
+"""The sparse elimination core against the dense reference it replaced.
+
+The reference code below is the earlier dense linear algebra, kept here only
+as an oracle: fraction-free Bareiss rank over Q on integer-cleared rows,
+plain field elimination for rational-function matrices, a dense reduced row
+echelon form for kernel bases and the triple-loop product.  The sparse core
+must agree with it exactly (ranks, kernel bases as Python lists, products) on
+random sparse matrices and on the screening slices the checks decompose.
+The negative controls show that these comparisons can fail.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from wcoset import catalog as cat
+from wcoset.errors import ResourceBound
+from wcoset.linalg import (SYMBOLIC_DIM_LIMIT, is_symbolic, kernel_basis, mat_is_zero,
+                           mat_mul, rank, stack)
+from wcoset.scalars import RatFun, T, sc_is_zero
+from wcoset.screening import joint_kernel, residue_map
+
+
+# ---------------------------------------------------------------------------
+# dense reference (test-only oracle)
+# ---------------------------------------------------------------------------
+
+def ref_mat_mul(A, B):
+    if not A or not B:
+        return [[Fraction(0)] * (len(B[0]) if B else 0) for _ in A]
+    n, k, m = len(A), len(B), len(B[0])
+    out = []
+    for i in range(n):
+        row = []
+        Ai = A[i]
+        for j in range(m):
+            acc = Fraction(0)
+            for p in range(k):
+                a = Ai[p]
+                if sc_is_zero(a):
+                    continue
+                acc = acc + a * B[p][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def ref_int_rows(M):
+    """Scale each row by the lcm of entry denominators: integer rows, same rank."""
+    out = []
+    for row in M:
+        dens = [x.denominator for x in row]
+        m = math.lcm(*dens) if dens else 1
+        out.append([int(x * m) for x in row])
+    return out
+
+
+def ref_bareiss_rank(M) -> int:
+    M = [row[:] for row in M]
+    n = len(M)
+    m = len(M[0]) if n else 0
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(m):
+        piv = None
+        for r in range(row, n):
+            if M[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        p = M[row][col]
+        for r in range(row + 1, n):
+            if all(c == 0 for c in M[r]):
+                continue
+            factor = M[r][col]
+            for c in range(col, m):
+                M[r][c] = (p * M[r][c] - factor * M[row][c]) // prev
+        prev = p
+        row += 1
+        rank += 1
+        if row == n:
+            break
+    return rank
+
+
+def ref_field_rank(M) -> int:
+    n = len(M)
+    m = len(M[0]) if n else 0
+    M = [row[:] for row in M]
+    rank = 0
+    row = 0
+    for col in range(m):
+        piv = None
+        for r in range(row, n):
+            if not sc_is_zero(M[r][col]):
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        p = M[row][col]
+        for r in range(row + 1, n):
+            f = M[r][col]
+            if sc_is_zero(f):
+                continue
+            scale = f / p
+            M[r] = [M[r][c] - scale * M[row][c] for c in range(m)]
+        row += 1
+        rank += 1
+        if row == n:
+            break
+    return rank
+
+
+def ref_rank(M) -> int:
+    if not M or not M[0]:
+        return 0
+    if is_symbolic(M):
+        return ref_field_rank(M)
+    return ref_bareiss_rank(ref_int_rows(M))
+
+
+def ref_rref(M):
+    n = len(M)
+    m = len(M[0]) if n else 0
+    M = [row[:] for row in M]
+    pivots = []
+    row = 0
+    for col in range(m):
+        piv = None
+        for r in range(row, n):
+            if not sc_is_zero(M[r][col]):
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        p = M[row][col]
+        M[row] = [x / p for x in M[row]]
+        for r in range(n):
+            if r == row:
+                continue
+            f = M[r][col]
+            if sc_is_zero(f):
+                continue
+            M[r] = [M[r][c] - f * M[row][c] for c in range(m)]
+        pivots.append(col)
+        row += 1
+        if row == n:
+            break
+    return M[:row], pivots
+
+
+def ref_kernel_basis(M, ncols=None):
+    if ncols is None:
+        ncols = len(M[0]) if M else 0
+    if not M:
+        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
+                for i in range(ncols)]
+    R, pivots = ref_rref(M)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -R[i][f]
+        basis.append(v)
+    return basis
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def assert_matches_oracle(M):
+    """rank, kernel basis and M times the kernel agree exactly with the oracle."""
+    assert rank(M) == ref_rank(M)
+    kb = kernel_basis(M, len(M[0]))
+    assert kb == ref_kernel_basis(M, len(M[0]))
+    assert len(kb) == len(M[0]) - rank(M)
+    if kb:
+        image = mat_mul(M, transpose(kb))
+        assert image == ref_mat_mul(M, transpose(kb))
+        assert mat_is_zero(image)
+
+
+# ---------------------------------------------------------------------------
+# random sparse matrices over Q and small ones over Q(t)
+# ---------------------------------------------------------------------------
+
+def sparse_q(rng, n, m, density):
+    return [[Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+             if rng.random() < density else Fraction(0) for _ in range(m)]
+            for _ in range(n)]
+
+
+def degenerate(rng, M):
+    """M with a dependent row, a repeated row, a zero row and a zero column."""
+    M = [row[:] for row in M]
+    a, b = rng.randrange(len(M)), rng.randrange(len(M))
+    c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    M.append([c * x + 2 * y for x, y in zip(M[a], M[b])])
+    M.append(M[a][:])
+    M.append([Fraction(0)] * len(M[0]))
+    zc = rng.randrange(len(M[0]))
+    for row in M:
+        row[zc] = Fraction(0)
+    rng.shuffle(M)
+    return M
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_sparse_q(seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 14), rng.randint(1, 16)
+    M = degenerate(rng, sparse_q(rng, n, m, rng.choice([0.1, 0.2, 0.4, 0.8])))
+    assert_matches_oracle(M)
+    B = sparse_q(rng, m, rng.randint(1, 9), 0.3)
+    assert mat_mul(M, B) == ref_mat_mul(M, B)
+
+
+def test_random_sparse_q_wide_and_tall():
+    rng = random.Random(2005)
+    for n, m in ((3, 40), (40, 3), (25, 25)):
+        assert_matches_oracle(degenerate(rng, sparse_q(rng, n, m, 0.15)))
+
+
+def test_edge_shapes():
+    zero = [[Fraction(0)] * 3 for _ in range(2)]
+    assert rank(zero) == ref_rank(zero) == 0
+    assert kernel_basis(zero) == ref_kernel_basis(zero)
+    assert rank([]) == 0 and rank([[]]) == 0
+    assert kernel_basis([], 3) == ref_kernel_basis([], 3)
+    assert kernel_basis([[]], 2) == ref_kernel_basis([[]], 2)
+    assert mat_mul([[Fraction(1)]], []) == ref_mat_mul([[Fraction(1)]], []) == [[]]
+    assert mat_mul([], [[Fraction(1)]]) == []
+
+
+RATFUNS = [T, T + 1, 1 / (T - 2), (T * T - 3) / (T + 5), RatFun.const(2),
+           Fraction(-1, 3), Fraction(0), Fraction(0), Fraction(0)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_ratfun(seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 5), rng.randint(1, 6)
+    M = [[rng.choice(RATFUNS) for _ in range(m)] for _ in range(n)]
+    M.append([T * x + y for x, y in zip(M[0], M[-1])])  # a dependent row
+    assert is_symbolic(M)
+    assert_matches_oracle(M)
+    B = [[rng.choice(RATFUNS) for _ in range(3)] for _ in range(m)]
+    assert mat_mul(M, B) == ref_mat_mul(M, B)
+
+
+# ---------------------------------------------------------------------------
+# the slices the checks decompose
+# ---------------------------------------------------------------------------
+
+def stacked_slices(maps, degrees):
+    """The stacked per-degree matrices joint_kernel takes the rank of."""
+    out = []
+    for d in degrees:
+        M = stack([m.blocks[d] for m in maps])
+        if M and M[0]:
+            out.append(M)
+    return out
+
+
+def coset_maps(pair, n, k1, max_degree):
+    """The screening maps of both sides of the coset duality at level k1."""
+    specs = (cat.subregular_realization(pair, n, k1, "coset"),
+             cat.principal_super_realization(pair, n, cat.dual_level(pair, n, k1), "coset"))
+    return [[residue_map(spec.system, op, range(max_degree + 1)) for op in spec.screenings]
+            for spec in specs]
+
+
+def gl11_compositions(max_degree):
+    """(A, B) per degree, A B the composed first two resolution residues."""
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    s1 = cat.wakimoto_shifted_screening(spec, 0)
+    s2 = cat.wakimoto_shifted_screening(spec, 1)
+    degrees = range(max_degree + 1)
+    m1 = residue_map(spec.system, s1, degrees)
+    m2 = residue_map(spec.system, s2, [d + s1.degree_shift() for d in degrees])
+    return [(m2.blocks[d + s1.degree_shift()], m1.blocks[d]) for d in degrees]
+
+
+def test_coset_sl2_slices_match_oracle():
+    count = 0
+    for maps in coset_maps("sl", 2, Fraction(-14, 5), 4):
+        for M in stacked_slices(maps, range(5)):
+            assert_matches_oracle(M)
+            count += 1
+    assert count >= 8
+
+
+def test_gl11_resolution_slices_match_oracle():
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    gm = residue_map(spec.system, spec.screenings[0], range(4))
+    slices = stacked_slices([gm], range(4))
+    assert len(slices) == 4
+    for M in slices:
+        assert_matches_oracle(M)
+    # the dense reference product is slow: one composition, to degree 3
+    for A, B in gl11_compositions(3):
+        AB = mat_mul(A, B)
+        assert AB == ref_mat_mul(A, B)
+        assert mat_is_zero(AB)
+
+
+def test_symbolic_sl2_slices_match_oracle():
+    count = 0
+    for maps in coset_maps("sl", 2, T, 3):
+        for M in stacked_slices(maps, range(4)):
+            assert is_symbolic(M)
+            assert_matches_oracle(M)
+            count += 1
+    assert count >= 4
+
+
+# ---------------------------------------------------------------------------
+# negative controls: the checks built on the core are not vacuous
+# ---------------------------------------------------------------------------
+
+def test_perturbed_residue_entry_changes_kernel_dims():
+    maps = coset_maps("sl", 2, Fraction(-14, 5), 3)[0]
+    degrees = range(4)
+    dims = joint_kernel(maps, degrees).dims
+    # a slice with both a kernel vector v and a left kernel vector u: adding
+    # 1 at (i, j) with u_i != 0 and v_j != 0 raises the rank by exactly one
+    for d in degrees:
+        M = stack([m.blocks[d] for m in maps])
+        if not (M and M[0]):
+            continue
+        right, left = kernel_basis(M), kernel_basis(transpose(M))
+        if right and left:
+            break
+    else:
+        pytest.fail("no slice with both a kernel and a cokernel")
+    j = next(c for c, x in enumerate(right[0]) if x)
+    i = next(r for r, x in enumerate(left[0]) if x)
+    k = 0
+    while i >= len(maps[k].blocks[d]):
+        i -= len(maps[k].blocks[d])
+        k += 1
+    maps[k].blocks[d][i][j] += 1
+    bumped = joint_kernel(maps, degrees).dims
+    assert bumped[d] == dims[d] - 1
+    assert bumped[:d] + bumped[d + 1:] == dims[:d] + dims[d + 1:]
+
+
+def test_perturbed_composition_is_nonzero():
+    A, B = gl11_compositions(3)[-1]
+    assert mat_is_zero(mat_mul(A, B))
+    # doubling B[p][q] adds B[p][q] times column p of A to column q of AB
+    p, q = next((p, q) for p, row in enumerate(B) for q, x in enumerate(row)
+                if x and any(r[p] for r in A))
+    B[p][q] *= 2
+    assert not mat_is_zero(mat_mul(A, B))
+    assert mat_mul(A, B) == ref_mat_mul(A, B)
+
+
+def test_symbolic_width_bound():
+    row = [T] + [Fraction(0)] * SYMBOLIC_DIM_LIMIT
+    assert len(row) == 65
+    with pytest.raises(ResourceBound):
+        rank([row])
+    with pytest.raises(ResourceBound):
+        kernel_basis([row])
+    # at the limit, and for wide matrices over Q, there is no bound
+    assert rank([row[:SYMBOLIC_DIM_LIMIT]]) == 1
+    assert rank([[Fraction(1)] + row[1:]]) == 1

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from wcoset.errors import MomentumMismatch, ShapeMismatch
+from wcoset import screening
+from wcoset.errors import MomentumMismatch, ResourceBound, ShapeMismatch
 from wcoset.fields import direction_of, gen, state_of_field
 from wcoset.fock import FockState, heis, register_system
 from wcoset.linalg import rank
@@ -110,6 +111,20 @@ def test_s_compose_s_zero(k1, k2):
     s2 = resolution_screening(sys, k1, 1)
     out = compose_check(sys, s2, s1, range(5))
     assert all(out.values())
+
+
+def test_compose_check_honours_cap(monkeypatch):
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    s1 = resolution_screening(sys, k1, 0)
+    s2 = resolution_screening(sys, k1, 1)
+
+    def no_product(A, B):
+        raise AssertionError("composition built despite the cap")
+
+    monkeypatch.setattr(screening, "mat_mul", no_product)
+    with pytest.raises(ResourceBound):
+        compose_check(sys, s2, s1, range(5), cap=10)
 
 
 def test_compose_momentum_mismatch():
