@@ -70,7 +70,7 @@ def dual_level(pair: str, n: int, k1: Level) -> Level:
     tag = PairTag(pair, n)
     shifted = k1 + tag.h1
     if sc_is_zero(shifted):
-        raise ExcludedLevel(f"k1 = -{tag.h1} is excluded (K1 set)")
+        raise ExcludedLevel(f"k1 = {k1} lies in the excluded set K1 = {{{-tag.h1}}}")
     return -tag.h2 + 1 / (tag.r * shifted)
 
 
@@ -97,7 +97,7 @@ class LevelData:
         tag = PairTag(pair, n)
         shifted = k2 + tag.h2
         if sc_is_zero(shifted):
-            raise ExcludedLevel(f"k2 = -{tag.h2} is excluded (K2 set)")
+            raise ExcludedLevel(f"k2 = {k2} lies in the excluded set K2 = {{{-tag.h2}}}")
         return LevelData(pair, n, -tag.h1 + 1 / (tag.r * shifted), k2)
 
     @property

@@ -16,12 +16,18 @@ Normally ordered products obey the standard expansion
 both sums truncated exactly by the grading.  The exponential operator with
 coefficient c, direction lambda and shift s acts on a state of momentum mu as
 
-    eps(s, mu) T_s z^{c(lambda|mu)}
-        exp( sum_{m>0} (c/m) lambda_(-m) z^m ) exp( -sum_{m>0} (c/m) lambda_(m) z^-m ),
+    eps(s, mu) T_s z^{c(lambda|mu)} E-(z) E+(z),
+    E-(z) = exp( sum_{m>0} (c/m) lambda_(-m) z^m ),
+    E+(z) = exp( -sum_{m>0} (c/m) lambda_(m) z^-m ),
 
 where (lambda|mu) is the zero-mode eigenvalue of the direction on |mu> and
 eps is the lattice two-cocycle.  c(lambda|mu) must be an integer; otherwise
-NonIntegralExponent is raised.
+NonIntegralExponent is raised.  Both exponentials act in closed form.  Since
+lambda_(m) moves past h_(-d) as the scalar m(lambda|h) delta_{m,d}, E+ keeps
+or contracts each Heisenberg mode h_(-d) of the state, a contraction carrying
+-c(lambda|h) z^-d; pair-half modes are always kept.  E- is the sum of its
+degree parts P_a z^a, polynomials in the commuting creation modes with P_0 = 1
+and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).
 
 A LinComb is a dict FockState -> coefficient with canonical, sign-positive
 keys and no stored zeros.
@@ -327,97 +333,45 @@ def _gen_mode(sys: System, idx: int, n: int, state: FockState) -> LinComb:
 # exponential operators
 # ---------------------------------------------------------------------------
 
-def _direction_annihilate(sys: System, direction, m: int, state: FockState) -> LinComb:
-    acc = {}
-    for pos, c in enumerate(direction):
-        if sc_is_zero(c):
-            continue
-        idx = sys.heis_indices[pos]
-        for s, v in _heis_annihilate(sys, idx, m, state).items():
-            lc_add(acc, s, v * c)
-    return acc
-
-
-def _direction_create(sys: System, direction, m: int, state: FockState) -> LinComb:
-    acc = {}
-    for pos, c in enumerate(direction):
-        if sc_is_zero(c):
-            continue
-        idx = sys.heis_indices[pos]
-        out = normal_form(sys, state.momentum, ((idx, m),) + state.modes, state.sign)
-        lc_add(acc, out, c)
-    return acc
-
-
-def _exp_plus_table(sys: System, op: ExpOp, state: FockState):
-    """exp(-sum (c/m) lambda_(m) z^-m) |state> grouped by the z^-b it carries."""
-    table = {0: {FockState(state.momentum, state.modes, 1): Fraction(state.sign)}}
-    frontier = dict(table[0])
-    dmax = sys.state_degree(state)
-    k = 1
-    while frontier:
-        nxt = {}
-        for st, coeff in frontier.items():
-            b_st = dmax - sys.state_degree(st)
-            for m in range(1, dmax - b_st + 1):
-                step = _direction_annihilate(sys, op.direction, m, st)
-                for s2, v2 in step.items():
-                    lc_add(nxt, s2, v2 * coeff * (-op.coeff) / (m * k))
-        for s2, v2 in nxt.items():
-            b = dmax - sys.state_degree(s2)
-            lc_add(table.setdefault(b, {}), s2, v2)
-        frontier = nxt
-        k += 1
-    return table
-
-
-def _exp_minus_apply(sys: System, op: ExpOp, lc: LinComb, a: int) -> LinComb:
-    """Degree-a part of exp(sum (c/m) lambda_(-m) z^m) applied to lc."""
-    if a == 0:
-        return dict(lc)
-    levels = {0: dict(lc)}
-    frontier = {st: (v, 0) for st, v in lc.items()}
-    k = 1
-    while frontier:
-        nxt = {}
-        for st, (coeff, lvl) in frontier.items():
-            for m in range(1, a - lvl + 1):
-                step = _direction_create(sys, op.direction, m, st)
-                for s2, v2 in step.items():
-                    key = s2
-                    cur = nxt.get(key)
-                    add = v2 * coeff * op.coeff / (m * k)
-                    if cur is None:
-                        nxt[key] = (add, lvl + m)
-                    else:
-                        nxt[key] = (cur[0] + add, lvl + m)
-        cleaned = {}
-        for s2, (v2, lvl) in nxt.items():
-            if sc_is_zero(v2) or lvl > a:
-                continue
-            lc_add(levels.setdefault(lvl, {}), s2, v2)
-            cleaned[s2] = (v2, lvl)
-        frontier = cleaned
-        k += 1
-    return levels.get(a, {})
-
-
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
+    """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     mu = state.momentum
     p = exp_power(sys, op, mu)
     eps = sys.cocycle(op.shift.lattice, mu.lattice)
-    plus = _exp_plus_table(sys, op, state)
+    lam = [(idx, c) for idx, c in zip(sys.heis_indices, op.direction) if not sc_is_zero(c)]
+    # E+: each Heisenberg mode h_s(-d) is kept, or contracted for -c (lambda|h_s) z^-d
+    plus = {(0, ()): Fraction(state.sign)}
+    for s, d in state.modes:
+        f = 0
+        if sys.species[s].is_heis:
+            f = -op.coeff * sum(c * sys.pairing_of(idx, s) for idx, c in lam)
+        nxt = {}
+        for (b, kept), v in plus.items():
+            key = (b, kept + ((s, d),))
+            nxt[key] = nxt.get(key, 0) + v
+            if not sc_is_zero(f):
+                nxt[(b + d, kept)] = nxt.get((b + d, kept), 0) + v * f
+        plus = nxt
+    # E-: degree parts P_a, a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m), over
+    # commuting creation monomials keyed by their sorted mode tuple
+    top = max(b for b, _ in plus) - n - 1 - p
+    parts = [{(): Fraction(1)}]
+    for a in range(1, top + 1):
+        part = {}
+        for m in range(1, a + 1):
+            for modes, v in parts[a - m].items():
+                for idx, c in lam:
+                    key = tuple(sorted(modes + ((idx, m),)))
+                    part[key] = part.get(key, 0) + v * c
+        parts.append({key: v * op.coeff / a for key, v in part.items()})
     target_mu = mu + op.shift
     acc = {}
-    for b, terms in plus.items():
+    for (b, kept), v in plus.items():
         a = b - n - 1 - p
         if a < 0:
             continue
-        shifted = {}
-        for st, v in terms.items():
-            lc_add(shifted, FockState(target_mu, st.modes, st.sign), v)
-        for s2, v2 in _exp_minus_apply(sys, op, shifted, a).items():
-            lc_add(acc, s2, v2 * eps)
+        for modes, w in parts[a].items():
+            lc_add(acc, normal_form(sys, target_mu, modes + kept), v * w * eps)
     return acc
 
 

@@ -206,10 +206,6 @@ class System:
     def state_degree(self, state: FockState) -> int:
         return sum(self.mode_degree(s, d) for s, d in state.modes)
 
-    def state_parity(self, state: FockState) -> int:
-        odd = sum(1 for s, _ in state.modes if self.species[s].odd)
-        return (odd + self.momentum_parity(state.momentum)) % 2
-
     def vacuum(self, mu: Optional[Momentum] = None) -> FockState:
         return FockState(mu if mu is not None else self.zero_momentum(), ())
 

@@ -318,14 +318,6 @@ def sc_is_zero(x: Scalar) -> bool:
     return x.is_zero() if isinstance(x, RatFun) else x == 0
 
 
-def sc_evaluate(x: Scalar, t: Fraction) -> Fraction:
-    return x.evaluate(t) if isinstance(x, RatFun) else Fraction(x)
-
-
-def sc_str(x: Scalar) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # spec surface: field arithmetic, evaluation, zero extraction
 # ---------------------------------------------------------------------------

@@ -257,11 +257,10 @@ def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
                         cap: Optional[int] = None, symbolic: bool = True,
                         symbolic_kernels: int = 0) -> Report:
     lv = cat.LevelData.from_k1(pair, n, k1)
-    x1, x2 = cat.degeneracy_constants(pair, n)
-    if k1 in (Fraction(-rd.h1(pair, n)), x1):
-        raise cat.ExcludedLevel(f"k1 = {k1} lies in the excluded set S1")
-    if lv.k2 in (Fraction(-rd.h2(pair, n)), x2):
-        raise cat.ExcludedLevel(f"dual level k2 = {lv.k2} lies in the excluded set S2")
+    s1 = lv.excluded_sets()["S1"]
+    if k1 in s1:
+        raise cat.ExcludedLevel(f"k1 = {k1} lies in the excluded set S1 = "
+                                f"{{{', '.join(str(x) for x in sorted(s1))}}}")
     rep = Report("coset-duality", {"pair": pair, "n": n, "k1": str(k1),
                                    "k2": str(lv.k2), "max_degree": max_degree})
     sub_sym = sup_sym = None
@@ -377,6 +376,14 @@ def norm_degeneracy(pair: str, n: int) -> Report:
     return rep
 
 
+def delta_samples(rng: random.Random, count: int) -> list:
+    """Seeded (k1, k2, m1, m2) weights for check_delta, with k1 != 0."""
+    return [(generic_rational(rng, exclude=[Fraction(0)]), generic_rational(rng),
+             Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+             Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            for _ in range(count)]
+
+
 def check_delta(samples) -> Report:
     """Engine L0 on the weight-mu top states matches the dimension formula."""
     rep = Report("delta", {"samples": len(samples)})
@@ -476,13 +483,7 @@ def full_battery(rng: random.Random, cap=None, max_degree_duality: int = 4) -> R
             _merge(rep, check_ks(pair, n, T), f"ks {pair} n={n}")
         for n in (1, 2, 3):
             _merge(rep, norm_degeneracy(pair, n), f"norm {pair} n={n}")
-    samples = []
-    for _ in range(5):
-        samples.append((generic_rational(rng, exclude=[Fraction(0)]),
-                        generic_rational(rng),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
-    _merge(rep, check_delta(samples), "delta")
+    _merge(rep, check_delta(delta_samples(rng, 5)), "delta")
     # counting is pure enumeration (no matrices); the slice cap is for screenings
     _merge(rep, check_counting(8, (2, 3), cap=None), "counting")
     for name in NEGATIVE_CONTROLS:

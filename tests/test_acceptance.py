@@ -146,14 +146,7 @@ def test_criterion_09_kazama_suzuki():
 
 def test_criterion_10_conformal_dimensions():
     t0 = time.time()
-    rng = random.Random(1010)
-    samples = []
-    for _ in range(5):
-        samples.append((ver.generic_rational(rng, exclude=[Fraction(0)]),
-                        ver.generic_rational(rng),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
-    rep = ver.check_delta(samples)
+    rep = ver.check_delta(ver.delta_samples(random.Random(1010), 5))
     record(10, "engine L0 matches the dimension formula on 5 random weights",
            rep.status == "pass", time.time() - t0, 10)
 

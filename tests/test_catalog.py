@@ -37,6 +37,16 @@ def test_dual_level_symbolic():
     assert (T + 3) * (k2 + 2) == 1
 
 
+def test_dual_level_maps_x1_to_x2():
+    # k2 = x2 exactly when k1 = x1, so excluding S1 on the k1 side suffices
+    for pair in rd.PAIRS:
+        for n in range(1, 7):
+            x1, x2 = cat.degeneracy_constants(pair, n)
+            assert cat.dual_level(pair, n, x1) == x2
+            lv = cat.LevelData.from_k1(pair, n, x1)
+            assert lv.k2 in lv.excluded_sets()["S2"]
+
+
 def test_degeneracy_constants():
     assert cat.degeneracy_constants("sl", 2) == (Fraction(-3, 2), Fraction(-4, 3))
     assert cat.degeneracy_constants("so", 2) == (Fraction(-2), Fraction(-3, 2))

@@ -81,6 +81,13 @@ def test_gram_symbolic(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_gram_reports_one_comparison(capsys):
+    code, out, _ = run(capsys, "gram", "--pair", "sl", "--n", "2", "--k1", "-14/5")
+    assert code == 0
+    items = json.loads(out)["items"]
+    assert [i["id"] for i in items] == ["gram(alpha~) = gram(beta~)"]
+
+
 def test_ks_check_cli(capsys):
     code, out, _ = run(capsys, "ks-check", "--pair", "sl", "--n", "2", "--symbolic")
     assert code == 0

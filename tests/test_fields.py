@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from wcoset import catalog as cat
+from wcoset import fields
 from wcoset.errors import NonIntegralExponent
-from wcoset.fields import (ExpOp, NormOrd, current_gram, deriv, gen, direction_of,
-                           l0_apply, lc_eq, mode_apply, nord, ope_singular, sadd,
-                           scale, state_of_field)
-from wcoset.fock import (FockState, enumerate_basis, fermion_pair, heis,
-                         register_system)
-from wcoset.scalars import RatFun, T
+from wcoset.fields import (ExpOp, LinComb, NormOrd, _heis_annihilate, current_gram,
+                           deriv, gen, direction_of, exp_power, l0_apply, lc_add,
+                           lc_eq, mode_apply, nord, ope_singular, sadd, scale,
+                           state_of_field)
+from wcoset.fock import (FockState, System, enumerate_basis, fermion_pair, heis,
+                         normal_form, register_system)
+from wcoset.scalars import RatFun, T, sc_is_zero
 
 K1 = T
 K2 = RatFun.const(Fraction(1, 3))
@@ -242,3 +245,176 @@ def test_nonintegral_exponent():
     bad = FockState(sys.momentum((Fraction(7, 2),)), (), 1)
     with pytest.raises(NonIntegralExponent):
         mode_apply(sys, op, 0, bad)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the breadth-first expansion of the vertex operator, test-only
+# ---------------------------------------------------------------------------
+# The engine evaluates eps T_s z^p E-(z) E+(z) in closed form.  The code below
+# builds both exponentials term by term, breadth first with 1/k! bookkeeping,
+# and keys states and levels differently; mode_apply must agree with it exactly.
+
+def _direction_annihilate(sys: System, direction, m: int, state: FockState) -> LinComb:
+    acc = {}
+    for pos, c in enumerate(direction):
+        if sc_is_zero(c):
+            continue
+        idx = sys.heis_indices[pos]
+        for s, v in _heis_annihilate(sys, idx, m, state).items():
+            lc_add(acc, s, v * c)
+    return acc
+
+
+def _direction_create(sys: System, direction, m: int, state: FockState) -> LinComb:
+    acc = {}
+    for pos, c in enumerate(direction):
+        if sc_is_zero(c):
+            continue
+        idx = sys.heis_indices[pos]
+        out = normal_form(sys, state.momentum, ((idx, m),) + state.modes, state.sign)
+        lc_add(acc, out, c)
+    return acc
+
+
+def _exp_plus_table(sys: System, op: ExpOp, state: FockState):
+    """exp(-sum (c/m) lambda_(m) z^-m) |state> grouped by the z^-b it carries."""
+    table = {0: {FockState(state.momentum, state.modes, 1): Fraction(state.sign)}}
+    frontier = dict(table[0])
+    dmax = sys.state_degree(state)
+    k = 1
+    while frontier:
+        nxt = {}
+        for st, coeff in frontier.items():
+            b_st = dmax - sys.state_degree(st)
+            for m in range(1, dmax - b_st + 1):
+                step = _direction_annihilate(sys, op.direction, m, st)
+                for s2, v2 in step.items():
+                    lc_add(nxt, s2, v2 * coeff * (-op.coeff) / (m * k))
+        for s2, v2 in nxt.items():
+            b = dmax - sys.state_degree(s2)
+            lc_add(table.setdefault(b, {}), s2, v2)
+        frontier = nxt
+        k += 1
+    return table
+
+
+def _exp_minus_apply(sys: System, op: ExpOp, lc: LinComb, a: int) -> LinComb:
+    """Degree-a part of exp(sum (c/m) lambda_(-m) z^m) applied to lc."""
+    if a == 0:
+        return dict(lc)
+    levels = {0: dict(lc)}
+    frontier = {st: (v, 0) for st, v in lc.items()}
+    k = 1
+    while frontier:
+        nxt = {}
+        for st, (coeff, lvl) in frontier.items():
+            for m in range(1, a - lvl + 1):
+                step = _direction_create(sys, op.direction, m, st)
+                for s2, v2 in step.items():
+                    key = s2
+                    cur = nxt.get(key)
+                    add = v2 * coeff * op.coeff / (m * k)
+                    if cur is None:
+                        nxt[key] = (add, lvl + m)
+                    else:
+                        nxt[key] = (cur[0] + add, lvl + m)
+        cleaned = {}
+        for s2, (v2, lvl) in nxt.items():
+            if sc_is_zero(v2) or lvl > a:
+                continue
+            lc_add(levels.setdefault(lvl, {}), s2, v2)
+            cleaned[s2] = (v2, lvl)
+        frontier = cleaned
+        k += 1
+    return levels.get(a, {})
+
+
+def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
+    mu = state.momentum
+    p = exp_power(sys, op, mu)
+    eps = sys.cocycle(op.shift.lattice, mu.lattice)
+    plus = _exp_plus_table(sys, op, state)
+    target_mu = mu + op.shift
+    acc = {}
+    for b, terms in plus.items():
+        a = b - n - 1 - p
+        if a < 0:
+            continue
+        shifted = {}
+        for st, v in terms.items():
+            lc_add(shifted, FockState(target_mu, st.modes, st.sign), v)
+        for s2, v2 in _exp_minus_apply(sys, op, shifted, a).items():
+            lc_add(acc, s2, v2 * eps)
+    return acc
+
+
+def _oracle_compare(monkeypatch, sys, fld, states, modes=(0,)):
+    """mode_apply of fld against the oracle on every state; returns #nonzero."""
+    nonzero = 0
+    for st in states:
+        for n in modes:
+            got = mode_apply(sys, fld, n, st)
+            with monkeypatch.context() as mp:
+                mp.setattr(fields, "_expop_mode", _expop_mode)
+                want = mode_apply(sys, fld, n, st)
+            assert lc_eq(got, want), (fld, n, st)
+            nonzero += bool(got)
+    return nonzero
+
+
+def _basis(sys, mu, max_degree):
+    return [st for d in range(max_degree + 1) for st in enumerate_basis(sys, mu, d)]
+
+
+def test_vertex_operator_oracle_gl11_shifted(monkeypatch):
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    sys = spec.system
+    for i in range(3):
+        op = cat.wakimoto_shifted_screening(spec, i)
+        assert op.prefactor == gen("b")
+        states = _basis(sys, op.source, 4)
+        assert _oracle_compare(monkeypatch, sys, op.field(), states) > len(states) // 4
+
+
+def test_vertex_operator_oracle_lattice_cocycle(monkeypatch):
+    spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
+    sys = spec.system
+    fld = [op.field() for op in spec.screenings] + [spec.generator_map["gamma"]]
+    signs = set()
+    for label in ((0, 0), (1, 0)):
+        mu = sys.lattice_momentum(label)
+        for f in fld:
+            signs.add(sys.cocycle(fields.shift_of(sys, f).lattice, mu.lattice))
+            assert _oracle_compare(monkeypatch, sys, f, _basis(sys, mu, 4)) > 0
+    assert signs == {1, -1}
+
+
+def test_vertex_operator_oracle_symbolic_coset(monkeypatch):
+    sub = cat.subregular_realization("sl", 2, T, "coset")
+    sup = cat.principal_super_realization("sl", 2, cat.dual_level("sl", 2, T), "coset")
+    for spec, max_degree in ((sub, 4), (sup, 4)):
+        sys = spec.system
+        states = _basis(sys, sys.zero_momentum(), max_degree)
+        for op in spec.screenings:
+            assert _oracle_compare(monkeypatch, sys, op.field(), states) > 0
+
+
+def test_vertex_operator_oracle_repeated_modes(monkeypatch):
+    compared = 0
+    for K, max_degree in ((Fraction(7, 2), 6), (T, 4)):
+        spec = cat.rank1_ff(K)
+        sys = spec.system
+        for v in (0, 1, -2):
+            mu = sys.momentum((Fraction(v),))
+            states = _basis(sys, mu, max_degree)
+            assert any(len(set(st.modes)) < len(st.modes) for st in states)
+            for op in spec.screenings:
+                fld = op.field()
+                try:
+                    exp_power(sys, fld, mu)
+                except NonIntegralExponent:
+                    continue
+                compared += 1
+                assert _oracle_compare(monkeypatch, sys, fld, states,
+                                       modes=(-1, 0, 1)) > 0
+    assert compared == 8

@@ -161,14 +161,22 @@ def test_counting_consistency_small():
 
 
 def test_check_delta_random():
-    rng = random.Random(99)
-    samples = []
-    for _ in range(5):
-        samples.append((ver.generic_rational(rng, exclude=[Fraction(0)]),
-                        ver.generic_rational(rng),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+    samples = ver.delta_samples(random.Random(99), 5)
     assert ver.check_delta(samples).status == "pass"
+
+
+def test_delta_samples_seeded():
+    a = ver.delta_samples(random.Random(7), 4)
+    assert a == ver.delta_samples(random.Random(7), 4)
+    assert len(a) == 4 and all(k1 != 0 for k1, _, _, _ in a)
+    assert ver.delta_samples(random.Random(7), 0) == []
+
+
+def test_coset_duality_excluded_message():
+    with pytest.raises(cat.ExcludedLevel, match=r"excluded set S1 = \{-3, -3/2\}"):
+        ver.check_coset_duality("sl", 2, Fraction(-3, 2))
+    with pytest.raises(cat.ExcludedLevel, match=r"excluded set K1 = \{-3\}"):
+        ver.check_coset_duality("sl", 2, Fraction(-3))
 
 
 def test_delta_zero_weight_is_zero():
