@@ -66,6 +66,12 @@ def degeneracy_constants(pair: str, n: int):
     return Fraction(2 - 2 * n), Fraction(1, 2) - n
 
 
+def s1_levels(pair: str, n: int) -> set:
+    """The excluded set S1 = {-h1, x1} of subregular levels k1."""
+    x1, _ = degeneracy_constants(pair, n)
+    return {Fraction(-rd.h1(pair, n)), x1}
+
+
 def dual_level(pair: str, n: int, k1: Level) -> Level:
     tag = PairTag(pair, n)
     shifted = k1 + tag.h1
@@ -110,9 +116,9 @@ class LevelData:
 
     def excluded_sets(self):
         tag = PairTag(self.pair, self.n)
-        x1, x2 = degeneracy_constants(self.pair, self.n)
+        _, x2 = degeneracy_constants(self.pair, self.n)
         return {"K1": {Fraction(-tag.h1)}, "K2": {Fraction(-tag.h2)},
-                "S1": {Fraction(-tag.h1), x1}, "S2": {Fraction(-tag.h2), x2}}
+                "S1": s1_levels(self.pair, self.n), "S2": {Fraction(-tag.h2), x2}}
 
 
 def admissible_levels(pair: str, n: int, u: int, v: Optional[int] = None):

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import catalog as cat
 from . import verify as ver
 from .errors import InputError, ResourceBound
-from .rootdata import PAIRS, h1
+from .rootdata import PAIRS
 from .report import emit_report
 from .scalars import T, parse_rat
 from .screening import joint_kernel, residue_map
@@ -198,8 +198,7 @@ def cmd_duality(args, cfg) -> int:
                                   symbolic_kernels=args.symbolic_kernels)
     if args.random_levels:
         rng = random.Random(seed)
-        x1, _ = cat.degeneracy_constants(args.pair, args.n)
-        exclude = [Fraction(-h1(args.pair, args.n)), x1]
+        exclude = cat.s1_levels(args.pair, args.n)
         for _ in range(args.random_levels):
             k = ver.generic_rational(rng, exclude)
             extra = ver.check_coset_duality(args.pair, args.n, k, md, cap,
@@ -232,7 +231,7 @@ def cmd_ks(args, cfg) -> int:
 
 
 def cmd_resolution(args, cfg) -> int:
-    md = args.max_degree if args.max_degree is not None else 3
+    md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
     cap = args.cap if args.cap is not None else cfg["cap"]
     rep = ver.check_resolution(args.k1, args.k2, md, args.terms, cap)
     return _write(rep, args, cfg, "resolution")

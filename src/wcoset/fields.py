@@ -27,7 +27,11 @@ lambda_(m) moves past h_(-d) as the scalar m(lambda|h) delta_{m,d}, E+ keeps
 or contracts each Heisenberg mode h_(-d) of the state, a contraction carrying
 -c(lambda|h) z^-d; pair-half modes are always kept.  E- is the sum of its
 degree parts P_a z^a, polynomials in the commuting creation modes with P_0 = 1
-and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).
+and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).  What does not depend on the
+state is built once and kept on the System: per (System, operator, momentum)
+the exponent p, eps, the target momentum mu + s and the nonzero contraction
+factors -c(lambda|h_s) per species; per (System, operator) the parts P_a,
+grown on demand up to the highest degree asked for.
 
 A LinComb is a dict FockState -> coefficient with canonical, sign-positive
 keys and no stored zeros.
@@ -149,7 +153,8 @@ def lc_add(acc: LinComb, state: Optional[FockState], coeff: Scalar) -> None:
     if state.sign != 1:
         coeff = coeff * state.sign
         state = FockState(state.momentum, state.modes, 1)
-    new = acc.get(state, 0) + coeff
+    old = acc.get(state)
+    new = coeff if old is None else old + coeff
     if sc_is_zero(new):
         acc.pop(state, None)
     else:
@@ -333,45 +338,86 @@ def _gen_mode(sys: System, idx: int, n: int, state: FockState) -> LinComb:
 # exponential operators
 # ---------------------------------------------------------------------------
 
-def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
-    """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
-    mu = state.momentum
-    p = exp_power(sys, op, mu)
-    eps = sys.cocycle(op.shift.lattice, mu.lattice)
-    lam = [(idx, c) for idx, c in zip(sys.heis_indices, op.direction) if not sc_is_zero(c)]
-    # E+: each Heisenberg mode h_s(-d) is kept, or contracted for -c (lambda|h_s) z^-d
-    plus = {(0, ()): Fraction(state.sign)}
-    for s, d in state.modes:
-        f = 0
-        if sys.species[s].is_heis:
+@dataclass
+class _ExpRecord:
+    """Constants of one ExpOp on the Fock module over one momentum mu."""
+    p: int            # z-exponent c(lambda|mu)
+    eps: int          # two-cocycle eps(s, mu)
+    target: Momentum  # mu + s
+    factors: dict     # Heisenberg species s -> its nonzero -c (lambda|h_s)
+    parts: list       # E- degree parts P_0, P_1, ..., shared by all momenta
+
+
+def _direction_terms(sys: System, op: ExpOp) -> list:
+    return [(idx, c) for idx, c in zip(sys.heis_indices, op.direction) if not sc_is_zero(c)]
+
+
+def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
+    """The record of op over mu, built on first use and kept on the System."""
+    cache = sys._expop_cache
+    rec = cache.get((op, mu))
+    if rec is None:
+        p = exp_power(sys, op, mu)
+        lam = _direction_terms(sys, op)
+        factors = {}
+        for s in sys.heis_indices:
             f = -op.coeff * sum(c * sys.pairing_of(idx, s) for idx, c in lam)
-        nxt = {}
-        for (b, kept), v in plus.items():
-            key = (b, kept + ((s, d),))
-            nxt[key] = nxt.get(key, 0) + v
             if not sc_is_zero(f):
-                nxt[(b + d, kept)] = nxt.get((b + d, kept), 0) + v * f
-        plus = nxt
-    # E-: degree parts P_a, a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m), over
-    # commuting creation monomials keyed by their sorted mode tuple
-    top = max(b for b, _ in plus) - n - 1 - p
-    parts = [{(): Fraction(1)}]
-    for a in range(1, top + 1):
+                factors[s] = f
+        parts = cache.setdefault(op, [{(): Fraction(1)}])
+        rec = _ExpRecord(p, sys.cocycle(op.shift.lattice, mu.lattice), mu + op.shift,
+                         factors, parts)
+        cache[(op, mu)] = rec
+    return rec
+
+
+def _grow_parts(sys: System, op: ExpOp, parts: list, top: int) -> None:
+    """Extend the E- parts through P_top: a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m),
+    over commuting creation monomials keyed by their sorted mode tuple."""
+    lam = _direction_terms(sys, op)
+    for a in range(len(parts), top + 1):
         part = {}
         for m in range(1, a + 1):
             for modes, v in parts[a - m].items():
                 for idx, c in lam:
                     key = tuple(sorted(modes + ((idx, m),)))
-                    part[key] = part.get(key, 0) + v * c
+                    old = part.get(key)
+                    part[key] = v * c if old is None else old + v * c
         parts.append({key: v * op.coeff / a for key, v in part.items()})
-    target_mu = mu + op.shift
+
+
+def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
+    """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
+    rec = _expop_record(sys, op, state.momentum)
+    factors = rec.factors
+    # E+: each Heisenberg mode h_s(-d) is kept, or contracted for -c (lambda|h_s)
+    # z^-d; eps rides on the seed
+    plus = {(0, ()): rec.eps * state.sign}
+    for mode in state.modes:
+        f = factors.get(mode[0])
+        nxt = {}
+        for (b, kept), v in plus.items():
+            key = (b, kept + (mode,))
+            old = nxt.get(key)
+            nxt[key] = v if old is None else old + v
+            if f is not None:
+                key = (b + mode[1], kept)
+                old = nxt.get(key)
+                nxt[key] = v * f if old is None else old + v * f
+        plus = nxt
+    # E-: the E+ terms at z^-b meet the degree part a = b - n - 1 - p
+    b0 = n + 1 + rec.p
+    parts = rec.parts
+    top = max(b for b, _ in plus) - b0
+    if top >= len(parts):
+        _grow_parts(sys, op, parts, top)
     acc = {}
     for (b, kept), v in plus.items():
-        a = b - n - 1 - p
+        a = b - b0
         if a < 0:
             continue
         for modes, w in parts[a].items():
-            lc_add(acc, normal_form(sys, target_mu, modes + kept), v * w * eps)
+            lc_add(acc, normal_form(sys, rec.target, modes + kept), v * w)
     return acc
 
 

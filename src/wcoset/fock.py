@@ -25,7 +25,7 @@ half (then every slice is infinite and NonEnumerable is raised).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -69,9 +69,20 @@ def boson_pair(a: str, b: str, weights=(1, 0)):
 
 @dataclass(frozen=True)
 class Momentum:
-    """Zero-mode eigenvalues per Heisenberg species, plus optional lattice label."""
+    """Zero-mode eigenvalues per Heisenberg species, plus optional lattice label.
+
+    The hash is computed once, at construction: every FockState key hashes its
+    momentum, and hashing a tuple of Fractions is costly.
+    """
     values: tuple
     lattice: Optional[tuple] = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.values, self.lattice)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __add__(self, other: "Momentum") -> "Momentum":
         vals = tuple(a + b for a, b in zip(self.values, other.values))
@@ -132,6 +143,9 @@ class System:
             if len(self.lattice_gram) != ln or any(len(r) != ln for r in self.lattice_gram):
                 raise AsymmetricPairing("lattice gram must be square over the lattice basis")
         self._basis_cache = {}
+        # constants of exponential operators, see fields._expop_record:
+        # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts
+        self._expop_cache = {}
 
     # -- pair contraction sign: first-listed half hits partner with +1 --------
 
@@ -319,6 +333,11 @@ def enumerate_basis(sys: System, mu: Momentum, degree: int, cap: Optional[int] =
         raise ResourceBound(
             f"slice size {len(shapes)} exceeds cap {cap} (degree {degree})")
     return [FockState(mu, modes, 1) for modes in shapes]
+
+
+def slice_dimension(sys: System, degree: int) -> int:
+    """Size of the degree slice of every Fock module of the system."""
+    return len(_mode_sets(sys, degree)) if degree >= 0 else 0
 
 
 def graded_dimension(sys: System, mu: Momentum, degrees, cap: Optional[int] = None):

@@ -15,10 +15,11 @@ from typing import Optional
 
 from . import catalog as cat
 from . import rootdata as rd
-from .errors import NonEnumerable, ZeroK1
+from .errors import NonEnumerable, ResourceBound, ZeroK1
 from .fields import (current_gram, gen, l0_apply, lc_eq, lc_scale, lc_str, lc_sum,
                      mode_apply, nord, sadd, scale, state_of_field)
-from .fock import FockState, System, graded_dimension
+from .fock import FockState, System, graded_dimension, slice_dimension
+from .linalg import SYMBOLIC_DIM_LIMIT
 from .scalars import RatFun, T
 from .screening import annihilates, compose_check, joint_kernel, residue_map
 
@@ -279,6 +280,11 @@ def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
         # kernel dims over the rational-function field: a generic-level
         # certificate, valid away from the vanishing loci of the pivots
         degrees = range(min(symbolic_kernels, max_degree) + 1)
+        # a source slice too wide for symbolic elimination fails before any map
+        for spec in (sub_sym, sup_sym):
+            if max(slice_dimension(spec.system, d) for d in degrees) > SYMBOLIC_DIM_LIMIT:
+                raise ResourceBound(
+                    f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
         dims = {}
         for side, spec in (("left", sub_sym), ("right", sup_sym)):
             maps = [residue_map(spec.system, op, degrees, cap) for op in spec.screenings]
@@ -471,14 +477,12 @@ def full_battery(rng: random.Random, cap=None, max_degree_duality: int = 4) -> R
     for pair, n, k1, md in (("sl", 2, Fraction(-14, 5), max_degree_duality),
                             ("so", 2, Fraction(-5, 2), 3)):
         _merge(rep, check_coset_duality(pair, n, k1, md, cap), f"duality {pair} n={n}")
-        x1, _ = cat.degeneracy_constants(pair, n)
-        k = generic_rational(rng, exclude=[Fraction(-rd.h1(pair, n)), x1])
+        k = generic_rational(rng, exclude=cat.s1_levels(pair, n))
         _merge(rep, check_coset_duality(pair, n, k, min(md, 3), cap, symbolic=False),
                f"duality {pair} n={n} random k1={k}")
     for pair in rd.PAIRS:
         for n in (2, 3):
-            x1, _ = cat.degeneracy_constants(pair, n)
-            k = generic_rational(rng, exclude=[Fraction(-rd.h1(pair, n)), x1])
+            k = generic_rational(rng, exclude=cat.s1_levels(pair, n))
             _merge(rep, check_coset_currents(pair, n, k), f"currents {pair} n={n}")
             _merge(rep, check_ks(pair, n, T), f"ks {pair} n={n}")
         for n in (1, 2, 3):

@@ -97,8 +97,7 @@ def test_criterion_06_coset_kernel_duality():
                             ("so", 2, Fraction(-5, 2), 3)):
         rep = ver.check_coset_duality(pair, n, k1, md)
         ok = ok and rep.status == "pass"
-        x1, _ = cat.degeneracy_constants(pair, n)
-        k = ver.generic_rational(rng, exclude=[Fraction(-cat.rd.h1(pair, n)), x1])
+        k = ver.generic_rational(rng, exclude=cat.s1_levels(pair, n))
         rep = ver.check_coset_duality(pair, n, k, md, symbolic=False)
         ok = ok and rep.status == "pass"
     record(6, "coset kernel duality (sl n=2 deg<=4, so n=2 deg<=3, + random)",
@@ -111,8 +110,7 @@ def test_criterion_07_coset_currents():
     ok = True
     for pair in ("sl", "so"):
         for n in (2, 3):
-            x1, _ = cat.degeneracy_constants(pair, n)
-            k = ver.generic_rational(rng, exclude=[Fraction(-cat.rd.h1(pair, n)), x1])
+            k = ver.generic_rational(rng, exclude=cat.s1_levels(pair, n))
             rep = ver.check_coset_currents(pair, n, k)
             ok = ok and rep.status == "pass"
     record(7, "H1, H2 annihilated by all catalog screenings (n=2,3, both pairs)",

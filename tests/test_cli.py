@@ -138,6 +138,17 @@ def test_config_file(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["per_degree"][-1]["degree"] == 3
 
 
+def test_resolution_uses_config_max_degree(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "wcoset.cfg"
+    cfg.write_text("max-degree = 2\n")
+    monkeypatch.setenv("WCOSET_CONFIG", str(cfg))
+    code, out, _ = run(capsys, "resolution", "--k1", "7/2", "--k2", "1/3",
+                       "--terms", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert [r["degree"] for r in obj["per_degree"]] == [0, 1, 2]
+
+
 def test_bad_config_key(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("max_degree = 2\n")

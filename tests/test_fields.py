@@ -418,3 +418,78 @@ def test_vertex_operator_oracle_repeated_modes(monkeypatch):
                 assert _oracle_compare(monkeypatch, sys, fld, states,
                                        modes=(-1, 0, 1)) > 0
     assert compared == 8
+
+
+# ---------------------------------------------------------------------------
+# the per-System records of exponential operators
+# ---------------------------------------------------------------------------
+# _expop_mode reads p, eps, the target momentum, the E+ factors and the E- parts
+# from a record kept on the System.  A warm System, one that has applied the
+# operator before at another momentum or degree, must give what a fresh one does.
+
+def _images(spec, at, max_degree):
+    fld, mu = at(spec)
+    sys = spec.system
+    return [mode_apply(sys, fld, n, st) for st in _basis(sys, mu, max_degree) for n in (0, 1)]
+
+
+def _warm_equals_fresh(build, runs):
+    """Apply each run in order on one warm System; each result must equal the one
+    from a System built for that run alone.  A run is (at, max_degree), with
+    at(spec) giving the field and the source momentum."""
+    warm = build()
+    nonzero = 0
+    for at, max_degree in runs:
+        got = _images(warm, at, max_degree)
+        want = _images(build(), at, max_degree)
+        assert len(got) == len(want)
+        assert all(lc_eq(a, b) for a, b in zip(got, want)), max_degree
+        nonzero += sum(bool(a) for a in got)
+    return nonzero
+
+
+def test_expop_records_lattice_momenta():
+    def build():
+        return cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
+
+    spec = build()
+    assert {spec.system.cocycle(op.shift.lattice, (1, 0)) for op in spec.screenings} == {1, -1}
+    for i in range(len(spec.screenings)):
+        def at(label, i=i):
+            return lambda s: (s.screenings[i].field(), s.system.lattice_momentum(label))
+        # both labels, and each again at a lower degree after warming higher
+        runs = [(at((0, 0)), 2), (at((1, 0)), 4), (at((0, 0)), 4), (at((1, 0)), 2),
+                (at((0, 0)), 1)]
+        assert _warm_equals_fresh(build, runs) > 0
+
+
+@pytest.mark.parametrize("k1,top", [(Fraction(7, 2), 4), (T, 3)])
+def test_expop_records_gl11_shifted_sources(k1, top):
+    # S[0..2] share one ExpOp over three source momenta, each with its own p
+    def build():
+        return cat.gl11_wakimoto(k1, Fraction(1, 3))
+
+    def at(j):
+        def field_and_source(spec):
+            op = cat.wakimoto_shifted_screening(spec, j)
+            return op.field(), op.source
+        return field_and_source
+    runs = [(at(0), top - 1), (at(1), top), (at(2), top), (at(0), top), (at(1), top - 2)]
+    assert _warm_equals_fresh(build, runs) > 0
+
+
+def test_mode_apply_reaches_expop_mode_by_name(monkeypatch):
+    # the oracle tests above swap fields._expop_mode in by this name
+    seen = []
+    real = fields._expop_mode
+
+    def spy(sys, op, n, state):
+        seen.append(n)
+        return real(sys, op, n, state)
+
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    monkeypatch.setattr(fields, "_expop_mode", spy)
+    sys = spec.system
+    images = [mode_apply(sys, spec.screenings[0].field(), 0, st)
+              for st in _basis(sys, sys.zero_momentum(), 2)]
+    assert seen and any(images)

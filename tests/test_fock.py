@@ -6,7 +6,7 @@ import pytest
 from wcoset.errors import AsymmetricPairing, NonEnumerable, UnpairedFermionHalf
 from wcoset.fock import (Species, boson_pair, enumerate_basis, fermion_pair,
                          graded_dimension, heis, normal_form, register_system,
-                         state_str)
+                         slice_dimension, state_str)
 
 
 def bc_heis2(p11=Fraction(3), p12=Fraction(1), p22=Fraction(-2)):
@@ -31,6 +31,17 @@ def test_register_lattice():
     assert mu.values == (Fraction(2), Fraction(-2))
     assert sys.momentum_parity(mu) == 0
     assert sys.momentum_parity(sys.lattice_momentum((1, 0))) == 1
+
+
+def test_momentum_hash_computed_once():
+    sys = bc_heis2()
+    a = sys.momentum((Fraction(1, 2), Fraction(-3)))
+    b = sys.zero_momentum() + a
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.values, a.lattice))
+    assert {a: 1}[b] == 1
+    assert a != sys.momentum((Fraction(1, 2), Fraction(3)))
+    assert "_hash" not in repr(a)
 
 
 def test_unpaired_half():
@@ -106,6 +117,7 @@ def test_rank1_partition_numbers():
 def test_bc_heis2_character():
     sys = bc_heis2()
     assert graded_dimension(sys, sys.zero_momentum(), range(4)) == [2, 8, 24, 64]
+    assert [slice_dimension(sys, d) for d in range(-1, 4)] == [0, 2, 8, 24, 64]
 
 
 def test_degree0_vacuum_only():

@@ -94,6 +94,18 @@ def test_symbolic_elimination_cap():
         rank(M)
 
 
+def test_symbolic_kernels_width_fails_fast(monkeypatch):
+    from wcoset.errors import ResourceBound
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("residue map built despite the symbolic width limit")
+
+    monkeypatch.setattr(ver, "residue_map", no_map)
+    with pytest.raises(ResourceBound, match="symbolic elimination limited to 64 columns"):
+        ver.check_coset_duality("so", 2, Fraction(7, 3), max_degree=5, symbolic=False,
+                                symbolic_kernels=5)
+
+
 def test_coset_duality_symmetric_sides():
     """Swapping which side is enumerated first never changes the dims."""
     lv = cat.LevelData.from_k1("so", 2, Fraction(-5, 2))
