@@ -167,8 +167,9 @@ def cmd_verify(args, cfg) -> int:
         return code
     seed = args.seed if args.seed is not None else cfg["seed"]
     cap = args.cap if args.cap is not None else cfg["cap"]
+    md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
     rng = random.Random(seed)
-    battery = ver.full_battery(rng, cap=cap)
+    battery = ver.full_battery(rng, cap=cap, max_degree_duality=md)
     return _write(battery, args, cfg, "verify")
 
 

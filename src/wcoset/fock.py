@@ -20,7 +20,12 @@ for systems carrying a lattice decomposition (the label feeds the two-cocycle
 and parity; its bilinear form is the integer Gram declared at registration).
 
 Enumeration is exact and finite unless the system contains a weight-0 boson
-half (then every slice is infinite and NonEnumerable is raised).
+half (then every slice is infinite and NonEnumerable is raised).  Slices come
+from one (species, degree) table per System, kept in ``System._basis_cache``:
+entry (k, d) is the sorted tuple of mode tuples over species k, k+1, ...
+of total degree d, each one species-k shape followed by a tuple of entry
+(k+1, d - d').  The degree-d slice is entry (0, d).  ``slice_dimension`` and
+``graded_dimension`` count a slice without building its FockStates.
 """
 
 from __future__ import annotations
@@ -294,34 +299,38 @@ def _species_mode_shapes(sys: System, idx: int, degree: int):
     return out
 
 
-def _mode_sets(sys: System, degree: int):
-    key = degree
-    if key in sys._basis_cache:
-        return sys._basis_cache[key]
-    per_species = []
-    for idx in range(len(sys.species)):
-        shapes = {}
+def _mode_sets(sys: System, degree: int, k: int = 0):
+    """Entry (k, degree) of the System's (species, degree) table; entry (0, d)
+    is the canonical, sorted degree-d slice.
+
+    Entry (k, d) is the sorted tuple of every mode tuple over species k, k+1,
+    ... totalling degree d.  It is made as ``pre + rest``: ``pre`` is one
+    species-k shape of degree d', built once for the entry, and ``rest`` runs
+    over entry (k+1, d - d').  Every entry stays in ``System._basis_cache``, so
+    each degree reuses the lower ones and the sort only merges sorted runs.
+    """
+    cache = sys._basis_cache
+    out = cache.get((k, degree))
+    if out is not None:
+        return out
+    if k == len(sys.species):
+        out = ((),) if degree == 0 else ()
+    else:
+        acc = []
         for d in range(degree + 1):
-            shapes[d] = _species_mode_shapes(sys, idx, d)
-        per_species.append(shapes)
-    out = []
+            for shape in _species_mode_shapes(sys, k, d):
+                rest = _mode_sets(sys, degree - d, k + 1)
+                pre = tuple((k, dep) for dep in shape)
+                acc += [pre + r for r in rest] if pre else rest
+        acc.sort()
+        out = tuple(acc)
+    cache[(k, degree)] = out
+    return out
 
-    def rec(idx, remaining, acc):
-        if idx == len(sys.species):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for d in range(remaining, -1, -1):
-            for shape in per_species[idx][d]:
-                acc.extend((idx, dep) for dep in shape)
-                rec(idx + 1, remaining - d, acc)
-                for _ in shape:
-                    acc.pop()
 
-    rec(0, degree, [])
-    out.sort()
-    sys._basis_cache[key] = tuple(out)
-    return sys._basis_cache[key]
+def _check_cap(size: int, cap: Optional[int], degree: int) -> None:
+    if cap is not None and size > cap:
+        raise ResourceBound(f"slice size {size} exceeds cap {cap} (degree {degree})")
 
 
 def enumerate_basis(sys: System, mu: Momentum, degree: int, cap: Optional[int] = None):
@@ -329,9 +338,7 @@ def enumerate_basis(sys: System, mu: Momentum, degree: int, cap: Optional[int] =
     if degree < 0:
         return []
     shapes = _mode_sets(sys, degree)
-    if cap is not None and len(shapes) > cap:
-        raise ResourceBound(
-            f"slice size {len(shapes)} exceeds cap {cap} (degree {degree})")
+    _check_cap(len(shapes), cap, degree)
     return [FockState(mu, modes, 1) for modes in shapes]
 
 
@@ -341,7 +348,13 @@ def slice_dimension(sys: System, degree: int) -> int:
 
 
 def graded_dimension(sys: System, mu: Momentum, degrees, cap: Optional[int] = None):
-    return [len(enumerate_basis(sys, mu, d, cap)) for d in degrees]
+    """Slice sizes over |mu>, counted without building states; same cap as
+    enumerate_basis."""
+    dims = []
+    for d in degrees:
+        dims.append(slice_dimension(sys, d))
+        _check_cap(dims[-1], cap, d)
+    return dims
 
 
 def state_str(sys: System, state: FockState) -> str:

@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, lc_degree, mode_apply,
                      exp_power, weight)
-from .fock import Momentum, System, enumerate_basis
+from .fock import Momentum, System, enumerate_basis, graded_dimension
 from .linalg import kernel_basis, mat_is_zero, mat_mul, rank, stack
 from .scalars import sc_is_zero
 
@@ -126,7 +126,7 @@ def joint_kernel(maps, degrees, sys: Optional[System] = None,
     if not maps:
         if sys is None or source is None:
             raise ShapeMismatch("empty map list needs an explicit system and source")
-        dims = [len(enumerate_basis(sys, source, d, cap)) for d in degrees]
+        dims = graded_dimension(sys, source, degrees, cap)
         return KernelReport(degrees, dims)
     src = maps[0].source
     if any(m.source != src for m in maps):

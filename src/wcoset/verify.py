@@ -413,7 +413,7 @@ def check_delta(samples) -> Report:
 
 
 def check_counting(max_degree: int = 8, n_values=(2, 3), cap=None) -> Report:
-    """enumerate_basis and the Euler-product oracle agree on catalog systems."""
+    """Enumerated slice sizes and the Euler-product oracle agree on catalog systems."""
     rep = Report("counting", {"max_degree": max_degree})
     for key, sys in cat.enumerable_counting_systems(n_values):
         mu = sys.zero_momentum()

@@ -149,6 +149,38 @@ def test_resolution_uses_config_max_degree(tmp_path, capsys, monkeypatch):
     assert [r["degree"] for r in obj["per_degree"]] == [0, 1, 2]
 
 
+def test_verify_honours_max_degree(capsys):
+    reports = {}
+    for flags in ((), ("--max-degree", "4"), ("--max-degree", "3")):
+        code, out, _ = run(capsys, "verify", *flags)
+        assert code == 0
+        reports[flags] = out
+    assert reports[()] == reports[("--max-degree", "4")]
+
+    def sl2_items(out):
+        return [i["id"] for i in json.loads(out)["items"]
+                if i["id"].startswith("duality sl n=2: degree")]
+    assert sl2_items(reports[()]) == [f"duality sl n=2: degree {d}" for d in range(5)]
+    assert sl2_items(reports[("--max-degree", "3")]) == [
+        f"duality sl n=2: degree {d}" for d in range(4)]
+
+
+def test_verify_uses_config_max_degree(tmp_path, capsys, monkeypatch):
+    from wcoset import verify
+    seen = []
+
+    def recorded_battery(rng, cap=None, max_degree_duality=4):
+        seen.append(max_degree_duality)
+        return verify.Report("verify", {})
+    monkeypatch.setattr(verify, "full_battery", recorded_battery)
+    cfg = tmp_path / "wcoset.cfg"
+    cfg.write_text("max-degree = 2\n")
+    monkeypatch.setenv("WCOSET_CONFIG", str(cfg))
+    run(capsys, "verify")
+    run(capsys, "verify", "--max-degree", "3")
+    assert seen == [2, 3]
+
+
 def test_bad_config_key(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("max_degree = 2\n")

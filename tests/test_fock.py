@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from wcoset.errors import AsymmetricPairing, NonEnumerable, UnpairedFermionHalf
+from wcoset import catalog as cat
+from wcoset import fock
+from wcoset.errors import (AsymmetricPairing, NonEnumerable, ResourceBound,
+                           UnpairedFermionHalf)
 from wcoset.fock import (Species, boson_pair, enumerate_basis, fermion_pair,
                          graded_dimension, heis, normal_form, register_system,
                          slice_dimension, state_str)
@@ -149,3 +152,95 @@ def test_deterministic_order():
     b = enumerate_basis(sys, sys.zero_momentum(), 3)
     assert a == b
     assert a == sorted(a, key=lambda s: s.modes)
+
+
+# ---------------------------------------------------------------------------
+# the (species, degree) table against the recursive enumerator it replaced
+# ---------------------------------------------------------------------------
+
+def recursive_mode_sets(sys, degree):
+    """Test-only oracle: a depth-first walk over the species for every degree,
+    then one sort."""
+    per_species = [{d: fock._species_mode_shapes(sys, idx, d) for d in range(degree + 1)}
+                   for idx in range(len(sys.species))]
+    out = []
+
+    def rec(idx, remaining, acc):
+        if idx == len(sys.species):
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        for d in range(remaining, -1, -1):
+            for shape in per_species[idx][d]:
+                acc.extend((idx, dep) for dep in shape)
+                rec(idx + 1, remaining - d, acc)
+                for _ in shape:
+                    acc.pop()
+
+    rec(0, degree, [])
+    out.sort()
+    return tuple(out)
+
+
+def test_mode_sets_match_oracle_on_counting_catalog():
+    for key, sys in cat.enumerable_counting_systems((2, 3)):
+        for d in range(9):
+            assert fock._mode_sets(sys, d) == recursive_mode_sets(sys, d), (key, d)
+
+
+def test_mode_sets_warm_system_out_of_order(monkeypatch):
+    warm = cat.enumerable_counting_systems((2,))[:4]
+    for key, sys in warm:
+        for d in (5, 2, 8, 2):
+            assert fock._mode_sets(sys, d) == recursive_mode_sets(sys, d), (key, d)
+        fresh = dict(cat.enumerable_counting_systems((2,)))[key]
+        assert fock._mode_sets(fresh, 8) == fock._mode_sets(sys, 8)
+
+    def no_shapes(sys, idx, degree):
+        raise AssertionError("a warm slice was enumerated again")
+    monkeypatch.setattr(fock, "_species_mode_shapes", no_shapes)
+    for key, sys in warm:
+        for d in (8, 5, 2):
+            assert len(fock._mode_sets(sys, d)) == slice_dimension(sys, d)
+
+
+def test_mode_sets_weight0_fermion_and_weight1_bosons():
+    b, c = fermion_pair("b", "c")                   # c(-1) has degree 0
+    cc, bb = fermion_pair("cc", "bb", weights=(0, 1))  # the weight-0 half first
+    beta, gamma = boson_pair("beta", "gamma", weights=(1, 1))
+    systems = [
+        register_system([b, c], []),
+        register_system([cc, bb, heis("x")], [[Fraction(2)]]),
+        register_system([heis("x"), beta, gamma, b, c], [[Fraction(1)]]),
+        register_system([beta, gamma], []),
+    ]
+    for sys in systems:
+        for d in range(7):
+            assert fock._mode_sets(sys, d) == recursive_mode_sets(sys, d), (sys, d)
+    assert slice_dimension(systems[0], 0) == 2  # vacuum and c(-1)
+    # beta, gamma both of weight 1: (1 - q^n)^-2 over n >= 1
+    assert graded_dimension(systems[3], systems[3].zero_momentum(), range(5)) == \
+        [1, 2, 5, 10, 20]
+
+
+def test_weight0_boson_half_not_enumerable_anywhere_in_table():
+    beta, gamma = boson_pair("beta", "gamma")
+    sys = register_system([heis("x"), beta, gamma], [[Fraction(1)]])
+    for count in (lambda: slice_dimension(sys, 0),
+                  lambda: graded_dimension(sys, sys.zero_momentum(), range(3)),
+                  lambda: enumerate_basis(sys, sys.zero_momentum(), 0)):
+        with pytest.raises(NonEnumerable):
+            count()
+
+
+def test_graded_dimension_cap():
+    sys = bc_heis2()
+    mu = sys.zero_momentum()
+    assert graded_dimension(sys, mu, range(4), cap=64) == [2, 8, 24, 64]
+    with pytest.raises(ResourceBound) as counted:
+        graded_dimension(sys, mu, range(4), cap=23)
+    with pytest.raises(ResourceBound) as built:
+        enumerate_basis(sys, mu, 2, cap=23)
+    assert str(counted.value) == str(built.value) == \
+        "slice size 24 exceeds cap 23 (degree 2)"
+    assert graded_dimension(sys, mu, [-1], cap=0) == [0]

@@ -172,6 +172,21 @@ def test_counting_consistency_small():
     assert rep.status == "pass"
 
 
+def test_counting_negative_control_drops_a_shape(monkeypatch):
+    """Counting is checked against the Euler product, so it cannot pass by
+    construction: one species-0 shape of degree 3 dropped fails every system."""
+    from wcoset import fock
+    shapes = fock._species_mode_shapes
+
+    def one_shape_short(sys, idx, degree):
+        out = shapes(sys, idx, degree)
+        return out[1:] if (idx, degree) == (0, 3) else out
+    monkeypatch.setattr(fock, "_species_mode_shapes", one_shape_short)
+    rep = ver.check_counting(8)
+    assert rep.status == "fail"
+    assert rep.items and not any(i.equal for i in rep.items)
+
+
 def test_check_delta_random():
     samples = ver.delta_samples(random.Random(99), 5)
     assert ver.check_delta(samples).status == "pass"
