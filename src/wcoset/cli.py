@@ -161,15 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args, cfg) -> int:
+    if args.max_degree is not None:
+        raise InputError("verify runs a fixed battery; --max-degree is not accepted")
     if args.control:
         rep = ver.run_negative_control(args.control)
         code = _write(rep, args, cfg, f"verify:{args.control}")
         return code
     seed = args.seed if args.seed is not None else cfg["seed"]
     cap = args.cap if args.cap is not None else cfg["cap"]
-    md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
     rng = random.Random(seed)
-    battery = ver.full_battery(rng, cap=cap, max_degree_duality=md)
+    battery = ver.full_battery(rng, cap=cap)
     return _write(battery, args, cfg, "verify")
 
 

@@ -39,7 +39,7 @@ keys and no stored zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -82,18 +82,9 @@ class Sum:
 
 @dataclass(frozen=True)
 class ExpOp:
-    """Exponential operator; the hash is computed once, at construction, as for
-    fock.Momentum: every ``_expop_mode`` call looks its record up by operator."""
     coeff: Scalar
     direction: tuple  # zero-mode coefficients over the heisenberg species
     shift: Momentum
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.coeff, self.direction, self.shift)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 FieldExpr = Union[Gen, Deriv, NormOrd, Scale, Sum, ExpOp]

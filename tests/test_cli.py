@@ -149,36 +149,22 @@ def test_resolution_uses_config_max_degree(tmp_path, capsys, monkeypatch):
     assert [r["degree"] for r in obj["per_degree"]] == [0, 1, 2]
 
 
-def test_verify_honours_max_degree(capsys):
-    reports = {}
-    for flags in ((), ("--max-degree", "4"), ("--max-degree", "3")):
-        code, out, _ = run(capsys, "verify", *flags)
-        assert code == 0
-        reports[flags] = out
-    assert reports[()] == reports[("--max-degree", "4")]
-
-    def sl2_items(out):
-        return [i["id"] for i in json.loads(out)["items"]
-                if i["id"].startswith("duality sl n=2: degree")]
-    assert sl2_items(reports[()]) == [f"duality sl n=2: degree {d}" for d in range(5)]
-    assert sl2_items(reports[("--max-degree", "3")]) == [
-        f"duality sl n=2: degree {d}" for d in range(4)]
-
-
-def test_verify_uses_config_max_degree(tmp_path, capsys, monkeypatch):
+def test_verify_rejects_max_degree(tmp_path, capsys, monkeypatch):
     from wcoset import verify
-    seen = []
-
-    def recorded_battery(rng, cap=None, max_degree_duality=4):
-        seen.append(max_degree_duality)
-        return verify.Report("verify", {})
-    monkeypatch.setattr(verify, "full_battery", recorded_battery)
+    monkeypatch.setattr(verify, "full_battery", None)
+    for flags in (("--max-degree", "3"), ("--control", "drop-psi", "--max-degree", "4")):
+        code, out, err = run(capsys, "verify", *flags)
+        assert code == 2 and out == ""
+        assert "fixed battery" in err
+    # the config max-degree, shared with kernel/duality/resolution, is not read
     cfg = tmp_path / "wcoset.cfg"
-    cfg.write_text("max-degree = 2\n")
+    cfg.write_text("max-degree = 1\n")
     monkeypatch.setenv("WCOSET_CONFIG", str(cfg))
-    run(capsys, "verify")
-    run(capsys, "verify", "--max-degree", "3")
-    assert seen == [2, 3]
+    seen = []
+    monkeypatch.setattr(verify, "full_battery",
+                        lambda rng, cap=None: seen.append(cap) or verify.Report("verify", {}))
+    code, _, _ = run(capsys, "verify")
+    assert seen == [20000]
 
 
 def test_bad_config_key(tmp_path, capsys, monkeypatch):

@@ -185,31 +185,6 @@ def test_expop_residue_on_vacuum_is_zero():
     assert mode_apply(sys, op, 0, sys.vacuum()) == {}
 
 
-def test_expop_hash_computed_once():
-    calls = []
-
-    class CountedFraction(Fraction):
-        def __hash__(self):
-            calls.append(1)
-            return super().__hash__()
-
-    sys = lattice_L1()
-    lam = direction_of(sys, {"x": 1, "y": 1})
-    a = ExpOp(CountedFraction(1, 2), lam, sys.lattice_momentum((1, 1)))
-    assert len(calls) == 1
-    b = ExpOp(Fraction(1, 2), lam, sys.lattice_momentum((1, 1)))
-    expected = hash((a.coeff, a.direction, a.shift))
-    assert len(calls) == 2
-    for _ in range(3):
-        assert hash(a) == hash(b) == expected
-    assert len(calls) == 2
-    assert a == b and {a: 1}[b] == 1
-    assert a != ExpOp(Fraction(-1, 2), lam, sys.lattice_momentum((1, 1)))
-    assert "_hash" not in repr(a)
-    sym = ExpOp(T, lam, sys.lattice_momentum((1, 1)))
-    assert hash(sym) == hash((T, lam, sym.shift))
-
-
 def test_fms_bosonization_opes():
     sys = lattice_L1()
     e_plus = ExpOp(Fraction(1), direction_of(sys, {"x": 1, "y": 1}),
