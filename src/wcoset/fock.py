@@ -24,7 +24,8 @@ half (then every slice is infinite and NonEnumerable is raised).  Slices come
 from one (species, degree) table per System, kept in ``System._basis_cache``:
 entry (k, d) is the sorted tuple of mode tuples over species k, k+1, ...
 of total degree d, each one species-k shape followed by a tuple of entry
-(k+1, d - d').  The degree-d slice is entry (0, d).  ``slice_dimension`` and
+(k+1, d - d'); each species shape list is built once per System too.  The
+degree-d slice is entry (0, d).  ``slice_dimension`` and
 ``graded_dimension`` count a slice without building its FockStates.
 """
 
@@ -299,15 +300,29 @@ def _species_mode_shapes(sys: System, idx: int, degree: int):
     return out
 
 
+def _species_prefixes(sys: System, k: int, degree: int):
+    """The species-k shapes of the given degree as mode tuples, built once per
+    System and kept in ``System._basis_cache`` under ``("shapes", k, degree)``,
+    a key apart from the table's ``(k, d)`` entries."""
+    key = ("shapes", k, degree)
+    out = sys._basis_cache.get(key)
+    if out is None:
+        out = [tuple((k, dep) for dep in shape)
+               for shape in _species_mode_shapes(sys, k, degree)]
+        sys._basis_cache[key] = out
+    return out
+
+
 def _mode_sets(sys: System, degree: int, k: int = 0):
     """Entry (k, degree) of the System's (species, degree) table; entry (0, d)
     is the canonical, sorted degree-d slice.
 
     Entry (k, d) is the sorted tuple of every mode tuple over species k, k+1,
     ... totalling degree d.  It is made as ``pre + rest``: ``pre`` is one
-    species-k shape of degree d', built once for the entry, and ``rest`` runs
-    over entry (k+1, d - d').  Every entry stays in ``System._basis_cache``, so
-    each degree reuses the lower ones and the sort only merges sorted runs.
+    species-k shape of degree d' (see ``_species_prefixes``), and ``rest``
+    runs over entry (k+1, d - d').  Every entry stays in
+    ``System._basis_cache``, so each degree reuses the lower ones and the sort
+    only merges sorted runs.
     """
     cache = sys._basis_cache
     out = cache.get((k, degree))
@@ -318,9 +333,8 @@ def _mode_sets(sys: System, degree: int, k: int = 0):
     else:
         acc = []
         for d in range(degree + 1):
-            for shape in _species_mode_shapes(sys, k, d):
+            for pre in _species_prefixes(sys, k, d):
                 rest = _mode_sets(sys, degree - d, k + 1)
-                pre = tuple((k, dep) for dep in shape)
                 acc += [pre + r for r in rest] if pre else rest
         acc.sort()
         out = tuple(acc)

@@ -1,22 +1,35 @@
-"""Exact sparse linear algebra over Q and over rational functions.
+"""Exact sparse linear algebra: Q over the integers, Q(t) over the field.
 
-Matrices are lists of row lists.  Inside, a row is a ``{col: value}`` dict of
-its nonzeros, and one Gaussian elimination over the entry field serves both
-``Fraction`` and ``RatFun`` entries.  It takes the columns in order and pivots
-on the sparsest remaining row with a nonzero in the current column, so its
-pivot columns are exactly those of the reduced row echelon form.  Rank is the
-number of pivots.  Matrices with non-constant RatFun entries are limited to
-SYMBOLIC_DIM_LIMIT columns, since symbolic entry swell is real.
+Matrices are lists of row lists, and every function takes and returns them
+densely, with ``Fraction`` (or ``int``) or ``RatFun`` entries.  Inside, a row
+is a sparse list or ``{col: value}`` dict of its nonzeros.  A matrix with no
+nonzero ``RatFun`` entry is worked over Z: each row is scaled by the lcm of its
+denominators (and, as the right factor of a product, each column), the work
+is done on Python integers, and the only division comes at the end.  Over
+Q(t) the work is done in the field of rational functions.
+
+Both eliminations take the columns in order and pivot on the sparsest
+remaining row with a nonzero in the current column, so their pivot columns
+are exactly those of the reduced row echelon form.  Rank is the number of
+pivots.  Over Z the rows are kept primitive: a row r with entry b in the
+pivot column, against a pivot row with entry a there, becomes
+(a/g) r - (b/g) piv with g = gcd(a, b), and is then divided by its content.
+Matrices with non-constant RatFun entries are limited to SYMBOLIC_DIM_LIMIT
+columns, since symbolic entry swell is real.
 
 Kernel bases are read off the pivot rows back-substituted to reduced row
 echelon form (free columns parameterized in order), so output is
-reproducible.  Products are row-sparse: each nonzero ``A[i][p]`` meets only
-the nonzeros of row ``p`` of ``B``.
+reproducible; over Z the back-substitution stays integral and each basis
+entry is divided by its pivot entry only when it is written.  Products are
+row-sparse: each nonzero ``A[i][p]`` meets only the nonzeros of row ``p`` of
+``B``; over Z entry (i, j) of the product is the integer sum divided by
+L_i M_j, the scales of row i of A and column j of B.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ResourceBound, ShapeMismatch
 from .scalars import RatFun, sc_is_zero
@@ -28,12 +41,53 @@ def is_symbolic(M) -> bool:
     return any(isinstance(x, RatFun) and not x.is_constant() for row in M for x in row)
 
 
+def _ratios(M):
+    """Each row's nonzeros as (col, numerator, denominator) triples, or None.
+
+    This is the one test of entry type: None means M has a nonzero RatFun
+    entry and is worked over the field; int and Fraction entries are worked
+    over Z.
+    """
+    out = []
+    for row in M:
+        nz = [(j, x) for j, x in enumerate(row) if x]
+        for _, x in nz:
+            if isinstance(x, RatFun):
+                return None
+        out.append([(j, x.numerator, x.denominator) for j, x in nz])
+    return out
+
+
 def mat_mul(A, B):
     if A and B and len(A[0]) != len(B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
     m = len(B[0]) if B else 0
     if not A or not B:
         return [[Fraction(0)] * m for _ in A]
+    ra = _ratios(A)
+    rb = _ratios(B) if ra is not None else None
+    if rb is None:
+        return _field_mat_mul(A, B, m)
+    col_scale = [1] * m
+    for r in rb:
+        for j, _, d in r:
+            if d != 1:
+                col_scale[j] = lcm(col_scale[j], d)
+    B_rows = [[(j, n * (col_scale[j] // d)) for j, n, d in r] for r in rb]
+    zero = Fraction(0)
+    out = []
+    for r in ra:
+        L = lcm(*[d for _, _, d in r])
+        acc = [0] * m
+        for p, n, d in r:
+            a = n * (L // d)
+            for j, b in B_rows[p]:
+                acc[j] += a * b
+        out.append([Fraction(s, L * col_scale[j]) if s else zero for j, s in enumerate(acc)])
+    return out
+
+
+def _field_mat_mul(A, B, m):
     # entries are Fraction or RatFun, both false exactly when zero
     B_rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
@@ -73,6 +127,10 @@ def _check_symbolic_width(M, ncols):
     if ncols > SYMBOLIC_DIM_LIMIT and is_symbolic(M):
         raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
 
+
+# ---------------------------------------------------------------------------
+# elimination over the field (RatFun matrices)
+# ---------------------------------------------------------------------------
 
 def _add_multiple(r, g, items):
     """r += g * row in place, for sparse rows r (a dict) and `items` of row."""
@@ -118,9 +176,109 @@ def _eliminate(M):
     return pivots
 
 
+# ---------------------------------------------------------------------------
+# fraction-free elimination over Z (int and Fraction matrices)
+# ---------------------------------------------------------------------------
+
+def _divide_content(r):
+    """Divide the integer row r (a dict) by the gcd of its entries, in place."""
+    c = gcd(*r.values())
+    if c > 1:
+        for j in r:
+            r[j] //= c
+
+
+def _combine(r, s, t, items):
+    """r <- s * r + t * row in place, for an integer row r (a dict) and
+    `items` of row; then r is divided by its content."""
+    if s != 1:
+        for j in r:
+            r[j] *= s
+    for j, x in items:
+        if j in r:
+            y = r[j] + t * x
+            if y:
+                r[j] = y
+            else:
+                del r[j]
+        else:
+            r[j] = t * x
+    _divide_content(r)
+
+
+def _primitive_rows(ratios):
+    """Each row scaled by the lcm of its denominators, then divided by its
+    content: a primitive integer row {col: int} spanning the same line."""
+    out = []
+    for r in ratios:
+        L = lcm(*[d for _, _, d in r])
+        row = {j: n * (L // d) for j, n, d in r}
+        _divide_content(row)
+        out.append(row)
+    return out
+
+
+def _int_eliminate(int_rows, ncols):
+    """Forward fraction-free elimination of primitive integer rows.
+
+    Returns {pivot column: (pivot entry, pivot row without that entry)}.  The
+    buckets and the sparsest-row pivot are those of `_eliminate`, and each
+    row here is a multiple of the row there, so the pivots are the same.
+    """
+    buckets = {}
+    for r in int_rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    pivots = {}
+    for col in range(ncols):
+        rows = buckets.pop(col, None)
+        if rows is None:
+            continue
+        piv = min(rows, key=len)
+        a = piv.pop(col)
+        items = list(piv.items())
+        pivots[col] = (a, piv)
+        for r in rows:
+            if r is not piv:
+                b = r.pop(col)
+                g = gcd(a, b)
+                _combine(r, a // g, -(b // g), items)
+                if r:
+                    buckets.setdefault(min(r), []).append(r)
+    return pivots
+
+
+def _int_kernel_basis(int_rows, width, ncols):
+    # back-substitute from the last pivot: each row then meets no other pivot;
+    # the pivot entry rides in its row, so the content it shares is divided out
+    reduced = {}
+    for col, (a, row) in sorted(_int_eliminate(int_rows, width).items(), reverse=True):
+        row[col] = a
+        for p in [j for j in row if j in reduced]:
+            q, prow = reduced[p]
+            c = row.pop(p)
+            g = gcd(q, c)
+            _combine(row, q // g, -(c // g), prow.items())
+        reduced[col] = (row.pop(col), row)
+    basis = []
+    for f in range(ncols):
+        if f in reduced:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for p, (a, row) in reduced.items():
+            if f in row:
+                v[p] = Fraction(-row[f], a)
+        basis.append(v)
+    return basis
+
+
 def rank(M) -> int:
     if not M or not M[0]:
         return 0
+    ratios = _ratios(M)
+    if ratios is not None:
+        return len(_int_eliminate(_primitive_rows(ratios), len(M[0])))
     _check_symbolic_width(M, len(M[0]))
     return len(_eliminate(M))
 
@@ -132,6 +290,9 @@ def kernel_basis(M, ncols=None):
     if not M:
         return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
                 for i in range(ncols)]
+    ratios = _ratios(M)
+    if ratios is not None:
+        return _int_kernel_basis(_primitive_rows(ratios), len(M[0]), ncols)
     _check_symbolic_width(M, ncols)
     # back-substitute from the last pivot: each row then meets no other pivot
     reduced = {}

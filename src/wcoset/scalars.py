@@ -147,10 +147,12 @@ class RatFun:
         den = poly_trim(den)
         if not den:
             raise DivisionByZero("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if g and poly_deg(g) > 0:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
+        # a constant denominator is a unit: the gcd is constant, nothing cancels
+        if len(den) > 1:
+            g = poly_gcd(num, den)
+            if poly_deg(g) > 0:
+                num, _ = poly_divmod(num, g)
+                den, _ = poly_divmod(den, g)
         lead = den[-1]
         if lead != 1:
             num = poly_scale(num, 1 / lead)

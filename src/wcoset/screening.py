@@ -8,9 +8,10 @@ d + w_P - 1 - c(lambda|mu) of the target module over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
 basis, columns by the source basis).  Kernels are computed by exact rank,
-through one sparse elimination over the entry field (Q or rational
-functions) whose pivot columns are those of the reduced row echelon form;
-kernel bases, when requested, come back in reduced echelon form.
+through a sparse elimination (fraction-free over Z for rational slices, over
+the field for rational functions) whose pivot columns are those of the
+reduced row echelon form; kernel bases, when requested, come back in reduced
+echelon form.
 """
 
 from __future__ import annotations

@@ -444,7 +444,7 @@ def _merge(into: Report, sub: Report, prefix: str) -> None:
                        computed=p.dim_left if p.dim_right is None else p.dim_right)
 
 
-def full_battery(rng: random.Random, cap=None, max_degree_duality: int = 4) -> Report:
+def full_battery(rng: random.Random, cap=None) -> Report:
     """Run every verification suite once; the CLI's `verify` verb."""
     rep = Report("verify", {})
     for k2 in (Fraction(1, 3), Fraction(-5, 7)):
@@ -474,7 +474,7 @@ def full_battery(rng: random.Random, cap=None, max_degree_duality: int = 4) -> R
     _merge(rep, check_resolution(k1r, k2r, 2, 2, cap), f"resolution ({k1r}, {k2r})")
     for K in (Fraction(7, 2), Fraction(5, 3)):
         _merge(rep, check_rank1_ff_duality(K, 6, cap), f"rank1 ff (K={K})")
-    for pair, n, k1, md in (("sl", 2, Fraction(-14, 5), max_degree_duality),
+    for pair, n, k1, md in (("sl", 2, Fraction(-14, 5), 4),
                             ("so", 2, Fraction(-5, 2), 3)):
         _merge(rep, check_coset_duality(pair, n, k1, md, cap), f"duality {pair} n={n}")
         k = generic_rational(rng, exclude=cat.s1_levels(pair, n))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,28 @@ def test_mode_sets_warm_system_out_of_order(monkeypatch):
     for key, sys in warm:
         for d in (8, 5, 2):
             assert len(fock._mode_sets(sys, d)) == slice_dimension(sys, d)
+
+
+def test_species_shapes_built_once_per_system(monkeypatch):
+    systems = [sys for _, sys in cat.enumerable_counting_systems((2, 3))]
+    expected = {id(sys): {d: recursive_mode_sets(sys, d) for d in range(9)} for sys in systems}
+    shapes = fock._species_mode_shapes
+    calls = Counter()
+
+    def counted(sys, idx, degree):
+        calls[id(sys), idx, degree] += 1
+        return shapes(sys, idx, degree)
+    monkeypatch.setattr(fock, "_species_mode_shapes", counted)
+    for sys in systems:
+        for d in (4, 8, 0, 6, 8, 3):
+            assert fock._mode_sets(sys, d) == expected[id(sys)][d]
+        for d in range(9):
+            assert fock._mode_sets(sys, d) == expected[id(sys)][d]
+    assert calls and set(calls.values()) == {1}
+    for sys in systems:
+        species = range(len(sys.species))
+        assert {(i, d) for s, i, d in calls if s == id(sys)} == \
+            {(i, d) for i in species for d in range(9)}
 
 
 def test_mode_sets_weight0_fermion_and_weight1_bosons():

@@ -6,16 +6,21 @@ plain field elimination for rational-function matrices, a dense reduced row
 echelon form for kernel bases and the triple-loop product.  The sparse core
 must agree with it exactly (ranks, kernel bases as Python lists, products) on
 random sparse matrices and on the screening slices the checks decompose.
-The negative controls show that these comparisons can fail.
+Matrices over Q are worked over Z, so they are also compared with the field
+elimination that RatFun matrices use, on entries of more than 64 bits and on
+int entries.  The negative controls show that these comparisons can fail.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from wcoset import catalog as cat
+from wcoset import linalg
 from wcoset.errors import ResourceBound
 from wcoset.linalg import (SYMBOLIC_DIM_LIMIT, is_symbolic, kernel_basis, mat_is_zero,
                            mat_mul, rank, stack)
@@ -257,6 +262,107 @@ def test_random_ratfun(seed):
     assert_matches_oracle(M)
     B = [[rng.choice(RATFUNS) for _ in range(3)] for _ in range(m)]
     assert mat_mul(M, B) == ref_mat_mul(M, B)
+
+
+# ---------------------------------------------------------------------------
+# the integer path against the oracle and against the field elimination
+# ---------------------------------------------------------------------------
+
+def field_results(M, B):
+    """rank, kernel basis and M B as the field code computes them, with the
+    dispatch to the integer code switched off."""
+    with mock.patch.object(linalg, "_ratios", lambda M: None):
+        return rank(M), kernel_basis(M, len(M[0])), mat_mul(M, B)
+
+
+def assert_integer_path_exact(M, B):
+    assert_matches_oracle(M)
+    product = mat_mul(M, B)
+    assert product == ref_mat_mul(M, B)
+    assert field_results(M, B) == (rank(M), kernel_basis(M, len(M[0])), product)
+    assert len(linalg._eliminate(M)) == rank(M)
+
+
+def big_q(rng, n, m, density, bits=80):
+    """Sparse Q matrix with numerators and denominators of about `bits` bits."""
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1),
+                        rng.getrandbits(bits) | 1)
+    return [[entry() if rng.random() < density else Fraction(0) for _ in range(m)]
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_path_big_entries(seed):
+    rng = random.Random(100 + seed)
+    n, m = rng.randint(2, 9), rng.randint(2, 10)
+    M = degenerate(rng, big_q(rng, n, m, rng.choice([0.3, 0.6, 1.0])))
+    # a row whose integer content is above 1, and one that is that row over 12
+    content = [Fraction(rng.randint(-5, 5) * 6) for _ in range(m)]
+    M += [content, [x / 12 for x in content]]
+    B = big_q(rng, len(M[0]), rng.randint(1, 5), 0.5)
+    bits = [max(abs(x.numerator), x.denominator).bit_length() for row in M for x in row if x]
+    assert max(bits) > 64 and any(x < 0 for row in M for x in row)
+    assert_integer_path_exact(M, B)
+
+
+def test_integer_path_int_entries():
+    rng = random.Random(2020)
+    for _ in range(10):
+        n, m = rng.randint(1, 8), rng.randint(1, 9)
+        ints = [[rng.choice((0, 0, 1, -2, 3, 12, -18)) for _ in range(m)] for _ in range(n)]
+        ints.append([0] * m)
+        as_q = [[Fraction(x) for x in row] for row in ints]
+        B = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(m)]
+        assert rank(ints) == ref_rank(as_q) == len(linalg._eliminate(as_q))
+        assert kernel_basis(ints) == ref_kernel_basis(as_q)
+        assert mat_mul(ints, B) == ref_mat_mul(as_q, [[Fraction(x) for x in r] for r in B])
+        mixed = [[Fraction(x, 3) if j % 2 else x for j, x in enumerate(row)] for row in ints]
+        assert kernel_basis(mixed) == ref_kernel_basis(
+            [[Fraction(x) for x in row] for row in mixed])
+
+
+def test_integer_product_negative_control():
+    """A vanishing product A B, then B plus 1/(L_i M_j) at (p, j), where column p
+    of A is nonzero in row i only: the product is nonzero in cell (i, j) alone."""
+    rng = random.Random(77)
+    A = big_q(rng, 5, 9, 0.7, bits=70)
+    i, p = 2, 4
+    for r, row in enumerate(A):
+        row[p] = Fraction(0) if r != i else Fraction(rng.getrandbits(70) | 1, 3 ** 40)
+    B = transpose(ref_kernel_basis(A))
+    assert B and mat_is_zero(mat_mul(A, B))
+    j = len(B[0]) - 1
+    L_i = math.lcm(*[x.denominator for x in A[i]])
+    M_j = math.lcm(*[row[j].denominator for row in B])
+    B[p][j] += Fraction(1, L_i * M_j)
+    product = mat_mul(A, B)
+    assert product == ref_mat_mul(A, B)
+    assert [(r, c) for r, row in enumerate(product) for c, x in enumerate(row) if x] == [(i, j)]
+    assert product[i][j] == A[i][p] / (L_i * M_j)
+
+
+def test_ratfun_matrices_reach_the_field_elimination():
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    M = [[T, Fraction(1), Fraction(0)], [Fraction(2), T + 1, Fraction(-1, 3)]]
+    Q = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(2), Fraction(4), Fraction(1)]]
+    with mock.patch.multiple(linalg, **{name: counted(name) for name in
+                                        ("_eliminate", "_int_eliminate", "_field_mat_mul")}):
+        assert rank(M) == ref_rank(M) == 2
+        assert kernel_basis(M) == ref_kernel_basis(M)
+        assert mat_mul(M, transpose(M)) == ref_mat_mul(M, transpose(M))
+        assert calls == {"_eliminate": 2, "_field_mat_mul": 1}
+        assert rank(Q) == 2 and kernel_basis(Q) == ref_kernel_basis(Q)
+        assert mat_mul(Q, transpose(Q)) == ref_mat_mul(Q, transpose(Q))
+        assert calls == {"_eliminate": 2, "_field_mat_mul": 1, "_int_eliminate": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wcoset import scalars
 from wcoset.errors import DegreeTooHigh, DivisionByZero, PoleAtPoint
 from wcoset.scalars import (RatFun, T, evaluate, field_arithmetic, linear_zeros,
-                            parse_rat, parse_ratfun)
+                            parse_rat, parse_ratfun, poly_add, poly_deg, poly_divmod,
+                            poly_gcd, poly_mul, poly_scale, poly_trim)
 
 
 def test_rat_add():
@@ -111,3 +113,61 @@ def test_constant_ratfun_round_trips_to_rat():
     assert g.is_constant() and g.as_rat() == 1
     with pytest.raises(ValueError):
         T.as_rat()
+
+
+def old_canonical(num, den):
+    """The constructor's canonical form as it was, with the gcd always taken."""
+    num, den = poly_trim(num), poly_trim(den)
+    g = poly_gcd(num, den)
+    if g and poly_deg(g) > 0:
+        num, _ = poly_divmod(num, g)
+        den, _ = poly_divmod(den, g)
+    lead = den[-1]
+    return poly_scale(num, 1 / lead), poly_scale(den, 1 / lead)
+
+
+def _random_operand(rng):
+    """A random RatFun, half the time a polynomial (constant denominator),
+    now and then zero."""
+    def poly(length):
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length)]
+    num = poly(rng.randint(0, 3)) if rng.random() > 0.1 else []
+    den = poly(1 if rng.random() < 0.5 else rng.randint(1, 3))
+    while all(c == 0 for c in den):
+        den = poly(len(den))
+    return RatFun(num, den)
+
+
+def test_constructor_matches_old_canonical_form():
+    rng = random.Random(17)
+    constant_dens = zero_nums = 0
+    for _ in range(300):
+        a, b = _random_operand(rng), _random_operand(rng)
+        raw = [(poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)),
+                poly_mul(a.den, b.den)),
+               (poly_mul(a.num, b.num), poly_mul(a.den, b.den))]
+        if b:
+            raw.append((poly_mul(a.num, b.den), poly_mul(a.den, b.num)))
+        for num, den in raw:
+            f = RatFun(num, den)
+            assert (f.num, f.den) == old_canonical(num, den)
+            constant_dens += len(poly_trim(den)) == 1
+            zero_nums += not poly_trim(num)
+        for f, (num, den) in zip((a + b, a * b, a / b if b else a), raw):
+            assert (f.num, f.den) == old_canonical(num, den)
+    assert constant_dens > 100 and zero_nums > 10
+
+
+def test_constant_denominator_skips_gcd(monkeypatch):
+    def fail(a, b):
+        raise AssertionError("poly_gcd called")
+    monkeypatch.setattr(scalars, "poly_gcd", fail)
+    f = RatFun((Fraction(1), Fraction(2), Fraction(3)), (Fraction(-2),))
+    assert (f.num, f.den) == ((Fraction(-1, 2), Fraction(-1), Fraction(-3, 2)), (Fraction(1),))
+    zero = RatFun((), (Fraction(5),))
+    assert (zero.num, zero.den) == ((), (Fraction(1),))
+    assert RatFun.const(Fraction(3, 4)).as_rat() == Fraction(3, 4)
+    assert (Fraction(2, 3) * T + 1) * T == parse_ratfun("(2*t^2 + 3*t)/3")
+    assert Fraction(1, 2) + RatFun.const(Fraction(1, 3)) == Fraction(5, 6)
+    with pytest.raises(AssertionError):
+        RatFun((Fraction(1),), (Fraction(1), Fraction(1)))
