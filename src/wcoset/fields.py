@@ -2,9 +2,13 @@
 
 A FieldExpr is a tree over Gen (a registered species), Deriv, NormOrd (the
 right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
-lattice/shift operator).  Everything the package verifies reduces to
-``mode_apply``: the physical (n)-mode of an expression applied to a state,
-returning an exact finite linear combination.
+lattice/shift operator).  ``mode_apply`` gives the physical (n)-mode of any
+expression applied to a state, as an exact finite linear combination; the
+OPEs, Gram matrices and annihilation checks are built on it.  Screening
+residues are built a whole slice at a time by ``residue_images``, from the
+same two closed-form helpers of the exponential operator that ``mode_apply``
+uses: ``_expop_plus`` (the E+ table of a state) and ``_expop_place`` (E- and
+the canonical order of each image).
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -31,7 +35,10 @@ and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).  What does not depend on the
 state is built once and kept on the System: per (System, operator, momentum)
 the exponent p, eps, the target momentum mu + s and the nonzero contraction
 factors -c(lambda|h_s) per species; per (System, operator) the parts P_a,
-grown on demand up to the highest degree asked for.
+grown on demand up to the highest degree asked for.  The E+ table of a state
+does not depend on the mode index n, so a residue of :P e^{...}: builds it
+once per source state and reads every E_(j) that the prefactor's normally
+ordered expansion asks for from it.
 
 A LinComb is a dict FockState -> coefficient with canonical, sign-positive
 keys and no stored zeros.
@@ -44,7 +51,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NonIntegralExponent, NonSymmetric, ParityMismatch
-from .fock import FockState, Momentum, System, normal_form
+from .fock import FockState, Momentum, System, canonical_modes, normal_form
 from .scalars import RatFun, Scalar, sc_is_zero
 
 
@@ -386,14 +393,14 @@ def _grow_parts(sys: System, op: ExpOp, parts: list, top: int) -> None:
         parts.append({key: v * op.coeff / a for key, v in part.items()})
 
 
-def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
-    """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
-    rec = _expop_record(sys, op, state.momentum)
+def _expop_plus(rec: _ExpRecord, modes: tuple, seed: Scalar) -> dict:
+    """E+ on a state: {(b, kept): coefficient} of its terms at z^-b.
+
+    Each Heisenberg mode h_s(-d) is kept, or contracted for -c (lambda|h_s) z^-d;
+    `seed` is the coefficient of the state (eps and any sign ride on it)."""
     factors = rec.factors
-    # E+: each Heisenberg mode h_s(-d) is kept, or contracted for -c (lambda|h_s)
-    # z^-d; eps rides on the seed
-    plus = {(0, ()): rec.eps * state.sign}
-    for mode in state.modes:
+    plus = {(0, ()): seed}
+    for mode in modes:
         f = factors.get(mode[0])
         nxt = {}
         for (b, kept), v in plus.items():
@@ -405,20 +412,100 @@ def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
                 old = nxt.get(key)
                 nxt[key] = v * f if old is None else old + v * f
         plus = nxt
-    # E-: the E+ terms at z^-b meet the degree part a = b - n - 1 - p
+    return plus
+
+
+def _expop_place(sys: System, op: ExpOp, rec: _ExpRecord, plus: dict, n: int,
+                 front: tuple, acc: dict) -> None:
+    """Add the (n)-mode images of the E+ terms `plus` to `acc`, a dict from
+    canonical mode tuple over the target momentum to nonzero coefficient.
+
+    The E+ terms at z^-b meet the E- degree part a = b - n - 1 - p; each
+    monomial front + (P_a modes) + kept is put in canonical order once."""
     b0 = n + 1 + rec.p
     parts = rec.parts
     top = max(b for b, _ in plus) - b0
     if top >= len(parts):
         _grow_parts(sys, op, parts, top)
-    acc = {}
     for (b, kept), v in plus.items():
         a = b - b0
         if a < 0:
             continue
         for modes, w in parts[a].items():
-            lc_add(acc, normal_form(sys, rec.target, modes + kept), v * w)
-    return acc
+            out = canonical_modes(sys, front + modes + kept)
+            if out is None:
+                continue
+            key, sign = out
+            c = v * w if sign == 1 else -(v * w)
+            old = acc.get(key)
+            if old is None:
+                acc[key] = c
+            else:
+                new = old + c
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
+
+
+def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
+    """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
+    rec = _expop_record(sys, op, state.momentum)
+    acc = {}
+    _expop_place(sys, op, rec, _expop_plus(rec, state.modes, rec.eps * state.sign),
+                 n, (), acc)
+    return {FockState(rec.target, modes, 1): v for modes, v in acc.items()}
+
+
+def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
+                   mu: Momentum, states):
+    """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor, None meaning 1)
+    on each state of one slice over mu, in order: a dict from canonical mode
+    tuple over mu + s to nonzero coefficient.  P must not shift the momentum.
+
+    The (0)-mode of :P E: is sum_j P_(-1-j) E_(j) + (-1)^{p(P)p(E)} sum_j
+    E_(-1-j) P_(j) (see mode_apply).  The record of op is looked up once per
+    slice, and each state's E+ table is built once and serves every E_(j).
+    A generator prefactor's creation mode P_(-1-j) is ordered together with
+    each image's modes, in one canonical_modes call; any other prefactor is
+    applied by mode_apply.
+    """
+    rec = _expop_record(sys, op, mu)
+    if prefactor is not None:
+        gen_idx = sys.index[prefactor.name] if isinstance(prefactor, Gen) else None
+        negate = parity(sys, prefactor) * parity(sys, op)
+        w_p = weight(sys, prefactor, mu)
+    for s in states:
+        col = {}
+        plus = _expop_plus(rec, s.modes, rec.eps * s.sign)
+        if prefactor is None:
+            _expop_place(sys, op, rec, plus, 0, (), col)
+            yield col
+            continue
+        d = sys.state_degree(s)
+        for j in range(d - rec.p):
+            if gen_idx is not None:
+                _expop_place(sys, op, rec, plus, j, ((gen_idx, j + 1),), col)
+                continue
+            img = {}
+            _expop_place(sys, op, rec, plus, j, (), img)
+            lc = {FockState(rec.target, modes, 1): v for modes, v in img.items()}
+            for t, v in mode_apply(sys, prefactor, -1 - j, lc).items():
+                old = col.get(t.modes)
+                new = v if old is None else old + v
+                if new:
+                    col[t.modes] = new
+                else:
+                    del col[t.modes]
+        for j in range(d + w_p):
+            if gen_idx is not None:
+                lc = _gen_mode(sys, gen_idx, j, s)
+            else:
+                lc = mode_apply(sys, prefactor, j, s)
+            for t, v in lc.items():
+                seed = -(rec.eps * v) if negate else rec.eps * v
+                _expop_place(sys, op, rec, _expop_plus(rec, t.modes, seed), -1 - j, (), col)
+        yield col
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import AsymmetricPairing, NonEnumerable, ResourceBound, UnpairedFermionHalf
@@ -110,9 +111,6 @@ class FockState:
     modes: tuple  # ((species_index, depth), ...) in canonical order
     sign: int = 1
 
-    def key(self):
-        return (self.momentum, self.modes)
-
 
 class System:
     """A registered free-field system; immutable after construction."""
@@ -124,6 +122,7 @@ class System:
             raise UnpairedFermionHalf("duplicate species names")
         self.heis_indices = tuple(i for i, s in enumerate(self.species) if s.is_heis)
         self.heis_pos = {i: p for p, i in enumerate(self.heis_indices)}
+        self.odd_flags = tuple(s.odd for s in self.species)
         for s in self.species:
             if s.is_heis:
                 if s.engine_weight != 1:
@@ -246,22 +245,28 @@ def _mode_key(mode):
     return (s, -d)
 
 
+def canonical_modes(sys: System, raw_modes, sign: int = 1):
+    """Canonical order of a raw signed monomial as (modes, sign); None encodes
+    the zero vector.  The sign flips once per pair of odd modes out of order."""
+    odd = sys.odd_flags
+    odd_keys = [_mode_key(m) for m in raw_modes if odd[m[0]]]
+    for i in range(1, len(odd_keys)):
+        ki = odd_keys[i]
+        for kj in odd_keys[:i]:
+            if kj > ki:
+                sign = -sign
+            elif kj == ki:
+                return None
+    # canonical order by two stable sorts: depth descending, then species
+    modes = sorted(raw_modes, key=itemgetter(1), reverse=True)
+    modes.sort(key=itemgetter(0))
+    return tuple(modes), sign
+
+
 def normal_form(sys: System, mu: Momentum, raw_modes, sign: int = 1) -> Optional[FockState]:
     """Canonically order a raw signed monomial; None encodes the zero vector."""
-    modes = list(raw_modes)
-    # insertion sort, tracking odd-odd transpositions
-    for i in range(1, len(modes)):
-        j = i
-        while j > 0 and _mode_key(modes[j - 1]) > _mode_key(modes[j]):
-            a, b = modes[j - 1], modes[j]
-            if sys.species[a[0]].odd and sys.species[b[0]].odd:
-                sign = -sign
-            modes[j - 1], modes[j] = b, a
-            j -= 1
-    for i in range(1, len(modes)):
-        if modes[i] == modes[i - 1] and sys.species[modes[i][0]].odd:
-            return None
-    return FockState(mu, tuple(modes), sign)
+    out = canonical_modes(sys, raw_modes, sign)
+    return None if out is None else FockState(mu, out[0], out[1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ composite field; on the degree-d slice of the source it lands in degree
 d + w_P - 1 - c(lambda|mu) of the target module over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
-basis, columns by the source basis).  Kernels are computed by exact rank,
-through a sparse elimination (fraction-free over Z for rational slices, over
-the field for rational functions) whose pivot columns are those of the
-reduced row echelon form; kernel bases, when requested, come back in reduced
-echelon form.
+basis, columns by the source basis).  Each slice is built in one pass:
+``fields.residue_images`` looks the exponential's record up once and gives
+each source state's image keyed by mode tuple (the momentum is fixed within a
+slice), and each image goes straight into its column of the dense block; an
+image outside the target slice raises ShapeMismatch.  Kernels are computed by
+exact rank, through a sparse elimination (fraction-free over Z for rational
+slices, over the field for rational functions) whose pivot columns are those
+of the reduced row echelon form; kernel bases, when requested, come back in
+reduced echelon form.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import MomentumMismatch, ShapeMismatch
-from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, lc_degree, mode_apply,
-                     exp_power, weight)
+from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree,
+                     mode_apply, residue_images, shift_of, weight)
 from .fock import Momentum, System, enumerate_basis, graded_dimension
 from .linalg import kernel_basis, mat_is_zero, mat_mul, rank, stack
-from .scalars import sc_is_zero
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,11 @@ class ScreeningOp:
     prefactor: Optional[FieldExpr] = None
     name: str = "S"
 
+    def exponential(self) -> ExpOp:
+        return ExpOp(self.coeff, self.direction, self.shift)
+
     def field(self) -> FieldExpr:
-        exp = ExpOp(self.coeff, self.direction, self.shift)
+        exp = self.exponential()
         if self.prefactor is None:
             return exp
         return NormOrd(self.prefactor, exp)
@@ -52,7 +58,7 @@ class ScreeningOp:
         sys = self.system
         zero = sys.zero_momentum()
         w_pref = weight(sys, self.prefactor, zero) if self.prefactor is not None else 0
-        p = exp_power(sys, ExpOp(self.coeff, self.direction, self.shift), self.source)
+        p = exp_power(sys, self.exponential(), self.source)
         return w_pref - 1 - p
 
     def apply(self, v: LinComb) -> LinComb:
@@ -66,23 +72,6 @@ class GradedMap:
     degree_shift: int
     blocks: dict = field(default_factory=dict)       # degree -> matrix
     source_dims: dict = field(default_factory=dict)  # degree -> int
-
-    def to_triplets(self):
-        """Sparse (degree, row, col, value) triplets for CSV export."""
-        out = []
-        for d in sorted(self.blocks):
-            M = self.blocks[d]
-            for i, row in enumerate(M):
-                for j, x in enumerate(row):
-                    if not sc_is_zero(x):
-                        out.append((d, i, j, str(x)))
-        return out
-
-    def triplets_csv(self) -> str:
-        lines = ["degree,row,col,value"]
-        for d, i, j, v in self.to_triplets():
-            lines.append(f"{d},{i},{j},{v}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -99,19 +88,22 @@ def residue_map(sys: System, op: ScreeningOp, degrees, cap: Optional[int] = None
     """Exact matrices of the screening residue on the requested degree slices."""
     shift_deg = op.degree_shift()
     gm = GradedMap(op.source, op.target(), shift_deg)
-    fld = op.field()
+    # images are keyed by mode tuple alone, so check their momentum once
+    if op.prefactor is not None and not shift_of(sys, op.prefactor).is_zero():
+        raise ShapeMismatch("the prefactor shifts the momentum off the target slice")
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
-        index = {s.key(): i for i, s in enumerate(tgt)}
+        index = {s.modes: i for i, s in enumerate(tgt)}
         M = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-        for j, s in enumerate(src):
-            image = mode_apply(sys, fld, 0, s)
-            for t, v in image.items():
-                i = index.get(t.key())
+        images = residue_images(sys, op.prefactor, op.exponential(), op.source, src)
+        for j, image in enumerate(images):
+            for modes, v in image.items():
+                i = index.get(modes)
                 if i is None:
+                    degree = sum(sys.mode_degree(*mode) for mode in modes)
                     raise ShapeMismatch(
-                        f"image state of degree {sys.state_degree(t)} missing from "
+                        f"image state of degree {degree} missing from "
                         f"target slice {d + shift_deg}")
                 M[i][j] = v
         gm.blocks[d] = M

@@ -21,11 +21,12 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
-from wcoset.fields import mode_apply
 from wcoset.fock import enumerate_basis
 from wcoset.linalg import rank
 from wcoset.screening import joint_kernel, residue_map
 from wcoset.screening import ScreeningOp
+
+from test_screening import oracle_block
 
 
 def charge(sys, state):
@@ -47,14 +48,8 @@ def fermionic_charge_kernel_dims(spec, max_degree, charges):
         # build all screening images once
         images = []
         for op in spec.screenings:
-            tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
-            index = {s.key(): i for i, s in enumerate(tgt)}
-            M = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-            fld = op.field()
-            for j, s in enumerate(src):
-                for t, v in mode_apply(sys, fld, 0, s).items():
-                    M[index[t.key()]][j] = v
-            images.append(M)
+            assert op.source == vac
+            images.append(oracle_block(sys, op, d))
         for m in charges:
             sel = cols[m]
             if not sel:

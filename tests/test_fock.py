@@ -97,6 +97,46 @@ def test_normal_form_permutation_consistency():
         assert st == ref
 
 
+def insertion_normal_form(sys, raw_modes, sign=1):
+    """The seed's normal form, test-only: an insertion sort that flips the sign
+    at each odd-odd swap, then zero on a repeated odd mode."""
+    modes = list(raw_modes)
+    for i in range(1, len(modes)):
+        j = i
+        while j > 0 and (modes[j - 1][0], -modes[j - 1][1]) > (modes[j][0], -modes[j][1]):
+            a, b = modes[j - 1], modes[j]
+            if sys.species[a[0]].odd and sys.species[b[0]].odd:
+                sign = -sign
+            modes[j - 1], modes[j] = b, a
+            j -= 1
+    for i in range(1, len(modes)):
+        if modes[i] == modes[i - 1] and sys.species[modes[i][0]].odd:
+            return None
+    return tuple(modes), sign
+
+
+def test_canonical_modes_matches_insertion_sort():
+    rng = random.Random(17)
+    bos = boson_pair("beta", "gamma", (1, 1))
+    systems = [bc_heis2(),
+               register_system([*fermion_pair("b", "c"), heis("x"), *bos],
+                               [[Fraction(1)]])]
+    seen = Counter()
+    for sys in systems:
+        mu = sys.zero_momentum()
+        for _ in range(600):
+            raw = [(rng.randrange(len(sys.species)), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 7))]
+            sign = rng.choice((1, -1))
+            want = insertion_normal_form(sys, raw, sign)
+            assert fock.canonical_modes(sys, raw, sign) == want, raw
+            st = normal_form(sys, mu, raw, sign)
+            assert (st if st is None else (st.modes, st.sign)) == want
+            seen[want is None, want is not None and want[1] != sign] += 1
+    # zeros, kept signs and flipped signs all occur
+    assert len(seen) == 3
+
+
 def test_enumerate_bc_degree2():
     sys = register_system(list(fermion_pair("b", "c")), [])
     mu = sys.zero_momentum()

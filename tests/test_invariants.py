@@ -66,18 +66,6 @@ def test_conformal_field_virasoro_ope():
         assert lc_eq(jp.get(1, {}), state_of_field(sys, deriv(img))), name
 
 
-def test_graded_map_triplets_csv():
-    spec = cat.rank1_ff(Fraction(7, 2))
-    gm = residue_map(spec.system, spec.screenings[1], range(3))
-    text = gm.triplets_csv()
-    lines = text.splitlines()
-    assert lines[0] == "degree,row,col,value"
-    assert len(lines) > 1
-    for line in lines[1:]:
-        d, i, j, v = line.split(",")
-        assert int(d) >= 0 and Fraction(v) is not None
-
-
 def test_screening_degree_shift_bookkeeping():
     spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "coset")
     for op in spec.screenings:

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from wcoset import catalog as cat
 from wcoset import screening
-from wcoset.errors import MomentumMismatch, ResourceBound, ShapeMismatch
-from wcoset.fields import direction_of, gen, state_of_field
-from wcoset.fock import FockState, heis, register_system
+from wcoset.errors import MomentumMismatch, NonEnumerable, ResourceBound, ShapeMismatch
+from wcoset.fields import (_expop_record, deriv, direction_of, gen, mode_apply,
+                           nord, parity, sadd, scale, state_of_field)
+from wcoset.fock import FockState, enumerate_basis, fermion_pair, heis, register_system
 from wcoset.linalg import rank
+from wcoset.scalars import T, sc_is_zero
 from wcoset.screening import (ScreeningOp, annihilates, compose_check, joint_kernel,
                               residue_map)
 
@@ -216,3 +219,172 @@ def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         joint_kernel([residue_map(sysa, Sa, range(2)),
                       residue_map(sysb, plus, range(2))], range(2))
+
+
+# ---------------------------------------------------------------------------
+# residue maps against the per-state mode_apply oracle
+# ---------------------------------------------------------------------------
+# residue_map builds each slice in one pass: one record lookup per slice, one
+# E+ table per source state.  The oracle applies the whole field op.field() to
+# each source state with mode_apply, on a System built apart, so the two share
+# no record; blocks must agree entry for entry, by type and by string.  The
+# closed form both paths share is checked against the breadth-first expansion
+# in test_fields.
+
+def oracle_block(sys, op, d):
+    """The degree-d block of op's residue, from one mode_apply per source state."""
+    src = enumerate_basis(sys, op.source, d)
+    tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
+    index = {(s.momentum, s.modes): i for i, s in enumerate(tgt)}
+    M = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+    fld = op.field()
+    for j, s in enumerate(src):
+        for t, v in mode_apply(sys, fld, 0, s).items():
+            M[index[(t.momentum, t.modes)]][j] = v
+    return M
+
+
+def entries(M):
+    return [[(type(x), str(x)) for x in row] for row in M]
+
+
+def compare_with_oracle(sys, ops, osys, oops, degrees):
+    """residue_map of each op on sys against the oracle of its twin in oops on
+    osys; returns the number of nonzero entries compared."""
+    nonzero = 0
+    for op, oop in zip(ops, oops):
+        gm = residue_map(sys, op, degrees)
+        for d in degrees:
+            assert entries(gm.blocks[d]) == entries(oracle_block(osys, oop, d)), (op.name, d)
+            nonzero += sum(not sc_is_zero(x) for row in gm.blocks[d] for x in row)
+    return nonzero
+
+
+def matches_oracle(build, degrees):
+    """build() returns (system, ops); the oracle runs on a second build()."""
+    return compare_with_oracle(*build(), *build(), degrees)
+
+
+def catalog_build(side, pair, n, form, k1):
+    def build():
+        spec = cat.get_realization(f"{side}-{pair}:{n}:{form}", k1)
+        return spec.system, spec.screenings
+    return build
+
+
+@pytest.mark.parametrize("k1", [Fraction(15, 7), Fraction(-14, 5), T], ids=str)
+@pytest.mark.parametrize("form", ["coset", "miura", "bosonized"])
+@pytest.mark.parametrize("pair", ["sl", "so"])
+def test_residue_map_matches_oracle_catalog(pair, form, k1):
+    for side in ("subregular", "super"):
+        for n, top in ((2, 4), (3, 3)):
+            build = catalog_build(side, pair, n, form, k1)
+            if side == "subregular" and form == "miura":
+                # the weight-0 gamma makes every slice infinite, on both paths
+                sys, ops = build()
+                with pytest.raises(NonEnumerable):
+                    residue_map(sys, ops[0], [0])
+                with pytest.raises(NonEnumerable):
+                    oracle_block(sys, ops[0], 0)
+                continue
+            assert matches_oracle(build, range(top + 1)) > 0, (side, n)
+
+
+def gl11_build(k1, k2, prefactor=None):
+    """gl(1|1) S[0..2]; with `prefactor`, the same exponentials under it."""
+    def build():
+        spec = cat.gl11_wakimoto(k1, k2)
+        ops = [cat.wakimoto_shifted_screening(spec, i) for i in range(3)]
+        if prefactor is not None:
+            ops = [ScreeningOp(spec.system, op.coeff, op.direction, op.shift, op.source,
+                               prefactor, op.name) for op in ops]
+        return spec.system, ops
+    return build
+
+
+@pytest.mark.parametrize("k1,top", [(Fraction(7, 2), 4), (T, 3)], ids=str)
+def test_residue_map_matches_oracle_gl11(k1, top):
+    assert matches_oracle(gl11_build(k1, Fraction(1, 3)), range(top + 1)) > 0
+
+
+# a Heisenberg generator takes the generator path with its zero mode; the other
+# prefactors are applied by mode_apply
+GL11_PREFACTORS = {
+    "heisenberg": gen("x1"),
+    "scaled": scale(Fraction(-3, 2), gen("b")),
+    "weight-2": sadd(deriv(gen("b")), nord(gen("x2"), gen("b"))),
+    "weight-3": nord(gen("b"), deriv(gen("b"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GL11_PREFACTORS))
+def test_residue_map_matches_oracle_prefactors(name):
+    build = gl11_build(Fraction(7, 2), Fraction(1, 3), GL11_PREFACTORS[name])
+    assert matches_oracle(build, range(4)) > 0
+
+
+def test_residue_map_matches_oracle_odd_exponential():
+    # an odd generator under an odd lattice exponential: the second sum of the
+    # normally ordered product changes sign
+    def build():
+        b, c = fermion_pair("b", "c")
+        sys = register_system([b, c, heis("phi")], [[Fraction(1)]],
+                              lattice_indices=[2], lattice_gram=[[1]])
+        lam = direction_of(sys, {"phi": Fraction(1)})
+        ops = [cat.make_screening(sys, Fraction(1), lam, sys.lattice_momentum((m,)),
+                                  prefactor=gen("b"), name=f"b e^phi [{m}]")
+               for m in (0, 1)]
+        return sys, ops
+    sys, ops = build()
+    assert all(parity(sys, op.prefactor) == parity(sys, op.field().right) == 1
+               for op in ops)
+    assert matches_oracle(build, range(5)) > 0
+
+
+@pytest.mark.parametrize("K", [Fraction(7, 2), T], ids=str)
+def test_residue_map_matches_oracle_rank1(K):
+    def build():
+        spec = cat.rank1_ff(K)
+        return spec.system, spec.screenings
+    assert matches_oracle(build, range(7)) > 0
+
+
+def test_residue_map_warm_system_equals_fresh():
+    # S[0..2] share one ExpOp over three sources; S[0] again after the others
+    k1, k2 = Fraction(7, 2), Fraction(1, 3)
+    sys, ops = gl11_build(k1, k2)()
+    for i in (0, 1, 2, 0):
+        warm = residue_map(sys, ops[i], range(5))
+        fsys, fops = gl11_build(k1, k2)()
+        fresh = residue_map(fsys, fops[i], range(5))
+        for d in range(5):
+            assert entries(warm.blocks[d]) == entries(fresh.blocks[d]), (i, d)
+
+
+def test_residue_map_off_by_one_shift_raises(monkeypatch):
+    sys, ops = gl11_build(Fraction(7, 2), Fraction(1, 3))()
+    true_shift = ops[0].degree_shift()
+    monkeypatch.setattr(ScreeningOp, "degree_shift", lambda self: true_shift + 1)
+    with pytest.raises(ShapeMismatch, match="missing from target slice"):
+        residue_map(sys, ops[0], range(3))
+
+
+def test_residue_map_shifting_prefactor_raises():
+    sys, ops = gl11_build(Fraction(7, 2), Fraction(1, 3))()
+    op = ops[0]
+    shifted = ScreeningOp(sys, op.coeff, op.direction, op.shift, op.source,
+                          nord(gen("b"), op.exponential()), op.name)
+    with pytest.raises(ShapeMismatch, match="prefactor shifts the momentum"):
+        residue_map(sys, shifted, [1])
+
+
+def test_oracle_comparison_negative_control():
+    # one E+ contraction factor off in the record of the built map
+    sys, ops = gl11_build(Fraction(7, 2), Fraction(1, 3))()
+    osys, oops = gl11_build(Fraction(7, 2), Fraction(1, 3))()
+    op = ops[1]
+    rec = _expop_record(sys, op.exponential(), op.source)
+    s = next(iter(rec.factors))
+    rec.factors[s] += 1
+    with pytest.raises(AssertionError):
+        compare_with_oracle(sys, [op], osys, [oops[1]], range(4))
