@@ -154,18 +154,26 @@ def direction_of(sys: System, coeffs: dict) -> tuple:
 LinComb = dict
 
 
+def _acc_add(acc: dict, key, coeff: Scalar) -> None:
+    """acc[key] += coeff, dropping the key when the sum is 0."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = coeff
+    else:
+        new = old + coeff
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
+
+
 def lc_add(acc: LinComb, state: Optional[FockState], coeff: Scalar) -> None:
     if state is None or sc_is_zero(coeff):
         return
     if state.sign != 1:
         coeff = coeff * state.sign
         state = FockState(state.momentum, state.modes, 1)
-    old = acc.get(state)
-    new = coeff if old is None else old + coeff
-    if sc_is_zero(new):
-        acc.pop(state, None)
-    else:
-        acc[state] = new
+    _acc_add(acc, state, coeff)
 
 
 def lc_scale(lc: LinComb, c: Scalar) -> LinComb:
@@ -436,16 +444,7 @@ def _expop_place(sys: System, op: ExpOp, rec: _ExpRecord, plus: dict, n: int,
             if out is None:
                 continue
             key, sign = out
-            c = v * w if sign == 1 else -(v * w)
-            old = acc.get(key)
-            if old is None:
-                acc[key] = c
-            else:
-                new = old + c
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
+            _acc_add(acc, key, v * w if sign == 1 else -(v * w))
 
 
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
@@ -467,8 +466,8 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
     E_(-1-j) P_(j) (see mode_apply).  The record of op is looked up once per
     slice, and each state's E+ table is built once and serves every E_(j).
     A generator prefactor's creation mode P_(-1-j) is ordered together with
-    each image's modes, in one canonical_modes call; any other prefactor is
-    applied by mode_apply.
+    each image's modes, in one canonical_modes call; any other P_(-1-j), and
+    every P_(j) of the second sum, is applied by mode_apply.
     """
     rec = _expop_record(sys, op, mu)
     if prefactor is not None:
@@ -491,18 +490,9 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
             _expop_place(sys, op, rec, plus, j, (), img)
             lc = {FockState(rec.target, modes, 1): v for modes, v in img.items()}
             for t, v in mode_apply(sys, prefactor, -1 - j, lc).items():
-                old = col.get(t.modes)
-                new = v if old is None else old + v
-                if new:
-                    col[t.modes] = new
-                else:
-                    del col[t.modes]
+                _acc_add(col, t.modes, v)
         for j in range(d + w_p):
-            if gen_idx is not None:
-                lc = _gen_mode(sys, gen_idx, j, s)
-            else:
-                lc = mode_apply(sys, prefactor, j, s)
-            for t, v in lc.items():
+            for t, v in mode_apply(sys, prefactor, j, s).items():
                 seed = -(rec.eps * v) if negate else rec.eps * v
                 _expop_place(sys, op, rec, _expop_plus(rec, t.modes, seed), -1 - j, (), col)
         yield col
