@@ -5,10 +5,15 @@ right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
 lattice/shift operator).  ``mode_apply`` gives the physical (n)-mode of any
 expression applied to a state, as an exact finite linear combination; the
 OPEs, Gram matrices and annihilation checks are built on it.  Screening
-residues are built a whole slice at a time by ``residue_images``, from the
-same two closed-form helpers of the exponential operator that ``mode_apply``
-uses: ``_expop_plus`` (the E+ table of a state) and ``_expop_place`` (E- and
-the canonical order of each image).
+residues are built a whole slice at a time by ``residue_images``.  Both it and
+``mode_apply`` take the images of the exponential operator from one place,
+``_images``, one column (one source state) at a time.  ``_expop_plus`` builds
+the E+ table of a state over either ring.  With rational constants the column
+is summed over Z: the E+ factors are integers over their lcm denominator D,
+each E- part P_a integers over its own, every term a product of integers, and
+each nonzero entry is divided once by the column's common denominator.
+Constants or seeds with a RatFun take the field helper ``_expop_place`` (E-
+and the canonical order of each image), one product and sum per term.
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -35,10 +40,11 @@ and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).  What does not depend on the
 state is built once and kept on the System: per (System, operator, momentum)
 the exponent p, eps, the target momentum mu + s and the nonzero contraction
 factors -c(lambda|h_s) per species; per (System, operator) the parts P_a,
-grown on demand up to the highest degree asked for.  The E+ table of a state
-does not depend on the mode index n, so a residue of :P e^{...}: builds it
-once per source state and reads every E_(j) that the prefactor's normally
-ordered expansion asks for from it.
+grown on demand up to the highest degree asked for, and with rational
+constants their integer forms.  The E+ table of a state does not depend on
+the mode index n, so a residue of :P e^{...}: builds it once per source state
+and reads every E_(j) that the prefactor's normally ordered expansion asks for
+from it.
 
 A LinComb is a dict FockState -> coefficient with canonical, sign-positive
 keys and no stored zeros.
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .errors import NonIntegralExponent, NonSymmetric, ParityMismatch
@@ -361,6 +368,8 @@ class _ExpRecord:
     target: Momentum  # mu + s
     factors: dict     # Heisenberg species s -> its nonzero -c (lambda|h_s)
     parts: list       # E- degree parts P_0, P_1, ..., shared by all momenta
+    zparts: Optional[list]  # the same over Z (see _grow_parts); None with a RatFun
+    zfactors: Optional[tuple] = None  # (D, {s: D f}), built on first use
 
 
 def _direction_terms(sys: System, op: ExpOp) -> list:
@@ -379,16 +388,23 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
             f = -op.coeff * sum(c * sys.pairing_of(idx, s) for idx, c in lam)
             if not sc_is_zero(f):
                 factors[s] = f
-        parts = cache.setdefault(op, [{(): Fraction(1)}])
+        shared = cache.get(op)
+        if shared is None:
+            rational = not any(isinstance(x, RatFun)
+                               for x in (op.coeff, *op.direction, *factors.values()))
+            shared = cache[op] = ([{(): Fraction(1)}], [(1, {(): 1})] if rational else None)
         rec = _ExpRecord(p, sys.cocycle(op.shift.lattice, mu.lattice), mu + op.shift,
-                         factors, parts)
+                         factors, *shared)
         cache[(op, mu)] = rec
     return rec
 
 
-def _grow_parts(sys: System, op: ExpOp, parts: list, top: int) -> None:
+def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int) -> None:
     """Extend the E- parts through P_top: a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m),
-    over commuting creation monomials keyed by their sorted mode tuple."""
+    over commuting creation monomials keyed by their sorted mode tuple.  With
+    rational constants each part is also kept over Z, as (L_a, {modes: L_a w})
+    with L_a the lcm of the denominators of P_0..P_a."""
+    parts, zparts = rec.parts, rec.zparts
     lam = _direction_terms(sys, op)
     for a in range(len(parts), top + 1):
         part = {}
@@ -398,15 +414,21 @@ def _grow_parts(sys: System, op: ExpOp, parts: list, top: int) -> None:
                     key = tuple(sorted(modes + ((idx, m),)))
                     old = part.get(key)
                     part[key] = v * c if old is None else old + v * c
-        parts.append({key: v * op.coeff / a for key, v in part.items()})
+        part = {key: v * op.coeff / a for key, v in part.items()}
+        parts.append(part)
+        if zparts is not None:
+            L = lcm(zparts[-1][0], *[w.denominator for w in part.values()])
+            zparts.append((L, {key: w.numerator * (L // w.denominator)
+                               for key, w in part.items()}))
 
 
-def _expop_plus(rec: _ExpRecord, modes: tuple, seed: Scalar) -> dict:
+def _expop_plus(factors: dict, modes: tuple, seed) -> dict:
     """E+ on a state: {(b, kept): coefficient} of its terms at z^-b.
 
-    Each Heisenberg mode h_s(-d) is kept, or contracted for -c (lambda|h_s) z^-d;
-    `seed` is the coefficient of the state (eps and any sign ride on it)."""
-    factors = rec.factors
+    Each Heisenberg mode h_s(-d) is kept, or contracted for factors[s] z^-d;
+    `seed` is the coefficient of the state (eps and any sign ride on it).  The
+    rational core passes the integer factors D f, so a term that contracts c
+    modes stands for its value times D^c."""
     plus = {(0, ()): seed}
     for mode in modes:
         f = factors.get(mode[0])
@@ -431,15 +453,14 @@ def _expop_place(sys: System, op: ExpOp, rec: _ExpRecord, plus: dict, n: int,
     The E+ terms at z^-b meet the E- degree part a = b - n - 1 - p; each
     monomial front + (P_a modes) + kept is put in canonical order once."""
     b0 = n + 1 + rec.p
-    parts = rec.parts
     top = max(b for b, _ in plus) - b0
-    if top >= len(parts):
-        _grow_parts(sys, op, parts, top)
+    if top >= len(rec.parts):
+        _grow_parts(sys, op, rec, top)
     for (b, kept), v in plus.items():
         a = b - b0
         if a < 0:
             continue
-        for modes, w in parts[a].items():
+        for modes, w in rec.parts[a].items():
             out = canonical_modes(sys, front + modes + kept)
             if out is None:
                 continue
@@ -447,13 +468,86 @@ def _expop_place(sys: System, op: ExpOp, rec: _ExpRecord, plus: dict, n: int,
             _acc_add(acc, key, v * w if sign == 1 else -(v * w))
 
 
+def _field_images(sys: System, op: ExpOp, rec: _ExpRecord, jobs, direct) -> dict:
+    """_images over the field of the coefficients, one sum per term."""
+    col = {}
+    for modes, v in direct:
+        _acc_add(col, modes, v)
+    for modes, seed, places in jobs:
+        plus = _expop_plus(rec.factors, modes, seed)
+        for n, front in places:
+            _expop_place(sys, op, rec, plus, n, front, col)
+    return col
+
+
+def _int_factors(rec: _ExpRecord) -> tuple:
+    """(D, {s: D f}): the record's E+ factors over their lcm denominator D."""
+    if rec.zfactors is None:
+        D = lcm(*[f.denominator for f in rec.factors.values()])
+        rec.zfactors = (D, {s: f.numerator * (D // f.denominator)
+                            for s, f in rec.factors.items()})
+    return rec.zfactors
+
+
+def _images(sys: System, op: ExpOp, rec: _ExpRecord, jobs, direct=()) -> dict:
+    """One column of vertex-operator images over rec.target: a dict from
+    canonical mode tuple to nonzero coefficient.
+
+    Each job (modes, seed, places) is a state's modes with its coefficient,
+    and asks, for each (n, front) of places, for the (n)-mode image with the
+    creation modes `front` put ahead of each image's own; `direct` holds
+    (modes, coefficient) pairs added as they are.  A rational record with
+    rational seeds is summed over Z: a state's E+ term that contracts c of its
+    modes carries D^c, the parts through P_top their lcm denominator and a seed
+    its own, so one common denominator Z serves the column and each nonzero
+    entry is divided once.  A column with a RatFun anywhere goes to
+    _field_images.
+    """
+    if (rec.zparts is None or any(isinstance(v, RatFun) for _, v, _ in jobs)
+            or any(isinstance(v, RatFun) for _, v in direct)):
+        return _field_images(sys, op, rec, jobs, direct)
+    D, zf = _int_factors(rec)
+    S = lcm(*[v.denominator for _, v, _ in jobs], *[v.denominator for _, v in direct])
+    tables, top, nmax = [], -1, 0
+    for modes, v, places in jobs:
+        plus = _expop_plus(zf, modes, v.numerator * (S // v.denominator))
+        tables.append((len(modes), plus, places))
+        nmax = max(nmax, len(modes))
+        if places:
+            top = max(top, max(plus)[0] - min(places)[0] - 1 - rec.p)
+    if top >= len(rec.parts):
+        _grow_parts(sys, op, rec, top)
+    zparts = rec.zparts
+    Q = zparts[max(top, 0)][0]
+    powers = [D ** c for c in range(nmax + 1)]
+    Z = powers[nmax] * Q * S
+    acc = {}
+    for modes, v in direct:
+        acc[modes] = acc.get(modes, 0) + v.numerator * (Z // v.denominator)
+    for nm, plus, places in tables:
+        for n, front in places:
+            b0 = n + 1 + rec.p
+            for (b, kept), v in plus.items():
+                a = b - b0
+                if a < 0:
+                    continue
+                L, part = zparts[a]
+                # the term stands for v / (S D^c), c = nm - len(kept) contractions
+                m = v * powers[nmax - nm + len(kept)] * (Q // L)
+                for modes, w in part.items():
+                    out = canonical_modes(sys, front + modes + kept)
+                    if out is None:
+                        continue
+                    key, sign = out
+                    acc[key] = acc.get(key, 0) + (m * w if sign == 1 else -m * w)
+    return {key: Fraction(s, Z) for key, s in acc.items() if s}
+
+
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     rec = _expop_record(sys, op, state.momentum)
-    acc = {}
-    _expop_place(sys, op, rec, _expop_plus(rec, state.modes, rec.eps * state.sign),
-                 n, (), acc)
-    return {FockState(rec.target, modes, 1): v for modes, v in acc.items()}
+    img = _images(sys, op, rec, [(state.modes, rec.eps * state.sign, ((n, ()),))])
+    return {FockState(rec.target, modes, 1): v for modes, v in img.items()}
 
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
@@ -464,10 +558,13 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
 
     The (0)-mode of :P E: is sum_j P_(-1-j) E_(j) + (-1)^{p(P)p(E)} sum_j
     E_(-1-j) P_(j) (see mode_apply).  The record of op is looked up once per
-    slice, and each state's E+ table is built once and serves every E_(j).
-    A generator prefactor's creation mode P_(-1-j) is ordered together with
-    each image's modes, in one canonical_modes call; any other P_(-1-j), and
-    every P_(j) of the second sum, is applied by mode_apply.
+    slice, and each state is one column of _images: its E+ table is built
+    once and serves every E_(j), and on a rational record the column is
+    summed over Z on one denominator and divided once per entry.  A
+    generator prefactor's creation mode P_(-1-j) is ordered together with
+    each image's modes, in one canonical_modes call; any other P_(-1-j) is
+    applied by mode_apply to the image of E_(j).  Every P_(j) of the second
+    sum is applied by mode_apply, and each of its terms seeds an E+ table.
     """
     rec = _expop_record(sys, op, mu)
     if prefactor is not None:
@@ -475,27 +572,25 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
         negate = parity(sys, prefactor) * parity(sys, op)
         w_p = weight(sys, prefactor, mu)
     for s in states:
-        col = {}
-        plus = _expop_plus(rec, s.modes, rec.eps * s.sign)
+        seed = rec.eps * s.sign
         if prefactor is None:
-            _expop_place(sys, op, rec, plus, 0, (), col)
-            yield col
+            yield _images(sys, op, rec, [(s.modes, seed, ((0, ()),))])
             continue
         d = sys.state_degree(s)
-        for j in range(d - rec.p):
-            if gen_idx is not None:
-                _expop_place(sys, op, rec, plus, j, ((gen_idx, j + 1),), col)
-                continue
-            img = {}
-            _expop_place(sys, op, rec, plus, j, (), img)
-            lc = {FockState(rec.target, modes, 1): v for modes, v in img.items()}
-            for t, v in mode_apply(sys, prefactor, -1 - j, lc).items():
-                _acc_add(col, t.modes, v)
+        jobs, direct = [], []
+        if gen_idx is not None:
+            jobs.append((s.modes, seed, [(j, ((gen_idx, j + 1),)) for j in range(d - rec.p)]))
+        else:
+            for j in range(d - rec.p):
+                img = _images(sys, op, rec, [(s.modes, seed, ((j, ()),))])
+                lc = {FockState(rec.target, modes, 1): v for modes, v in img.items()}
+                direct.extend((t.modes, v) for t, v in
+                              mode_apply(sys, prefactor, -1 - j, lc).items())
         for j in range(d + w_p):
             for t, v in mode_apply(sys, prefactor, j, s).items():
-                seed = -(rec.eps * v) if negate else rec.eps * v
-                _expop_place(sys, op, rec, _expop_plus(rec, t.modes, seed), -1 - j, (), col)
-        yield col
+                jobs.append((t.modes, -(rec.eps * v) if negate else rec.eps * v,
+                             ((-1 - j, ()),)))
+        yield _images(sys, op, rec, jobs, direct)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,8 @@ class System:
                 raise AsymmetricPairing("lattice gram must be square over the lattice basis")
         self._basis_cache = {}
         # constants of exponential operators, see fields._expop_record:
-        # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts
+        # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
+        # for a rational ExpOp, their integer form
         self._expop_cache = {}
 
     # -- pair contraction sign: first-listed half hits partner with +1 --------

@@ -36,6 +36,10 @@ from .scalars import RatFun, sc_is_zero
 
 SYMBOLIC_DIM_LIMIT = 64
 
+# the one zero that dense blocks are filled with: a scan skips it by identity,
+# without a call to Fraction.__bool__
+ZERO = Fraction(0)
+
 
 def is_symbolic(M) -> bool:
     return any(isinstance(x, RatFun) and not x.is_constant() for row in M for x in row)
@@ -50,7 +54,7 @@ def _ratios(M):
     """
     out = []
     for row in M:
-        nz = [(j, x) for j, x in enumerate(row) if x]
+        nz = [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
         for _, x in nz:
             if isinstance(x, RatFun):
                 return None
@@ -63,7 +67,7 @@ def mat_mul(A, B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
     m = len(B[0]) if B else 0
     if not A or not B:
-        return [[Fraction(0)] * m for _ in A]
+        return [[ZERO] * m for _ in A]
     ra = _ratios(A)
     rb = _ratios(B) if ra is not None else None
     if rb is None:
@@ -74,7 +78,6 @@ def mat_mul(A, B):
             if d != 1:
                 col_scale[j] = lcm(col_scale[j], d)
     B_rows = [[(j, n * (col_scale[j] // d)) for j, n, d in r] for r in rb]
-    zero = Fraction(0)
     out = []
     for r in ra:
         L = lcm(*[d for _, _, d in r])
@@ -83,7 +86,7 @@ def mat_mul(A, B):
             a = n * (L // d)
             for j, b in B_rows[p]:
                 acc[j] += a * b
-        out.append([Fraction(s, L * col_scale[j]) if s else zero for j, s in enumerate(acc)])
+        out.append([Fraction(s, L * col_scale[j]) if s else ZERO for j, s in enumerate(acc)])
     return out
 
 
@@ -97,7 +100,7 @@ def _field_mat_mul(A, B, m):
             if a:
                 for j, b in B_rows[p]:
                     acc[j] = acc[j] + a * b if j in acc else a * b
-        row = [Fraction(0)] * m
+        row = [ZERO] * m
         for j, x in acc.items():
             row[j] = x
         out.append(row)
@@ -156,7 +159,7 @@ def _eliminate(M):
     """
     buckets = {}
     for row in M:
-        r = {j: x for j, x in enumerate(row) if x}
+        r = {j: x for j, x in enumerate(row) if x is not ZERO and x}
         if r:
             buckets.setdefault(min(r), []).append(r)
     pivots = {}

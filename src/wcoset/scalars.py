@@ -37,7 +37,8 @@ def poly_trim(cs) -> Poly:
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
-    return tuple(Fraction(c) for c in cs)
+    # a Fraction coefficient is kept as it is; only other numbers are wrapped
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in cs)
 
 
 def poly_deg(p: Poly) -> int:

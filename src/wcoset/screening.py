@@ -11,24 +11,26 @@ basis, columns by the source basis).  Each slice is built in one pass:
 ``fields.residue_images`` looks the exponential's record up once and gives
 each source state's image keyed by mode tuple (the momentum is fixed within a
 slice), and each image goes straight into its column of the dense block; an
-image outside the target slice raises ShapeMismatch.  Kernels are computed by
-exact rank, through a sparse elimination (fraction-free over Z for rational
-slices, over the field for rational functions) whose pivot columns are those
-of the reduced row echelon form; kernel bases, when requested, come back in
-reduced echelon form.
+image outside the target slice raises ShapeMismatch.  At a rational level a
+column is summed over Z on one common denominator, so each nonzero entry is
+one ``Fraction`` made once; the other cells hold ``linalg.ZERO``, which the
+eliminations skip by identity.  Kernels are computed by exact rank, through a
+sparse elimination (fraction-free over Z for rational slices, over the field
+for rational functions) whose pivot columns are those of the reduced row
+echelon form; kernel bases, when requested, come back in reduced echelon
+form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree,
                      mode_apply, residue_images, shift_of, weight)
 from .fock import Momentum, System, enumerate_basis, graded_dimension
-from .linalg import kernel_basis, mat_is_zero, mat_mul, rank, stack
+from .linalg import ZERO, kernel_basis, mat_is_zero, mat_mul, rank, stack
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def residue_map(sys: System, op: ScreeningOp, degrees, cap: Optional[int] = None
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
         index = {s.modes: i for i, s in enumerate(tgt)}
-        M = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+        M = [[ZERO] * len(src) for _ in range(len(tgt))]
         images = residue_images(sys, op.prefactor, op.exponential(), op.source, src)
         for j, image in enumerate(images):
             for modes, v in image.items():

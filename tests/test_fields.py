@@ -493,3 +493,107 @@ def test_mode_apply_reaches_expop_mode_by_name(monkeypatch):
     images = [mode_apply(sys, spec.screenings[0].field(), 0, st)
               for st in _basis(sys, sys.zero_momentum(), 2)]
     assert seen and any(images)
+
+
+# ---------------------------------------------------------------------------
+# the rational core against the field helpers
+# ---------------------------------------------------------------------------
+# On a rational record, _images sums each column of images over Z on one
+# denominator and divides once per entry.  The field helpers, which a RatFun
+# record takes, sum the same column one product at a time; run on the same
+# records and the same jobs they must give every image, by type and string.
+
+def _entries(img):
+    return {modes: (type(v), str(v)) for modes, v in img.items()}
+
+
+def _core_against_field_helpers(monkeypatch, sys, cases, max_degree):
+    """For each case (name, prefactor, ExpOp, source momentum), build the
+    residue images of every slice through max_degree, and apply the ExpOp's
+    (0)- and (1)-modes to each state, with every column also summed by the
+    field helpers.  Asserts, naming the case, that each column took the
+    rational core and matched; returns each case's number of nonzero columns."""
+    real = fields._images
+    columns, counts = [], []
+
+    def both(sys, op, rec, jobs, direct=()):
+        got = real(sys, op, rec, jobs, direct)
+        rational = rec.zparts is not None and not any(
+            isinstance(v, RatFun) for v in [v for _, v, _ in jobs] + [v for _, v in direct])
+        columns.append((rational, _entries(got) == _entries(
+            fields._field_images(sys, op, rec, jobs, direct)), bool(got)))
+        return got
+
+    monkeypatch.setattr(fields, "_images", both)
+    for name, prefactor, exp, mu in cases:
+        columns.clear()
+        for d in range(max_degree + 1):
+            states = enumerate_basis(sys, mu, d)
+            list(fields.residue_images(sys, prefactor, exp, mu, states))
+            for st in states:
+                mode_apply(sys, exp, 0, st)
+                mode_apply(sys, exp, 1, st)
+        assert columns and all(rational for rational, _, _ in columns), name
+        assert all(equal for _, equal, _ in columns), name
+        counts.append(sum(nonzero for _, _, nonzero in columns))
+    return counts
+
+
+def _bare_cases(spec, momenta):
+    return [(f"{op.name} at {mu}", None, op.exponential(), mu)
+            for op in spec.screenings for mu in momenta]
+
+
+@pytest.mark.parametrize("k1", [Fraction(15, 7), Fraction(-14, 5)], ids=str)
+def test_rational_core_matches_field_helpers_no_prefactor(monkeypatch, k1):
+    spec = cat.subregular_realization("sl", 2, k1, "bosonized")
+    sys = spec.system
+    cases = _bare_cases(spec, [sys.lattice_momentum(label) for label in ((0, 0), (1, 0))])
+    assert all(_core_against_field_helpers(monkeypatch, sys, cases, 4))
+    spec = cat.rank1_ff(k1)
+    sys = spec.system
+    cases = []
+    for name, _, exp, mu in _bare_cases(spec, [sys.momentum((Fraction(v),))
+                                               for v in (0, 1, -2)]):
+        try:
+            exp_power(sys, exp, mu)
+        except NonIntegralExponent:
+            continue
+        cases.append((name, None, exp, mu))
+    assert len(cases) >= 3
+    assert all(_core_against_field_helpers(monkeypatch, sys, cases, 6))
+
+
+def _gl11_cases(spec, prefactors=()):
+    """S[0..2] under their b prefactor, and the bare exponential, over the
+    three source momenta; then under each (name, prefactor) given."""
+    ops = [cat.wakimoto_shifted_screening(spec, i) for i in range(3)]
+    return ([(op.name, op.prefactor, op.exponential(), op.source) for op in ops]
+            + [(f"bare {op.name}", None, op.exponential(), op.source) for op in ops]
+            + [(f"{name} {op.name}", pref, op.exponential(), op.source)
+               for name, pref in prefactors for op in ops])
+
+
+@pytest.mark.parametrize("k1,k2", [(Fraction(7, 2), Fraction(1, 3)),
+                                   (Fraction(-11, 3), Fraction(9, 8))], ids=str)
+def test_rational_core_matches_field_helpers_gl11(monkeypatch, k1, k2):
+    spec = cat.gl11_wakimoto(k1, k2)
+    cases = _gl11_cases(spec)
+    assert cases[0][1] == gen("b") and len({mu for *_, mu in cases}) == 3
+    assert all(_core_against_field_helpers(monkeypatch, spec.system, cases, 4))
+    # x1 brings seeds with a denominator; the first sum of -3/2 b goes through
+    # mode_apply, as (modes, coefficient) pairs added as they are
+    cases = _gl11_cases(spec, [("x1", gen("x1")), ("-3/2 b", scale(Fraction(-3, 2), gen("b")))])
+    assert all(_core_against_field_helpers(monkeypatch, spec.system, cases[6:], 3))
+
+
+def test_rational_core_negative_control(monkeypatch):
+    # one integer E+ factor off in the record of S[1]; S[0] still matches
+    spec = cat.gl11_wakimoto(Fraction(-11, 3), Fraction(9, 8))
+    cases = _gl11_cases(spec)
+    name, _, exp, mu = cases[1]
+    D, zf = fields._int_factors(fields._expop_record(spec.system, exp, mu))
+    zf[next(iter(zf))] += 1
+    with pytest.raises(AssertionError) as failure:
+        _core_against_field_helpers(monkeypatch, spec.system, cases[:2], 3)
+    assert name in str(failure.value) and cases[0][0] not in str(failure.value)

@@ -322,6 +322,22 @@ def test_integer_path_int_entries():
             [[Fraction(x) for x in row] for row in mixed])
 
 
+def test_zero_cells_read_alike_by_identity_and_by_value():
+    # residue_map and mat_mul fill empty cells with the one linalg.ZERO, which
+    # the scans skip by identity; zeros made apart must read the same
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    M = residue_map(spec.system, spec.screenings[0], [3]).blocks[3]
+    zeros = [x for row in M for x in row if not x]
+    assert zeros and all(x is linalg.ZERO for x in zeros)
+    rng = random.Random(5)
+    apart = [[rng.choice((Fraction(0), 0, RatFun.const(0))) if x is linalg.ZERO else x
+              for x in row] for row in M]
+    assert linalg._ratios(apart) == linalg._ratios(M)
+    assert rank(apart) == rank(M) and kernel_basis(apart) == kernel_basis(M)
+    product = mat_mul(M, transpose(kernel_basis(M)))
+    assert product and all(x is linalg.ZERO for row in product for x in row)
+
+
 def test_integer_product_negative_control():
     """A vanishing product A B, then B plus 1/(L_i M_j) at (p, j), where column p
     of A is nonzero in row i only: the product is nonzero in cell (i, j) alone."""

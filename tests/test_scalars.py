@@ -171,3 +171,29 @@ def test_constant_denominator_skips_gcd(monkeypatch):
     assert Fraction(1, 2) + RatFun.const(Fraction(1, 3)) == Fraction(5, 6)
     with pytest.raises(AssertionError):
         RatFun((Fraction(1),), (Fraction(1), Fraction(1)))
+
+
+def test_ratfun_arithmetic_keeps_fraction_coefficients():
+    # poly_trim keeps a Fraction coefficient as it is and wraps any other number,
+    # so every result holds Fractions only, over a monic denominator
+    rng = random.Random(19)
+
+    def coeff():
+        n = rng.choice((-3, -2, -1, 1, 2, 3))
+        return n if rng.random() < 0.5 else Fraction(n, rng.randint(2, 4))
+
+    def operand():
+        num = [coeff() if rng.random() > 0.2 else 0 for _ in range(rng.randint(0, 3))]
+        return RatFun(num, [coeff() for _ in range(rng.randint(1, 3))])
+    for _ in range(150):
+        a, b = operand(), operand()
+        results = [a, b, a + b, a - b, a * b, a + 2, 3 * a, a * Fraction(2, 5), -a]
+        if b:
+            results += [a / b, Fraction(1, 3) / b]
+        for f in results:
+            assert all(type(c) is Fraction for c in f.num + f.den), f
+            assert f.den[-1] == 1
+    assert poly_trim((1, Fraction(1, 2), 0, 0)) == (Fraction(1), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in poly_trim((1, Fraction(1, 2), 0, 0)))
+    f = RatFun((2, 3), (Fraction(1, 2), 2)) * RatFun((Fraction(1, 4), 1), (5,))
+    assert str(f) == "(3*t + 2)/10" and type(f.num[0]) is Fraction
