@@ -121,24 +121,9 @@ class LevelData:
                 "S1": s1_levels(self.pair, self.n), "S2": {Fraction(-tag.h2), x2}}
 
 
-def admissible_levels(pair: str, n: int, u: int, v: Optional[int] = None):
-    """Admissible level on the subregular side, with its validity flag."""
-    tag = PairTag(pair, n)
-    if pair == rd.SL:
-        k = Fraction(-(n + 1)) + Fraction(u, n)
-        valid = u > n and math.gcd(u, n) == 1
-        return k, valid
-    if v is None:
-        raise InputError("the so pair needs the denominator v")
-    k = Fraction(-(2 * n - 1)) + Fraction(u, v)
-    valid = v in (2 * n - 1, 2 * n) and u > v and math.gcd(u, v) == 1
-    return k, valid
-
-
 def is_admissible_k1(pair: str, n: int, k: Fraction) -> bool:
     if isinstance(k, RatFun):
         return False
-    tag = PairTag(pair, n)
     if pair == rd.SL:
         u = (k + n + 1) * n
         return u.denominator == 1 and u > n and math.gcd(int(u), n) == 1

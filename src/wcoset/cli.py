@@ -25,7 +25,6 @@ from .errors import InputError, ResourceBound
 from .rootdata import PAIRS
 from .report import emit_report
 from .scalars import T, parse_rat
-from .screening import joint_kernel, residue_map
 
 DEFAULTS = {"max-degree": 4, "seed": 20200713, "cap": 20000, "out-dir": "."}
 
@@ -179,9 +178,7 @@ def cmd_kernel(args, cfg) -> int:
     cap = args.cap if args.cap is not None else cfg["cap"]
     spec = cat.get_realization(args.key, args.k1, args.k2)
     degrees = range(md + 1)
-    maps = [residue_map(spec.system, op, degrees, cap) for op in spec.screenings]
-    kr = joint_kernel(maps, degrees, sys=spec.system,
-                      source=spec.system.zero_momentum(), cap=cap)
+    kr = ver._screening_kernel(spec, degrees, cap)
     rep = ver.Report("kernel", {"key": args.key,
                                 "k1": str(args.k1) if args.k1 is not None else "",
                                 "k2": str(args.k2) if args.k2 is not None else "",

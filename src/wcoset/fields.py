@@ -562,8 +562,9 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
     once and serves every E_(j), and on a rational record the column is
     summed over Z on one denominator and divided once per entry.  A
     generator prefactor's creation mode P_(-1-j) is ordered together with
-    each image's modes, in one canonical_modes call; any other P_(-1-j) is
-    applied by mode_apply to the image of E_(j).  Every P_(j) of the second
+    each image's modes, in one canonical_modes call; for any other prefactor
+    one column holds the images of every E_(j), split by degree, and
+    mode_apply applies P_(-1-j) to each part.  Every P_(j) of the second
     sum is applied by mode_apply, and each of its terms seeds an E+ table.
     """
     rec = _expop_record(sys, op, mu)
@@ -580,10 +581,15 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
         jobs, direct = [], []
         if gen_idx is not None:
             jobs.append((s.modes, seed, [(j, ((gen_idx, j + 1),)) for j in range(d - rec.p)]))
-        else:
-            for j in range(d - rec.p):
-                img = _images(sys, op, rec, [(s.modes, seed, ((j, ()),))])
-                lc = {FockState(rec.target, modes, 1): v for modes, v in img.items()}
+        elif d > rec.p:
+            # one E+ table serves every E_(j); the image of E_(j) lies in
+            # degree d - p - j - 1, so the column splits by degree
+            img = _images(sys, op, rec, [(s.modes, seed, [(j, ()) for j in range(d - rec.p)])])
+            lcs = [{} for _ in range(d - rec.p)]
+            for modes, v in img.items():
+                j = d - rec.p - 1 - sum(sys.mode_degree(i, k) for i, k in modes)
+                lcs[j][FockState(rec.target, modes, 1)] = v
+            for j, lc in enumerate(lcs):
                 direct.extend((t.modes, v) for t, v in
                               mode_apply(sys, prefactor, -1 - j, lc).items())
         for j in range(d + w_p):

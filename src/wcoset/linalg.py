@@ -8,22 +8,24 @@ denominators (and, as the right factor of a product, each column), the work
 is done on Python integers, and the only division comes at the end.  Over
 Q(t) the work is done in the field of rational functions.
 
-Both eliminations take the columns in order and pivot on the sparsest
-remaining row with a nonzero in the current column, so their pivot columns
-are exactly those of the reduced row echelon form.  Rank is the number of
-pivots.  Over Z the rows are kept primitive: a row r with entry b in the
-pivot column, against a pivot row with entry a there, becomes
-(a/g) r - (b/g) piv with g = gcd(a, b), and is then divided by its content.
-Matrices with non-constant RatFun entries are limited to SYMBOLIC_DIM_LIMIT
-columns, since symbolic entry swell is real.
+Both rings run through one elimination, which takes the columns in order and
+pivots on the sparsest remaining row with a nonzero in the current column,
+so its pivot columns are exactly those of the reduced row echelon form.
+Rank is the number of pivots.  The ring enters only where a row r with entry
+b in the pivot column is combined with the pivot row, whose entry there is a
+(fraction-free, after Bareiss 1968): over Z, r becomes (a/g) r - (b/g) piv
+with g = gcd(a, b) and is then divided by its content, so every row stays
+primitive; over the field, the pivot row is scaled to a = 1 once and r
+becomes r - b piv.  Matrices with non-constant RatFun entries are limited to
+SYMBOLIC_DIM_LIMIT columns, since symbolic entry swell is real.
 
-Kernel bases are read off the pivot rows back-substituted to reduced row
-echelon form (free columns parameterized in order), so output is
-reproducible; over Z the back-substitution stays integral and each basis
-entry is divided by its pivot entry only when it is written.  Products are
-row-sparse: each nonzero ``A[i][p]`` meets only the nonzeros of row ``p`` of
-``B``; over Z entry (i, j) of the product is the integer sum divided by
-L_i M_j, the scales of row i of A and column j of B.
+Kernel bases are read off the pivot rows back-substituted, with the same
+combine, to reduced row echelon form (free columns parameterized in order),
+so output is reproducible; over Z the back-substitution stays integral and
+each basis entry is divided by its pivot entry only when it is written.
+Products are row-sparse: each nonzero ``A[i][p]`` meets only the nonzeros of
+row ``p`` of ``B``; over Z entry (i, j) of the product is the integer sum
+divided by L_i M_j, the scales of row i of A and column j of B.
 """
 
 from __future__ import annotations
@@ -132,55 +134,7 @@ def _check_symbolic_width(M, ncols):
 
 
 # ---------------------------------------------------------------------------
-# elimination over the field (RatFun matrices)
-# ---------------------------------------------------------------------------
-
-def _add_multiple(r, g, items):
-    """r += g * row in place, for sparse rows r (a dict) and `items` of row."""
-    for j, x in items:
-        if j in r:
-            y = r[j] + g * x
-            if y:
-                r[j] = y
-            else:
-                del r[j]
-        else:
-            r[j] = g * x
-
-
-def _eliminate(M):
-    """Forward sparse elimination of a dense matrix.
-
-    Returns {pivot column: pivot row}, each pivot row scaled to 1 at its
-    pivot column and stored without that entry.  Remaining rows wait in
-    buckets by leading column; at each column the sparsest row of its bucket
-    is the pivot and is subtracted from the others, which move on to the
-    bucket of their new leading column, or vanish.
-    """
-    buckets = {}
-    for row in M:
-        r = {j: x for j, x in enumerate(row) if x is not ZERO and x}
-        if r:
-            buckets.setdefault(min(r), []).append(r)
-    pivots = {}
-    for col in range(len(M[0])):
-        rows = buckets.pop(col, None)
-        if rows is None:
-            continue
-        piv = min(rows, key=len)
-        p = piv.pop(col)
-        items = [(j, x / p) for j, x in piv.items()]
-        pivots[col] = dict(items)
-        for r in rows:
-            if r is not piv:
-                _add_multiple(r, -r.pop(col), items)
-                if r:
-                    buckets.setdefault(min(r), []).append(r)
-    return pivots
-
-
-# ---------------------------------------------------------------------------
-# fraction-free elimination over Z (int and Fraction matrices)
+# one sparse elimination over Z (int and Fraction matrices) and Q(t)
 # ---------------------------------------------------------------------------
 
 def _divide_content(r):
@@ -191,12 +145,41 @@ def _divide_content(r):
             r[j] //= c
 
 
-def _combine(r, s, t, items):
-    """r <- s * r + t * row in place, for an integer row r (a dict) and
-    `items` of row; then r is divided by its content."""
-    if s != 1:
+def _rows(M):
+    """The sparse rows {col: value} of M, and whether they are integral.
+
+    Without a nonzero RatFun entry each row is scaled by the lcm of its
+    denominators and divided by its content: a primitive integer row spanning
+    the same line.  Otherwise the rows hold the nonzero entries as they are.
+    """
+    ratios = _ratios(M)
+    if ratios is None:
+        return [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in M], False
+    rows = []
+    for r in ratios:
+        L = lcm(*[d for _, _, d in r])
+        row = {j: n * (L // d) for j, n, d in r}
+        _divide_content(row)
+        rows.append(row)
+    return rows, True
+
+
+def _combine(r, b, a, items, integral):
+    """Clear the entry b that r (a dict) had at a pivot column, in place:
+    r <- a r - b piv, for the pivot row piv with entry a there and its other
+    entries in `items`.
+
+    Over Z both multipliers are first divided by gcd(a, b) and r is then
+    divided by its content, so it stays primitive.  Over the field the pivot
+    row is scaled to a = 1 once per pivot, so r <- r - b piv.
+    """
+    if integral:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    if a != 1:
         for j in r:
-            r[j] *= s
+            r[j] *= a
+    t = -b
     for j, x in items:
         if j in r:
             y = r[j] + t * x
@@ -206,30 +189,21 @@ def _combine(r, s, t, items):
                 del r[j]
         else:
             r[j] = t * x
-    _divide_content(r)
+    if integral:
+        _divide_content(r)
 
 
-def _primitive_rows(ratios):
-    """Each row scaled by the lcm of its denominators, then divided by its
-    content: a primitive integer row {col: int} spanning the same line."""
-    out = []
-    for r in ratios:
-        L = lcm(*[d for _, _, d in r])
-        row = {j: n * (L // d) for j, n, d in r}
-        _divide_content(row)
-        out.append(row)
-    return out
+def _eliminate(rows, ncols, integral):
+    """Forward sparse elimination of the rows from _rows, in place.
 
-
-def _int_eliminate(int_rows, ncols):
-    """Forward fraction-free elimination of primitive integer rows.
-
-    Returns {pivot column: (pivot entry, pivot row without that entry)}.  The
-    buckets and the sparsest-row pivot are those of `_eliminate`, and each
-    row here is a multiple of the row there, so the pivots are the same.
+    Returns {pivot column: (pivot entry, pivot row without that entry)}.
+    Rows wait in buckets by leading column; at each column the sparsest row
+    of its bucket is the pivot, and _combine clears that column from the
+    others, which move on to the bucket of their new leading column, or
+    vanish.  Over the field the pivot row is scaled to 1 first.
     """
     buckets = {}
-    for r in int_rows:
+    for r in rows:
         if r:
             buckets.setdefault(min(r), []).append(r)
     pivots = {}
@@ -239,51 +213,27 @@ def _int_eliminate(int_rows, ncols):
             continue
         piv = min(rows, key=len)
         a = piv.pop(col)
+        if not integral:
+            for j, x in piv.items():
+                piv[j] = x / a
+            a = 1
         items = list(piv.items())
         pivots[col] = (a, piv)
         for r in rows:
             if r is not piv:
-                b = r.pop(col)
-                g = gcd(a, b)
-                _combine(r, a // g, -(b // g), items)
+                _combine(r, r.pop(col), a, items, integral)
                 if r:
                     buckets.setdefault(min(r), []).append(r)
     return pivots
 
 
-def _int_kernel_basis(int_rows, width, ncols):
-    # back-substitute from the last pivot: each row then meets no other pivot;
-    # the pivot entry rides in its row, so the content it shares is divided out
-    reduced = {}
-    for col, (a, row) in sorted(_int_eliminate(int_rows, width).items(), reverse=True):
-        row[col] = a
-        for p in [j for j in row if j in reduced]:
-            q, prow = reduced[p]
-            c = row.pop(p)
-            g = gcd(q, c)
-            _combine(row, q // g, -(c // g), prow.items())
-        reduced[col] = (row.pop(col), row)
-    basis = []
-    for f in range(ncols):
-        if f in reduced:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for p, (a, row) in reduced.items():
-            if f in row:
-                v[p] = Fraction(-row[f], a)
-        basis.append(v)
-    return basis
-
-
 def rank(M) -> int:
     if not M or not M[0]:
         return 0
-    ratios = _ratios(M)
-    if ratios is not None:
-        return len(_int_eliminate(_primitive_rows(ratios), len(M[0])))
-    _check_symbolic_width(M, len(M[0]))
-    return len(_eliminate(M))
+    rows, integral = _rows(M)
+    if not integral:
+        _check_symbolic_width(M, len(M[0]))
+    return len(_eliminate(rows, len(M[0]), integral))
 
 
 def kernel_basis(M, ncols=None):
@@ -293,24 +243,28 @@ def kernel_basis(M, ncols=None):
     if not M:
         return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
                 for i in range(ncols)]
-    ratios = _ratios(M)
-    if ratios is not None:
-        return _int_kernel_basis(_primitive_rows(ratios), len(M[0]), ncols)
-    _check_symbolic_width(M, ncols)
-    # back-substitute from the last pivot: each row then meets no other pivot
+    rows, integral = _rows(M)
+    if not integral:
+        _check_symbolic_width(M, ncols)
+    # back-substitute from the last pivot: each row then meets no other pivot;
+    # the pivot entry rides in its row, so over Z the content it shares is
+    # divided out
     reduced = {}
-    for col, row in sorted(_eliminate(M).items(), reverse=True):
+    for col, (a, row) in sorted(_eliminate(rows, len(M[0]), integral).items(), reverse=True):
+        row[col] = a
         for p in [j for j in row if j in reduced]:
-            _add_multiple(row, -row.pop(p), reduced[p].items())
-        reduced[col] = row
+            q, prow = reduced[p]
+            _combine(row, row.pop(p), q, prow.items(), integral)
+        reduced[col] = (row.pop(col), row)
     basis = []
     for f in range(ncols):
         if f in reduced:
             continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for p, row in reduced.items():
+        for p, (a, row) in reduced.items():
             if f in row:
-                v[p] = -row[f]
+                # over the field the pivot entry a is 1
+                v[p] = Fraction(-row[f], a) if integral else -row[f]
         basis.append(v)
     return basis

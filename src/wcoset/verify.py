@@ -254,6 +254,14 @@ def gram_of_coset(spec: cat.RealizationSpec):
     return current_gram(sys, [gen(sp.name) for sp in sys.species])
 
 
+def _screening_kernel(spec, degrees, cap: Optional[int] = None):
+    """The joint kernel of the residue maps of spec's screenings, per degree;
+    with no screening, the whole Fock slices over zero momentum."""
+    maps = [residue_map(spec.system, op, degrees, cap) for op in spec.screenings]
+    return joint_kernel(maps, degrees, sys=spec.system,
+                        source=spec.system.zero_momentum(), cap=cap)
+
+
 def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
                         cap: Optional[int] = None, symbolic: bool = True,
                         symbolic_kernels: int = 0) -> Report:
@@ -285,20 +293,15 @@ def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
             if max(slice_dimension(spec.system, d) for d in degrees) > SYMBOLIC_DIM_LIMIT:
                 raise ResourceBound(
                     f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
-        dims = {}
-        for side, spec in (("left", sub_sym), ("right", sup_sym)):
-            maps = [residue_map(spec.system, op, degrees, cap) for op in spec.screenings]
-            dims[side] = joint_kernel(maps, degrees, cap=cap).dims
-        rep.add("symbolic kernel dims agree", dims["left"], dims["right"])
+        rep.add("symbolic kernel dims agree", _screening_kernel(sub_sym, degrees, cap).dims,
+                _screening_kernel(sup_sym, degrees, cap).dims)
     sub = cat.subregular_realization(pair, n, lv.k1, "coset")
     sup = cat.principal_super_realization(pair, n, lv.k2, "coset")
     degrees = range(max_degree + 1)
-    dims = {}
-    for side, spec in (("left", sub), ("right", sup)):
-        maps = [residue_map(spec.system, op, degrees, cap) for op in spec.screenings]
-        dims[side] = joint_kernel(maps, degrees, cap=cap).dims
+    left = _screening_kernel(sub, degrees, cap).dims
+    right = _screening_kernel(sup, degrees, cap).dims
     for d in degrees:
-        rep.per_degree.append(PerDegree(d, dims["left"][d], dims["right"][d]))
+        rep.per_degree.append(PerDegree(d, left[d], right[d]))
     return rep
 
 

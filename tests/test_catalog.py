@@ -54,12 +54,6 @@ def test_degeneracy_constants():
 
 
 def test_admissible_levels():
-    k, ok = cat.admissible_levels("sl", 2, 3)
-    assert (k, ok) == (Fraction(-3, 2), True)
-    k, ok = cat.admissible_levels("so", 2, 5, 4)
-    assert k == Fraction(-3) + Fraction(5, 4) and ok
-    _, ok = cat.admissible_levels("sl", 2, 4)
-    assert not ok
     assert cat.is_admissible_k1("sl", 2, Fraction(-3, 2))
     assert not cat.is_admissible_k1("sl", 2, Fraction(-14, 5))
 

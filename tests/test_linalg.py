@@ -6,9 +6,10 @@ plain field elimination for rational-function matrices, a dense reduced row
 echelon form for kernel bases and the triple-loop product.  The sparse core
 must agree with it exactly (ranks, kernel bases as Python lists, products) on
 random sparse matrices and on the screening slices the checks decompose.
-Matrices over Q are worked over Z, so they are also compared with the field
-elimination that RatFun matrices use, on entries of more than 64 bits and on
-int entries.  The negative controls show that these comparisons can fail.
+Matrices over Q are worked over Z, so they are also forced onto the field
+ring that RatFun matrices use and compared, on entries of more than 64 bits
+and on int entries; over Z every combined row must stay primitive.  The
+negative controls show that these comparisons can fail.
 """
 
 import math
@@ -269,10 +270,16 @@ def test_random_ratfun(seed):
 # ---------------------------------------------------------------------------
 
 def field_results(M, B):
-    """rank, kernel basis and M B as the field code computes them, with the
-    dispatch to the integer code switched off."""
+    """rank, kernel basis and M B as the field ring computes them, with the
+    dispatch to the Z ring switched off."""
     with mock.patch.object(linalg, "_ratios", lambda M: None):
         return rank(M), kernel_basis(M, len(M[0])), mat_mul(M, B)
+
+
+def field_pivots(M):
+    """The pivots of the one elimination run on M's entries over the field."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in M]
+    return linalg._eliminate(rows, len(M[0]), False)
 
 
 def assert_integer_path_exact(M, B):
@@ -280,7 +287,7 @@ def assert_integer_path_exact(M, B):
     product = mat_mul(M, B)
     assert product == ref_mat_mul(M, B)
     assert field_results(M, B) == (rank(M), kernel_basis(M, len(M[0])), product)
-    assert len(linalg._eliminate(M)) == rank(M)
+    assert len(field_pivots(M)) == rank(M)
 
 
 def big_q(rng, n, m, density, bits=80):
@@ -314,7 +321,7 @@ def test_integer_path_int_entries():
         ints.append([0] * m)
         as_q = [[Fraction(x) for x in row] for row in ints]
         B = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(m)]
-        assert rank(ints) == ref_rank(as_q) == len(linalg._eliminate(as_q))
+        assert rank(ints) == ref_rank(as_q) == len(field_pivots(as_q))
         assert kernel_basis(ints) == ref_kernel_basis(as_q)
         assert mat_mul(ints, B) == ref_mat_mul(as_q, [[Fraction(x) for x in r] for r in B])
         mixed = [[Fraction(x, 3) if j % 2 else x for j, x in enumerate(row)] for row in ints]
@@ -360,25 +367,58 @@ def test_integer_product_negative_control():
 
 def test_ratfun_matrices_reach_the_field_elimination():
     calls = Counter()
+    eliminate, field_mat_mul = linalg._eliminate, linalg._field_mat_mul
 
-    def counted(name):
-        fn = getattr(linalg, name)
+    def counted_eliminate(rows, ncols, integral):
+        calls["Z" if integral else "field"] += 1
+        return eliminate(rows, ncols, integral)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_mat_mul(*args):
+        calls["_field_mat_mul"] += 1
+        return field_mat_mul(*args)
     M = [[T, Fraction(1), Fraction(0)], [Fraction(2), T + 1, Fraction(-1, 3)]]
     Q = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(2), Fraction(4), Fraction(1)]]
-    with mock.patch.multiple(linalg, **{name: counted(name) for name in
-                                        ("_eliminate", "_int_eliminate", "_field_mat_mul")}):
+    with mock.patch.multiple(linalg, _eliminate=counted_eliminate,
+                             _field_mat_mul=counted_mat_mul):
         assert rank(M) == ref_rank(M) == 2
         assert kernel_basis(M) == ref_kernel_basis(M)
         assert mat_mul(M, transpose(M)) == ref_mat_mul(M, transpose(M))
-        assert calls == {"_eliminate": 2, "_field_mat_mul": 1}
+        assert calls == {"field": 2, "_field_mat_mul": 1}
         assert rank(Q) == 2 and kernel_basis(Q) == ref_kernel_basis(Q)
         assert mat_mul(Q, transpose(Q)) == ref_mat_mul(Q, transpose(Q))
-        assert calls == {"_eliminate": 2, "_field_mat_mul": 1, "_int_eliminate": 2}
+        assert calls == {"field": 2, "_field_mat_mul": 1, "Z": 2}
+
+
+def test_integer_rows_stay_primitive():
+    """Over Z every row leaves each combine with content 1, and equals
+    (a/g) r - (b/g) piv divided by its content; some combines do divide."""
+    combine = linalg._combine
+    seen = Counter()
+
+    def checked(r, b, a, items, integral):
+        assert integral
+        g = math.gcd(a, b)
+        raw = {j: (a // g) * x for j, x in r.items()}
+        for j, x in items:
+            raw[j] = raw.get(j, 0) - (b // g) * x
+        raw = {j: x for j, x in raw.items() if x}
+        c = math.gcd(*raw.values())
+        combine(r, b, a, items, integral)
+        assert r == {j: x // c for j, x in raw.items()}
+        assert not r or math.gcd(*r.values()) == 1
+        seen["combines"] += 1
+        seen["divided"] += c > 1
+    rng = random.Random(31)
+    mats = [degenerate(rng, big_q(rng, 8, 9, 0.6)) for _ in range(4)]
+    mats += [[[x * 6 for x in row] for row in sparse_q(rng, 12, 10, 0.5)]]
+    mats += stacked_slices(coset_maps("sl", 2, Fraction(-14, 5), 3)[1], range(4))
+    with mock.patch.object(linalg, "_combine", checked):
+        for M in mats:
+            rows, integral = linalg._rows(M)
+            assert integral and all(math.gcd(*r.values()) == 1 for r in rows if r)
+            assert rank(M) == ref_rank(M)
+            assert kernel_basis(M) == ref_kernel_basis(M)
+    assert seen["combines"] > 100 and seen["divided"] > 0
 
 
 # ---------------------------------------------------------------------------
