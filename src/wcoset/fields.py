@@ -8,12 +8,12 @@ OPEs, Gram matrices and annihilation checks are built on it.  Screening
 residues are built a whole slice at a time by ``residue_images``.  Both it and
 ``mode_apply`` take the images of the exponential operator from one place,
 ``_images``, one column (one source state) at a time.  ``_expop_plus`` builds
-the E+ table of a state over either ring.  With rational constants the column
-is summed over Z: the E+ factors are integers over their lcm denominator D,
-each E- part P_a integers over its own, every term a product of integers, and
-each nonzero entry is divided once by the column's common denominator.
-Constants or seeds with a RatFun take the field helper ``_expop_place`` (E-
-and the canonical order of each image), one product and sum per term.
+the E+ table of a state over either ring.  With rational constants and seeds
+the column is summed over Z: the E+ factors are integers over their lcm
+denominator D, each E- part P_a integers over its own, every term a product of
+integers, and each nonzero entry is divided once by the column's common
+denominator.  A column with a RatFun anywhere runs the same loop over the
+field, where every one of those scales is 1.
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -161,26 +161,22 @@ def direction_of(sys: System, coeffs: dict) -> tuple:
 LinComb = dict
 
 
-def _acc_add(acc: dict, key, coeff: Scalar) -> None:
-    """acc[key] += coeff, dropping the key when the sum is 0."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = coeff
-    else:
-        new = old + coeff
-        if new:
-            acc[key] = new
-        else:
-            del acc[key]
-
-
 def lc_add(acc: LinComb, state: Optional[FockState], coeff: Scalar) -> None:
+    """acc[state] += coeff, dropping the state when the sum is 0."""
     if state is None or sc_is_zero(coeff):
         return
     if state.sign != 1:
         coeff = coeff * state.sign
         state = FockState(state.momentum, state.modes, 1)
-    _acc_add(acc, state, coeff)
+    old = acc.get(state)
+    if old is None:
+        acc[state] = coeff
+    else:
+        new = old + coeff
+        if new:
+            acc[state] = new
+        else:
+            del acc[state]
 
 
 def lc_scale(lc: LinComb, c: Scalar) -> LinComb:
@@ -426,8 +422,8 @@ def _expop_plus(factors: dict, modes: tuple, seed) -> dict:
     """E+ on a state: {(b, kept): coefficient} of its terms at z^-b.
 
     Each Heisenberg mode h_s(-d) is kept, or contracted for factors[s] z^-d;
-    `seed` is the coefficient of the state (eps and any sign ride on it).  The
-    rational core passes the integer factors D f, so a term that contracts c
+    `seed` is the coefficient of the state (eps and any sign ride on it).  Over
+    Z, _images passes the integer factors D f, so a term that contracts c
     modes stands for its value times D^c."""
     plus = {(0, ()): seed}
     for mode in modes:
@@ -443,41 +439,6 @@ def _expop_plus(factors: dict, modes: tuple, seed) -> dict:
                 nxt[key] = v * f if old is None else old + v * f
         plus = nxt
     return plus
-
-
-def _expop_place(sys: System, op: ExpOp, rec: _ExpRecord, plus: dict, n: int,
-                 front: tuple, acc: dict) -> None:
-    """Add the (n)-mode images of the E+ terms `plus` to `acc`, a dict from
-    canonical mode tuple over the target momentum to nonzero coefficient.
-
-    The E+ terms at z^-b meet the E- degree part a = b - n - 1 - p; each
-    monomial front + (P_a modes) + kept is put in canonical order once."""
-    b0 = n + 1 + rec.p
-    top = max(b for b, _ in plus) - b0
-    if top >= len(rec.parts):
-        _grow_parts(sys, op, rec, top)
-    for (b, kept), v in plus.items():
-        a = b - b0
-        if a < 0:
-            continue
-        for modes, w in rec.parts[a].items():
-            out = canonical_modes(sys, front + modes + kept)
-            if out is None:
-                continue
-            key, sign = out
-            _acc_add(acc, key, v * w if sign == 1 else -(v * w))
-
-
-def _field_images(sys: System, op: ExpOp, rec: _ExpRecord, jobs, direct) -> dict:
-    """_images over the field of the coefficients, one sum per term."""
-    col = {}
-    for modes, v in direct:
-        _acc_add(col, modes, v)
-    for modes, seed, places in jobs:
-        plus = _expop_plus(rec.factors, modes, seed)
-        for n, front in places:
-            _expop_place(sys, op, rec, plus, n, front, col)
-    return col
 
 
 def _int_factors(rec: _ExpRecord) -> tuple:
@@ -496,34 +457,44 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, jobs, direct=()) -> dict:
     Each job (modes, seed, places) is a state's modes with its coefficient,
     and asks, for each (n, front) of places, for the (n)-mode image with the
     creation modes `front` put ahead of each image's own; `direct` holds
-    (modes, coefficient) pairs added as they are.  A rational record with
-    rational seeds is summed over Z: a state's E+ term that contracts c of its
-    modes carries D^c, the parts through P_top their lcm denominator and a seed
-    its own, so one common denominator Z serves the column and each nonzero
-    entry is divided once.  A column with a RatFun anywhere goes to
-    _field_images.
+    (modes, coefficient) pairs added as they are.  The E+ terms at z^-b meet
+    the E- part a = b - n - 1 - p; each monomial front + (P_a modes) + kept
+    is put in canonical order once.  A rational record with rational seeds is
+    summed over Z: an E+ term that contracts c of a state's modes carries D^c,
+    the parts through P_top their lcm denominator Q and a seed its own, so one
+    denominator Z serves the column and each nonzero entry is divided once.
+    With a RatFun anywhere the column is summed over the field, all scales 1.
     """
-    if (rec.zparts is None or any(isinstance(v, RatFun) for _, v, _ in jobs)
-            or any(isinstance(v, RatFun) for _, v in direct)):
-        return _field_images(sys, op, rec, jobs, direct)
-    D, zf = _int_factors(rec)
-    S = lcm(*[v.denominator for _, v, _ in jobs], *[v.denominator for _, v in direct])
+    field = (rec.zparts is None or any(isinstance(v, RatFun) for _, v, _ in jobs)
+             or any(isinstance(v, RatFun) for _, v in direct))
+    if field:
+        D, factors, S = 1, rec.factors, 1
+    else:
+        D, factors = _int_factors(rec)
+        S = lcm(*[v.denominator for _, v, _ in jobs], *[v.denominator for _, v in direct])
     tables, top, nmax = [], -1, 0
     for modes, v, places in jobs:
-        plus = _expop_plus(zf, modes, v.numerator * (S // v.denominator))
+        plus = _expop_plus(factors, modes, v if field else v.numerator * (S // v.denominator))
         tables.append((len(modes), plus, places))
         nmax = max(nmax, len(modes))
         if places:
             top = max(top, max(plus)[0] - min(places)[0] - 1 - rec.p)
     if top >= len(rec.parts):
         _grow_parts(sys, op, rec, top)
-    zparts = rec.zparts
-    Q = zparts[max(top, 0)][0]
     powers = [D ** c for c in range(nmax + 1)]
-    Z = powers[nmax] * Q * S
+    # (L_a, P_a): P_a over Z on its denominator L_a, or as it is over the field
+    if field:
+        Z = Q = 1
+        parts = [(1, part) for part in rec.parts[:top + 1]]
+    else:
+        parts = rec.zparts
+        Q = parts[max(top, 0)][0]
+        Z = powers[nmax] * Q * S
+    unit = D == Q == 1  # every term multiplier D^c (Q // L_a) is 1
     acc = {}
     for modes, v in direct:
-        acc[modes] = acc.get(modes, 0) + v.numerator * (Z // v.denominator)
+        v = v if field else v.numerator * (Z // v.denominator)
+        acc[modes] = acc[modes] + v if modes in acc else v
     for nm, plus, places in tables:
         for n, front in places:
             b0 = n + 1 + rec.p
@@ -531,16 +502,18 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, jobs, direct=()) -> dict:
                 a = b - b0
                 if a < 0:
                     continue
-                L, part = zparts[a]
+                L, part = parts[a]
                 # the term stands for v / (S D^c), c = nm - len(kept) contractions
-                m = v * powers[nmax - nm + len(kept)] * (Q // L)
+                m = v if unit else v * powers[nmax - nm + len(kept)] * (Q // L)
                 for modes, w in part.items():
                     out = canonical_modes(sys, front + modes + kept)
                     if out is None:
                         continue
                     key, sign = out
-                    acc[key] = acc.get(key, 0) + (m * w if sign == 1 else -m * w)
-    return {key: Fraction(s, Z) for key, s in acc.items() if s}
+                    t = m * w if sign == 1 else -(m * w)
+                    old = acc.get(key)
+                    acc[key] = t if old is None else old + t
+    return {key: s if field else Fraction(s, Z) for key, s in acc.items() if s}
 
 
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
@@ -559,8 +532,8 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
     The (0)-mode of :P E: is sum_j P_(-1-j) E_(j) + (-1)^{p(P)p(E)} sum_j
     E_(-1-j) P_(j) (see mode_apply).  The record of op is looked up once per
     slice, and each state is one column of _images: its E+ table is built
-    once and serves every E_(j), and on a rational record the column is
-    summed over Z on one denominator and divided once per entry.  A
+    once and serves every E_(j), and the column is summed over Z on one
+    denominator, or over the field when a RatFun enters it.  A
     generator prefactor's creation mode P_(-1-j) is ordered together with
     each image's modes, in one canonical_modes call; for any other prefactor
     one column holds the images of every E_(j), split by degree, and

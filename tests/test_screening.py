@@ -337,6 +337,8 @@ def test_residue_map_matches_oracle_gl11_symbolic():
 GL11_PREFACTORS = {
     "heisenberg": gen("x1"),
     "scaled": scale(Fraction(-3, 2), gen("b")),
+    # a rational record under RatFun seeds and direct terms: the field ring
+    "symbolic-scaled": scale(T, gen("b")),
     "weight-2": sadd(deriv(gen("b")), nord(gen("x2"), gen("b"))),
     "weight-3": nord(gen("b"), deriv(gen("b"))),
 }

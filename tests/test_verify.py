@@ -159,12 +159,12 @@ def test_norm_degeneracy_reports():
 
 def test_character_oracle_examples():
     spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
-    assert ver.character_oracle(spec.system, None, 3) == [2, 8, 24, 64]
+    assert ver.character_oracle(spec.system, 3) == [2, 8, 24, 64]
     sup = cat.principal_super_realization("sl", 2, Fraction(3), "coset")
-    assert ver.character_oracle(sup.system, None, 4) == [1, 3, 9, 22, 51]
+    assert ver.character_oracle(sup.system, 4) == [1, 3, 9, 22, 51]
     from wcoset.fock import register_system
     empty = register_system([], [])
-    assert ver.character_oracle(empty, None, 4) == [1, 0, 0, 0, 0]
+    assert ver.character_oracle(empty, 4) == [1, 0, 0, 0, 0]
 
 
 def test_counting_consistency_small():
