@@ -6,8 +6,8 @@ file (default ./wcoset.cfg, overridable through the WCOSET_CONFIG environment
 variable) may pin max-degree, seed, cap and the output directory; flags win.
 
 Exit codes: 0 all checks pass; 1 a verification failed (the report is still
-written); 2 invalid input (excluded level, parse error); 3 resource bound
-exceeded.
+written); 2 invalid input (excluded level, parse error, an integer out of
+range); 3 resource bound exceeded.
 """
 
 from __future__ import annotations
@@ -32,6 +32,23 @@ from .screening import joint_kernel, residue_map  # noqa: F401
 DEFAULTS = {"max-degree": 4, "seed": 20200713, "cap": 20000, "out-dir": "."}
 
 
+def _integer(low=None):
+    """An argparse type: an integer, refused below `low` if one is given."""
+    def integer(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+# the integer config keys; the flags of the same names share the bounds
+_INTEGER_KEYS = {"max-degree": _integer(0), "seed": _integer(), "cap": _integer(1)}
+
+
 def load_config() -> dict:
     cfg = dict(DEFAULTS)
     path = Path(os.environ.get("WCOSET_CONFIG", "wcoset.cfg"))
@@ -45,7 +62,12 @@ def load_config() -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in cfg:
                 raise InputError(f"unknown config key {key!r}")
-            cfg[key] = value if key == "out-dir" else int(value)
+            if key != "out-dir":
+                try:
+                    value = _INTEGER_KEYS[key](value)
+                except argparse.ArgumentTypeError as e:
+                    raise InputError(f"config {key}: {e}") from None
+            cfg[key] = value
     return cfg
 
 
@@ -102,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv", "text"])
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None)
+        p.add_argument("--max-degree", type=_INTEGER_KEYS["max-degree"], default=None)
+        p.add_argument("--cap", type=_INTEGER_KEYS["cap"], default=None)
 
     p = sub.add_parser("verify", help="run the full verification battery")
     common(p)
@@ -121,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True, choices=PAIRS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k1", type=_level, required=True)
-    p.add_argument("--random-levels", type=int, default=0,
+    p.add_argument("--random-levels", type=_integer(0), default=0,
                    help="additional seeded generic levels to test")
-    p.add_argument("--symbolic-kernels", type=int, default=0, metavar="D",
+    p.add_argument("--symbolic-kernels", type=_integer(0), default=0, metavar="D",
                    help="also certify kernel dims over the function field "
                         "through degree D (slices capped at 64 columns)")
 
@@ -146,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k1", type=_level, required=True)
     p.add_argument("--k2", type=_level, required=True)
-    p.add_argument("--terms", type=int, default=2)
+    p.add_argument("--terms", type=_integer(0), default=2)
 
     p = sub.add_parser("norm", help="coset current norm degeneracy levels")
     common(p)
@@ -155,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="conformal dimension checks on random weights")
     common(p)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_integer(1), default=5)
 
     p = sub.add_parser("catalog", help="list catalog keys")
     common(p)

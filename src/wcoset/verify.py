@@ -2,8 +2,10 @@
 
 Each suite builds catalog data, computes both sides of an identity exactly,
 and emits a Report whose items carry the expected and computed values as
-strings.  Nothing is approximate: every comparison is exact equality of
-canonical forms (rationals, rational functions, or state combinations).
+strings; every comparison is exact equality of canonical forms.  `battery`
+writes each named check of `wcoset verify` down once, with its levels,
+degrees and sample counts: `full_battery` runs every row, and the acceptance
+suite runs the rows of each criterion.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from . import catalog as cat
 from . import rootdata as rd
 from .errors import NonEnumerable, ResourceBound, ZeroK1
 from .fields import (current_gram, gen, l0_apply, lc_eq, lc_scale, lc_str, lc_sum,
-                     mode_apply, nord, sadd, scale, state_of_field)
+                     mode_apply, nord, ope_singular, sadd, scale, state_of_field)
 from .fock import FockState, System, graded_dimension, slice_dimension
 from .linalg import SYMBOLIC_DIM_LIMIT
-from .scalars import RatFun, T
+from .scalars import RatFun, T, linear_zeros
 from .screening import annihilates, compose_check, joint_kernel, residue_map
 
 
@@ -140,14 +142,12 @@ def generic_rational(rng: random.Random, exclude=(), lo=2, hi=9) -> Fraction:
 # homomorphism and covariance suites
 # ---------------------------------------------------------------------------
 
-def check_homomorphism(spec: cat.RealizationSpec, structure: Optional[dict] = None,
-                       report: Optional[Report] = None) -> Report:
+def check_homomorphism(spec: cat.RealizationSpec) -> Report:
     """OPEs of the mapped generators match the bracket table and form exactly."""
-    rep = report or Report("homomorphism", {"key": spec.key})
+    rep = Report("homomorphism", {"key": spec.key})
     sys = spec.system
-    from .fields import ope_singular
     vac = sys.vacuum()
-    for (u, v), st in (structure if structure is not None else spec.structure).items():
+    for (u, v), st in spec.structure.items():
         poles = ope_singular(sys, spec.generator_map[u], spec.generator_map[v])
         expect1 = {}
         for w, cf in st.fields.items():
@@ -360,7 +360,6 @@ def check_ks(pair: str, n: int, k2, perturb: Optional[str] = None) -> Report:
 
 def norm_degeneracy(pair: str, n: int) -> Report:
     """Zeros of the coset current norms equal the degeneracy constants."""
-    from .scalars import linear_zeros
     rep = Report("norm-degeneracy", {"pair": pair, "n": n})
     x1, x2 = cat.degeneracy_constants(pair, n)
     sub = cat.subregular_realization(pair, n, T, "miura")
@@ -421,15 +420,6 @@ def check_counting(max_degree: int = 8, n_values=(2, 3), cap=None) -> Report:
 # negative controls
 # ---------------------------------------------------------------------------
 
-def perturbed_homomorphism(k1, k2, perturb: str = "drop-dc") -> Report:
-    spec = cat.gl11_wakimoto(k1, k2)
-    if perturb == "drop-dc":
-        chi_sum = sadd(gen("x1"), gen("x2"))
-        spec.generator_map["E21"] = nord(gen("c"), chi_sum)
-    rep = Report("homomorphism", {"key": spec.key, "perturb": perturb})
-    return check_homomorphism(spec, report=rep)
-
-
 def _merge(into: Report, sub: Report, prefix: str) -> None:
     for i in sub.items:
         into.items.append(ReportItem(f"{prefix}: {i.id}", i.expected, i.computed, i.equal))
@@ -438,52 +428,58 @@ def _merge(into: Report, sub: Report, prefix: str) -> None:
                        computed=p.dim_left if p.dim_right is None else p.dim_right)
 
 
-def full_battery(rng: random.Random, cap=None) -> Report:
-    """Run every verification suite once; the CLI's `verify` verb."""
-    rep = Report("verify", {})
+def battery(rng: random.Random, cap=None):
+    """Yield (criterion, label, suite, args) per check of `wcoset verify`, in order.
+
+    criterion is the acceptance criterion that runs the row (None if none); a
+    random level is drawn from rng, and a spec built, when its row is made.
+    """
     for k2 in (Fraction(1, 3), Fraction(-5, 7)):
-        _merge(rep, check_homomorphism(cat.gl11_wakimoto(T, k2)),
-               f"gl11 hom (k1=t, k2={k2})")
-    _merge(rep, check_homomorphism(cat.gl11_wakimoto(T, T)), "gl11 hom (k1=k2=t)")
+        yield (1, f"gl11 hom (k1=t, k2={k2})", check_homomorphism,
+               (cat.gl11_wakimoto(T, k2),))
+    yield 1, "gl11 hom (k1=k2=t)", check_homomorphism, (cat.gl11_wakimoto(T, T),)
     for pair in rd.PAIRS:
-        sub = cat.subregular_realization(pair, 2, T, "miura")
-        _merge(rep, check_homomorphism(sub), f"sl2 wakimoto ({pair})")
-        _merge(rep, check_homomorphism(
-            cat.subregular_realization(pair, 2, Fraction(-14, 5), "bosonized")),
-            f"fms images ({pair})")
-        _merge(rep, check_homomorphism(
-            cat.principal_super_realization(pair, 2, Fraction(3), "bosonized")),
-            f"boson-fermion images ({pair})")
+        yield (None, f"sl2 wakimoto ({pair})", check_homomorphism,
+               (cat.subregular_realization(pair, 2, T, "miura"),))
+        yield (2, f"fms images ({pair})", check_homomorphism,
+               (cat.subregular_realization(pair, 2, Fraction(-14, 5), "bosonized"),))
+        yield (2, f"boson-fermion images ({pair})", check_homomorphism,
+               (cat.principal_super_realization(pair, 2, Fraction(3), "bosonized"),))
         for n in (2, 3):
-            _merge(rep, check_screening_covariance(
-                cat.subregular_realization(pair, n, T, "miura")),
-                f"covariance subregular-{pair}:{n}")
-            _merge(rep, check_screening_covariance(
-                cat.principal_super_realization(pair, n, T, "miura")),
-                f"covariance super-{pair}:{n}")
-    k2r = generic_rational(rng, exclude=[Fraction(0)])
-    k1r = generic_rational(rng, exclude=[Fraction(0)])
-    _merge(rep, check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2, cap),
-           "resolution (7/2, 1/3)")
-    _merge(rep, check_resolution(k1r, k2r, 2, 2, cap), f"resolution ({k1r}, {k2r})")
+            yield (None, f"covariance subregular-{pair}:{n}", check_screening_covariance,
+                   (cat.subregular_realization(pair, n, T, "miura"),))
+            yield (None, f"covariance super-{pair}:{n}", check_screening_covariance,
+                   (cat.principal_super_realization(pair, n, T, "miura"),))
+    yield (3, "resolution (7/2, 1/3)", check_resolution,
+           (Fraction(7, 2), Fraction(1, 3), 3, 2, cap))
+    k2 = generic_rational(rng, exclude=[Fraction(0)])
+    k1 = generic_rational(rng, exclude=[Fraction(0)])
+    yield 3, f"resolution ({k1}, {k2})", check_resolution, (k1, k2, 2, 2, cap)
     for K in (Fraction(7, 2), Fraction(5, 3)):
-        _merge(rep, check_rank1_ff_duality(K, 6, cap), f"rank1 ff (K={K})")
+        yield 4, f"rank1 ff (K={K})", check_rank1_ff_duality, (K, 6, cap)
     for pair, n, k1, md in (("sl", 2, Fraction(-14, 5), 4),
                             ("so", 2, Fraction(-5, 2), 3)):
-        _merge(rep, check_coset_duality(pair, n, k1, md, cap), f"duality {pair} n={n}")
+        yield 6, f"duality {pair} n={n}", check_coset_duality, (pair, n, k1, md, cap)
         k = generic_rational(rng, exclude=cat.s1_levels(pair, n))
-        _merge(rep, check_coset_duality(pair, n, k, min(md, 3), cap, symbolic=False),
-               f"duality {pair} n={n} random k1={k}")
+        yield (6, f"duality {pair} n={n} random k1={k}", check_coset_duality,
+               (pair, n, k, min(md, 3), cap, False))
     for pair in rd.PAIRS:
         for n in (2, 3):
             k = generic_rational(rng, exclude=cat.s1_levels(pair, n))
-            _merge(rep, check_coset_currents(pair, n, k), f"currents {pair} n={n}")
-            _merge(rep, check_ks(pair, n, T), f"ks {pair} n={n}")
+            yield 7, f"currents {pair} n={n}", check_coset_currents, (pair, n, k)
+            yield 9, f"ks {pair} n={n}", check_ks, (pair, n, T)
         for n in (1, 2, 3):
-            _merge(rep, norm_degeneracy(pair, n), f"norm {pair} n={n}")
-    _merge(rep, check_delta(delta_samples(rng, 5)), "delta")
+            yield 8, f"norm {pair} n={n}", norm_degeneracy, (pair, n)
+    yield 10, "delta", check_delta, (delta_samples(rng, 5),)
     # counting is pure enumeration (no matrices); the slice cap is for screenings
-    _merge(rep, check_counting(8, (2, 3), cap=None), "counting")
+    yield 11, "counting", check_counting, (8, (2, 3), None)
+
+
+def full_battery(rng: random.Random, cap=None) -> Report:
+    """Run every row of the battery, then the negative controls; the CLI's `verify` verb."""
+    rep = Report("verify", {})
+    for _, label, suite, args in battery(rng, cap):
+        _merge(rep, suite(*args), label)
     for name in NEGATIVE_CONTROLS:
         neg = run_negative_control(name)
         rep.add_check(f"negative control {name} fails", neg.status == "fail")
@@ -495,7 +491,11 @@ NEGATIVE_CONTROLS = ("drop-dc", "flip-companion", "drop-psi")
 
 def run_negative_control(name: str) -> Report:
     if name == "drop-dc":
-        return perturbed_homomorphism(Fraction(7, 2), Fraction(1, 3), name)
+        spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+        spec.generator_map["E21"] = nord(gen("c"), sadd(gen("x1"), gen("x2")))
+        rep = check_homomorphism(spec)
+        rep.inputs["perturb"] = name
+        return rep
     if name == "flip-companion":
         spec = cat.subregular_realization(rd.SL, 2, Fraction(-14, 5), "miura")
         return check_screening_covariance(spec, perturb=name)

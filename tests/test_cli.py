@@ -181,3 +181,35 @@ def test_catalog_lists_keys(capsys):
     obj = json.loads(out)
     ids = [i["id"] for i in obj["items"]]
     assert "subregular-sl:3:coset" in ids and "wakimoto-gl11" in ids
+
+
+def test_out_of_range_integer_flags_exit_2(capsys):
+    """A negative degree or count, a cap below 1 or no samples is refused, not
+    run with nothing to check."""
+    for argv in (("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
+                  "--max-degree", "-1"),
+                 ("kernel", "--key", "rank1-ff", "--k1", "7/2", "--max-degree", "-3"),
+                 ("resolution", "--k1", "7/2", "--k2", "1/3", "--terms", "-1"),
+                 ("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
+                  "--random-levels", "-1"),
+                 ("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
+                  "--symbolic-kernels", "-2"),
+                 ("norm", "--pair", "sl", "--n", "2", "--cap", "0"),
+                 ("delta", "--samples", "-2"),
+                 ("delta", "--samples", "0"),
+                 ("delta", "--samples", "two")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "error:" in err, argv
+    code, out, _ = run(capsys, "delta", "--samples", "1")
+    assert code == 0 and json.loads(out)["inputs"]["samples"] == "1"
+
+
+def test_bad_config_integer_exit_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "wcoset.cfg"
+    monkeypatch.setenv("WCOSET_CONFIG", str(cfg))
+    for text in ("seed = abc\n", "max-degree = -1\n", "cap = 0\n", "cap = 2.5\n"):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "resolution", "--k1", "7/2", "--k2", "1/3")
+        assert code == 2 and out == "", text
+        assert err.startswith("error: config "), text

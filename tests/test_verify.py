@@ -10,23 +10,6 @@ from wcoset.scalars import T
 from wcoset.screening import annihilates
 
 
-def test_homomorphism_gl11_symbolic():
-    for k2 in (Fraction(1, 3), Fraction(-5, 7)):
-        rep = ver.check_homomorphism(cat.gl11_wakimoto(T, k2))
-        assert rep.status == "pass"
-        assert len(rep.items) == 16
-    assert ver.check_homomorphism(cat.gl11_wakimoto(T, T)).status == "pass"
-
-
-def test_homomorphism_fms_and_boson_fermion():
-    rep = ver.check_homomorphism(
-        cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized"))
-    assert rep.status == "pass"
-    rep = ver.check_homomorphism(
-        cat.principal_super_realization("sl", 2, Fraction(3), "bosonized"))
-    assert rep.status == "pass"
-
-
 def test_homomorphism_sl2_wakimoto_symbolic():
     rep = ver.check_homomorphism(cat.subregular_realization("so", 3, T, "miura"))
     assert rep.status == "pass"
@@ -52,24 +35,9 @@ def test_covariance_negative_control():
 
 
 def test_resolution_report():
-    rep = ver.check_resolution(Fraction(7, 2), Fraction(1, 3), max_degree=3, terms=2)
-    assert rep.status == "pass"
-    assert [p.dim_left for p in rep.per_degree] == [1, 4, 12, 32]
+    # the (7/2, 1/3) report is acceptance criterion 3's battery row
     with pytest.raises(ver.ZeroK1):
         ver.check_resolution(Fraction(0), Fraction(1, 3))
-
-
-def test_rank1_report():
-    for K in (Fraction(7, 2), Fraction(5, 3)):
-        rep = ver.check_rank1_ff_duality(K)
-        assert rep.status == "pass"
-        assert [p.dim_left for p in rep.per_degree] == [1, 0, 1, 1, 2, 2, 4]
-
-
-def test_coset_duality_sl2():
-    rep = ver.check_coset_duality("sl", 2, Fraction(-14, 5), max_degree=4)
-    assert rep.status == "pass"
-    assert all(p.equal for p in rep.per_degree)
 
 
 def test_coset_duality_excluded():
@@ -140,21 +108,8 @@ def test_h1_single_state_not_screening_closed():
 
 
 def test_ks_symbolic_and_negative():
-    for pair in ("sl", "so"):
-        for n in (2, 3):
-            rep = ver.check_ks(pair, n, T)
-            assert rep.status == "pass", (pair, n)
+    # the symbolic checks are acceptance criterion 9's battery rows
     assert ver.check_ks("sl", 2, Fraction(3), perturb="drop-psi").status == "fail"
-
-
-def test_norm_degeneracy_reports():
-    for pair in ("sl", "so"):
-        for n in (1, 2, 3):
-            rep = ver.norm_degeneracy(pair, n)
-            assert rep.status == "pass", (pair, n)
-    rep = ver.norm_degeneracy("sl", 2)
-    closed = [i for i in rep.items if i.id == "(H1|H1) closed form"]
-    assert closed and closed[0].equal
 
 
 def test_character_oracle_examples():
