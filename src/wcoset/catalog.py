@@ -6,6 +6,14 @@ currents, and (where applicable) a conformal field, an OPE structure table
 for homomorphism checking, and companion intertwiner data for covariance
 checking.
 
+Shared steps.  Each step the builders repeat is written once: `_pairing`
+lays square blocks, such as a root Gram scaled by `_scaled`, along the
+diagonal of a pairing table; `_screenings` builds the screening operators on
+the vacuum module from (name, c, {species: coefficient}, prefactor) rows;
+`_attach_companions` gives a Miura side its companion intertwiners and their
+covariance table; `_parse_key` checks a catalog key; and `_dual` inverts the
+level relation.
+
 Levels.  A realization is built at an exact level, either a Fraction or a
 RatFun in the formal parameter t.  The two sides of the duality are linked by
 r (k1 + h1)(k2 + h2) = 1; `dual_level` inverts it exactly.  Momenta are
@@ -17,6 +25,7 @@ algebra), which reproduces the displayed shift operators such as T_{-alpha}.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -60,7 +69,7 @@ class PairTag:
 
 def degeneracy_constants(pair: str, n: int):
     """The levels (x1, x2) where the coset Heisenberg currents degenerate."""
-    rd.check_pair(pair)
+    PairTag(pair, n)
     if pair == rd.SL:
         return Fraction(1, n) - n, Fraction(-n * n, n + 1)
     return Fraction(2 - 2 * n), Fraction(1, 2) - n
@@ -72,12 +81,17 @@ def s1_levels(pair: str, n: int) -> set:
     return {Fraction(-rd.h1(pair, n)), x1}
 
 
-def dual_level(pair: str, n: int, k1: Level) -> Level:
-    tag = PairTag(pair, n)
-    shifted = k1 + tag.h1
+def _dual(tag: PairTag, k: Level, side: int) -> Level:
+    """The level dual to k on side 1 or 2 under r (k1 + h1)(k2 + h2) = 1."""
+    h, h_dual = (tag.h1, tag.h2) if side == 1 else (tag.h2, tag.h1)
+    shifted = k + h
     if sc_is_zero(shifted):
-        raise ExcludedLevel(f"k1 = {k1} lies in the excluded set K1 = {{{-tag.h1}}}")
-    return -tag.h2 + 1 / (tag.r * shifted)
+        raise ExcludedLevel(f"k{side} = {k} lies in the excluded set K{side} = {{{-h}}}")
+    return -h_dual + 1 / (tag.r * shifted)
+
+
+def dual_level(pair: str, n: int, k1: Level) -> Level:
+    return _dual(PairTag(pair, n), k1, 1)
 
 
 @dataclass(frozen=True)
@@ -100,11 +114,7 @@ class LevelData:
 
     @staticmethod
     def from_k2(pair: str, n: int, k2: Level) -> "LevelData":
-        tag = PairTag(pair, n)
-        shifted = k2 + tag.h2
-        if sc_is_zero(shifted):
-            raise ExcludedLevel(f"k2 = {k2} lies in the excluded set K2 = {{{-tag.h2}}}")
-        return LevelData(pair, n, -tag.h1 + 1 / (tag.r * shifted), k2)
+        return LevelData(pair, n, _dual(PairTag(pair, n), k2, 2), k2)
 
     @property
     def K1(self) -> Level:
@@ -168,13 +178,6 @@ class StructurePair:
 
 
 @dataclass
-class Companion:
-    name: str
-    expr: FieldExpr
-    # u . v_beta tables: current name -> {companion name -> coefficient}
-
-
-@dataclass
 class RealizationSpec:
     key: str
     system: System
@@ -219,6 +222,65 @@ def make_screening(sys: System, c: Scalar, direction, source: Momentum,
     from .screening import ScreeningOp
     return ScreeningOp(sys, c, tuple(direction), canonical_shift(sys, c, direction),
                        source, prefactor, name)
+
+
+# ---------------------------------------------------------------------------
+# shared construction steps
+# ---------------------------------------------------------------------------
+
+def _scaled(G, K):
+    """The table K G of a root Gram G at the shifted level K."""
+    return [[K * x for x in row] for row in G]
+
+
+def _pairing(*blocks):
+    """The block-diagonal pairing table of square blocks, Fraction(0) off them."""
+    m = sum(len(b) for b in blocks)
+    table = [[Fraction(0)] * m for _ in range(m)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            table[at + i][at:at + len(b)] = row
+        at += len(b)
+    return table
+
+
+def _unit(m: int, *positions):
+    """The coefficient vector of length m with 1 at the given positions."""
+    return [Fraction(int(j in positions)) for j in range(m)]
+
+
+def _screenings(sys: System, rows):
+    """Screenings on the vacuum module, one per (name, c, {species: coefficient},
+    prefactor) row; the direction is the coefficient map over the species."""
+    vac = sys.zero_momentum()
+    return [make_screening(sys, c, direction_of(sys, coeffs), vac, pref, name)
+            for name, c, coeffs, pref in rows]
+
+
+def _attach_companions(spec, G, K, partner: str, ladder, cartan):
+    """Companion intertwiners S_beta of a Miura side and their covariance table.
+
+    beta is the simple root at position 1 ("lower") or the sum of those at
+    positions 0 and 1 ("upper"), screened at -1/K; the upper one carries the
+    pair half `partner`.  `ladder` is (raising current, lowering current, the
+    coefficient of upper in lowering . lower); `cartan` lists (current,
+    coefficients over the simple roots), and u . v_beta = -(beta|h) v_beta.
+    """
+    lower, upper = _unit(len(G), 1), _unit(len(G), 0, 1)
+    sys = spec.system
+    # the Heisenberg species of a Miura system are the simple roots, in order
+    lam = tuple(lower)
+    exp = ExpOp(-1 / K, lam, canonical_shift(sys, -1 / K, lam))
+    spec.companions = {"lower": exp, "upper": scale(-1, nord(gen(partner), exp))}
+    raising, lowering, sign = ladder
+    spec.covariance = {
+        raising: {"lower": {}, "upper": {"lower": Fraction(-1)}},
+        lowering: {"lower": {"upper": sign}, "upper": {}},
+    }
+    for name, h in cartan:
+        spec.covariance[name] = {"lower": {"lower": -rd.pairing(G, lower, h)},
+                                 "upper": {"upper": -rd.pairing(G, upper, h)}}
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +330,11 @@ def gl11_wakimoto(k1: Scalar, k2: Scalar) -> RealizationSpec:
         scale(Fraction(1, 2) / k1,
               sadd(nord(chi1, chi1), scale(-1, nord(chi2, chi2)), deriv(chi_sum))),
     )
-    lam = direction_of(sys, {"x1": Fraction(1), "x2": Fraction(1)})
-    screening = make_screening(sys, -1 / k1, lam, sys.zero_momentum(),
-                               prefactor=gen("b"), name="S")
+    screenings = _screenings(
+        sys, [("S", -1 / k1, {"x1": Fraction(1), "x2": Fraction(1)}, gen("b"))])
     return RealizationSpec(
         key="wakimoto-gl11", system=sys, generator_map=gmap,
-        screenings=[screening], conformal=conformal,
+        screenings=screenings, conformal=conformal,
         structure=gl11_structure(k1, k2))
 
 
@@ -291,27 +352,11 @@ def wakimoto_shifted_screening(spec: RealizationSpec, n_from: int):
 
 
 # ---------------------------------------------------------------------------
-# covariance tables
-# ---------------------------------------------------------------------------
-
-def _cartan_cov(G, beta_lower, beta_upper, h_coeffs):
-    """u.v_beta = -(beta|h) v_beta for a Cartan current direction h."""
-    return {
-        "lower": {"lower": -rd.pairing(G, beta_lower, h_coeffs)},
-        "upper": {"upper": -rd.pairing(G, beta_upper, h_coeffs)},
-    }
-
-
-# ---------------------------------------------------------------------------
 # subregular side (g1)
 # ---------------------------------------------------------------------------
 
 def _heis_names(lo, hi):
     return [f"a{i}" for i in range(lo, hi + 1)]
-
-
-def _root_direction(sys: System, names, coeffs):
-    return direction_of(sys, {nm: c for nm, c in zip(names, coeffs) if c != 0})
 
 
 def subregular_realization(pair: str, n: int, k: Level, form: str = "miura") -> RealizationSpec:
@@ -333,8 +378,7 @@ def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
     G = rd.g1_gram(tag.pair, n)
     names = _heis_names(1, n)
     beta, gamma = boson_pair("beta", "gamma")
-    table = [[K * G[i][j] for j in range(n)] for i in range(n)]
-    sys = register_system([beta, gamma] + [heis(nm) for nm in names], table)
+    sys = register_system([beta, gamma] + [heis(nm) for nm in names], _scaled(G, K))
     a1 = gen("a1")
     gmap = {
         "e1": gen("beta"),
@@ -343,19 +387,17 @@ def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
                    scale(K - 2, deriv(gen("gamma"))),
                    nord(gen("gamma"), a1)),
     }
+    cartan = [("h1", _unit(n, 0))]
     if n >= 2:
-        gmap["ht2"] = heis_comb(sys, {nm: c for nm, c in
-                                      zip(names, rd.htilde2_g1_coeffs(tag.pair, n))
-                                      if c != 0})
+        coeffs = rd.htilde2_g1_coeffs(tag.pair, n)
+        gmap["ht2"] = heis_comb(sys, dict(zip(names, coeffs)))
+        cartan.append(("ht2", coeffs))
         for i in range(3, n + 1):
             gmap[f"h{i}"] = gen(f"a{i}")
-    vac = sys.zero_momentum()
-    screenings = []
-    for i in range(1, n + 1):
-        e_i = [Fraction(1) if j == i - 1 else Fraction(0) for j in range(n)]
-        lam = _root_direction(sys, names, e_i)
-        pref = gen("beta") if i == 1 else None
-        screenings.append(make_screening(sys, -1 / K, lam, vac, pref, name=f"Q{i}"))
+            cartan.append((f"h{i}", _unit(n, i - 1)))
+    screenings = _screenings(sys, [
+        (f"Q{i}", -1 / K, {f"a{i}": Fraction(1)}, gen("beta") if i == 1 else None)
+        for i in range(1, n + 1)])
     omega = rd.omega1_coeffs(tag.pair, n)
     H1 = sadd(heis_comb(sys, dict(zip(names, omega))),
               scale(-1, nord(gen("beta"), gen("gamma"))))
@@ -374,49 +416,16 @@ def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
         screenings=screenings, level=LevelData.from_k1(tag.pair, n, k),
         distinguished={"H1": H1}, structure=structure)
     if n >= 2:
-        _attach_subregular_companions(spec, tag, K, names, G)
+        _attach_companions(spec, G, K, "gamma", ("e1", "f1", Fraction(-1)), cartan)
     return spec
-
-
-def _attach_subregular_companions(spec, tag: PairTag, K, names, G):
-    n = tag.n
-    sys = spec.system
-    alpha2 = [Fraction(1) if j == 1 else Fraction(0) for j in range(n)]
-    lam = _root_direction(sys, names, alpha2)
-    exp = ExpOp(-1 / K, lam, canonical_shift(sys, -1 / K, lam))
-    spec.companions = {
-        "lower": exp,                                   # S_{alpha_2}
-        "upper": scale(-1, nord(gen("gamma"), exp)),    # S_{alpha_1 + alpha_2}
-    }
-    beta_lower = alpha2
-    beta_upper = [Fraction(1) if j in (0, 1) else Fraction(0) for j in range(n)]
-    cov = {
-        "e1": {"lower": {}, "upper": {"lower": Fraction(-1)}},
-        "f1": {"lower": {"upper": Fraction(-1)}, "upper": {}},
-        "h1": _cartan_cov(G, beta_lower, beta_upper,
-                          [Fraction(1)] + [Fraction(0)] * (n - 1)),
-    }
-    if "ht2" in spec.generator_map:
-        cov["ht2"] = _cartan_cov(G, beta_lower, beta_upper,
-                                 rd.htilde2_g1_coeffs(tag.pair, n))
-    for i in range(3, n + 1):
-        h = [Fraction(0)] * n
-        h[i - 1] = Fraction(1)
-        cov[f"h{i}"] = _cartan_cov(G, beta_lower, beta_upper, h)
-    spec.covariance = cov
 
 
 def _subregular_bosonized(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
     n = tag.n
     G = rd.g1_gram(tag.pair, n)
     names = _heis_names(1, n)
-    table = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
-    full = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-    full[0][0], full[1][1] = table[0][0], table[1][1]
-    for i in range(n):
-        for j in range(n):
-            full[2 + i][2 + j] = K * G[i][j]
-    sys = register_system([heis("x"), heis("y")] + [heis(nm) for nm in names], full,
+    table = _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(G, K))
+    sys = register_system([heis("x"), heis("y")] + [heis(nm) for nm in names], table,
                           lattice_indices=(0, 1), lattice_gram=[[1, 0], [0, -1]])
     xy = direction_of(sys, {"x": Fraction(1), "y": Fraction(1)})
     e_xy = ExpOp(Fraction(1), xy, canonical_shift(sys, Fraction(1), xy))
@@ -425,17 +434,10 @@ def _subregular_bosonized(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
         "beta": e_xy,
         "gamma": scale(-1, nord(gen("x"), e_xy_m)),
     }
-    vac = sys.zero_momentum()
-    screenings = []
-    x_dir = direction_of(sys, {"x": Fraction(1)})
-    screenings.append(make_screening(sys, Fraction(1), x_dir, vac, name="Qx"))
-    mixed = {"a1": Fraction(1), "x": -K, "y": -K}
-    lam1 = direction_of(sys, mixed)
-    screenings.append(make_screening(sys, -1 / K, lam1, vac, name="Q1"))
-    for i in range(2, n + 1):
-        e_i = [Fraction(1) if j == i - 1 else Fraction(0) for j in range(n)]
-        lam = _root_direction(sys, names, e_i)
-        screenings.append(make_screening(sys, -1 / K, lam, vac, name=f"Q{i}"))
+    screenings = _screenings(sys, [
+        ("Qx", Fraction(1), {"x": Fraction(1)}, None),
+        ("Q1", -1 / K, {"a1": Fraction(1), "x": -K, "y": -K}, None),
+    ] + [(f"Q{i}", -1 / K, {f"a{i}": Fraction(1)}, None) for i in range(2, n + 1)])
     omega = rd.omega1_coeffs(tag.pair, n)
     H1 = sadd(heis_comb(sys, dict(zip(names, omega))), scale(-1, gen("y")))
     # FMS structure: contraction table of the realized beta gamma pair
@@ -473,19 +475,10 @@ def _coset_gram_alpha(tag: PairTag, K):
 def _subregular_coset(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
     n = tag.n
     names = [f"at{i}" for i in range(n + 1)]
-    G = _coset_gram_alpha(tag, K)
-    sys = register_system([heis(nm) for nm in names], G)
-    vac = sys.zero_momentum()
-    screenings = []
-    for i in range(n + 1):
-        lam = direction_of(sys, {names[i]: Fraction(1)})
-        if i == 0:
-            c = Fraction(1)
-        elif i < n:
-            c = -1 / K
-        else:
-            c = -1 / (tag.r * K)
-        screenings.append(make_screening(sys, c, lam, vac, name=f"Qt{i}"))
+    sys = register_system([heis(nm) for nm in names], _coset_gram_alpha(tag, K))
+    cs = [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (tag.r * K)]
+    screenings = _screenings(sys, [(f"Qt{i}", c, {nm: Fraction(1)}, None)
+                                   for i, (nm, c) in enumerate(zip(names, cs))])
     return RealizationSpec(
         key=f"subregular-{tag.pair}:{n}:coset", system=sys, generator_map={},
         screenings=screenings, level=LevelData.from_k1(tag.pair, n, k))
@@ -515,8 +508,7 @@ def _super_miura(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
     G = rd.g2_gram(tag.pair, n)
     names = _heis_names(0, n)
     b, c = fermion_pair("b", "c")
-    table = [[K2 * G[i][j] for j in range(n + 1)] for i in range(n + 1)]
-    sys = register_system([b, c] + [heis(nm) for nm in names], table)
+    sys = register_system([b, c] + [heis(nm) for nm in names], _scaled(G, K2))
     a0, a1 = gen("a0"), gen("a1")
     # embedded gl(1|1) Wakimoto with chi1+chi2 = -r a0, chi2 = r a1, k1 = -r K2
     gmap = {
@@ -528,19 +520,17 @@ def _super_miura(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
         "h0": a0,
         "h1": sadd(scale(Fraction(1, r), nord(gen("c"), gen("b"))), a1),
     }
+    cartan = [("h0", _unit(n + 1, 0)), ("h1", _unit(n + 1, 1))]
     if n >= 2:
         coeffs = rd.htilde2_g2_coeffs(tag.pair, n)
-        gmap["ht2"] = heis_comb(sys, {nm: cf for nm, cf in zip(names, coeffs)
-                                      if cf != 0})
+        gmap["ht2"] = heis_comb(sys, dict(zip(names, coeffs)))
+        cartan.append(("ht2", coeffs))
         for i in range(3, n + 1):
             gmap[f"h{i}"] = gen(f"a{i}")
-    vac = sys.zero_momentum()
-    screenings = []
-    for i in range(0, n + 1):
-        e_i = [Fraction(1) if j == i else Fraction(0) for j in range(n + 1)]
-        lam = _root_direction(sys, names, e_i)
-        pref = gen("b") if i == 0 else None
-        screenings.append(make_screening(sys, -1 / K2, lam, vac, pref, name=f"Q{i}"))
+            cartan.append((f"h{i}", _unit(n + 1, i)))
+    screenings = _screenings(sys, [
+        (f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, gen("b") if i == 0 else None)
+        for i in range(0, n + 1)])
     omega = rd.omega0_coeffs(tag.pair, n)
     H2 = sadd(heis_comb(sys, dict(zip(names, omega))),
               nord(gen("b"), gen("c")))
@@ -549,64 +539,24 @@ def _super_miura(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
         key=f"super-{tag.pair}:{n}:miura", system=sys, generator_map=gmap,
         screenings=screenings, level=LevelData.from_k2(tag.pair, n, ell),
         distinguished={"H2": H2}, structure=structure)
-    _attach_super_companions(spec, tag, K2, names, G)
+    _attach_companions(spec, G, K2, "c", ("E12", "E21", Fraction(1)), cartan)
     return spec
-
-
-def _attach_super_companions(spec, tag: PairTag, K2, names, G):
-    n = tag.n
-    sys = spec.system
-    alpha1 = [Fraction(1) if j == 1 else Fraction(0) for j in range(n + 1)]
-    lam = _root_direction(sys, names, alpha1)
-    exp = ExpOp(-1 / K2, lam, canonical_shift(sys, -1 / K2, lam))
-    spec.companions = {
-        "lower": exp,                                # S_{alpha_1}
-        "upper": scale(-1, nord(gen("c"), exp)),     # S_{alpha_0 + alpha_1}
-    }
-    beta_lower = alpha1
-    beta_upper = [Fraction(1) if j in (0, 1) else Fraction(0) for j in range(n + 1)]
-    e0 = [Fraction(1)] + [Fraction(0)] * n
-    cov = {
-        "E12": {"lower": {}, "upper": {"lower": Fraction(-1)}},
-        "E21": {"lower": {"upper": Fraction(1)}, "upper": {}},
-        "h0": _cartan_cov(G, beta_lower, beta_upper, e0),
-        "h1": _cartan_cov(G, beta_lower, beta_upper, alpha1),
-    }
-    if "ht2" in spec.generator_map:
-        cov["ht2"] = _cartan_cov(G, beta_lower, beta_upper,
-                                 rd.htilde2_g2_coeffs(tag.pair, n))
-    for i in range(3, n + 1):
-        h = [Fraction(0)] * (n + 1)
-        h[i] = Fraction(1)
-        cov[f"h{i}"] = _cartan_cov(G, beta_lower, beta_upper, h)
-    spec.covariance = cov
 
 
 def _super_bosonized(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
     n = tag.n
     G = rd.g2_gram(tag.pair, n)
     names = _heis_names(0, n)
-    m = n + 2
-    full = [[Fraction(0)] * m for _ in range(m)]
-    full[0][0] = Fraction(1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            full[1 + i][1 + j] = K2 * G[i][j]
-    sys = register_system([heis("phi")] + [heis(nm) for nm in names], full,
+    sys = register_system([heis("phi")] + [heis(nm) for nm in names],
+                          _pairing([[Fraction(1)]], _scaled(G, K2)),
                           lattice_indices=(0,), lattice_gram=[[1]])
     phi = direction_of(sys, {"phi": Fraction(1)})
     b_img = ExpOp(Fraction(1), phi, canonical_shift(sys, Fraction(1), phi))
     c_img = ExpOp(Fraction(-1), phi, canonical_shift(sys, Fraction(-1), phi))
     gmap = {"b": b_img, "c": c_img}
-    vac = sys.zero_momentum()
-    screenings = []
-    mixed = {"a0": Fraction(1), "phi": -K2}
-    lam0 = direction_of(sys, mixed)
-    screenings.append(make_screening(sys, -1 / K2, lam0, vac, name="Q0"))
-    for i in range(1, n + 1):
-        e_i = [Fraction(1) if j == i else Fraction(0) for j in range(n + 1)]
-        lam = _root_direction(sys, names, e_i)
-        screenings.append(make_screening(sys, -1 / K2, lam, vac, name=f"Q{i}"))
+    screenings = _screenings(sys, [
+        ("Q0", -1 / K2, {"a0": Fraction(1), "phi": -K2}, None),
+    ] + [(f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, None) for i in range(1, n + 1)])
     omega = rd.omega0_coeffs(tag.pair, n)
     H2 = sadd(heis_comb(sys, dict(zip(names, omega))), gen("phi"))
     S = StructurePair
@@ -634,13 +584,9 @@ def _coset_gram_beta(tag: PairTag, K2):
 def _super_coset(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
     n = tag.n
     names = [f"bt{i}" for i in range(n + 1)]
-    G = _coset_gram_beta(tag, K2)
-    sys = register_system([heis(nm) for nm in names], G)
-    vac = sys.zero_momentum()
-    screenings = []
-    for i in range(n + 1):
-        lam = direction_of(sys, {names[i]: Fraction(1)})
-        screenings.append(make_screening(sys, Fraction(1), lam, vac, name=f"Qt{i}"))
+    sys = register_system([heis(nm) for nm in names], _coset_gram_beta(tag, K2))
+    screenings = _screenings(sys, [(f"Qt{i}", Fraction(1), {nm: Fraction(1)}, None)
+                                   for i, nm in enumerate(names)])
     return RealizationSpec(
         key=f"super-{tag.pair}:{n}:coset", system=sys, generator_map={},
         screenings=screenings, level=LevelData.from_k2(tag.pair, n, ell))
@@ -674,18 +620,11 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
     K, K2 = lv.K1, lv.K2
 
     # side A: phi + g2 Cartan + psi
-    G2 = rd.g2_gram(pair, n)
     names2 = _heis_names(0, n)
-    m = n + 3
-    full = [[Fraction(0)] * m for _ in range(m)]
-    full[0][0] = Fraction(1)
-    full[m - 1][m - 1] = Fraction(-1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            full[1 + i][1 + j] = K2 * G2[i][j]
     sys_a = register_system(
-        [heis("phi")] + [heis(nm) for nm in names2] + [heis("psi")], full,
-        lattice_indices=(0, m - 1), lattice_gram=[[1, 0], [0, -1]])
+        [heis("phi")] + [heis(nm) for nm in names2] + [heis("psi")],
+        _pairing([[Fraction(1)]], _scaled(rd.g2_gram(pair, n), K2), [[Fraction(-1)]]),
+        lattice_indices=(0, n + 2), lattice_gram=[[1, 0], [0, -1]])
     a = {nm: gen(nm) for nm in names2}
     fields_a = {
         "X": sadd(scale(-1 / K2, a["a0"]), gen("phi")),
@@ -703,19 +642,12 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
                              generator_map=fields_a, screenings=[], level=lv)
 
     # side B: x, y + g1 Cartan + phi
-    G1 = rd.g1_gram(pair, n)
     names1 = _heis_names(1, n)
-    m = n + 3
-    full = [[Fraction(0)] * m for _ in range(m)]
-    full[0][0] = Fraction(1)
-    full[1][1] = Fraction(-1)
-    full[m - 1][m - 1] = Fraction(1)
-    for i in range(n):
-        for j in range(n):
-            full[2 + i][2 + j] = K * G1[i][j]
     sys_b = register_system(
-        [heis("x"), heis("y")] + [heis(nm) for nm in names1] + [heis("phi")], full,
-        lattice_indices=(0, 1, m - 1), lattice_gram=[[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        [heis("x"), heis("y")] + [heis(nm) for nm in names1] + [heis("phi")],
+        _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(rd.g1_gram(pair, n), K),
+                 [[Fraction(1)]]),
+        lattice_indices=(0, 1, n + 2), lattice_gram=[[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     fields_b = {
         "phit": sadd(gen("x"), gen("y"), gen("phi")),
         "B0": sadd(scale(-1, gen("y")), scale(-1, gen("phi"))),
@@ -741,25 +673,37 @@ def rank1_ff(K: Level):
     if sc_is_zero(K):
         raise ExcludedLevel("K = 0 is excluded")
     sys = register_system([heis("a")], [[2 * K]])
-    lam = direction_of(sys, {"a": Fraction(1)})
-    vac = sys.zero_momentum()
-    plus = make_screening(sys, Fraction(1), lam, vac, name="e^a")
-    minus = make_screening(sys, -1 / K, lam, vac, name="e^(-a/K)")
+    screenings = _screenings(sys, [("e^a", Fraction(1), {"a": Fraction(1)}, None),
+                                   ("e^(-a/K)", -1 / K, {"a": Fraction(1)}, None)])
     return RealizationSpec(key="rank1-ff", system=sys, generator_map={},
-                           screenings=[plus, minus])
+                           screenings=screenings)
+
+
+_FORMS = ("miura", "bosonized", "coset")
+# "<family>-<pair>:<n>:<form>"; the Kazama-Suzuki families take no form
+_KEY = re.compile(r"(subregular|super|ks-a|ks-b)-(\w+):([0-9]+)(?::(\w+))?")
 
 
 def catalog_keys():
     keys = ["wakimoto-gl11", "rank1-ff"]
     for pair in rd.PAIRS:
         for n in (1, 2, 3):
-            for form in ("miura", "bosonized", "coset"):
+            for form in _FORMS:
                 keys.append(f"subregular-{pair}:{n}:{form}")
                 keys.append(f"super-{pair}:{n}:{form}")
             if n >= 2:
                 keys.append(f"ks-a-{pair}:{n}")
                 keys.append(f"ks-b-{pair}:{n}")
     return keys
+
+
+def _parse_key(key: str):
+    """(family, pair, n, form) of a catalog key; InputError if it is malformed."""
+    m = _KEY.fullmatch(key)
+    if m is None or m[4] not in ((None,) if m[1].startswith("ks-") else _FORMS):
+        raise InputError(f"unknown catalog key {key!r}")
+    tag = PairTag(m[2], int(m[3]))
+    return m[1], tag.pair, tag.n, m[4]
 
 
 def get_realization(key: str, k1: Level = None, k2: Level = None) -> RealizationSpec:
@@ -772,15 +716,7 @@ def get_realization(key: str, k1: Level = None, k2: Level = None) -> Realization
         if k1 is None:
             raise InputError("rank1-ff needs K via k1")
         return rank1_ff(k1)
-    parts = key.replace("-", ":").split(":")
-    if key.startswith("ks-"):
-        _, side, pair, n = parts
-        lv = (LevelData.from_k1(pair, int(n), k1) if k1 is not None
-              else LevelData.from_k2(pair, int(n), k2))
-        ks = ks_fields(pair, int(n), lv.k2)
-        return ks.side_a if side == "a" else ks.side_b
-    fam, pair, n, form = parts
-    n = int(n)
+    fam, pair, n, form = _parse_key(key)
     if fam == "subregular":
         if k1 is None:
             raise InputError(f"{key} needs k1")
@@ -791,25 +727,21 @@ def get_realization(key: str, k1: Level = None, k2: Level = None) -> Realization
                 raise InputError(f"{key} needs k2 (or k1 to dualize)")
             k2 = dual_level(pair, n, k1)
         return principal_super_realization(pair, n, k2, form)
-    raise InputError(f"unknown catalog key {key!r}")
+    if k1 is None and k2 is None:
+        raise InputError(f"{key} needs k1 or k2")
+    ks = ks_fields(pair, n, dual_level(pair, n, k1) if k1 is not None else k2)
+    return ks.side_a if fam == "ks-a" else ks.side_b
 
 
 def enumerable_counting_systems(n_values=(2, 3)):
     """Catalog systems with finite graded slices, for counting consistency."""
-    out = [("wakimoto-gl11", gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)).system),
-           ("rank1-ff", rank1_ff(Fraction(7, 2)).system)]
-    k1 = Fraction(-14, 5)
+    out = [(key, get_realization(key, Fraction(7, 2), Fraction(1, 3)).system)
+           for key in ("wakimoto-gl11", "rank1-ff")]
+    forms = (("subregular", "bosonized"), ("subregular", "coset"),
+             ("super", "miura"), ("super", "bosonized"), ("super", "coset"))
     for pair in rd.PAIRS:
         for n in n_values:
-            lv = LevelData.from_k1(pair, n, k1)
-            out.append((f"subregular-{pair}:{n}:bosonized",
-                        subregular_realization(pair, n, lv.k1, "bosonized").system))
-            out.append((f"subregular-{pair}:{n}:coset",
-                        subregular_realization(pair, n, lv.k1, "coset").system))
-            out.append((f"super-{pair}:{n}:miura",
-                        principal_super_realization(pair, n, lv.k2, "miura").system))
-            out.append((f"super-{pair}:{n}:bosonized",
-                        principal_super_realization(pair, n, lv.k2, "bosonized").system))
-            out.append((f"super-{pair}:{n}:coset",
-                        principal_super_realization(pair, n, lv.k2, "coset").system))
+            for fam, form in forms:
+                key = f"{fam}-{pair}:{n}:{form}"
+                out.append((key, get_realization(key, Fraction(-14, 5)).system))
     return out

@@ -184,8 +184,8 @@ def test_catalog_lists_keys(capsys):
 
 
 def test_out_of_range_integer_flags_exit_2(capsys):
-    """A negative degree or count, a cap below 1 or no samples is refused, not
-    run with nothing to check."""
+    """A negative degree or count, a rank or cap below 1, no samples or a
+    malformed catalog key is refused, not run with nothing to check."""
     for argv in (("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
                   "--max-degree", "-1"),
                  ("kernel", "--key", "rank1-ff", "--k1", "7/2", "--max-degree", "-3"),
@@ -195,6 +195,12 @@ def test_out_of_range_integer_flags_exit_2(capsys):
                  ("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
                   "--symbolic-kernels", "-2"),
                  ("norm", "--pair", "sl", "--n", "2", "--cap", "0"),
+                 ("norm", "--pair", "sl", "--n", "0"),
+                 ("norm", "--pair", "sl", "--n", "-1"),
+                 ("kernel", "--key", "bogus", "--k1", "1/3"),
+                 ("kernel", "--key", "super-sl:x:coset", "--k1", "1/3"),
+                 ("kernel", "--key", "ks-z-sl:2", "--k1", "1/3"),
+                 ("kernel", "--key", "ks-a-sl:2"),
                  ("delta", "--samples", "-2"),
                  ("delta", "--samples", "0"),
                  ("delta", "--samples", "two")):
@@ -203,6 +209,9 @@ def test_out_of_range_integer_flags_exit_2(capsys):
         assert "error:" in err, argv
     code, out, _ = run(capsys, "delta", "--samples", "1")
     assert code == 0 and json.loads(out)["inputs"]["samples"] == "1"
+    code, out, _ = run(capsys, "kernel", "--key", "super-sl:4:coset", "--k1", "1/3",
+                       "--max-degree", "1")
+    assert code == 0 and json.loads(out)["inputs"]["key"] == "super-sl:4:coset"
 
 
 def test_bad_config_integer_exit_2(tmp_path, capsys, monkeypatch):
