@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -373,6 +374,84 @@ def test_residue_map_matches_oracle_rank1(K):
         spec = cat.rank1_ff(K)
         return spec.system, spec.screenings
     assert matches_oracle(build, range(7)) > 0
+
+
+# ---------------------------------------------------------------------------
+# golden residue maps
+# ---------------------------------------------------------------------------
+# Each case hashes every cell of every block, as (map, degree, row, col, type
+# name, str), in the order residue_map lays them out.  The digests were taken
+# from the dense per-column slice build that preceded packed monomial keys, so
+# any change to a value, its type, its printed form or a block's shape shows.
+
+def _golden_cases():
+    q, t = Fraction(7, 2), Fraction(1, 3)
+    gl11 = gl11_build(q, t)()
+    gl11_t = gl11_build(T, t)()
+    cases = {"gl11 7/2,1/3 S[0..2]": (*gl11, range(5)),
+             "gl11 t,1/3 S[0..2]": (*gl11_t, range(4))}
+    for pair in ("sl", "so"):
+        for k1, top in ((Fraction(15, 7), 4), (T, 3)):
+            for side in ("subregular", "super"):
+                spec = cat.get_realization(f"{side}-{pair}:2:coset", k1)
+                cases[f"{side}-{pair}:2:coset {k1}"] = (spec.system, spec.screenings,
+                                                        range(top + 1))
+    # gamma = -:x e^{-(x+y)}: of the bosonized beta gamma pair, a prefactor
+    # that is not a bare generator, and the screenings over a source whose
+    # two-cocycle takes both signs
+    spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
+    sys = spec.system
+    gamma = spec.generator_map["gamma"]
+    exp = gamma.expr.right
+    ops = []
+    for label in ((0, 0), (1, 0)):
+        mu = sys.lattice_momentum(label)
+        ops.append(ScreeningOp(sys, exp.coeff, exp.direction, exp.shift, mu,
+                               scale(gamma.coeff, gamma.expr.left), f"gamma {label}"))
+        ops += [cat.make_screening(sys, op.coeff, op.direction, mu, op.prefactor,
+                                   f"{op.name} {label}") for op in spec.screenings]
+    cases["subregular-sl:2:bosonized -14/5"] = (sys, ops, range(5))
+    return cases
+
+
+GOLDEN = {
+    "gl11 7/2,1/3 S[0..2]":
+        "87d4660bc71bd0ea6807fcbf44168586961591ef3633318ef3d336dbdef11bf7",
+    "gl11 t,1/3 S[0..2]":
+        "02b62303e2f87f20c69a7733c12a12759f502ce2d3b2bbf2e374601237c50997",
+    "subregular-sl:2:coset 15/7":
+        "d366486948bcf81751e0e90e2f75c268a6f38d5793ccec401735178fcfcc9cb6",
+    "super-sl:2:coset 15/7":
+        "03a60b851b492bd1ac65648818086dd9deeec48d1313aec15521b316757bd4b6",
+    "subregular-sl:2:coset t":
+        "f00aca7bf718a7423f3d56dc7e7f0a82a5859c03f7ec506f4136920537ff09f1",
+    "super-sl:2:coset t":
+        "5a61526b56e2dc1a82e5842b2a2e81eddabac9a00581090de3005ad1a711265d",
+    "subregular-so:2:coset 15/7":
+        "bf91bf87f8aef17cdcc157d9e292014561c38b93280c09727de0280c3d5a7f29",
+    "super-so:2:coset 15/7":
+        "37b1279879627f52499e2f71baa248395ca87afc5defb47796e4d2d32ae96499",
+    "subregular-so:2:coset t":
+        "ab077f7fc30aef5f72bcd06ade1263c6f13322a4ea33a549995dd0105b665a7f",
+    "super-so:2:coset t":
+        "3336d21b8dcf60f7a2d48c7379bf56b791a5f2e00694b8e845994ae82b01aac9",
+    "subregular-sl:2:bosonized -14/5":
+        "cefffb86ee5d67cd7256a493883dd91464ef418596a33d6eb55e84281eec2f9b",
+}
+
+
+def test_residue_map_golden_digests():
+    got = {}
+    for name, (sys, ops, degrees) in _golden_cases().items():
+        h = hashlib.sha256()
+        for op in ops:
+            gm = residue_map(sys, op, degrees)
+            for d in degrees:
+                for i, row in enumerate(gm.blocks[d]):
+                    for j, x in enumerate(row):
+                        h.update(f"{op.name}|{d}|{i}|{j}|{type(x).__name__}|{x}\n".encode())
+        got[name] = h.hexdigest()
+    assert got == GOLDEN
 
 
 def test_residue_map_off_by_one_shift_raises(monkeypatch):
