@@ -202,6 +202,8 @@ def cmd_kernel(args, cfg) -> int:
     md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
     cap = args.cap if args.cap is not None else cfg["cap"]
     spec = cat.get_realization(args.key, args.k1, args.k2)
+    if not spec.screenings:
+        raise InputError(f"{args.key} has no screenings")
     degrees = range(md + 1)
     kr = ver._screening_kernel(spec, degrees, cap)
     rep = ver.Report("kernel", {"key": args.key,

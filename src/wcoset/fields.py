@@ -5,15 +5,12 @@ right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
 lattice/shift operator).  ``mode_apply`` gives the physical (n)-mode of any
 expression applied to a state, as an exact finite linear combination; the
 OPEs, Gram matrices and annihilation checks are built on it.  Screening
-residues are built a whole slice at a time by ``residue_images``.  Both it and
-``mode_apply`` take the images of the exponential operator from one place,
-``_images``, one column (one source state) at a time.  ``_expop_plus`` builds
-the E+ table of a state over either ring.  With rational constants and seeds
-the column is summed over Z: the E+ factors are integers over their lcm
-denominator D, each E- part P_a integers over its own, every term a product of
-integers, and each nonzero entry is divided once by the column's common
-denominator.  A column with a RatFun anywhere runs the same loop over the
-field, where every one of those scales is 1.
+residues are built a slice at a time by ``residue_images``; it and
+``mode_apply`` take the images of the exponential operator from one core,
+``_images``, which works a slice of columns (one per source state) at once,
+on monomials packed into integer keys (``fock._Packing``).  A rational slice is
+summed over Z on one common denominator, a slice with a RatFun anywhere over
+the field.
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -37,14 +34,10 @@ or contracts each Heisenberg mode h_(-d) of the state, a contraction carrying
 -c(lambda|h) z^-d; pair-half modes are always kept.  E- is the sum of its
 degree parts P_a z^a, polynomials in the commuting creation modes with P_0 = 1
 and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).  What does not depend on the
-state is built once and kept on the System: per (System, operator, momentum)
-the exponent p, eps, the target momentum mu + s and the nonzero contraction
-factors -c(lambda|h_s) per species; per (System, operator) the parts P_a,
-grown on demand up to the highest degree asked for, and with rational
-constants their integer forms.  The E+ table of a state does not depend on
-the mode index n, so a residue of :P e^{...}: builds it once per source state
-and reads every E_(j) that the prefactor's normally ordered expansion asks for
-from it.
+state is kept on the System: per (operator, momentum) p, eps, mu + s and the
+nonzero contraction factors -c(lambda|h_s); per operator the parts P_a, grown
+on demand, and with rational constants their integer forms.  A state's E+
+table does not depend on n, so it serves every E_(j) a residue asks for.
 
 A LinComb is a dict FockState -> coefficient with canonical, sign-positive
 keys and no stored zeros.
@@ -57,8 +50,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import NonIntegralExponent, NonSymmetric, ParityMismatch
+from .errors import NonIntegralExponent, NonSymmetric, ParityMismatch, ShapeMismatch
 from .fock import FockState, Momentum, System, canonical_modes, normal_form
+from .linalg import ZERO
 from .scalars import RatFun, Scalar, sc_is_zero
 
 
@@ -363,7 +357,7 @@ class _ExpRecord:
     eps: int          # two-cocycle eps(s, mu)
     target: Momentum  # mu + s
     factors: dict     # Heisenberg species s -> its nonzero -c (lambda|h_s)
-    parts: list       # E- degree parts P_0, P_1, ..., shared by all momenta
+    parts: list       # E- degree parts P_0, P_1, ..., {packed key: w}, shared by all momenta
     zparts: Optional[list]  # the same over Z (see _grow_parts); None with a RatFun
     zfactors: Optional[tuple] = None  # (D, {s: D f}), built on first use
 
@@ -388,7 +382,7 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
         if shared is None:
             rational = not any(isinstance(x, RatFun)
                                for x in (op.coeff, *op.direction, *factors.values()))
-            shared = cache[op] = ([{(): Fraction(1)}], [(1, {(): 1})] if rational else None)
+            shared = cache[op] = ([{0: Fraction(1)}], [(1, {0: 1})] if rational else None)
         rec = _ExpRecord(p, sys.cocycle(op.shift.lattice, mu.lattice), mu + op.shift,
                          factors, *shared)
         cache[(op, mu)] = rec
@@ -397,19 +391,19 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
 
 def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int) -> None:
     """Extend the E- parts through P_top: a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m),
-    over commuting creation monomials keyed by their sorted mode tuple.  With
-    rational constants each part is also kept over Z, as (L_a, {modes: L_a w})
+    over commuting creation monomials keyed by their packed key.  With
+    rational constants each part is also kept over Z, as (L_a, {key: L_a w})
     with L_a the lcm of the denominators of P_0..P_a."""
     parts, zparts = rec.parts, rec.zparts
+    pk = sys._packing
     lam = _direction_terms(sys, op)
     for a in range(len(parts), top + 1):
         part = {}
         for m in range(1, a + 1):
-            for modes, v in parts[a - m].items():
+            for key, v in parts[a - m].items():
                 for idx, c in lam:
-                    key = tuple(sorted(modes + ((idx, m),)))
-                    old = part.get(key)
-                    part[key] = v * c if old is None else old + v * c
+                    old = part.get(key + pk[(idx, m)])
+                    part[key + pk[(idx, m)]] = v * c if old is None else old + v * c
         part = {key: v * op.coeff / a for key, v in part.items()}
         parts.append(part)
         if zparts is not None:
@@ -418,25 +412,29 @@ def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int) -> None:
                                for key, w in part.items()}))
 
 
-def _expop_plus(factors: dict, modes: tuple, seed) -> dict:
-    """E+ on a state: {(b, kept): coefficient} of its terms at z^-b.
+def _expop_plus(pk, factors: dict, D, modes: tuple, seed) -> dict:
+    """E+ on a state: {(b, packed kept modes): coefficient} of its terms at z^-b.
 
-    Each Heisenberg mode h_s(-d) is kept, or contracted for factors[s] z^-d;
-    `seed` is the coefficient of the state (eps and any sign ride on it).  Over
-    Z, _images passes the integer factors D f, so a term that contracts c
-    modes stands for its value times D^c."""
-    plus = {(0, ()): seed}
+    Each Heisenberg mode h_s(-d) with a factor is kept, or contracted for
+    factors[s] z^-d; other modes are kept.  `seed` is the coefficient of the
+    state (eps and any sign ride on it).  Over Z, _images passes the integer
+    factors D f, and a kept mode is multiplied by D, so every term stands for
+    its value times D^(number of modes)."""
+    plus = {(0, 0): seed}
     for mode in modes:
-        f = factors.get(mode[0])
+        f, w = factors.get(mode[0]), pk[mode]
+        if f is None:
+            plus = {(b, kept + w): v if D == 1 else v * D for (b, kept), v in plus.items()}
+            continue
         nxt = {}
         for (b, kept), v in plus.items():
-            key = (b, kept + (mode,))
+            key = (b, kept + w)
+            v_kept = v if D == 1 else v * D
             old = nxt.get(key)
-            nxt[key] = v if old is None else old + v
-            if f is not None:
-                key = (b + mode[1], kept)
-                old = nxt.get(key)
-                nxt[key] = v * f if old is None else old + v * f
+            nxt[key] = v_kept if old is None else old + v_kept
+            key = (b + mode[1], kept)
+            old = nxt.get(key)
+            nxt[key] = v * f if old is None else old + v * f
         plus = nxt
     return plus
 
@@ -450,116 +448,119 @@ def _int_factors(rec: _ExpRecord) -> tuple:
     return rec.zfactors
 
 
-def _images(sys: System, op: ExpOp, rec: _ExpRecord, jobs, direct=()) -> dict:
-    """One column of vertex-operator images over rec.target: a dict from
-    canonical mode tuple to nonzero coefficient.
+def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
+    """Vertex-operator images over rec.target of a slice of columns (jobs,
+    direct): per column, a dict from packed key to nonzero coefficient.
 
-    Each job (modes, seed, places) is a state's modes with its coefficient,
-    and asks, for each (n, front) of places, for the (n)-mode image with the
-    creation modes `front` put ahead of each image's own; `direct` holds
-    (modes, coefficient) pairs added as they are.  The E+ terms at z^-b meet
-    the E- part a = b - n - 1 - p; each monomial front + (P_a modes) + kept
-    is put in canonical order once.  A rational record with rational seeds is
-    summed over Z: an E+ term that contracts c of a state's modes carries D^c,
-    the parts through P_top their lcm denominator Q and a seed its own, so one
-    denominator Z serves the column and each nonzero entry is divided once.
-    With a RatFun anywhere the column is summed over the field, all scales 1.
+    A job (modes, seed, places) asks, for each (n, front) of places, for the
+    (n)-mode image of a canonical state with the creation mode `front` (or
+    None) put ahead; `direct` holds (modes, coefficient) pairs added as they
+    are.  E+ terms at z^-b meet the E- part a = b - n - 1 - p, a product of
+    monomials being a sum of keys.  E+ and E- touch only even Heisenberg
+    modes, so the sign is that of front ahead of the state (0 when it repeats
+    an odd mode), from one canonical_modes call per place.  The ring is chosen
+    once per slice.  Over Z an E+ term stands for its value times D^nmax, the
+    parts through the slice's top carry their lcm denominator Q and the seeds
+    theirs, S, so Z = D^nmax Q S serves the slice and each distinct numerator
+    becomes one Fraction; over the field every scale is 1.
     """
-    field = (rec.zparts is None or any(isinstance(v, RatFun) for _, v, _ in jobs)
-             or any(isinstance(v, RatFun) for _, v in direct))
-    if field:
-        D, factors, S = 1, rec.factors, 1
-    else:
-        D, factors = _int_factors(rec)
-        S = lcm(*[v.denominator for _, v, _ in jobs], *[v.denominator for _, v in direct])
-    tables, top, nmax = [], -1, 0
+    pk = sys._packing
+    jobs = [job for column, _ in columns for job in column]
+    seeds = [v for _, v, _ in jobs] + [v for _, direct in columns for _, v in direct]
+    field = rec.zparts is None or any(isinstance(v, RatFun) for v in seeds)
+    D, factors = (1, rec.factors) if field else _int_factors(rec)
+    S = 1 if field else lcm(*[v.denominator for v in seeds])
+    nmax = max((len(modes) for modes, _, _ in jobs), default=0)
+    tables, top = [], -1
     for modes, v, places in jobs:
-        plus = _expop_plus(factors, modes, v if field else v.numerator * (S // v.denominator))
-        tables.append((len(modes), plus, places))
-        nmax = max(nmax, len(modes))
+        v = v if field else v.numerator * (S // v.denominator) * D ** (nmax - len(modes))
+        tables.append((modes, _expop_plus(pk, factors, D, modes, v), places))
         if places:
-            top = max(top, max(plus)[0] - min(places)[0] - 1 - rec.p)
+            top = max(top, max(tables[-1][1])[0] - min(places)[0] - 1 - rec.p)
+    # a digit of an image counts a kept mode, one of P_a's and the front
+    pk.check(nmax + top + 1)
     if top >= len(rec.parts):
         _grow_parts(sys, op, rec, top)
-    powers = [D ** c for c in range(nmax + 1)]
-    # (L_a, P_a): P_a over Z on its denominator L_a, or as it is over the field
-    if field:
-        Z = Q = 1
-        parts = [(1, part) for part in rec.parts[:top + 1]]
-    else:
-        parts = rec.zparts
-        Q = parts[max(top, 0)][0]
-        Z = powers[nmax] * Q * S
-    unit = D == Q == 1  # every term multiplier D^c (Q // L_a) is 1
-    acc = {}
-    for modes, v in direct:
-        v = v if field else v.numerator * (Z // v.denominator)
-        acc[modes] = acc[modes] + v if modes in acc else v
-    for nm, plus, places in tables:
-        for n, front in places:
-            b0 = n + 1 + rec.p
-            for (b, kept), v in plus.items():
-                a = b - b0
-                if a < 0:
-                    continue
-                L, part = parts[a]
-                # the term stands for v / (S D^c), c = nm - len(kept) contractions
-                m = v if unit else v * powers[nmax - nm + len(kept)] * (Q // L)
-                for modes, w in part.items():
-                    out = canonical_modes(sys, front + modes + kept)
-                    if out is None:
+    parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts[:top + 1]
+    Q = parts[-1][0] if parts else 1
+    Z, scales = D ** nmax * Q * S, [Q // L for L, _ in parts]
+    negated = [-x for x in scales]
+    out, tables = [], iter(tables)
+    for column, direct in columns:
+        acc = {}
+        for modes, v in direct:
+            key, v = pk.pack(modes), v if field else v.numerator * (Z // v.denominator)
+            acc[key] = acc[key] + v if key in acc else v
+        # zip stops at the end of the column before drawing from tables
+        for _, (modes, plus, places) in zip(column, tables):
+            for n, front in places:
+                mults, base = scales, 0
+                if front is not None:
+                    ordered = canonical_modes(sys, (front,) + modes)
+                    if ordered is None:
                         continue
-                    key, sign = out
-                    t = m * w if sign == 1 else -(m * w)
-                    old = acc.get(key)
-                    acc[key] = t if old is None else old + t
-    return {key: s if field else Fraction(s, Z) for key, s in acc.items() if s}
+                    mults, base = scales if ordered[1] == 1 else negated, pk[front]
+                b0 = n + 1 + rec.p
+                for (b, kept), v in plus.items():
+                    a = b - b0
+                    if a < 0:
+                        continue
+                    m = v if mults[a] == 1 else v * mults[a]
+                    kept += base
+                    for key, w in parts[a][1].items():
+                        key += kept
+                        t = m * w
+                        old = acc.get(key)
+                        acc[key] = t if old is None else old + t
+        out.append(acc)
+    if field:
+        return [{key: s for key, s in acc.items() if s} for acc in out]
+    values = {s: Fraction(s, Z) for s in {s for acc in out for s in acc.values()} if s}
+    return [{key: values[s] for key, s in acc.items() if s} for acc in out]
 
 
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     rec = _expop_record(sys, op, state.momentum)
-    img = _images(sys, op, rec, [(state.modes, rec.eps * state.sign, ((n, ()),))])
-    return {FockState(rec.target, modes, 1): v for modes, v in img.items()}
+    img = _images(sys, op, rec, [([(state.modes, rec.eps * state.sign, ((n, None),))], ())])
+    return {FockState(rec.target, sys._packing.unpack(key), 1): v for key, v in img[0].items()}
 
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
-                   mu: Momentum, states):
+                   mu: Momentum, states, targets) -> list:
     """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor, None meaning 1)
-    on each state of one slice over mu, in order: a dict from canonical mode
-    tuple over mu + s to nonzero coefficient.  P must not shift the momentum.
+    on the states of one slice over mu, as the dense block with rows
+    `targets` (a slice over mu + s) and linalg.ZERO in empty cells; an image
+    outside `targets` raises ShapeMismatch.  P must not shift the momentum.
 
     The (0)-mode of :P E: is sum_j P_(-1-j) E_(j) + (-1)^{p(P)p(E)} sum_j
-    E_(-1-j) P_(j) (see mode_apply).  The record of op is looked up once per
-    slice, and each state is one column of _images: its E+ table is built
-    once and serves every E_(j), and the column is summed over Z on one
-    denominator, or over the field when a RatFun enters it.  A
-    generator prefactor's creation mode P_(-1-j) is ordered together with
-    each image's modes, in one canonical_modes call; for any other prefactor
-    one column holds the images of every E_(j), split by degree, and
-    mode_apply applies P_(-1-j) to each part.  Every P_(j) of the second
-    sum is applied by mode_apply, and each of its terms seeds an E+ table.
+    E_(-1-j) P_(j) (see mode_apply).  The slice is one _images call, with one
+    E+ table per state for every E_(j).  A generator prefactor's P_(-1-j) is
+    the front of the images of E_(j); for any other P a column of its own
+    holds them, split by degree, and mode_apply applies P_(-1-j).  Each term
+    of every P_(j) of the second sum, by mode_apply, seeds an E+ table.
     """
     rec = _expop_record(sys, op, mu)
+    pk = sys._packing
     if prefactor is not None:
         gen_idx = sys.index[prefactor.name] if isinstance(prefactor, Gen) else None
         negate = parity(sys, prefactor) * parity(sys, op)
         w_p = weight(sys, prefactor, mu)
+    columns = []
     for s in states:
         seed = rec.eps * s.sign
         if prefactor is None:
-            yield _images(sys, op, rec, [(s.modes, seed, ((0, ()),))])
+            columns.append(([(s.modes, seed, ((0, None),))], ()))
             continue
         d = sys.state_degree(s)
         jobs, direct = [], []
         if gen_idx is not None:
-            jobs.append((s.modes, seed, [(j, ((gen_idx, j + 1),)) for j in range(d - rec.p)]))
-        elif d > rec.p:
-            # one E+ table serves every E_(j); the image of E_(j) lies in
-            # degree d - p - j - 1, so the column splits by degree
-            img = _images(sys, op, rec, [(s.modes, seed, [(j, ()) for j in range(d - rec.p)])])
+            jobs.append((s.modes, seed, [(j, (gen_idx, j + 1)) for j in range(d - rec.p)]))
+        elif d > rec.p:  # the image of E_(j) lies in degree d - p - j - 1
+            column = ([(s.modes, seed, [(j, None) for j in range(d - rec.p)])], ())
             lcs = [{} for _ in range(d - rec.p)]
-            for modes, v in img.items():
+            for key, v in _images(sys, op, rec, [column])[0].items():
+                modes = pk.unpack(key)
                 j = d - rec.p - 1 - sum(sys.mode_degree(i, k) for i, k in modes)
                 lcs[j][FockState(rec.target, modes, 1)] = v
             for j, lc in enumerate(lcs):
@@ -568,8 +569,18 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
         for j in range(d + w_p):
             for t, v in mode_apply(sys, prefactor, j, s).items():
                 jobs.append((t.modes, -(rec.eps * v) if negate else rec.eps * v,
-                             ((-1 - j, ()),)))
-        yield _images(sys, op, rec, jobs, direct)
+                             ((-1 - j, None),)))
+        columns.append((jobs, direct))
+    index = {pk.pack(t.modes): i for i, t in enumerate(targets)}
+    block = [[ZERO] * len(columns) for _ in targets]
+    for j, image in enumerate(_images(sys, op, rec, columns)):
+        try:
+            for key, v in image.items():
+                block[index[key]][j] = v
+        except KeyError:
+            degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(key))
+            raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
+    return block
 
 
 # ---------------------------------------------------------------------------

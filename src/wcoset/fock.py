@@ -27,6 +27,9 @@ of total degree d, each one species-k shape followed by a tuple of entry
 (k+1, d - d'); each species shape list is built once per System too.  The
 degree-d slice is entry (0, d).  ``slice_dimension`` and
 ``graded_dimension`` count a slice without building its FockStates.
+
+Every System also keeps ``_Packing``, the integer keys of its monomials, one
+digit per (species, depth), under which a product of monomials is one sum.
 """
 
 from __future__ import annotations
@@ -152,6 +155,7 @@ class System:
         # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
         # for a rational ExpOp, their integer form
         self._expop_cache = {}
+        self._packing = _Packing(len(self.species))
 
     # -- pair contraction sign: first-listed half hits partner with +1 --------
 
@@ -262,6 +266,39 @@ def canonical_modes(sys: System, raw_modes, sign: int = 1):
     modes = sorted(raw_modes, key=itemgetter(1), reverse=True)
     modes.sort(key=itemgetter(0))
     return tuple(modes), sign
+
+
+_DIGIT = 256  # a packed key's digit holds one mode's multiplicity, 0..255
+
+
+class _Packing(dict):
+    """Packed keys of the creation monomials of one System: mode (s, d) ->
+    256^pos, pos = s + (number of species)(d - 1), so each mode's multiplicity
+    fills one digit, the key of a product of commuting monomials is the sum of
+    their keys, and `modes` maps a key back to its canonical mode tuple.  A
+    digit overflows only past 255 equal modes, which `check` refuses."""
+
+    def __init__(self, nspecies: int):
+        self.nspecies, self.modes = nspecies, {}
+
+    def __missing__(self, mode) -> int:
+        w = self[mode] = _DIGIT ** (mode[0] + self.nspecies * (mode[1] - 1))
+        return w
+
+    def check(self, most: int) -> None:
+        if most >= _DIGIT:
+            raise ResourceBound(f"{most} equal modes overflow a packed key's digit")
+
+    def pack(self, modes) -> int:
+        self.check(len(modes))
+        return sum(self[m] for m in modes)
+
+    def unpack(self, key: int) -> tuple:
+        if key not in self.modes:  # every mode of a key has its weight here
+            self.modes[key] = tuple(sorted(
+                (m for m, w in self.items() for _ in range(key // w % _DIGIT)),
+                key=lambda m: (m[0], -m[1])))
+        return self.modes[key]
 
 
 def normal_form(sys: System, mu: Momentum, raw_modes, sign: int = 1) -> Optional[FockState]:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ResourceBound, ShapeMismatch
-from .scalars import RatFun, sc_is_zero
+from .scalars import RatFun
 
 SYMBOLIC_DIM_LIMIT = 64
 
@@ -88,7 +88,8 @@ def mat_mul(A, B):
             a = n * (L // d)
             for j, b in B_rows[p]:
                 acc[j] += a * b
-        out.append([Fraction(s, L * col_scale[j]) if s else ZERO for j, s in enumerate(acc)])
+        out.append([Fraction(s, L * col_scale[j]) if s else ZERO for j, s in enumerate(acc)]
+                   if any(acc) else [ZERO] * m)
     return out
 
 
@@ -110,7 +111,8 @@ def _field_mat_mul(A, B, m):
 
 
 def mat_is_zero(M) -> bool:
-    return all(sc_is_zero(x) for row in M for x in row)
+    # list.count tests identity before ==, so ZERO cells are counted in C
+    return all(row.count(ZERO) == len(row) for row in M)
 
 
 def stack(mats):

@@ -7,13 +7,11 @@ composite field; on the degree-d slice of the source it lands in degree
 d + w_P - 1 - c(lambda|mu) of the target module over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
-basis, columns by the source basis).  Each slice is built in one pass:
-``fields.residue_images`` looks the exponential's record up once and gives
-each source state's image keyed by mode tuple (the momentum is fixed within a
-slice), and each image goes straight into its column of the dense block; an
-image outside the target slice raises ShapeMismatch.  At a rational level a
-column is summed over Z on one common denominator, so each nonzero entry is
-one ``Fraction`` made once; the other cells hold ``linalg.ZERO``, which the
+basis, columns by the source basis).  ``fields.residue_images`` builds each
+slice's dense block in one pass, writing every entry from its packed monomial
+key straight to its row; an image outside the target slice raises
+ShapeMismatch.  At a rational level one ``Fraction`` is made per distinct
+numerator of the slice, and the other cells hold ``linalg.ZERO``, which the
 eliminations skip by identity.  Kernels are computed by exact rank, through a
 sparse elimination (fraction-free over Z for rational slices, over the field
 for rational functions) whose pivot columns are those of the reduced row
@@ -30,7 +28,7 @@ from .errors import MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree,
                      mode_apply, residue_images, shift_of, weight)
 from .fock import Momentum, System, enumerate_basis, graded_dimension
-from .linalg import ZERO, kernel_basis, mat_is_zero, mat_mul, rank, stack
+from .linalg import kernel_basis, mat_is_zero, mat_mul, rank, stack
 
 
 @dataclass(frozen=True)
@@ -96,19 +94,8 @@ def residue_map(sys: System, op: ScreeningOp, degrees, cap: Optional[int] = None
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
-        index = {s.modes: i for i, s in enumerate(tgt)}
-        M = [[ZERO] * len(src) for _ in range(len(tgt))]
-        images = residue_images(sys, op.prefactor, op.exponential(), op.source, src)
-        for j, image in enumerate(images):
-            for modes, v in image.items():
-                i = index.get(modes)
-                if i is None:
-                    degree = sum(sys.mode_degree(*mode) for mode in modes)
-                    raise ShapeMismatch(
-                        f"image state of degree {degree} missing from "
-                        f"target slice {d + shift_deg}")
-                M[i][j] = v
-        gm.blocks[d] = M
+        gm.blocks[d] = residue_images(sys, op.prefactor, op.exponential(), op.source,
+                                      src, tgt)
         gm.source_dims[d] = len(src)
     return gm
 

@@ -184,8 +184,9 @@ def test_catalog_lists_keys(capsys):
 
 
 def test_out_of_range_integer_flags_exit_2(capsys):
-    """A negative degree or count, a rank or cap below 1, no samples or a
-    malformed catalog key is refused, not run with nothing to check."""
+    """A negative degree or count, a rank or cap below 1, no samples, a
+    malformed catalog key or a kernel of a key with no screenings is refused,
+    not run with nothing to check."""
     for argv in (("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
                   "--max-degree", "-1"),
                  ("kernel", "--key", "rank1-ff", "--k1", "7/2", "--max-degree", "-3"),
@@ -201,6 +202,8 @@ def test_out_of_range_integer_flags_exit_2(capsys):
                  ("kernel", "--key", "super-sl:x:coset", "--k1", "1/3"),
                  ("kernel", "--key", "ks-z-sl:2", "--k1", "1/3"),
                  ("kernel", "--key", "ks-a-sl:2"),
+                 ("kernel", "--key", "ks-a-sl:2", "--k1", "1/3"),
+                 ("kernel", "--key", "ks-b-so:2", "--k1", "1/3"),
                  ("delta", "--samples", "-2"),
                  ("delta", "--samples", "0"),
                  ("delta", "--samples", "two")):

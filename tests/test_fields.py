@@ -6,7 +6,7 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import fields
-from wcoset.errors import NonIntegralExponent
+from wcoset.errors import NonIntegralExponent, ResourceBound
 from wcoset.fields import (ExpOp, LinComb, NormOrd, _heis_annihilate, current_gram,
                            deriv, gen, direction_of, exp_power, l0_apply, lc_add,
                            lc_eq, mode_apply, nord, ope_singular, sadd, scale,
@@ -14,6 +14,7 @@ from wcoset.fields import (ExpOp, LinComb, NormOrd, _heis_annihilate, current_gr
 from wcoset.fock import (FockState, System, enumerate_basis, fermion_pair, heis,
                          normal_form, register_system)
 from wcoset.scalars import RatFun, T, sc_is_zero
+from wcoset.screening import ScreeningOp, residue_map
 
 K1 = T
 K2 = RatFun.const(Fraction(1, 3))
@@ -499,41 +500,45 @@ def test_mode_apply_reaches_expop_mode_by_name(monkeypatch):
 # ---------------------------------------------------------------------------
 # the Z ring of _images against its field ring
 # ---------------------------------------------------------------------------
-# On a rational record, _images sums each column of images over Z on one
-# denominator and divides once per entry.  Forced onto the field ring, which a
-# RatFun record takes, it sums the same column one product at a time; run on
-# the same jobs the two rings must give every image, by type and string.
+# On a rational record, _images sums a slice of columns over Z on one
+# denominator and makes one Fraction per distinct numerator.  Forced onto the
+# field ring, which a RatFun record takes, it sums the same columns one
+# product at a time; run on the same jobs the two rings must give every image,
+# by type and string.
 
 def _entries(img):
-    return {modes: (type(v), str(v)) for modes, v in img.items()}
+    return {key: (type(v), str(v)) for key, v in img.items()}
 
 
 def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
     """For each case (name, prefactor, ExpOp, source momentum), build the
-    residue images of every slice through max_degree, and apply the ExpOp's
-    (0)- and (1)-modes to each state, with every column also summed on the
-    field ring.  Asserts, naming the case, that each column took the Z ring
-    and matched; returns each case's number of nonzero columns."""
+    residue map of every slice through max_degree, and apply the ExpOp's
+    (0)- and (1)-modes to each state, with every slice of columns also summed
+    on the field ring.  Asserts, naming the case, that each column took the Z
+    ring and matched; returns each case's number of nonzero columns."""
     real = fields._images
     columns, counts = [], []
 
-    def both(sys, op, rec, jobs, direct=()):
-        got = real(sys, op, rec, jobs, direct)
+    def both(sys, op, rec, cols):
+        got = real(sys, op, rec, cols)
         rational = rec.zparts is not None and not any(
-            isinstance(v, RatFun) for v in [v for _, v, _ in jobs] + [v for _, v in direct])
+            isinstance(v, RatFun) for jobs, direct in cols
+            for v in [v for _, v, _ in jobs] + [v for _, v in direct])
         # the field ring grows its own parts, so rec's zparts keep pace with rec's parts
         on_field = dataclasses.replace(rec, parts=list(rec.parts), zparts=None)
-        columns.append((rational, _entries(got) == _entries(
-            real(sys, op, on_field, jobs, direct)), bool(got)))
+        want = real(sys, op, on_field, cols)
+        assert len(got) == len(want) == len(cols)
+        columns.extend((rational, _entries(g) == _entries(w), bool(g))
+                       for g, w in zip(got, want))
         return got
 
     monkeypatch.setattr(fields, "_images", both)
     for name, prefactor, exp, mu in cases:
         columns.clear()
+        op = ScreeningOp(sys, exp.coeff, exp.direction, exp.shift, mu, prefactor, name)
+        residue_map(sys, op, range(max_degree + 1))
         for d in range(max_degree + 1):
-            states = enumerate_basis(sys, mu, d)
-            list(fields.residue_images(sys, prefactor, exp, mu, states))
-            for st in states:
+            for st in enumerate_basis(sys, mu, d):
                 mode_apply(sys, exp, 0, st)
                 mode_apply(sys, exp, 1, st)
         assert columns and all(rational for rational, _, _ in columns), name
@@ -600,3 +605,54 @@ def test_rational_core_negative_control(monkeypatch):
     with pytest.raises(AssertionError) as failure:
         _core_against_field_ring(monkeypatch, spec.system, cases[:2], 3)
     assert name in str(failure.value) and cases[0][0] not in str(failure.value)
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys
+# ---------------------------------------------------------------------------
+# _images keys a monomial by one 8-bit digit per (species, depth), so a product
+# of monomials is a sum of keys.  A digit that could pass 255 would carry into
+# the next position and alias another monomial: it must be refused instead.
+
+def test_packed_keys_refuse_a_digit_overflow():
+    spec = cat.rank1_ff(Fraction(7, 2))
+    sys = spec.system
+    pk = sys._packing
+    h = sys.heis_indices[0]
+    full = ((h, 1),) * 255
+    assert pk.unpack(pk.pack(full)) == full
+    # with one species, 256 h(-1) would carry into the digit of h(-2)
+    with pytest.raises(ResourceBound):
+        pk.pack(full + ((h, 1),))
+    state = FockState(sys.zero_momentum(), ((h, 1),) * 254, 1)
+    exp = spec.screenings[0].exponential()
+    rec = fields._expop_record(sys, exp, state.momentum)
+    assert rec.p == 0 and list(rec.factors) == [h]
+    # the (253)-mode contracts all 254 modes and meets P_0: a kept digit, P_0
+    # and no front stay under 256
+    assert mode_apply(sys, exp, 253, state) == {
+        FockState(rec.target, (), 1): rec.eps * rec.factors[h] ** 254}
+    # the (252)-mode reaches P_1, so a digit could count 254 + 1 + 1 modes
+    with pytest.raises(ResourceBound):
+        mode_apply(sys, exp, 252, state)
+
+
+def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
+    # b is odd; its creation mode put ahead of a state's b modes reorders them
+    # with a sign, and repeating one of them gives zero
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    sys = spec.system
+    op = spec.screenings[0]
+    exp = op.exponential()
+    rec = fields._expop_record(sys, exp, op.source)
+    b = sys.index["b"]
+
+    def image(front, modes):
+        # the (-1 - p)-mode meets P_0 with every mode of the state kept
+        return fields._images(sys, exp, rec, [([(modes, 1, ((-1 - rec.p, front),))], ())])[0]
+
+    key = sys._packing.pack(((b, 2), (b, 1)))
+    assert image((b, 2), ((b, 1),)) == {key: 1}
+    assert image((b, 1), ((b, 2),)) == {key: -1}
+    assert image((b, 1), ((b, 1),)) == {}
+    assert image((b, 2), ((b, 2),)) == {}

@@ -345,6 +345,19 @@ def test_zero_cells_read_alike_by_identity_and_by_value():
     assert product and all(x is linalg.ZERO for row in product for x in row)
 
 
+def test_mat_is_zero_reads_zeros_made_apart_and_the_last_cell():
+    # the scan counts linalg.ZERO by identity; a Fraction(0) that is not
+    # ZERO, an int 0 and a RatFun zero count as zero by value
+    Z = linalg.ZERO
+    zero_fraction = Fraction(0, 5)
+    assert zero_fraction is not Z
+    assert mat_is_zero([[Z, zero_fraction, Z], [0, RatFun.const(0), Z]])
+    assert mat_is_zero([]) and mat_is_zero([[], []])
+    for nonzero in (Fraction(1, 3), -1, T, RatFun.const(2)):
+        assert not mat_is_zero([[Z] * 3, [Z, zero_fraction, nonzero]]), nonzero
+        assert not mat_is_zero([[nonzero], [Z]]), nonzero
+
+
 def test_integer_product_negative_control():
     """A vanishing product A B, then B plus 1/(L_i M_j) at (p, j), where column p
     of A is nonzero in row i only: the product is nonzero in cell (i, j) alone."""
