@@ -128,8 +128,8 @@ class System:
         self.odd_flags = tuple(s.odd for s in self.species)
         for s in self.species:
             if s.is_heis:
-                if s.engine_weight != 1:
-                    raise AsymmetricPairing(f"heisenberg species {s.name} must have weight 1")
+                if s.engine_weight != 1 or s.odd:  # E+ and E- commute past its modes
+                    raise AsymmetricPairing(f"heisenberg species {s.name} must be even, weight 1")
                 continue
             if s.partner is None or s.partner not in self.index:
                 raise UnpairedFermionHalf(f"species {s.name} lacks its dual pair half")

@@ -58,6 +58,10 @@ def test_asymmetric_pairing():
     with pytest.raises(AsymmetricPairing):
         register_system([heis("x"), heis("y")],
                         [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]])
+    # the vertex operators treat Heisenberg modes as even, of weight 1
+    for odd_or_heavy in (Species("x", "odd"), Species("x", engine_weight=2)):
+        with pytest.raises(AsymmetricPairing, match="must be even, weight 1"):
+            register_system([odd_or_heavy], [[Fraction(1)]])
 
 
 def test_normal_form_swap():
