@@ -390,6 +390,10 @@ def _golden_cases():
     gl11_t = gl11_build(T, t)()
     cases = {"gl11 7/2,1/3 S[0..2]": (*gl11, range(5)),
              "gl11 t,1/3 S[0..2]": (*gl11_t, range(4))}
+    # prefactors that are not bare generators, applied through mode_apply
+    for name, top in (("weight-2", 3), ("symbolic-scaled", 2)):
+        cases[f"gl11 7/2,1/3 S[0..2] under {name}"] = (
+            *gl11_build(q, t, GL11_PREFACTORS[name])(), range(top + 1))
     for pair in ("sl", "so"):
         for k1, top in ((Fraction(15, 7), 4), (T, 3)):
             for side in ("subregular", "super"):
@@ -419,6 +423,10 @@ GOLDEN = {
         "87d4660bc71bd0ea6807fcbf44168586961591ef3633318ef3d336dbdef11bf7",
     "gl11 t,1/3 S[0..2]":
         "02b62303e2f87f20c69a7733c12a12759f502ce2d3b2bbf2e374601237c50997",
+    "gl11 7/2,1/3 S[0..2] under weight-2":
+        "203f2dc4d939ee591da38e37aa4ecfc28f845f17066c18d7b9804204051aa97f",
+    "gl11 7/2,1/3 S[0..2] under symbolic-scaled":
+        "a6b70d372ec48cc5dfbbd9442bf91ac5c5ef1ce083871896673217ffb66f3075",
     "subregular-sl:2:coset 15/7":
         "d366486948bcf81751e0e90e2f75c268a6f38d5793ccec401735178fcfcc9cb6",
     "super-sl:2:coset 15/7":
