@@ -707,36 +707,36 @@ def _parse_key(key: str):
 
 
 def get_realization(key: str, k1: Level = None, k2: Level = None) -> RealizationSpec:
-    """Build a catalog entry from its string key at the given level."""
+    """Build a catalog entry from its string key at the given level.  A level
+    the key does not read is refused; `super-*` and `ks-*` read k2 or the
+    dual of k1, and given both, the two must be dual."""
     if key == "wakimoto-gl11":
         if k1 is None:
             raise InputError("wakimoto-gl11 needs k1 (and optionally k2)")
         return gl11_wakimoto(k1, k2 if k2 is not None else Fraction(0))
-    if key == "rank1-ff":
-        if k1 is None:
-            raise InputError("rank1-ff needs K via k1")
-        return rank1_ff(k1)
-    fam, pair, n, form = _parse_key(key)
-    if fam == "subregular":
+    fam, pair, n, form = (key, None, None, None) if key == "rank1-ff" else _parse_key(key)
+    if fam in ("rank1-ff", "subregular"):
         if k1 is None:
             raise InputError(f"{key} needs k1")
-        return subregular_realization(pair, n, k1, form)
+        if k2 is not None:
+            raise InputError(f"{key} reads k1 only, not k2")
+        return rank1_ff(k1) if fam == "rank1-ff" else subregular_realization(pair, n, k1, form)
+    if k2 is None:
+        if k1 is None:
+            raise InputError(f"{key} needs k2 (or k1 to dualize)")
+        k2 = dual_level(pair, n, k1)
+    elif k1 is not None:
+        LevelData(pair, n, k1, k2)  # ExcludedLevel unless the two are dual
     if fam == "super":
-        if k2 is None:
-            if k1 is None:
-                raise InputError(f"{key} needs k2 (or k1 to dualize)")
-            k2 = dual_level(pair, n, k1)
         return principal_super_realization(pair, n, k2, form)
-    if k1 is None and k2 is None:
-        raise InputError(f"{key} needs k1 or k2")
-    ks = ks_fields(pair, n, dual_level(pair, n, k1) if k1 is not None else k2)
+    ks = ks_fields(pair, n, k2)
     return ks.side_a if fam == "ks-a" else ks.side_b
 
 
 def enumerable_counting_systems(n_values=(2, 3)):
     """Catalog systems with finite graded slices, for counting consistency."""
-    out = [(key, get_realization(key, Fraction(7, 2), Fraction(1, 3)).system)
-           for key in ("wakimoto-gl11", "rank1-ff")]
+    out = [("wakimoto-gl11", gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)).system),
+           ("rank1-ff", rank1_ff(Fraction(7, 2)).system)]
     forms = (("subregular", "bosonized"), ("subregular", "coset"),
              ("super", "miura"), ("super", "bosonized"), ("super", "coset"))
     for pair in rd.PAIRS:

@@ -4,13 +4,15 @@ A FieldExpr is a tree over Gen (a registered species), Deriv, NormOrd (the
 right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
 lattice/shift operator).  ``mode_apply`` gives the physical (n)-mode of any
 expression applied to a state, as an exact finite linear combination; the
-OPEs, Gram matrices and annihilation checks are built on it.  Screening
-residues are built a slice at a time by ``residue_images``; it and
+OPEs, Gram matrices and annihilation checks are built on it.  A generator's
+nonnegative modes on a state come from one walk, ``_annihilations``.
+Screening residues are built a slice at a time by ``residue_images``; it and
 ``mode_apply`` take the images of the exponential operator from one core,
 ``_images``, which works a slice of columns (one per source state) at once,
 on monomials packed into integer keys (``fock._Packing``).  A rational slice is
 summed over Z on one common denominator, a slice with a RatFun anywhere over
-the field.
+the field.  A residue whose prefactor is neither absent nor a generator is
+mode_apply of the normally ordered product, one state at a time.
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -297,53 +299,49 @@ def weight(sys: System, expr: FieldExpr, mu: Momentum) -> int:
 # elementary mode actions
 # ---------------------------------------------------------------------------
 
-def _heis_annihilate(sys: System, idx: int, n: int, state: FockState) -> LinComb:
-    """h_(n), n >= 1, on a canonical state (even mover: no signs)."""
-    acc = {}
-    modes = state.modes
-    for i, (s, d) in enumerate(modes):
-        if d != n or not sys.species[s].is_heis:
-            continue
-        coeff = n * sys.pairing_of(idx, s) * state.sign
-        rest = FockState(state.momentum, modes[:i] + modes[i + 1:], 1)
-        lc_add(acc, rest, coeff)
-    return acc
-
-
-def _pair_annihilate(sys: System, idx: int, n: int, state: FockState) -> LinComb:
-    """Pair-half a_(n), n >= 0: contracts partner modes at depth n+1."""
-    acc = {}
+def _annihilations(sys: System, idx: int, state: FockState, n: Optional[int] = None) -> dict:
+    """{(m, remaining modes): nonzero coefficient} of the modes g_(m), m >= 0,
+    of generator idx on a canonical state: m = n alone, or every m if n is None.
+    A Heisenberg g_(0) is the momentum value and g_(m) contracts each mode
+    h(-m) for m (g|h); a pair half contracts each partner mode at depth m + 1
+    for its pair sign, negated when g is odd and passes an odd number of odd
+    modes.  Contracting equal modes gives one merged term."""
     sp = sys.species[idx]
-    partner = sys.index[sp.partner]
-    sgn = state.sign
-    odd_passed = 0
-    for i, (s, d) in enumerate(state.modes):
-        if s == partner and d == n + 1:
-            coeff = sys.pair_sign(idx) * sgn
-            if sp.odd and odd_passed % 2:
-                coeff = -coeff
-            rest = FockState(state.momentum, state.modes[:i] + state.modes[i + 1:], 1)
-            lc_add(acc, rest, Fraction(coeff))
-        if sys.species[s].odd:
-            odd_passed += 1
+    modes, sign = state.modes, state.sign
+    acc, terms = {}, []  # terms: (m, position of the contracted mode, coefficient)
+    if sp.is_heis:
+        if not n:
+            val = sys.momentum_value(state.momentum, idx) * sign
+            if not sc_is_zero(val):
+                acc[0, modes] = val
+        for i, (s, d) in enumerate(modes):
+            if (n is None or d == n) and sys.species[s].is_heis:
+                v = d * sys.pairing_of(idx, s) * sign
+                if not sc_is_zero(v):
+                    terms.append((d, i, v))
+    else:
+        partner = sys.index[sp.partner]
+        odd_passed = 0
+        for i, (s, d) in enumerate(modes):
+            if s == partner and (n is None or d == n + 1):
+                v = sys.pair_sign(idx) * sign
+                terms.append((d - 1, i, Fraction(-v if sp.odd and odd_passed % 2 else v)))
+            if sys.species[s].odd:
+                odd_passed += 1
+    for m, i, v in terms:
+        key = (m, modes[:i] + modes[i + 1:])
+        acc[key] = acc[key] + v if key in acc else v
     return acc
 
 
 def _gen_mode(sys: System, idx: int, n: int, state: FockState) -> LinComb:
-    sp = sys.species[idx]
     if n <= -1:
         out = normal_form(sys, state.momentum, ((idx, -n),) + state.modes, state.sign)
         acc = {}
         lc_add(acc, out, Fraction(1))
         return acc
-    if sp.is_heis:
-        if n == 0:
-            acc = {}
-            val = sys.momentum_value(state.momentum, idx)
-            lc_add(acc, FockState(state.momentum, state.modes, 1), val * state.sign)
-            return acc
-        return _heis_annihilate(sys, idx, n, state)
-    return _pair_annihilate(sys, idx, n, state)
+    return {FockState(state.momentum, rest, 1): v
+            for (_, rest), v in _annihilations(sys, idx, state, n).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +447,24 @@ def _int_factors(rec: _ExpRecord) -> tuple:
 
 
 def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
-    """Vertex-operator images over rec.target of a slice of columns (jobs,
-    direct): per column, a dict from packed key to nonzero coefficient.
+    """Vertex-operator images over rec.target of a slice of columns, each a
+    list of jobs: per column, a dict from packed key to nonzero coefficient.
 
     A job (modes, seed, places) asks, for each (n, front) of places, for the
     (n)-mode image of a canonical state with the creation mode `front` (or
-    None) put ahead; `direct` holds (modes, coefficient) pairs added as they
-    are.  E+ terms at z^-b meet the E- part a = b - n - 1 - p, a product of
-    monomials being a sum of keys.  E+ and E- touch only even Heisenberg
-    modes, so the sign is that of front ahead of the state (0 when it repeats
-    an odd mode), from one canonical_modes call per place.  The ring is chosen
-    once per slice.  Over Z an E+ term stands for its value times D^nmax, the
-    parts through the slice's top carry their lcm denominator Q and the seeds
-    theirs, S, so Z = D^nmax Q S serves the slice and each distinct numerator
-    becomes one Fraction; over the field every scale is 1.
+    None) put ahead.  E+ terms at z^-b meet the E- part a = b - n - 1 - p, a
+    product of monomials being a sum of keys.  E+ and E- touch only even
+    Heisenberg modes, so the sign is that of front ahead of the state (0 when
+    it repeats an odd mode), from one canonical_modes call per place.  The
+    ring is chosen once per slice.  Over Z an E+ term stands for its value
+    times D^nmax, the parts through the slice's top carry their lcm
+    denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the slice
+    and each distinct numerator becomes one Fraction; over the field every
+    scale is 1.
     """
     pk = sys._packing
-    jobs = [job for column, _ in columns for job in column]
-    seeds = [v for _, v, _ in jobs] + [v for _, direct in columns for _, v in direct]
+    jobs = [job for column in columns for job in column]
+    seeds = [v for _, v, _ in jobs]
     field = rec.zparts is None or any(isinstance(v, RatFun) for v in seeds)
     D, factors = (1, rec.factors) if field else _int_factors(rec)
     S = 1 if field else lcm(*[v.denominator for v in seeds])
@@ -486,11 +484,8 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
     Z, scales = D ** nmax * Q * S, [Q // L for L, _ in parts]
     negated = [-x for x in scales]
     out, tables = [], iter(tables)
-    for column, direct in columns:
+    for column in columns:
         acc = {}
-        for modes, v in direct:
-            key, v = pk.pack(modes), v if field else v.numerator * (Z // v.denominator)
-            acc[key] = acc[key] + v if key in acc else v
         # zip stops at the end of the column before drawing from tables
         for _, (modes, plus, places) in zip(column, tables):
             for n, front in places:
@@ -522,7 +517,7 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     rec = _expop_record(sys, op, state.momentum)
-    img = _images(sys, op, rec, [([(state.modes, rec.eps * state.sign, ((n, None),))], ())])
+    img = _images(sys, op, rec, [[(state.modes, rec.eps * state.sign, ((n, None),))]])
     return {FockState(rec.target, sys._packing.unpack(key), 1): v for key, v in img[0].items()}
 
 
@@ -534,46 +529,36 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
     outside `targets` raises ShapeMismatch.  P must not shift the momentum.
 
     The (0)-mode of :P E: is sum_j P_(-1-j) E_(j) + (-1)^{p(P)p(E)} sum_j
-    E_(-1-j) P_(j) (see mode_apply).  The slice is one _images call, with one
-    E+ table per state for every E_(j).  A generator prefactor's P_(-1-j) is
-    the front of the images of E_(j); for any other P a column of its own
-    holds them, split by degree, and mode_apply applies P_(-1-j).  Each term
-    of every P_(j) of the second sum, by mode_apply, seeds an E+ table.
+    E_(-1-j) P_(j) (see mode_apply).  With P None or a generator the slice is
+    one _images call: a state's job puts P_(-1-j) as the front of the images
+    of E_(j), one E+ table serving every j, and each term of the second sum,
+    from one _annihilations walk of the state, seeds a job of its own.  Any
+    other P is applied by mode_apply to :P E: on each state.
     """
-    rec = _expop_record(sys, op, mu)
     pk = sys._packing
-    if prefactor is not None:
-        gen_idx = sys.index[prefactor.name] if isinstance(prefactor, Gen) else None
-        negate = parity(sys, prefactor) * parity(sys, op)
-        w_p = weight(sys, prefactor, mu)
-    columns = []
-    for s in states:
-        seed = rec.eps * s.sign
-        if prefactor is None:
-            columns.append(([(s.modes, seed, ((0, None),))], ()))
-            continue
-        d = sys.state_degree(s)
-        jobs, direct = [], []
-        if gen_idx is not None:
-            jobs.append((s.modes, seed, [(j, (gen_idx, j + 1)) for j in range(d - rec.p)]))
-        elif d > rec.p:  # the image of E_(j) lies in degree d - p - j - 1
-            column = ([(s.modes, seed, [(j, None) for j in range(d - rec.p)])], ())
-            lcs = [{} for _ in range(d - rec.p)]
-            for key, v in _images(sys, op, rec, [column])[0].items():
-                modes = pk.unpack(key)
-                j = d - rec.p - 1 - sum(sys.mode_degree(i, k) for i, k in modes)
-                lcs[j][FockState(rec.target, modes, 1)] = v
-            for j, lc in enumerate(lcs):
-                direct.extend((t.modes, v) for t, v in
-                              mode_apply(sys, prefactor, -1 - j, lc).items())
-        for j in range(d + w_p):
-            for t, v in mode_apply(sys, prefactor, j, s).items():
-                jobs.append((t.modes, -(rec.eps * v) if negate else rec.eps * v,
-                             ((-1 - j, None),)))
-        columns.append((jobs, direct))
+    if prefactor is not None and not isinstance(prefactor, Gen):
+        composite = NormOrd(prefactor, op)
+        images = [{pk.pack(t.modes): v for t, v in mode_apply(sys, composite, 0, s).items()}
+                  for s in states]
+    else:
+        rec = _expop_record(sys, op, mu)
+        if prefactor is not None:
+            g = sys.index[prefactor.name]
+            eps = -rec.eps if parity(sys, prefactor) * parity(sys, op) else rec.eps
+        columns = []
+        for s in states:
+            seed = rec.eps * s.sign
+            if prefactor is None:
+                columns.append([(s.modes, seed, ((0, None),))])
+                continue
+            places = [(j, (g, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
+            columns.append([(s.modes, seed, places)] + [
+                (rest, eps * v, ((-1 - j, None),))
+                for (j, rest), v in _annihilations(sys, g, s).items()])
+        images = _images(sys, op, rec, columns)
     index = {pk.pack(t.modes): i for i, t in enumerate(targets)}
-    block = [[ZERO] * len(columns) for _ in targets]
-    for j, image in enumerate(_images(sys, op, rec, columns)):
+    block = [[ZERO] * len(images) for _ in targets]
+    for j, image in enumerate(images):
         try:
             for key, v in image.items():
                 block[index[key]][j] = v

@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree,
                      mode_apply, residue_images, shift_of, weight)
-from .fock import Momentum, System, enumerate_basis, graded_dimension
+from .fock import Momentum, System, enumerate_basis
 from .linalg import kernel_basis, mat_is_zero, mat_mul, rank, stack
 
 
@@ -100,16 +100,11 @@ def residue_map(sys: System, op: ScreeningOp, degrees, cap: Optional[int] = None
     return gm
 
 
-def joint_kernel(maps, degrees, sys: Optional[System] = None,
-                 source: Optional[Momentum] = None, cap: Optional[int] = None,
-                 with_bases: bool = False) -> KernelReport:
+def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
     """Per-degree dimension of the intersection of kernels (stacked-matrix rank)."""
     degrees = list(degrees)
     if not maps:
-        if sys is None or source is None:
-            raise ShapeMismatch("empty map list needs an explicit system and source")
-        dims = graded_dimension(sys, source, degrees, cap)
-        return KernelReport(degrees, dims)
+        raise ShapeMismatch("joint kernel of no maps")
     src = maps[0].source
     if any(m.source != src for m in maps):
         raise ShapeMismatch("joint kernel requires a common source module")

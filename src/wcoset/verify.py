@@ -212,7 +212,7 @@ def check_resolution(k1: Fraction, k2: Fraction, max_degree: int = 3,
         out = compose_check(sys, sj, si, range(max_degree + 2), cap)
         rep.add_check(f"S.S=0 on W[-{i}a]..W[-{i + 2}a]", all(out.values()))
     gm = residue_map(sys, S0, degrees, cap)
-    dims = joint_kernel([gm], degrees, cap=cap).dims
+    dims = joint_kernel([gm], degrees).dims
     expect = gl11_pbw_character(max_degree)
     for d in degrees:
         rep.per_degree.append(PerDegree(d, expect[d], dims[d]))
@@ -230,7 +230,7 @@ def check_rank1_ff_duality(K: Fraction, max_degree: int = 6,
     dims = []
     for op in spec.screenings:
         gm = residue_map(sys, op, degrees, cap)
-        dims.append(joint_kernel([gm], degrees, cap=cap).dims)
+        dims.append(joint_kernel([gm], degrees).dims)
     oracle = _boson_factor(list(range(2, max_degree + 1)), max_degree)
     for d in degrees:
         rep.per_degree.append(PerDegree(d, dims[0][d], dims[1][d]))
@@ -246,11 +246,9 @@ def gram_of_coset(spec: cat.RealizationSpec):
 
 
 def _screening_kernel(spec, degrees, cap: Optional[int] = None):
-    """The joint kernel of the residue maps of spec's screenings, per degree;
-    with no screening, the whole Fock slices over zero momentum."""
+    """The joint kernel of the residue maps of spec's screenings, per degree."""
     maps = [residue_map(spec.system, op, degrees, cap) for op in spec.screenings]
-    return joint_kernel(maps, degrees, sys=spec.system,
-                        source=spec.system.zero_momentum(), cap=cap)
+    return joint_kernel(maps, degrees)
 
 
 def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,

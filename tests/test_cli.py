@@ -185,8 +185,9 @@ def test_catalog_lists_keys(capsys):
 
 def test_out_of_range_integer_flags_exit_2(capsys):
     """A negative degree or count, a rank or cap below 1, no samples, a
-    malformed catalog key or a kernel of a key with no screenings is refused,
-    not run with nothing to check."""
+    malformed catalog key, a kernel of a key with no screenings, a level the
+    key does not read or two levels that are not dual is refused, not run
+    with nothing to check or at a level other than the one reported."""
     for argv in (("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
                   "--max-degree", "-1"),
                  ("kernel", "--key", "rank1-ff", "--k1", "7/2", "--max-degree", "-3"),
@@ -204,6 +205,10 @@ def test_out_of_range_integer_flags_exit_2(capsys):
                  ("kernel", "--key", "ks-a-sl:2"),
                  ("kernel", "--key", "ks-a-sl:2", "--k1", "1/3"),
                  ("kernel", "--key", "ks-b-so:2", "--k1", "1/3"),
+                 ("kernel", "--key", "super-sl:2:coset", "--k1", "1/3", "--k2", "5"),
+                 ("kernel", "--key", "ks-a-sl:2", "--k1", "1/3", "--k2", "5"),
+                 ("kernel", "--key", "subregular-sl:2:coset", "--k1", "1/3", "--k2", "5"),
+                 ("kernel", "--key", "rank1-ff", "--k1", "7/2", "--k2", "1/3"),
                  ("delta", "--samples", "-2"),
                  ("delta", "--samples", "0"),
                  ("delta", "--samples", "two")):
@@ -215,6 +220,9 @@ def test_out_of_range_integer_flags_exit_2(capsys):
     code, out, _ = run(capsys, "kernel", "--key", "super-sl:4:coset", "--k1", "1/3",
                        "--max-degree", "1")
     assert code == 0 and json.loads(out)["inputs"]["key"] == "super-sl:4:coset"
+    code, out, _ = run(capsys, "kernel", "--key", "super-sl:2:coset", "--k1", "1/3",
+                       "--k2", "-17/10", "--max-degree", "1")
+    assert code == 0 and json.loads(out)["inputs"]["k2"] == "-17/10"
 
 
 def test_bad_config_integer_exit_2(tmp_path, capsys, monkeypatch):

@@ -7,12 +7,12 @@ import pytest
 from wcoset import catalog as cat
 from wcoset import fields
 from wcoset.errors import NonIntegralExponent, ResourceBound
-from wcoset.fields import (ExpOp, LinComb, NormOrd, _heis_annihilate, current_gram,
+from wcoset.fields import (ExpOp, LinComb, NormOrd, _annihilations, current_gram,
                            deriv, gen, direction_of, exp_power, l0_apply, lc_add,
                            lc_eq, mode_apply, nord, ope_singular, sadd, scale,
                            state_of_field)
-from wcoset.fock import (FockState, System, enumerate_basis, fermion_pair, heis,
-                         normal_form, register_system)
+from wcoset.fock import (FockState, System, boson_pair, enumerate_basis, fermion_pair,
+                         heis, normal_form, register_system)
 from wcoset.scalars import RatFun, T, sc_is_zero
 from wcoset.screening import ScreeningOp, residue_map
 
@@ -247,6 +247,111 @@ def test_nonintegral_exponent():
     bad = FockState(sys.momentum((Fraction(7, 2),)), (), 1)
     with pytest.raises(NonIntegralExponent):
         mode_apply(sys, op, 0, bad)
+
+
+# ---------------------------------------------------------------------------
+# oracle: one contraction walk per mode number, test-only
+# ---------------------------------------------------------------------------
+# fields._annihilations walks a state once for every nonnegative mode of a
+# generator.  The two functions below apply one mode at a time, each with its
+# own loop; the walk must give their terms for each n, and all of them at once.
+
+def _heis_annihilate(sys: System, idx: int, n: int, state: FockState) -> LinComb:
+    """h_(n), n >= 1, on a canonical state (even mover: no signs)."""
+    acc = {}
+    modes = state.modes
+    for i, (s, d) in enumerate(modes):
+        if d != n or not sys.species[s].is_heis:
+            continue
+        coeff = n * sys.pairing_of(idx, s) * state.sign
+        rest = FockState(state.momentum, modes[:i] + modes[i + 1:], 1)
+        lc_add(acc, rest, coeff)
+    return acc
+
+
+def _pair_annihilate(sys: System, idx: int, n: int, state: FockState) -> LinComb:
+    """Pair-half a_(n), n >= 0: contracts partner modes at depth n+1."""
+    acc = {}
+    sp = sys.species[idx]
+    partner = sys.index[sp.partner]
+    sgn = state.sign
+    odd_passed = 0
+    for i, (s, d) in enumerate(state.modes):
+        if s == partner and d == n + 1:
+            coeff = sys.pair_sign(idx) * sgn
+            if sp.odd and odd_passed % 2:
+                coeff = -coeff
+            rest = FockState(state.momentum, state.modes[:i] + state.modes[i + 1:], 1)
+            lc_add(acc, rest, Fraction(coeff))
+        if sys.species[s].odd:
+            odd_passed += 1
+    return acc
+
+
+def _annihilation_oracle(sys, idx, n, state):
+    """{(n, remaining modes): (type, str) of the coefficient} of g_(n), n >= 0."""
+    if not sys.species[idx].is_heis:
+        lc = _pair_annihilate(sys, idx, n, state)
+    elif n == 0:
+        lc = {}
+        lc_add(lc, FockState(state.momentum, state.modes, 1),
+               sys.momentum_value(state.momentum, idx) * state.sign)
+    else:
+        lc = _heis_annihilate(sys, idx, n, state)
+    return {(n, t.modes): (type(v), str(v)) for t, v in lc.items()}
+
+
+def _walk(sys, idx, state, n=None):
+    return {key: (type(v), str(v)) for key, v in _annihilations(sys, idx, state, n).items()}
+
+
+@pytest.mark.parametrize("k1", [Fraction(7, 2), T], ids=str)
+def test_annihilation_walk_matches_one_mode_oracles_gl11(k1):
+    # the odd b and c give the odd-passing signs; the shifted sources give
+    # nonzero Heisenberg zero modes
+    spec = cat.gl11_wakimoto(k1, Fraction(1, 3))
+    sys = spec.system
+    terms = 0
+    for i in range(3):
+        mu = cat.wakimoto_shifted_screening(spec, i).source
+        for state in _basis(sys, mu, 4):
+            top = max((d for _, d in state.modes), default=0)
+            for idx in range(len(sys.species)):
+                every = {}
+                for n in range(top + 2):
+                    want = _annihilation_oracle(sys, idx, n, state)
+                    assert _walk(sys, idx, state, n) == want, (idx, n, state)
+                    every.update(want)
+                assert _walk(sys, idx, state) == every, (idx, state)
+                terms += len(every)
+    assert terms > 1000
+
+
+def test_annihilation_walk_merges_repeated_partner_modes():
+    beta, gamma = boson_pair("beta", "gamma")
+    sys = register_system([beta, gamma, heis("a")], [[Fraction(1)]])
+    b, g = sys.index["beta"], sys.index["gamma"]
+    state = st(sys, ("gamma", 2), ("gamma", 1), ("gamma", 1))
+    assert sys.pair_sign(b) == 1
+    want = {(1, ((g, 1), (g, 1))): Fraction(1), (0, ((g, 2), (g, 1))): Fraction(2)}
+    assert _annihilations(sys, b, state) == want
+    assert _annihilations(sys, b, state, 0) == {(0, ((g, 2), (g, 1))): Fraction(2)}
+    for n in range(3):
+        assert _walk(sys, b, state, n) == _annihilation_oracle(sys, b, n, state)
+
+
+def test_annihilation_walk_drops_zero_terms():
+    sys = register_system([heis("a"), heis("h")], [[Fraction(1), Fraction(0)],
+                                                   [Fraction(0), Fraction(3)]])
+    a = sys.index["a"]
+    # a pairs with h to 0, and the momentum is zero: a_(0) and a_(1), a_(2) on
+    # the h modes all vanish
+    state = st(sys, ("h", 2), ("h", 1))
+    assert _annihilations(sys, a, state) == {}
+    state = st(sys, ("a", 1), ("h", 2), ("h", 1))
+    assert _annihilations(sys, a, state) == {(1, state.modes[1:]): Fraction(1)}
+    for n in range(3):
+        assert _walk(sys, a, state, n) == _annihilation_oracle(sys, a, n, state)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +627,7 @@ def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
     def both(sys, op, rec, cols):
         got = real(sys, op, rec, cols)
         rational = rec.zparts is not None and not any(
-            isinstance(v, RatFun) for jobs, direct in cols
-            for v in [v for _, v, _ in jobs] + [v for _, v in direct])
+            isinstance(v, RatFun) for jobs in cols for _, v, _ in jobs)
         # the field ring grows its own parts, so rec's zparts keep pace with rec's parts
         on_field = dataclasses.replace(rec, parts=list(rec.parts), zparts=None)
         want = real(sys, op, on_field, cols)
@@ -589,8 +693,8 @@ def test_rational_core_matches_field_helpers_gl11(monkeypatch, k1, k2):
     cases = _gl11_cases(spec)
     assert cases[0][1] == gen("b") and len({mu for *_, mu in cases}) == 3
     assert all(_core_against_field_ring(monkeypatch, spec.system, cases, 4))
-    # x1 brings seeds with a denominator; the first sum of -3/2 b goes through
-    # mode_apply, as (modes, coefficient) pairs added as they are
+    # x1 brings seeds with a denominator; -3/2 b is no bare generator, so its
+    # residue is mode_apply of the normally ordered product, one column a call
     cases = _gl11_cases(spec, [("x1", gen("x1")), ("-3/2 b", scale(Fraction(-3, 2), gen("b")))])
     assert all(_core_against_field_ring(monkeypatch, spec.system, cases[6:], 3))
 
@@ -649,7 +753,7 @@ def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
 
     def image(front, modes):
         # the (-1 - p)-mode meets P_0 with every mode of the state kept
-        return fields._images(sys, exp, rec, [([(modes, 1, ((-1 - rec.p, front),))], ())])[0]
+        return fields._images(sys, exp, rec, [[(modes, 1, ((-1 - rec.p, front),))]])[0]
 
     key = sys._packing.pack(((b, 2), (b, 1)))
     assert image((b, 2), ((b, 1),)) == {key: 1}

@@ -175,11 +175,9 @@ def test_rank1_ff_kernels(K):
         assert joint_kernel([gm], range(7)).dims == expect
 
 
-def test_joint_kernel_empty_maps():
-    K = Fraction(7, 2)
-    sys = rank1_system(K)
-    report = joint_kernel([], range(5), sys=sys, source=sys.zero_momentum())
-    assert report.dims == [1, 1, 2, 3, 5]
+def test_joint_kernel_refuses_empty_maps():
+    with pytest.raises(ShapeMismatch, match="no maps"):
+        joint_kernel([], range(5))
 
 
 def test_joint_kernel_order_and_rescale_invariance():
@@ -338,7 +336,7 @@ def test_residue_map_matches_oracle_gl11_symbolic():
 GL11_PREFACTORS = {
     "heisenberg": gen("x1"),
     "scaled": scale(Fraction(-3, 2), gen("b")),
-    # a rational record under RatFun seeds and direct terms: the field ring
+    # a rational record under RatFun coefficients: the field ring
     "symbolic-scaled": scale(T, gen("b")),
     "weight-2": sadd(deriv(gen("b")), nord(gen("x2"), gen("b"))),
     "weight-3": nord(gen("b"), deriv(gen("b"))),
