@@ -579,6 +579,25 @@ def _falling(n: int, r: int) -> int:
     return out
 
 
+def _modes_on(sys: System, expr: FieldExpr, state: FockState):
+    """m -> expr_(m) on a state.  A generator reads every m >= 0 from one
+    _annihilations walk, where mode_apply would walk once per m; a Scale or
+    Sum of generators combines their walks as mode_apply does."""
+    if isinstance(expr, Scale):
+        inner = _modes_on(sys, expr.expr, state)
+        return lambda m: lc_scale(inner(m), expr.coeff)
+    if isinstance(expr, Sum):
+        inners = [_modes_on(sys, t, state) for t in expr.terms]
+        return lambda m: lc_sum(*(f(m) for f in inners))
+    if not isinstance(expr, Gen):
+        return lambda m: mode_apply(sys, expr, m, state)
+    idx = sys.index[expr.name]
+    walked = {}
+    for (m, rest), v in _annihilations(sys, idx, state).items():
+        walked.setdefault(m, {})[FockState(state.momentum, rest, 1)] = v
+    return lambda m: walked.get(m, {}) if m >= 0 else _gen_mode(sys, idx, m, state)
+
+
 def mode_apply(sys: System, expr: FieldExpr, n: int, arg) -> LinComb:
     """expr_(n) applied to a FockState or LinComb; exact, grading-faithful."""
     if isinstance(arg, dict):
@@ -611,16 +630,18 @@ def mode_apply(sys: System, expr: FieldExpr, n: int, arg) -> LinComb:
         acc = {}
         # sum_j A_(-1-j) B_(n+j)
         jmax = d + weight(sys, B, mu) - 1 - n
+        modes = _modes_on(sys, B, state)
         for j in range(0, jmax + 1):
-            t = mode_apply(sys, B, n + j, state)
+            t = modes(n + j)
             if not t:
                 continue
             for s2, v2 in mode_apply(sys, A, -1 - j, t).items():
                 lc_add(acc, s2, v2)
         # (+-) sum_j B_(n-1-j) A_(j)
         jmax = d + weight(sys, A, mu) - 1
+        modes = _modes_on(sys, A, state)
         for j in range(0, jmax + 1):
-            t = mode_apply(sys, A, j, state)
+            t = modes(j)
             if not t:
                 continue
             for s2, v2 in mode_apply(sys, B, n - 1 - j, t).items():
@@ -646,12 +667,13 @@ def ope_singular(sys: System, a: FieldExpr, b: FieldExpr, max_pole: Optional[int
     jmax = d + weight(sys, a, mu) - 1
     if max_pole is not None:
         jmax = min(jmax, max_pole - 1)
-    out = {}
-    for j in range(0, jmax + 1):
-        r = mode_apply(sys, a, j, v)
-        if r:
-            out[j + 1] = r
-    return out
+    poles = [{} for _ in range(jmax + 1)]
+    for st, coeff in v.items():
+        modes = _modes_on(sys, a, st)
+        for j, acc in enumerate(poles):
+            for s2, v2 in modes(j).items():
+                lc_add(acc, s2, v2 * coeff)
+    return {j + 1: acc for j, acc in enumerate(poles) if acc}
 
 
 def l0_apply(sys: System, conformal: FieldExpr, state) -> LinComb:

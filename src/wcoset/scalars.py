@@ -63,7 +63,9 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return poly_trim(out)
+    # no trim: the top entry is the product of two nonzero tops, and every
+    # entry is a Fraction, as it starts from _ZERO
+    return tuple(out)
 
 
 def poly_scale(a: Poly, c: Fraction) -> Poly:
@@ -75,29 +77,56 @@ def poly_scale(a: Poly, c: Fraction) -> Poly:
 def poly_divmod(a: Poly, b: Poly):
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
+    n = len(b) - 1
     r = list(a)
+    q = [_ZERO] * max(0, len(a) - n)
     inv_lead = 1 / b[-1]
-    while len(r) >= len(b) and any(c != 0 for c in r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        d = len(r) - len(b)
-        c = r[-1] * inv_lead
-        q[d] = c
-        for i, cb in enumerate(b):
-            r[i + d] -= c * cb
-        r.pop()
-    return poly_trim(q), poly_trim(r)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + n] * inv_lead
+        if c:
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return poly_trim(q), poly_trim(r[:n])
+
+
+def _primitive(p: Poly) -> list:
+    """The primitive integer polynomial with the roots of a nonzero p: p times
+    the lcm of its denominators, divided by the gcd of the numerators."""
+    L = math.lcm(*[c.denominator for c in p])
+    ints = [c.numerator * (L // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return poly_scale(a, 1 / a[-1])  # monic
+    """Monic gcd, () when both are zero, 1 at once for a nonzero constant.
+    Worked over Z by a primitive pseudo-remainder sequence: each remainder is
+    divided by its content, which keeps its integer coefficients small."""
+    if not a or not b:
+        a = a or b
+        return poly_scale(a, 1 / a[-1]) if a else ()
+    if len(a) == 1 or len(b) == 1:
+        return (_ONE,)
+    A, B = _primitive(a), _primitive(b)
+    if len(A) < len(B):
+        A, B = B, A
+    while True:
+        lead = B[-1]
+        while len(A) >= len(B):
+            # A <- (lead/g) A - (A_top/g) t^shift B cancels the top of A
+            g = math.gcd(lead, A[-1])
+            u, v, shift = lead // g, A[-1] // g, len(A) - len(B)
+            A = [u * x for x in A]
+            for i, y in enumerate(B):
+                A[i + shift] -= v * y
+            while A and A[-1] == 0:
+                A.pop()
+        if not A:
+            return tuple(Fraction(x, lead) for x in B)
+        if len(A) == 1:
+            return (_ONE,)
+        g = math.gcd(*A)
+        A, B = B, [x // g for x in A]
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
@@ -165,7 +194,7 @@ class RatFun:
 
     @staticmethod
     def const(c) -> "RatFun":
-        return RatFun((Fraction(c),))
+        return _canonical(poly_trim((c,)), (_ONE,))
 
     @staticmethod
     def t() -> "RatFun":
@@ -185,63 +214,97 @@ class RatFun:
         return self.num[0] if self.num else _ZERO
 
     # -- arithmetic ----------------------------------------------------------
+    #
+    # Results are built in canonical form by Henrici's rules (Knuth, TAOCP
+    # vol. 2, 4.5.1), the ones Fraction uses: a gcd is taken only where a
+    # factor can cancel, and only of the polynomials it can divide.
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFun):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFun((Fraction(x),))
-        return NotImplemented
+    def _scaled(self, c) -> "RatFun":
+        """self times the number c: the numerator scales, nothing cancels."""
+        return _canonical(poly_scale(self.num, c), self.den)
+
+    def _plus_poly(self, p: Poly) -> "RatFun":
+        """self + p for a polynomial p: (a + p b)/b, and gcd(a + p b, b) = 1."""
+        pb = p if len(self.den) == 1 else poly_mul(p, self.den)
+        return _canonical(poly_add(self.num, pb), self.den)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self._plus_poly((other,)) if other else self
+        if not isinstance(other, RatFun):
             return NotImplemented
-        return RatFun(poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
-                      poly_mul(self.den, o.den))
+        if len(other.den) == 1:
+            return self._plus_poly(other.num)
+        if len(self.den) == 1:
+            return other._plus_poly(self.num)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d)
+        if len(g) == 1:
+            return _canonical(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d))
+        # b = g b', d = g d': the sum is (a d' + c b')/(g b' d'), whose
+        # numerator is prime to b' and d', so only its gcd with g can cancel
+        b1, d1 = _exact_div(b, g), _exact_div(d, g)
+        num = poly_add(poly_mul(a, d1), poly_mul(c, b1))
+        if not num:
+            return _canonical(num, (_ONE,))
+        g2 = poly_gcd(num, g)
+        return _canonical(_exact_div(num, g2), poly_mul(b1, _exact_div(d, g2)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatFun.__new__(RatFun)
-        r.num = poly_neg(self.num)
-        r.den = self.den
-        return r
+        return _canonical(poly_neg(self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (int, Fraction, RatFun)):
             return NotImplemented
-        return self + (-o)
+        return self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, RatFun):
             return NotImplemented
-        return RatFun(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        if other.is_constant():
+            return self._scaled(other.num[0] if other.num else _ZERO)
+        if self.is_constant():
+            return other._scaled(self.num[0] if self.num else _ZERO)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        # (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d), g2 = gcd(c, b)
+        if len(d) > 1:
+            g1 = poly_gcd(a, d)
+            a, d = _exact_div(a, g1), _exact_div(d, g1)
+        if len(b) > 1:
+            g2 = poly_gcd(c, b)
+            c, b = _exact_div(c, g2), _exact_div(b, g2)
+        return _canonical(poly_mul(a, c), poly_mul(b, d))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.is_zero():
+    def _inverse(self) -> "RatFun":
+        if not self.num:
             raise DivisionByZero("division by zero rational function")
-        return RatFun(poly_mul(self.num, o.den), poly_mul(self.den, o.num))
+        inv = 1 / self.num[-1]
+        return _canonical(poly_scale(self.den, inv), poly_scale(self.num, inv))
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by zero rational function")
+            return self._scaled(1 / Fraction(other))
+        if not isinstance(other, RatFun):
+            return NotImplemented
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o / self
+        return self._inverse()._scaled(other)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -292,6 +355,19 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self})"
+
+
+def _canonical(num: Poly, den: Poly) -> RatFun:
+    """The trusted constructor: num and den already coprime, den monic, so
+    they are stored as given; a zero numerator takes the denominator 1."""
+    r = RatFun.__new__(RatFun)
+    r.num, r.den = (num, den) if num else ((), (_ONE,))
+    return r
+
+
+def _exact_div(a: Poly, g: Poly) -> Poly:
+    """a / g for a monic g that divides a."""
+    return a if len(g) == 1 else poly_divmod(a, g)[0]
 
 
 def _integer_cleared(num: Poly, den: Poly):

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import wcoset
 from wcoset.cli import main
 from wcoset.report import render_json
 
@@ -233,3 +238,13 @@ def test_bad_config_integer_exit_2(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "resolution", "--k1", "7/2", "--k2", "1/3")
         assert code == 2 and out == "", text
         assert err.startswith("error: config "), text
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(wcoset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "wcoset", "catalog"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "catalog"

@@ -7,7 +7,7 @@ from wcoset import scalars
 from wcoset.errors import DegreeTooHigh, DivisionByZero, PoleAtPoint
 from wcoset.scalars import (RatFun, T, evaluate, field_arithmetic, linear_zeros,
                             parse_rat, parse_ratfun, poly_add, poly_deg, poly_divmod,
-                            poly_gcd, poly_mul, poly_scale, poly_trim)
+                            poly_gcd, poly_mul, poly_neg, poly_scale, poly_trim)
 
 
 def test_rat_add():
@@ -115,10 +115,21 @@ def test_constant_ratfun_round_trips_to_rat():
         T.as_rat()
 
 
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid's algorithm on Fraction coefficients: the oracle
+    for poly_gcd's pseudo-remainder sequence over Z."""
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if not a:
+        return ()
+    return poly_scale(a, 1 / a[-1])
+
+
 def old_canonical(num, den):
     """The constructor's canonical form as it was, with the gcd always taken."""
     num, den = poly_trim(num), poly_trim(den)
-    g = poly_gcd(num, den)
+    g = euclid_gcd(num, den)
     if g and poly_deg(g) > 0:
         num, _ = poly_divmod(num, g)
         den, _ = poly_divmod(den, g)
@@ -126,23 +137,81 @@ def old_canonical(num, den):
     return poly_scale(num, 1 / lead), poly_scale(den, 1 / lead)
 
 
+def _random_poly(rng, length):
+    return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length)]
+
+
+# denominators are drawn as products of these, so that two of them are often
+# equal, coprime or share a factor
+_FACTORS = ((Fraction(1), Fraction(1)), (Fraction(-2, 3), Fraction(2)),
+            (Fraction(1, 2), Fraction(0), Fraction(3)), (Fraction(5), Fraction(-1)))
+
+
 def _random_operand(rng):
-    """A random RatFun, half the time a polynomial (constant denominator),
-    now and then zero."""
-    def poly(length):
-        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length)]
-    num = poly(rng.randint(0, 3)) if rng.random() > 0.1 else []
-    den = poly(1 if rng.random() < 0.5 else rng.randint(1, 3))
-    while all(c == 0 for c in den):
-        den = poly(len(den))
+    """A random RatFun: a constant, a polynomial, or a non-monic multiple of
+    one or two factors over a random numerator; now and then zero."""
+    num = _random_poly(rng, rng.randint(1, 3)) if rng.random() > 0.1 else []
+    kind = rng.random()
+    if kind < 0.2:
+        return RatFun(num[:1])
+    if kind < 0.4:
+        return RatFun(num)
+    den = (Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)),)
+    for _ in range(rng.randint(1, 2)):
+        den = poly_mul(den, rng.choice(_FACTORS))
     return RatFun(num, den)
+
+
+def _random_pair(rng):
+    """Two random operands; one time in four the second is built to cancel
+    the first in a sum, a product or a quotient."""
+    a, b = _random_operand(rng), _random_operand(rng)
+    c = poly_trim([Fraction(rng.randint(-2, 2), rng.randint(1, 3))])
+    kind = rng.random()
+    if kind < 0.1:  # a + b = c
+        b = RatFun(poly_add(poly_mul(c, a.den), poly_neg(a.num)), a.den)
+    elif kind < 0.2 and a and c:  # a * b = c
+        b = RatFun(poly_mul(c, a.den), a.num)
+    elif kind < 0.25 and c:  # a / b = 1/c
+        b = RatFun(poly_mul(c, a.num), a.den)
+    return a, b
+
+
+def test_poly_gcd_matches_fraction_euclid():
+    rng = random.Random(23)
+    for _ in range(300):
+        common = (Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 4)),)
+        for _ in range(rng.randint(0, 3)):  # repeated linear and quadratic factors
+            common = poly_mul(common, rng.choice(_FACTORS))
+        a, b = (poly_trim(_random_poly(rng, rng.randint(0, 4))) for _ in range(2))
+        k = (Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 5)),)  # a nonzero constant
+        for x, y in ((a, b), (poly_mul(a, common), poly_mul(b, common)),
+                     (poly_mul(a, common), common), (k, poly_mul(b, common)),
+                     (common, ()), ((), ())):
+            g = poly_gcd(x, y)
+            assert g == euclid_gcd(x, y) == poly_gcd(y, x), (x, y)
+            assert all(type(c) is Fraction for c in g)
+            if y:
+                q, r = poly_divmod(x, y)
+                assert poly_add(poly_mul(q, y), r) == x and len(r) < len(y)
 
 
 def test_constructor_matches_old_canonical_form():
     rng = random.Random(17)
     constant_dens = zero_nums = 0
-    for _ in range(300):
-        a, b = _random_operand(rng), _random_operand(rng)
+    branches = dict.fromkeys(("constant", "polynomial", "equal dens", "coprime dens",
+                              "shared factor", "cancels"), 0)
+    for _ in range(400):
+        a, b = _random_pair(rng)
+        if a.is_constant() or b.is_constant():
+            branches["constant"] += 1
+        elif len(a.den) == 1 or len(b.den) == 1:
+            branches["polynomial"] += 1
+        elif a.den == b.den:
+            branches["equal dens"] += 1
+        else:
+            branches["coprime dens" if euclid_gcd(a.den, b.den) == (1,)
+                     else "shared factor"] += 1
         raw = [(poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)),
                 poly_mul(a.den, b.den)),
                (poly_mul(a.num, b.num), poly_mul(a.den, b.den))]
@@ -153,22 +222,42 @@ def test_constructor_matches_old_canonical_form():
             assert (f.num, f.den) == old_canonical(num, den)
             constant_dens += len(poly_trim(den)) == 1
             zero_nums += not poly_trim(num)
-        for f, (num, den) in zip((a + b, a * b, a / b if b else a), raw):
+        results = (a + b, a * b, a / b) if b else (a + b, a * b)
+        for f, (num, den) in zip(results, raw):
             assert (f.num, f.den) == old_canonical(num, den)
+        branches["cancels"] += not (a.is_constant() and b.is_constant()) and any(
+            f.is_constant() for f in results)
     assert constant_dens > 100 and zero_nums > 10
+    assert min(branches.values()) >= 20, branches
 
 
 def test_constant_denominator_skips_gcd(monkeypatch):
+    f = RatFun((Fraction(1), Fraction(2)), (Fraction(3), Fraction(1), Fraction(1)))
+
     def fail(a, b):
         raise AssertionError("poly_gcd called")
     monkeypatch.setattr(scalars, "poly_gcd", fail)
-    f = RatFun((Fraction(1), Fraction(2), Fraction(3)), (Fraction(-2),))
-    assert (f.num, f.den) == ((Fraction(-1, 2), Fraction(-1), Fraction(-3, 2)), (Fraction(1),))
+    g = RatFun((Fraction(1), Fraction(2), Fraction(3)), (Fraction(-2),))
+    assert (g.num, g.den) == ((Fraction(-1, 2), Fraction(-1), Fraction(-3, 2)), (Fraction(1),))
     zero = RatFun((), (Fraction(5),))
     assert (zero.num, zero.den) == ((), (Fraction(1),))
     assert RatFun.const(Fraction(3, 4)).as_rat() == Fraction(3, 4)
     assert (Fraction(2, 3) * T + 1) * T == parse_ratfun("(2*t^2 + 3*t)/3")
     assert Fraction(1, 2) + RatFun.const(Fraction(1, 3)) == Fraction(5, 6)
+    p = T * T - 1
+    a, b = f.num, f.den
+    for h, num in ((f * Fraction(2, 5), poly_scale(a, Fraction(2, 5))),
+                   (3 * f, poly_scale(a, Fraction(3))),
+                   (f + Fraction(1, 2), poly_add(a, poly_scale(b, Fraction(1, 2)))),
+                   (f + p, poly_add(a, poly_mul(p.num, b))),
+                   (p + f, poly_add(a, poly_mul(p.num, b))),
+                   (f / Fraction(3, 2), poly_scale(a, Fraction(2, 3))),
+                   (f - 2, poly_add(a, poly_scale(b, Fraction(-2))))):
+        assert (h.num, h.den) == old_canonical(num, b)
+    for divide in (lambda: f / 0, lambda: f / Fraction(0),
+                   lambda: Fraction(1) / RatFun.const(0)):
+        with pytest.raises(DivisionByZero):
+            divide()
     with pytest.raises(AssertionError):
         RatFun((Fraction(1),), (Fraction(1), Fraction(1)))
 
