@@ -5,7 +5,7 @@ rational-linear maps, and verification suites for the subregular/principal
 coset dualities and their Kazama-Suzuki inversions.
 """
 
-from .scalars import Rat, RatFun, T, evaluate, field_arithmetic, linear_zeros
+from .scalars import Rat, RatFun, T, linear_zeros
 from .fock import (FockState, Momentum, Species, enumerate_basis, graded_dimension,
                    normal_form, register_system)
 from .fields import (ExpOp, Gen, NormOrd, Scale, Sum, current_gram, l0_apply,

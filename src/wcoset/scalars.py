@@ -398,25 +398,8 @@ def sc_is_zero(x: Scalar) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spec surface: field arithmetic, evaluation, zero extraction
+# zero extraction
 # ---------------------------------------------------------------------------
-
-def field_arithmetic(a: RatFun, b: RatFun, op: str) -> RatFun:
-    a, b = as_ratfun(a), as_ratfun(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def evaluate(f: RatFun, x: Rat) -> Rat:
-    return as_ratfun(f).evaluate(x)
-
 
 def _rat_sqrt(q: Fraction):
     if q < 0:
@@ -448,7 +431,7 @@ def linear_zeros(f: RatFun) -> list:
 
 
 # ---------------------------------------------------------------------------
-# parsing ("p/q" rationals and polynomial expressions in t)
+# parsing ("p/q" rationals)
 # ---------------------------------------------------------------------------
 
 def parse_rat(s: str) -> Rat:
@@ -457,93 +440,3 @@ def parse_rat(s: str) -> Rat:
     except (ValueError, ZeroDivisionError) as e:
         raise DivisionByZero(str(e)) if "zero" in str(e).lower() else ValueError(
             f"cannot parse rational {s!r}") from e
-
-
-def parse_ratfun(s: str) -> RatFun:
-    """Parse an expression over integers and t with + - * / ^ and parentheses."""
-    tokens = _tokenize(s)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"parse error in {s!r} at token {tok!r}")
-        pos[0] += 1
-        return tok
-
-    def atom():
-        tok = peek()
-        if tok == "(":
-            take("(")
-            v = expr()
-            take(")")
-            return v
-        if tok == "-":
-            take("-")
-            return -atom()
-        if tok == "t":
-            take("t")
-            return RatFun.t()
-        if isinstance(tok, int):
-            take()
-            return RatFun.const(tok)
-        raise ValueError(f"parse error in {s!r} at token {tok!r}")
-
-    def power():
-        base = atom()
-        if peek() == "^":
-            take("^")
-            e = take()
-            if not isinstance(e, int):
-                raise ValueError(f"integer exponent expected in {s!r}")
-            return base ** e
-        return base
-
-    def term():
-        v = power()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = power()
-            v = v * rhs if op == "*" else v / rhs
-        return v
-
-    def expr():
-        v = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            v = v + rhs if op == "+" else v - rhs
-        return v
-
-    out = expr()
-    if pos[0] != len(tokens):
-        raise ValueError(f"trailing input in {s!r}")
-    return out
-
-
-def _tokenize(s: str):
-    out = []
-    i = 0
-    s = s.replace("**", "^")
-    while i < len(s):
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            out.append(int(s[i:j]))
-            i = j
-        elif c in "()+-*/^":
-            out.append(c)
-            i += 1
-        elif c == "t":
-            out.append("t")
-            i += 1
-        else:
-            raise ValueError(f"bad character {c!r} in {s!r}")
-    return out

@@ -8,13 +8,17 @@ must agree with it exactly (ranks, kernel bases as Python lists, products) on
 random sparse matrices and on the screening slices the checks decompose.
 Matrices over Q are worked over Z, so they are also forced onto the field
 ring that RatFun matrices use and compared, on entries of more than 64 bits
-and on int entries; over Z every combined row must stay primitive.  The
-negative controls show that these comparisons can fail.
+and on int entries; over Z every combined row must stay primitive.  Rank
+over Z takes a tall matrix on its columns: the lines that reach the
+elimination are recorded, and the rank is compared with the oracle's and
+with the rank of the transpose.  The negative controls show that these
+comparisons can fail.
 """
 
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +26,7 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import linalg
-from wcoset.errors import ResourceBound
+from wcoset.errors import ResourceBound, ShapeMismatch
 from wcoset.linalg import (SYMBOLIC_DIM_LIMIT, is_symbolic, kernel_basis, mat_is_zero,
                            mat_mul, rank, stack)
 from wcoset.scalars import RatFun, T, sc_is_zero
@@ -425,13 +429,113 @@ def test_integer_rows_stay_primitive():
     mats = [degenerate(rng, big_q(rng, 8, 9, 0.6)) for _ in range(4)]
     mats += [[[x * 6 for x in row] for row in sparse_q(rng, 12, 10, 0.5)]]
     mats += stacked_slices(coset_maps("sl", 2, Fraction(-14, 5), 3)[1], range(4))
+    assert sum(len(M) > len(M[0]) for M in mats) >= 4
     with mock.patch.object(linalg, "_combine", checked):
         for M in mats:
             rows, integral = linalg._rows(M)
             assert integral and all(math.gcd(*r.values()) == 1 for r in rows if r)
+            # the column lines rank takes of a tall M: each is a primitive
+            # integer line, a positive multiple of its column
+            lines, integral = linalg._rows(M, by_columns=True)
+            assert integral and len(lines) == len(M[0])
+            for j, line in enumerate(lines):
+                column = {i: row[j] for i, row in enumerate(M) if row[j]}
+                assert line.keys() == column.keys()
+                if line:
+                    assert math.gcd(*line.values()) == 1
+                    ratios = {Fraction(x) / column[i] for i, x in line.items()}
+                    assert len(ratios) == 1 and ratios.pop() > 0
             assert rank(M) == ref_rank(M)
             assert kernel_basis(M) == ref_kernel_basis(M)
     assert seen["combines"] > 100 and seen["divided"] > 0
+
+
+# ---------------------------------------------------------------------------
+# rank over Z of a tall matrix is taken on its columns
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def recorded_eliminations():
+    """A list that collects (lines, ncols, integral, reach) for each call to
+    _eliminate, reach being one past the largest index of any line."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def recording(rows, ncols, integral):
+        reach = max((max(r) + 1 for r in rows if r), default=0)
+        calls.append((len(rows), ncols, integral, reach))
+        return eliminate(rows, ncols, integral)
+    with mock.patch.object(linalg, "_eliminate", recording):
+        yield calls
+
+
+def test_tall_integer_matrices_are_eliminated_on_their_columns():
+    rng = random.Random(16)
+    ints = [[rng.choice((0, 0, 1, -2, 3, 12)) for _ in range(3)] for _ in range(7)]
+    mixed = [[Fraction(x, 3) if j % 2 else x for j, x in enumerate(row)] for row in ints]
+    tall = [degenerate(rng, sparse_q(rng, 9, 4, 0.5)), ints, mixed]
+    tall += stacked_slices(coset_maps("sl", 2, Fraction(-14, 5), 4)[0], (3, 4))
+    assert all(len(M) > len(M[0]) for M in tall)
+    with recorded_eliminations() as calls:
+        for M in tall:
+            assert rank(M) == ref_rank(M)
+    assert len(calls) == len(tall)
+    for M, (lines, ncols, integral, reach) in zip(tall, calls):
+        assert (lines, ncols, integral) == (len(M[0]), len(M), True)
+        assert reach <= len(M)
+    # wide and square matrices, and kernel bases of tall ones, keep the rows
+    wide = [transpose(M) for M in tall] + [sparse_q(rng, 6, 6, 0.5), ints[:3]]
+    with recorded_eliminations() as calls:
+        for M in wide:
+            assert rank(M) == ref_rank(M)
+        for M in tall:
+            assert kernel_basis(M) == ref_kernel_basis(M)
+    assert len(calls) == len(wide) + len(tall)
+    for M, (lines, ncols, integral, reach) in zip(wide + tall, calls):
+        assert (lines, ncols, integral) == (len(M), len(M[0]), True)
+        assert reach <= len(M[0])
+
+
+def test_tall_ratfun_matrix_is_eliminated_on_its_rows_after_one_scan():
+    rng = random.Random(7)
+    M = [[rng.choice(RATFUNS) for _ in range(3)] for _ in range(7)]
+    M[2][1] = T
+    scans = Counter()
+    ratios = linalg._ratios
+
+    def counted(M):
+        scans["_ratios"] += 1
+        return ratios(M)
+    with mock.patch.object(linalg, "_ratios", counted), recorded_eliminations() as calls:
+        assert rank(M) == ref_rank(M)
+    assert scans["_ratios"] == 1
+    assert [call[:3] for call in calls] == [(7, 3, False)]
+
+
+def test_tall_rank_equals_the_oracle_and_the_rank_of_the_transpose():
+    rng = random.Random(1606)
+    mats = [degenerate(rng, sparse_q(rng, rng.randint(4, 12), rng.randint(1, 5), density))
+            for density in (0.1, 0.3, 0.6, 1.0)]
+    mats += [degenerate(rng, big_q(rng, 7, 5, density)) for density in (0.4, 1.0)]
+    for maps in coset_maps("sl", 2, Fraction(-14, 5), 4) + coset_maps("so", 3, Fraction(16, 7), 3):
+        mats += [M for M in stacked_slices(maps, maps[0].blocks) if len(M) > len(M[0])]
+    bits = [max(abs(x.numerator), x.denominator).bit_length() for M in mats for row in M
+            for x in row if x]
+    assert max(bits) > 64 and len(mats) >= 12
+    for M in mats:
+        assert len(M) > len(M[0])
+        assert rank(M) == ref_rank(M) == rank(transpose(M))
+
+
+def test_ragged_matrices_are_refused():
+    ragged = ([[1, 0], [0, 0, 5]], [[Fraction(1), Fraction(2)], [Fraction(3)]],
+              [[T, 1], [1, T, 0]], [[1], [0], [2, 3]], [[], [1]])
+    for M in ragged:
+        for fn in (rank, kernel_basis):
+            with pytest.raises(ShapeMismatch):
+                fn(M)
+    with pytest.raises(ShapeMismatch):
+        mat_mul([[1, 0], [0, 0, 5]], [[1], [1]])
 
 
 # ---------------------------------------------------------------------------

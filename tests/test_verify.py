@@ -74,6 +74,17 @@ def test_symbolic_kernels_width_fails_fast(monkeypatch):
                                 symbolic_kernels=5)
 
 
+def test_coset_duality_sl2_to_degree_7():
+    # the highest degree any test reaches: its stacked slices are tall, so
+    # their rank is taken on the columns
+    rep = ver.check_coset_duality("sl", 2, Fraction(16, 7), 7)
+    dims = [1, 0, 1, 2, 4, 6, 12, 18]
+    assert rep.status == "pass"
+    assert [p.degree for p in rep.per_degree] == list(range(8))
+    assert [p.dim_left for p in rep.per_degree] == dims
+    assert [p.dim_right for p in rep.per_degree] == dims
+
+
 def test_coset_duality_symmetric_sides():
     """Swapping which side is enumerated first never changes the dims."""
     lv = cat.LevelData.from_k1("so", 2, Fraction(-5, 2))
