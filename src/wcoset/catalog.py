@@ -117,6 +117,10 @@ class LevelData:
         return LevelData(pair, n, _dual(PairTag(pair, n), k2, 2), k2)
 
     @property
+    def r(self) -> int:
+        return rd.lacity(self.pair)
+
+    @property
     def K1(self) -> Level:
         return self.k1 + PairTag(self.pair, self.n).h1
 
@@ -360,22 +364,15 @@ def _heis_names(lo, hi):
 
 
 def subregular_realization(pair: str, n: int, k: Level, form: str = "miura") -> RealizationSpec:
-    tag = PairTag(pair, n)
-    K = k + tag.h1
-    if sc_is_zero(K):
-        raise ExcludedLevel(f"k = -{tag.h1} is excluded for the subregular side")
-    if form == "miura":
-        return _subregular_miura(tag, k, K)
-    if form == "bosonized":
-        return _subregular_bosonized(tag, k, K)
-    if form == "coset":
-        return _subregular_coset(tag, k, K)
-    raise InputError(f"unknown form {form!r}")
+    lv = LevelData.from_k1(pair, n, k)
+    if form not in _SUBREGULAR_FORMS:
+        raise InputError(f"unknown form {form!r}")
+    return _SUBREGULAR_FORMS[form](lv)
 
 
-def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
-    n = tag.n
-    G = rd.g1_gram(tag.pair, n)
+def _subregular_miura(lv: LevelData) -> RealizationSpec:
+    n, K = lv.n, lv.K1
+    G = rd.g1_gram(lv.pair, n)
     names = _heis_names(1, n)
     beta, gamma = boson_pair("beta", "gamma")
     sys = register_system([beta, gamma] + [heis(nm) for nm in names], _scaled(G, K))
@@ -389,7 +386,7 @@ def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
     }
     cartan = [("h1", _unit(n, 0))]
     if n >= 2:
-        coeffs = rd.htilde2_g1_coeffs(tag.pair, n)
+        coeffs = rd.htilde2_g1_coeffs(lv.pair, n)
         gmap["ht2"] = heis_comb(sys, dict(zip(names, coeffs)))
         cartan.append(("ht2", coeffs))
         for i in range(3, n + 1):
@@ -398,7 +395,7 @@ def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
     screenings = _screenings(sys, [
         (f"Q{i}", -1 / K, {f"a{i}": Fraction(1)}, gen("beta") if i == 1 else None)
         for i in range(1, n + 1)])
-    omega = rd.omega1_coeffs(tag.pair, n)
+    omega = rd.omega1_coeffs(lv.pair, n)
     H1 = sadd(heis_comb(sys, dict(zip(names, omega))),
               scale(-1, nord(gen("beta"), gen("gamma"))))
     # sl2 OPE table at level K-2
@@ -412,17 +409,17 @@ def _subregular_miura(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
         ("e1", "e1"): S({}), ("f1", "f1"): S({}),
     }
     spec = RealizationSpec(
-        key=f"subregular-{tag.pair}:{n}:miura", system=sys, generator_map=gmap,
-        screenings=screenings, level=LevelData.from_k1(tag.pair, n, k),
+        key=f"subregular-{lv.pair}:{n}:miura", system=sys, generator_map=gmap,
+        screenings=screenings, level=lv,
         distinguished={"H1": H1}, structure=structure)
     if n >= 2:
         _attach_companions(spec, G, K, "gamma", ("e1", "f1", Fraction(-1)), cartan)
     return spec
 
 
-def _subregular_bosonized(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
-    n = tag.n
-    G = rd.g1_gram(tag.pair, n)
+def _subregular_bosonized(lv: LevelData) -> RealizationSpec:
+    n, K = lv.n, lv.K1
+    G = rd.g1_gram(lv.pair, n)
     names = _heis_names(1, n)
     table = _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(G, K))
     sys = register_system([heis("x"), heis("y")] + [heis(nm) for nm in names], table,
@@ -438,7 +435,7 @@ def _subregular_bosonized(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
         ("Qx", Fraction(1), {"x": Fraction(1)}, None),
         ("Q1", -1 / K, {"a1": Fraction(1), "x": -K, "y": -K}, None),
     ] + [(f"Q{i}", -1 / K, {f"a{i}": Fraction(1)}, None) for i in range(2, n + 1)])
-    omega = rd.omega1_coeffs(tag.pair, n)
+    omega = rd.omega1_coeffs(lv.pair, n)
     H1 = sadd(heis_comb(sys, dict(zip(names, omega))), scale(-1, gen("y")))
     # FMS structure: contraction table of the realized beta gamma pair
     S = StructurePair
@@ -448,14 +445,14 @@ def _subregular_bosonized(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
         ("beta", "beta"): S({}), ("gamma", "gamma"): S({}),
     }
     return RealizationSpec(
-        key=f"subregular-{tag.pair}:{n}:bosonized", system=sys, generator_map=gmap,
-        screenings=screenings, level=LevelData.from_k1(tag.pair, n, k),
+        key=f"subregular-{lv.pair}:{n}:bosonized", system=sys, generator_map=gmap,
+        screenings=screenings, level=lv,
         distinguished={"H1": H1}, structure=structure)
 
 
-def _coset_gram_alpha(tag: PairTag, K):
+def _coset_gram_alpha(lv: LevelData, K):
     """Gram of the subregular coset basis: the tridiagonal bordered matrix."""
-    n, r = tag.n, tag.r
+    n, r = lv.n, lv.r
     m = n + 1
     G = [[0 * K] * m for _ in range(m)]
     G[0][0] = 1 + 0 * K
@@ -472,16 +469,20 @@ def _coset_gram_alpha(tag: PairTag, K):
     return G
 
 
-def _subregular_coset(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
-    n = tag.n
+def _subregular_coset(lv: LevelData) -> RealizationSpec:
+    n, K = lv.n, lv.K1
     names = [f"at{i}" for i in range(n + 1)]
-    sys = register_system([heis(nm) for nm in names], _coset_gram_alpha(tag, K))
-    cs = [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (tag.r * K)]
+    sys = register_system([heis(nm) for nm in names], _coset_gram_alpha(lv, K))
+    cs = [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (lv.r * K)]
     screenings = _screenings(sys, [(f"Qt{i}", c, {nm: Fraction(1)}, None)
                                    for i, (nm, c) in enumerate(zip(names, cs))])
     return RealizationSpec(
-        key=f"subregular-{tag.pair}:{n}:coset", system=sys, generator_map={},
-        screenings=screenings, level=LevelData.from_k1(tag.pair, n, k))
+        key=f"subregular-{lv.pair}:{n}:coset", system=sys, generator_map={},
+        screenings=screenings, level=lv)
+
+
+_SUBREGULAR_FORMS = {"miura": _subregular_miura, "bosonized": _subregular_bosonized,
+                     "coset": _subregular_coset}
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +491,15 @@ def _subregular_coset(tag: PairTag, k: Level, K: Level) -> RealizationSpec:
 
 def principal_super_realization(pair: str, n: int, ell: Level,
                                 form: str = "miura") -> RealizationSpec:
-    tag = PairTag(pair, n)
-    K2 = ell + tag.h2
-    if sc_is_zero(K2):
-        raise ExcludedLevel(f"k = -{tag.h2} is excluded for the super side")
-    if form == "miura":
-        return _super_miura(tag, ell, K2)
-    if form == "bosonized":
-        return _super_bosonized(tag, ell, K2)
-    if form == "coset":
-        return _super_coset(tag, ell, K2)
-    raise InputError(f"unknown form {form!r}")
+    lv = LevelData.from_k2(pair, n, ell)
+    if form not in _SUPER_FORMS:
+        raise InputError(f"unknown form {form!r}")
+    return _SUPER_FORMS[form](lv)
 
 
-def _super_miura(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
-    n, r = tag.n, tag.r
-    G = rd.g2_gram(tag.pair, n)
+def _super_miura(lv: LevelData) -> RealizationSpec:
+    n, r, K2 = lv.n, lv.r, lv.K2
+    G = rd.g2_gram(lv.pair, n)
     names = _heis_names(0, n)
     b, c = fermion_pair("b", "c")
     sys = register_system([b, c] + [heis(nm) for nm in names], _scaled(G, K2))
@@ -522,7 +516,7 @@ def _super_miura(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
     }
     cartan = [("h0", _unit(n + 1, 0)), ("h1", _unit(n + 1, 1))]
     if n >= 2:
-        coeffs = rd.htilde2_g2_coeffs(tag.pair, n)
+        coeffs = rd.htilde2_g2_coeffs(lv.pair, n)
         gmap["ht2"] = heis_comb(sys, dict(zip(names, coeffs)))
         cartan.append(("ht2", coeffs))
         for i in range(3, n + 1):
@@ -531,21 +525,21 @@ def _super_miura(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
     screenings = _screenings(sys, [
         (f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, gen("b") if i == 0 else None)
         for i in range(0, n + 1)])
-    omega = rd.omega0_coeffs(tag.pair, n)
+    omega = rd.omega0_coeffs(lv.pair, n)
     H2 = sadd(heis_comb(sys, dict(zip(names, omega))),
               nord(gen("b"), gen("c")))
     structure = gl11_structure(-r * K2, r * K2 + 1)
     spec = RealizationSpec(
-        key=f"super-{tag.pair}:{n}:miura", system=sys, generator_map=gmap,
-        screenings=screenings, level=LevelData.from_k2(tag.pair, n, ell),
+        key=f"super-{lv.pair}:{n}:miura", system=sys, generator_map=gmap,
+        screenings=screenings, level=lv,
         distinguished={"H2": H2}, structure=structure)
     _attach_companions(spec, G, K2, "c", ("E12", "E21", Fraction(1)), cartan)
     return spec
 
 
-def _super_bosonized(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
-    n = tag.n
-    G = rd.g2_gram(tag.pair, n)
+def _super_bosonized(lv: LevelData) -> RealizationSpec:
+    n, K2 = lv.n, lv.K2
+    G = rd.g2_gram(lv.pair, n)
     names = _heis_names(0, n)
     sys = register_system([heis("phi")] + [heis(nm) for nm in names],
                           _pairing([[Fraction(1)]], _scaled(G, K2)),
@@ -557,7 +551,7 @@ def _super_bosonized(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
     screenings = _screenings(sys, [
         ("Q0", -1 / K2, {"a0": Fraction(1), "phi": -K2}, None),
     ] + [(f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, None) for i in range(1, n + 1)])
-    omega = rd.omega0_coeffs(tag.pair, n)
+    omega = rd.omega0_coeffs(lv.pair, n)
     H2 = sadd(heis_comb(sys, dict(zip(names, omega))), gen("phi"))
     S = StructurePair
     structure = {
@@ -566,30 +560,34 @@ def _super_bosonized(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
         ("b", "b"): S({}), ("c", "c"): S({}),
     }
     return RealizationSpec(
-        key=f"super-{tag.pair}:{n}:bosonized", system=sys, generator_map=gmap,
-        screenings=screenings, level=LevelData.from_k2(tag.pair, n, ell),
+        key=f"super-{lv.pair}:{n}:bosonized", system=sys, generator_map=gmap,
+        screenings=screenings, level=lv,
         distinguished={"H2": H2}, structure=structure)
 
 
-def _coset_gram_beta(tag: PairTag, K2):
+def _coset_gram_beta(lv: LevelData, K2):
     """Gram of the super coset basis, directly from the g2 root data."""
-    n = tag.n
-    G2 = rd.g2_gram(tag.pair, n)
+    n = lv.n
+    G2 = rd.g2_gram(lv.pair, n)
     m = n + 1
     G = [[G2[i][j] / K2 for j in range(m)] for i in range(m)]
     G[0][0] = G[0][0] + 1
     return G
 
 
-def _super_coset(tag: PairTag, ell: Level, K2: Level) -> RealizationSpec:
-    n = tag.n
+def _super_coset(lv: LevelData) -> RealizationSpec:
+    n, K2 = lv.n, lv.K2
     names = [f"bt{i}" for i in range(n + 1)]
-    sys = register_system([heis(nm) for nm in names], _coset_gram_beta(tag, K2))
+    sys = register_system([heis(nm) for nm in names], _coset_gram_beta(lv, K2))
     screenings = _screenings(sys, [(f"Qt{i}", Fraction(1), {nm: Fraction(1)}, None)
                                    for i, nm in enumerate(names)])
     return RealizationSpec(
-        key=f"super-{tag.pair}:{n}:coset", system=sys, generator_map={},
-        screenings=screenings, level=LevelData.from_k2(tag.pair, n, ell))
+        key=f"super-{lv.pair}:{n}:coset", system=sys, generator_map={},
+        screenings=screenings, level=lv)
+
+
+_SUPER_FORMS = {"miura": _super_miura, "bosonized": _super_bosonized,
+                "coset": _super_coset}
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +610,11 @@ class KSFields:
 
 
 def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
-    tag = PairTag(pair, n)
+    PairTag(pair, n)
     if n < 2:
         raise InputError("the Kazama-Suzuki field systems need rank n >= 2")
     lv = LevelData.from_k2(pair, n, k2)
-    r = tag.r
-    K, K2 = lv.K1, lv.K2
+    r, K, K2 = lv.r, lv.K1, lv.K2
 
     # side A: phi + g2 Cartan + psi
     names2 = _heis_names(0, n)

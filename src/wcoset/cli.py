@@ -3,7 +3,10 @@
 Verbs: verify, kernel, duality, gram, ks-check, resolution, norm, delta,
 catalog.  Levels are exact rationals "p/q".  A plain "key = value" config
 file (default ./wcoset.cfg, overridable through the WCOSET_CONFIG environment
-variable) may pin max-degree, seed, cap and the output directory; flags win.
+variable) may pin max-degree, seed, cap and the output directory.  A verb has
+a flag only for the keys it reads, and the flag wins over the config; CSV is
+offered only by the verbs whose reports have per-degree rows (kernel,
+duality, resolution).
 
 Exit codes: 0 all checks pass; 1 a verification failed (the report is still
 written); 2 invalid input (excluded level, parse error, an integer out of
@@ -120,26 +123,29 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="exact screening-kernel workbench")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def verb(name, summary, *keys, csv=False):
+        """A verb with --out, --format (csv only where reports have per-degree
+        rows) and one flag per config key in `keys`, left None for `main`."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--format", default="json", choices=["json", "csv", "text"])
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-degree", type=_INTEGER_KEYS["max-degree"], default=None)
-        p.add_argument("--cap", type=_INTEGER_KEYS["cap"], default=None)
+        p.add_argument("--format", default="json",
+                       choices=["json", "csv", "text"] if csv else ["json", "text"])
+        for key in keys:
+            p.add_argument(f"--{key}", type=_INTEGER_KEYS[key], default=None)
+        return p
 
-    p = sub.add_parser("verify", help="run the full verification battery")
-    common(p)
+    p = verb("verify", "run the full verification battery", "seed", "cap")
     p.add_argument("--control", default=None, choices=ver.NEGATIVE_CONTROLS,
                    help="run one perturbed negative control instead")
 
-    p = sub.add_parser("kernel", help="joint kernel dims of a catalog system")
-    common(p)
+    p = verb("kernel", "joint kernel dims of a catalog system", "max-degree", "cap",
+             csv=True)
     p.add_argument("--key", required=True)
     p.add_argument("--k1", type=_level, default=None)
     p.add_argument("--k2", type=_level, default=None)
 
-    p = sub.add_parser("duality", help="coset kernel duality between the pair")
-    common(p)
+    p = verb("duality", "coset kernel duality between the pair",
+             "max-degree", "cap", "seed", csv=True)
     p.add_argument("--pair", required=True, choices=PAIRS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k1", type=_level, required=True)
@@ -149,81 +155,62 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also certify kernel dims over the function field "
                         "through degree D (slices capped at 64 columns)")
 
-    p = sub.add_parser("gram", help="coset gram matrices, symbolic or specialized")
-    common(p)
+    p = verb("gram", "coset gram matrices, symbolic or specialized")
     p.add_argument("--pair", required=True, choices=PAIRS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k1", type=_level, default=None)
-    p.add_argument("--symbolic", action="store_true")
+    p.add_argument("--k1", type=_level, default=T, help="default: the formal level t")
 
-    p = sub.add_parser("ks-check", help="Kazama-Suzuki field checks")
-    common(p)
+    p = verb("ks-check", "Kazama-Suzuki field checks")
     p.add_argument("--pair", required=True, choices=PAIRS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k2", type=_level, default=None)
-    p.add_argument("--symbolic", action="store_true")
+    p.add_argument("--k2", type=_level, default=T, help="default: the formal level t")
     p.add_argument("--perturb", default=None, choices=["drop-psi"])
 
-    p = sub.add_parser("resolution", help="two-sided resolution checks")
-    common(p)
+    p = verb("resolution", "two-sided resolution checks", "max-degree", "cap", csv=True)
     p.add_argument("--k1", type=_level, required=True)
     p.add_argument("--k2", type=_level, required=True)
     p.add_argument("--terms", type=_integer(0), default=2)
 
-    p = sub.add_parser("norm", help="coset current norm degeneracy levels")
-    common(p)
+    p = verb("norm", "coset current norm degeneracy levels")
     p.add_argument("--pair", required=True, choices=PAIRS)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("delta", help="conformal dimension checks on random weights")
-    common(p)
+    p = verb("delta", "conformal dimension checks on random weights", "seed")
     p.add_argument("--samples", type=_integer(1), default=5)
 
-    p = sub.add_parser("catalog", help="list catalog keys")
-    common(p)
+    verb("catalog", "list catalog keys")
     return ap
 
 
 def cmd_verify(args, cfg) -> int:
-    if args.max_degree is not None:
-        raise InputError("verify runs a fixed battery; --max-degree is not accepted")
     if args.control:
         rep = ver.run_negative_control(args.control)
-        code = _write(rep, args, cfg, f"verify:{args.control}")
-        return code
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    cap = args.cap if args.cap is not None else cfg["cap"]
-    rng = random.Random(seed)
-    battery = ver.full_battery(rng, cap=cap)
+        return _write(rep, args, cfg, f"verify:{args.control}")
+    battery = ver.full_battery(random.Random(args.seed), cap=args.cap)
     return _write(battery, args, cfg, "verify")
 
 
 def cmd_kernel(args, cfg) -> int:
-    md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
-    cap = args.cap if args.cap is not None else cfg["cap"]
     spec = cat.get_realization(args.key, args.k1, args.k2)
     if not spec.screenings:
         raise InputError(f"{args.key} has no screenings")
-    degrees = range(md + 1)
-    kr = ver._screening_kernel(spec, degrees, cap)
+    kr = ver._screening_kernel(spec, range(args.max_degree + 1), args.cap)
     rep = ver.Report("kernel", {"key": args.key,
                                 "k1": str(args.k1) if args.k1 is not None else "",
                                 "k2": str(args.k2) if args.k2 is not None else "",
-                                "max_degree": md})
+                                "max_degree": args.max_degree})
     for d, dim in kr.as_pairs():
         rep.per_degree.append(ver.PerDegree(d, dim))
     return _write(rep, args, cfg, "kernel")
 
 
 def cmd_duality(args, cfg) -> int:
-    md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
-    cap = args.cap if args.cap is not None else cfg["cap"]
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    md, cap = args.max_degree, args.cap
     guard_level(args.pair, args.n, args.k1)
     rep = ver.check_coset_duality(args.pair, args.n, args.k1, md, cap,
                                   symbolic_kernels=args.symbolic_kernels)
     if args.random_levels:
-        rng = random.Random(seed)
+        rng = random.Random(args.seed)
         exclude = cat.s1_levels(args.pair, args.n)
         for _ in range(args.random_levels):
             k = ver.generic_rational(rng, exclude)
@@ -234,12 +221,9 @@ def cmd_duality(args, cfg) -> int:
 
 
 def cmd_gram(args, cfg) -> int:
-    from .scalars import RatFun
-    k1 = T if (args.symbolic or args.k1 is None) else args.k1
-    rep = ver.Report("gram", {"pair": args.pair, "n": args.n,
-                              "k1": "t" if isinstance(k1, RatFun) else str(k1)})
-    sub = cat.subregular_realization(args.pair, args.n, k1, "coset")
-    ell = cat.dual_level(args.pair, args.n, k1)
+    rep = ver.Report("gram", {"pair": args.pair, "n": args.n, "k1": str(args.k1)})
+    sub = cat.subregular_realization(args.pair, args.n, args.k1, "coset")
+    ell = cat.dual_level(args.pair, args.n, args.k1)
     sup = cat.principal_super_realization(args.pair, args.n, ell, "coset")
     ga = [[str(x) for x in row] for row in sub.system.pairing]
     gb = [[str(x) for x in row] for row in sup.system.pairing]
@@ -248,18 +232,12 @@ def cmd_gram(args, cfg) -> int:
 
 
 def cmd_ks(args, cfg) -> int:
-    if args.symbolic or args.k2 is None:
-        k2 = T
-    else:
-        k2 = args.k2
-    rep = ver.check_ks(args.pair, args.n, k2, perturb=args.perturb)
+    rep = ver.check_ks(args.pair, args.n, args.k2, perturb=args.perturb)
     return _write(rep, args, cfg, "ks-check")
 
 
 def cmd_resolution(args, cfg) -> int:
-    md = args.max_degree if args.max_degree is not None else cfg["max-degree"]
-    cap = args.cap if args.cap is not None else cfg["cap"]
-    rep = ver.check_resolution(args.k1, args.k2, md, args.terms, cap)
+    rep = ver.check_resolution(args.k1, args.k2, args.max_degree, args.terms, args.cap)
     return _write(rep, args, cfg, "resolution")
 
 
@@ -269,8 +247,7 @@ def cmd_norm(args, cfg) -> int:
 
 
 def cmd_delta(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    rep = ver.check_delta(ver.delta_samples(random.Random(seed), args.samples))
+    rep = ver.check_delta(ver.delta_samples(random.Random(args.seed), args.samples))
     return _write(rep, args, cfg, "delta")
 
 
@@ -298,6 +275,11 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         cfg = load_config()
+        # the config fills each setting the verb has a flag for but was not given
+        for key in _INTEGER_KEYS:
+            dest = key.replace("-", "_")
+            if dest in vars(args) and getattr(args, dest) is None:
+                setattr(args, dest, cfg[key])
         return COMMANDS[args.verb](args, cfg)
     except ResourceBound as e:
         print(f"error: {e}", file=sys.stderr)

@@ -126,21 +126,6 @@ def mat_is_zero(M) -> bool:
     return all(row.count(ZERO) == len(row) for row in M)
 
 
-def stack(mats):
-    if not mats:
-        return []
-    w = len(mats[0][0]) if mats[0] else None
-    out = []
-    for M in mats:
-        for row in M:
-            if w is None:
-                w = len(row)
-            if len(row) != w:
-                raise ShapeMismatch("stacked matrices disagree on column count")
-            out.append(list(row))
-    return out
-
-
 def _check_symbolic_width(M, ncols):
     if ncols > SYMBOLIC_DIM_LIMIT and is_symbolic(M):
         raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")

@@ -28,7 +28,7 @@ from .errors import MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree,
                      mode_apply, residue_images, shift_of, weight)
 from .fock import Momentum, System, enumerate_basis
-from .linalg import kernel_basis, mat_is_zero, mat_mul, rank, stack
+from .linalg import kernel_basis, mat_is_zero, mat_mul, rank
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
     dims = []
     bases = {} if with_bases else None
     for d in degrees:
-        blocks = []
+        stacked = []
         n = None
         for m in maps:
             if d not in m.blocks:
@@ -120,8 +120,7 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
                 n = m.source_dims[d]
             elif n != m.source_dims[d]:
                 raise ShapeMismatch("maps disagree on source dimension")
-            blocks.append(m.blocks[d])
-        stacked = stack(blocks)
+            stacked += m.blocks[d]
         if not stacked or not stacked[0]:
             dims.append(n or 0)
             if with_bases:

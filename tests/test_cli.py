@@ -1,11 +1,16 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wcoset
-from wcoset.cli import main
+from wcoset.cli import _normalize_argv, build_parser, main
 from wcoset.report import render_json
 
 
@@ -48,8 +53,7 @@ def test_duality_admissible_warns(tmp_path, capsys):
 def test_json_round_trip_and_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
-        code, _, _ = run(capsys, "norm", "--pair", "so", "--n", "2",
-                         "--seed", "5", "--out", str(out))
+        code, _, _ = run(capsys, "norm", "--pair", "so", "--n", "2", "--out", str(out))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     obj = json.loads(a.read_text())
@@ -81,7 +85,7 @@ def test_text_format_status_last(capsys):
 
 
 def test_gram_symbolic(capsys):
-    code, out, _ = run(capsys, "gram", "--pair", "so", "--n", "3", "--symbolic")
+    code, out, _ = run(capsys, "gram", "--pair", "so", "--n", "3")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
 
@@ -94,7 +98,7 @@ def test_gram_reports_one_comparison(capsys):
 
 
 def test_ks_check_cli(capsys):
-    code, out, _ = run(capsys, "ks-check", "--pair", "sl", "--n", "2", "--symbolic")
+    code, out, _ = run(capsys, "ks-check", "--pair", "sl", "--n", "2")
     assert code == 0
     code, _, _ = run(capsys, "ks-check", "--pair", "sl", "--n", "2",
                      "--k2", "3", "--perturb", "drop-psi")
@@ -160,7 +164,7 @@ def test_verify_rejects_max_degree(tmp_path, capsys, monkeypatch):
     for flags in (("--max-degree", "3"), ("--control", "drop-psi", "--max-degree", "4")):
         code, out, err = run(capsys, "verify", *flags)
         assert code == 2 and out == ""
-        assert "fixed battery" in err
+        assert "unrecognized arguments: --max-degree" in err
     # the config max-degree, shared with kernel/duality/resolution, is not read
     cfg = tmp_path / "wcoset.cfg"
     cfg.write_text("max-degree = 1\n")
@@ -201,7 +205,7 @@ def test_out_of_range_integer_flags_exit_2(capsys):
                   "--random-levels", "-1"),
                  ("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5",
                   "--symbolic-kernels", "-2"),
-                 ("norm", "--pair", "sl", "--n", "2", "--cap", "0"),
+                 ("resolution", "--k1", "7/2", "--k2", "1/3", "--cap", "0"),
                  ("norm", "--pair", "sl", "--n", "0"),
                  ("norm", "--pair", "sl", "--n", "-1"),
                  ("kernel", "--key", "bogus", "--k1", "1/3"),
@@ -248,3 +252,93 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["command"] == "catalog"
+
+
+# each verb's flags beyond --help, and its report formats
+VERB_FLAGS = {
+    "verify": ({"--out", "--format", "--seed", "--cap", "--control"}, ["json", "text"]),
+    "kernel": ({"--out", "--format", "--max-degree", "--cap", "--key", "--k1", "--k2"},
+               ["json", "csv", "text"]),
+    "duality": ({"--out", "--format", "--max-degree", "--cap", "--seed", "--pair", "--n",
+                 "--k1", "--random-levels", "--symbolic-kernels"}, ["json", "csv", "text"]),
+    "gram": ({"--out", "--format", "--pair", "--n", "--k1"}, ["json", "text"]),
+    "ks-check": ({"--out", "--format", "--pair", "--n", "--k2", "--perturb"},
+                 ["json", "text"]),
+    "resolution": ({"--out", "--format", "--max-degree", "--cap", "--k1", "--k2",
+                    "--terms"}, ["json", "csv", "text"]),
+    "norm": ({"--out", "--format", "--pair", "--n"}, ["json", "text"]),
+    "delta": ({"--out", "--format", "--seed", "--samples"}, ["json", "text"]),
+    "catalog": ({"--out", "--format"}, ["json", "text"]),
+}
+
+# the arguments each verb needs to run
+REQUIRED = {
+    "verify": (), "kernel": ("--key", "rank1-ff", "--k1", "7/2"),
+    "gram": ("--pair", "sl", "--n", "2"), "ks-check": ("--pair", "sl", "--n", "2"),
+    "resolution": ("--k1", "7/2", "--k2", "1/3"), "norm": ("--pair", "sl", "--n", "2"),
+    "delta": (), "catalog": (),
+}
+
+# flags that verbs no longer take, with a value for each
+REMOVED = ([("verify", "--max-degree", "3"), ("kernel", "--seed", "5"),
+            ("resolution", "--seed", "5"), ("delta", "--max-degree", "3"),
+            ("delta", "--cap", "100"), ("gram", "--symbolic"), ("ks-check", "--symbolic")]
+           + [(verb, flag, "3") for verb in ("gram", "ks-check", "norm", "catalog")
+              for flag in ("--seed", "--max-degree", "--cap")]
+           + [(verb, "--format", "csv")
+              for verb in ("verify", "gram", "ks-check", "norm", "delta", "catalog")])
+
+
+def test_each_verb_offers_only_the_flags_it_reads():
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    seen = {}
+    for name, parser in verbs.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        formats = next(a.choices for a in parser._actions if a.dest == "format")
+        seen[name] = (flags, formats)
+    assert seen == VERB_FLAGS
+
+
+def test_removed_flags_exit_2_without_a_report(tmp_path, capsys, monkeypatch):
+    from wcoset import verify
+    monkeypatch.setattr(verify, "full_battery", None)
+    assert len([r for r in REMOVED if r[1] != "--format"]) == 19
+    out = tmp_path / "r.json"
+    for verb, *flag in REMOVED:
+        code, stdout, err = run(capsys, verb, *REQUIRED[verb], *flag, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists(), (verb, flag)
+        assert "unrecognized arguments" in err or "invalid choice: 'csv'" in err, (verb, flag)
+
+
+def test_gram_and_ks_check_report_the_given_level(capsys):
+    code, out, _ = run(capsys, "gram", "--pair", "sl", "--n", "2", "--k1", "3")
+    assert code == 0 and json.loads(out)["inputs"]["k1"] == "3"
+    assert "t" not in json.loads(out)["items"][0]["computed"]
+    code, out, _ = run(capsys, "ks-check", "--pair", "sl", "--n", "2", "--k2", "3")
+    assert code == 0 and json.loads(out)["inputs"]["k2"] == "3"
+
+
+@pytest.mark.parametrize("name", ["gram-sl-2", "gram-so-3", "ks-check-sl-3",
+                                  "ks-check-so-2"])
+def test_gram_and_ks_check_default_to_the_formal_level(name, capsys):
+    """Without a level, gram and ks-check work at t; the expected bytes are the
+    reports the earlier `--symbolic` flag wrote for the same pair and rank."""
+    verb, pair, n = name.rsplit("-", 2)
+    code, out, _ = run(capsys, verb, "--pair", pair, "--n", n)
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
+
+
+def test_readme_commands_parse():
+    """Every `wcoset ...` line of the README's sh blocks is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("wcoset ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(_normalize_argv(shlex.split(line)[1:]))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -28,7 +28,7 @@ from wcoset import catalog as cat
 from wcoset import linalg
 from wcoset.errors import ResourceBound, ShapeMismatch
 from wcoset.linalg import (SYMBOLIC_DIM_LIMIT, is_symbolic, kernel_basis, mat_is_zero,
-                           mat_mul, rank, stack)
+                           mat_mul, rank)
 from wcoset.scalars import RatFun, T, sc_is_zero
 from wcoset.screening import joint_kernel, residue_map
 
@@ -546,7 +546,7 @@ def stacked_slices(maps, degrees):
     """The stacked per-degree matrices joint_kernel takes the rank of."""
     out = []
     for d in degrees:
-        M = stack([m.blocks[d] for m in maps])
+        M = [row for m in maps for row in m.blocks[d]]
         if M and M[0]:
             out.append(M)
     return out
@@ -615,7 +615,7 @@ def test_perturbed_residue_entry_changes_kernel_dims():
     # a slice with both a kernel vector v and a left kernel vector u: adding
     # 1 at (i, j) with u_i != 0 and v_j != 0 raises the rank by exactly one
     for d in degrees:
-        M = stack([m.blocks[d] for m in maps])
+        M = [row for m in maps for row in m.blocks[d]]
         if not (M and M[0]):
             continue
         right, left = kernel_basis(M), kernel_basis(transpose(M))
