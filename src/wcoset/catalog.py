@@ -32,10 +32,11 @@ from typing import Optional, Union
 
 from . import rootdata as rd
 from .errors import ExcludedLevel, InputError, ZeroK1
-from .fields import (ExpOp, FieldExpr, deriv, direction_of, gen, heis_comb,
-                     nord, sadd, scale)
+from .fields import (ExpOp, FieldExpr, canonical_shift, deriv, direction_of, gen,
+                     heis_comb, nord, sadd, scale)
 from .fock import Momentum, System, boson_pair, fermion_pair, heis, register_system
 from .scalars import RatFun, Scalar, sc_is_zero
+from .screening import ScreeningOp
 
 Level = Union[Fraction, RatFun]
 
@@ -195,39 +196,6 @@ class RealizationSpec:
     covariance: dict = field(default_factory=dict)  # current -> {comp -> {comp: c}}
 
 
-def canonical_shift(sys: System, c: Scalar, direction) -> Momentum:
-    """The T_{c lambda} momentum: eigenvalue shift forced by the mode algebra."""
-    vals = []
-    for j in range(len(sys.heis_indices)):
-        acc = 0
-        for i, x in enumerate(direction):
-            if sc_is_zero(x):
-                continue
-            acc = acc + x * sys.pairing[i][j]
-        acc = acc * c
-        vals.append(acc if not isinstance(acc, int) else Fraction(acc))
-    label = None
-    if sys.lattice_indices:
-        label = []
-        for idx in sys.lattice_indices:
-            x = direction[sys.heis_pos[idx]] * c
-            if isinstance(x, RatFun):
-                x = x.as_rat()
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise InputError("lattice shift must have integer coordinates")
-            label.append(int(x))
-        # off-lattice coordinates of the direction must not shift the label
-    return Momentum(tuple(vals), tuple(label) if label is not None else None)
-
-
-def make_screening(sys: System, c: Scalar, direction, source: Momentum,
-                   prefactor: Optional[FieldExpr] = None, name: str = "S"):
-    from .screening import ScreeningOp
-    return ScreeningOp(sys, c, tuple(direction), canonical_shift(sys, c, direction),
-                       source, prefactor, name)
-
-
 # ---------------------------------------------------------------------------
 # shared construction steps
 # ---------------------------------------------------------------------------
@@ -258,7 +226,7 @@ def _screenings(sys: System, rows):
     """Screenings on the vacuum module, one per (name, c, {species: coefficient},
     prefactor) row; the direction is the coefficient map over the species."""
     vac = sys.zero_momentum()
-    return [make_screening(sys, c, direction_of(sys, coeffs), vac, pref, name)
+    return [ScreeningOp(sys, c, direction_of(sys, coeffs), vac, pref, name)
             for name, c, coeffs, pref in rows]
 
 
@@ -349,10 +317,8 @@ def wakimoto_momentum(sys: System, m1: Scalar, m2: Scalar) -> Momentum:
 
 def wakimoto_shifted_screening(spec: RealizationSpec, n_from: int):
     """The resolution map out of the module with weight -n alpha."""
-    base = spec.screenings[0]
     src = spec.system.momentum((Fraction(-n_from), Fraction(n_from)))
-    return make_screening(spec.system, base.coeff, base.direction, src,
-                          prefactor=base.prefactor, name=f"S[{n_from}]")
+    return spec.screenings[0].at(src, f"S[{n_from}]")
 
 
 # ---------------------------------------------------------------------------

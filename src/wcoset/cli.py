@@ -194,7 +194,7 @@ def cmd_kernel(args, cfg) -> int:
     spec = cat.get_realization(args.key, args.k1, args.k2)
     if not spec.screenings:
         raise InputError(f"{args.key} has no screenings")
-    kr = ver._screening_kernel(spec, range(args.max_degree + 1), args.cap)
+    kr = ver._screening_kernel(spec.screenings, range(args.max_degree + 1), args.cap)
     rep = ver.Report("kernel", {"key": args.key,
                                 "k1": str(args.k1) if args.k1 is not None else "",
                                 "k2": str(args.k2) if args.k2 is not None else "",
@@ -258,6 +258,17 @@ def cmd_catalog(args, cfg) -> int:
     return _write(rep, args, cfg, "catalog")
 
 
+def _refuse_unread(args) -> None:
+    """Refuse a flag the verb's mode does not read: --seed and --cap with `verify
+    --control`, --seed with `duality` but no --random-levels.  A value from the
+    config file is no flag and is not refused."""
+    unread = (("seed", "cap") if args.verb == "verify" and args.control else
+              ("seed",) if args.verb == "duality" and not args.random_levels else ())
+    given = [f"--{key}" for key in unread if getattr(args, key) is not None]
+    if given:
+        raise InputError(f"{' and '.join(given)} not read by this {args.verb} run")
+
+
 COMMANDS = {
     "verify": cmd_verify, "kernel": cmd_kernel, "duality": cmd_duality,
     "gram": cmd_gram, "ks-check": cmd_ks, "resolution": cmd_resolution,
@@ -274,6 +285,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _refuse_unread(args)
         cfg = load_config()
         # the config fills each setting the verb has a flag for but was not given
         for key in _INTEGER_KEYS:

@@ -41,8 +41,8 @@ nonzero contraction factors -c(lambda|h_s); per operator the parts P_a, grown
 on demand, and with rational constants their integer forms.  A state's E+
 table does not depend on n, so it serves every E_(j) a residue asks for.
 
-A LinComb is a dict FockState -> coefficient with canonical, sign-positive
-keys and no stored zeros.
+A LinComb is a dict FockState -> coefficient with no stored zeros; a state
+is a canonical basis monomial, so every sign is carried by its coefficient.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import NonIntegralExponent, NonSymmetric, ParityMismatch, ShapeMismatch
-from .fock import FockState, Momentum, System, canonical_modes, normal_form
+from .errors import (InputError, NonIntegralExponent, NonSymmetric, ParityMismatch,
+                     ShapeMismatch)
+from .fock import FockState, Momentum, System, canonical_modes, normal_form, state_str
 from .linalg import ZERO
 from .scalars import RatFun, Scalar, sc_is_zero
 
@@ -95,6 +96,32 @@ class ExpOp:
     coeff: Scalar
     direction: tuple  # zero-mode coefficients over the heisenberg species
     shift: Momentum
+
+
+def canonical_shift(sys: System, c: Scalar, direction) -> Momentum:
+    """The T_{c lambda} momentum: eigenvalue shift forced by the mode algebra."""
+    vals = []
+    for j in range(len(sys.heis_indices)):
+        acc = 0
+        for i, x in enumerate(direction):
+            if sc_is_zero(x):
+                continue
+            acc = acc + x * sys.pairing[i][j]
+        acc = acc * c
+        vals.append(acc if not isinstance(acc, int) else Fraction(acc))
+    label = None
+    if sys.lattice_indices:
+        label = []
+        for idx in sys.lattice_indices:
+            x = direction[sys.heis_pos[idx]] * c
+            if isinstance(x, RatFun):
+                x = x.as_rat()
+            x = Fraction(x)
+            if x.denominator != 1:
+                raise InputError("lattice shift must have integer coordinates")
+            label.append(int(x))
+        # off-lattice coordinates of the direction must not shift the label
+    return Momentum(tuple(vals), tuple(label) if label is not None else None)
 
 
 FieldExpr = Union[Gen, Deriv, NormOrd, Scale, Sum, ExpOp]
@@ -161,9 +188,6 @@ def lc_add(acc: LinComb, state: Optional[FockState], coeff: Scalar) -> None:
     """acc[state] += coeff, dropping the state when the sum is 0."""
     if state is None or sc_is_zero(coeff):
         return
-    if state.sign != 1:
-        coeff = coeff * state.sign
-        state = FockState(state.momentum, state.modes, 1)
     old = acc.get(state)
     if old is None:
         acc[state] = coeff
@@ -203,7 +227,6 @@ def lc_degree(sys: System, lc: LinComb) -> Optional[int]:
 
 
 def lc_str(sys: System, lc: LinComb) -> str:
-    from .fock import state_str
     if not lc:
         return "0"
     parts = []
@@ -307,16 +330,16 @@ def _annihilations(sys: System, idx: int, state: FockState, n: Optional[int] = N
     for its pair sign, negated when g is odd and passes an odd number of odd
     modes.  Contracting equal modes gives one merged term."""
     sp = sys.species[idx]
-    modes, sign = state.modes, state.sign
+    modes = state.modes
     acc, terms = {}, []  # terms: (m, position of the contracted mode, coefficient)
     if sp.is_heis:
         if not n:
-            val = sys.momentum_value(state.momentum, idx) * sign
+            val = sys.momentum_value(state.momentum, idx)
             if not sc_is_zero(val):
                 acc[0, modes] = val
         for i, (s, d) in enumerate(modes):
             if (n is None or d == n) and sys.species[s].is_heis:
-                v = d * sys.pairing_of(idx, s) * sign
+                v = d * sys.pairing_of(idx, s)
                 if not sc_is_zero(v):
                     terms.append((d, i, v))
     else:
@@ -324,7 +347,7 @@ def _annihilations(sys: System, idx: int, state: FockState, n: Optional[int] = N
         odd_passed = 0
         for i, (s, d) in enumerate(modes):
             if s == partner and (n is None or d == n + 1):
-                v = sys.pair_sign(idx) * sign
+                v = sys.pair_sign(idx)
                 terms.append((d - 1, i, Fraction(-v if sp.odd and odd_passed % 2 else v)))
             if sys.species[s].odd:
                 odd_passed += 1
@@ -336,11 +359,9 @@ def _annihilations(sys: System, idx: int, state: FockState, n: Optional[int] = N
 
 def _gen_mode(sys: System, idx: int, n: int, state: FockState) -> LinComb:
     if n <= -1:
-        out = normal_form(sys, state.momentum, ((idx, -n),) + state.modes, state.sign)
-        acc = {}
-        lc_add(acc, out, Fraction(1))
-        return acc
-    return {FockState(state.momentum, rest, 1): v
+        out = normal_form(sys, state.momentum, ((idx, -n),) + state.modes)
+        return {} if out is None else {out[0]: Fraction(out[1])}
+    return {FockState(state.momentum, rest): v
             for (_, rest), v in _annihilations(sys, idx, state, n).items()}
 
 
@@ -517,8 +538,8 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     rec = _expop_record(sys, op, state.momentum)
-    img = _images(sys, op, rec, [[(state.modes, rec.eps * state.sign, ((n, None),))]])
-    return {FockState(rec.target, sys._packing.unpack(key), 1): v for key, v in img[0].items()}
+    img = _images(sys, op, rec, [[(state.modes, rec.eps, ((n, None),))]])
+    return {FockState(rec.target, sys._packing.unpack(key)): v for key, v in img[0].items()}
 
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
@@ -547,12 +568,11 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
             eps = -rec.eps if parity(sys, prefactor) * parity(sys, op) else rec.eps
         columns = []
         for s in states:
-            seed = rec.eps * s.sign
             if prefactor is None:
-                columns.append([(s.modes, seed, ((0, None),))])
+                columns.append([(s.modes, rec.eps, ((0, None),))])
                 continue
             places = [(j, (g, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
-            columns.append([(s.modes, seed, places)] + [
+            columns.append([(s.modes, rec.eps, places)] + [
                 (rest, eps * v, ((-1 - j, None),))
                 for (j, rest), v in _annihilations(sys, g, s).items()])
         images = _images(sys, op, rec, columns)
@@ -594,7 +614,7 @@ def _modes_on(sys: System, expr: FieldExpr, state: FockState):
     idx = sys.index[expr.name]
     walked = {}
     for (m, rest), v in _annihilations(sys, idx, state).items():
-        walked.setdefault(m, {})[FockState(state.momentum, rest, 1)] = v
+        walked.setdefault(m, {})[FockState(state.momentum, rest)] = v
     return lambda m: walked.get(m, {}) if m >= 0 else _gen_mode(sys, idx, m, state)
 
 
@@ -708,28 +728,3 @@ def current_gram(sys: System, currents) -> list:
             if G[i][j] != G[j][i]:
                 raise NonSymmetric(f"gram entry ({i},{j}) != ({j},{i})")
     return G
-
-
-# ---------------------------------------------------------------------------
-# display
-# ---------------------------------------------------------------------------
-
-def expr_str(sys: System, expr: FieldExpr) -> str:
-    if isinstance(expr, Gen):
-        return expr.name
-    if isinstance(expr, Deriv):
-        d = "d" * expr.order
-        return f"{d}({expr_str(sys, expr.expr)})"
-    if isinstance(expr, Scale):
-        return f"({expr.coeff})*{expr_str(sys, expr.expr)}"
-    if isinstance(expr, Sum):
-        return " + ".join(expr_str(sys, t) for t in expr.terms)
-    if isinstance(expr, NormOrd):
-        return f":{expr_str(sys, expr.left)} {expr_str(sys, expr.right)}:"
-    if isinstance(expr, ExpOp):
-        names = [sys.species[sys.heis_indices[pos]].name
-                 for pos in range(len(expr.direction))]
-        lam = " + ".join(f"({c})*{nm}" for nm, c in zip(names, expr.direction)
-                         if not sc_is_zero(c))
-        return f"exp(({expr.coeff})*int({lam}))"
-    raise TypeError(expr)

@@ -10,11 +10,12 @@ pairing table on its Heisenberg block.  Species come in three kinds:
   its partner with +1, the second half with +1 (fermions) or -1 (bosons),
   matching first-order-pole OPE a(z)a*(w) ~ 1/(z-w).
 
-Fock states are PBW monomials of creation modes on a momentum vector |mu>.
+A Fock state is a basis monomial of creation modes on a momentum vector |mu>.
 A mode is (species, depth) with depth d >= 1 standing for the physical mode
 index -d; its engine degree is depth - 1 + engine_weight(species).  Canonical
 order is species registration order, then depth descending; the sign picked up
-by sorting counts odd-odd transpositions.  A Momentum stores the zero-mode
+by sorting counts odd-odd transpositions and lives in a coefficient, never in
+a state.  A Momentum stores the zero-mode
 eigenvalue of every Heisenberg species directly, plus an integer lattice label
 for systems carrying a lattice decomposition (the label feeds the two-cocycle
 and parity; its bilinear form is the integer Gram declared at registration).
@@ -109,10 +110,9 @@ class Momentum:
 
 @dataclass(frozen=True)
 class FockState:
-    """Canonical signed creation monomial over a registered system."""
+    """A basis monomial: canonical creation modes over a momentum, unsigned."""
     momentum: Momentum
     modes: tuple  # ((species_index, depth), ...) in canonical order
-    sign: int = 1
 
 
 class System:
@@ -301,10 +301,10 @@ class _Packing(dict):
         return self.modes[key]
 
 
-def normal_form(sys: System, mu: Momentum, raw_modes, sign: int = 1) -> Optional[FockState]:
-    """Canonically order a raw signed monomial; None encodes the zero vector."""
+def normal_form(sys: System, mu: Momentum, raw_modes, sign: int = 1) -> Optional[tuple]:
+    """A raw signed monomial as (canonical state, sign); None encodes zero."""
     out = canonical_modes(sys, raw_modes, sign)
-    return None if out is None else FockState(mu, out[0], out[1])
+    return None if out is None else (FockState(mu, out[0]), out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,7 @@ def enumerate_basis(sys: System, mu: Momentum, degree: int, cap: Optional[int] =
         return []
     shapes = _mode_sets(sys, degree)
     _check_cap(len(shapes), cap, degree)
-    return [FockState(mu, modes, 1) for modes in shapes]
+    return [FockState(mu, modes) for modes in shapes]
 
 
 def slice_dimension(sys: System, degree: int) -> int:
@@ -417,5 +417,4 @@ def graded_dimension(sys: System, mu: Momentum, degrees, cap: Optional[int] = No
 def state_str(sys: System, state: FockState) -> str:
     parts = "".join(f"{sys.species[s].name}(-{d})" for s, d in state.modes)
     mu = ",".join(str(v) for v in state.momentum.values)
-    sgn = "-" if state.sign < 0 else ""
-    return f"{sgn}{parts}|mu=({mu})>"
+    return f"{parts}|mu=({mu})>"

@@ -1,9 +1,10 @@
 """Screening residues as exact graded linear maps, their kernels and compositions.
 
 A ScreeningOp is the residue of :P(z) e^{c int lambda(z)}: T_s between Fock
-modules: prefactor P (None meaning 1), exponent coefficient c, direction
-lambda, shift s, and a source momentum.  The residue is the (0)-mode of the
-composite field; on the degree-d slice of the source it lands in degree
+modules of its system: prefactor P (None meaning 1), exponent coefficient c,
+direction lambda and a source momentum; the shift s, the canonical T_{c lambda},
+is derived when the op is made.  The residue is the (0)-mode of the composite
+field; on the degree-d slice of the source it lands in degree
 d + w_P - 1 - c(lambda|mu) of the target module over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
@@ -21,12 +22,12 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import MomentumMismatch, ShapeMismatch
-from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree,
-                     mode_apply, residue_images, shift_of, weight)
+from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, canonical_shift, exp_power,
+                     lc_degree, mode_apply, residue_images, shift_of, weight)
 from .fock import Momentum, System, enumerate_basis
 from .linalg import kernel_basis, mat_is_zero, mat_mul, rank
 
@@ -37,10 +38,17 @@ class ScreeningOp:
     system: System
     coeff: object
     direction: tuple
-    shift: Momentum
     source: Momentum
     prefactor: Optional[FieldExpr] = None
     name: str = "S"
+    shift: Momentum = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", canonical_shift(self.system, self.coeff, self.direction))
+
+    def at(self, source: Momentum, name: Optional[str] = None) -> "ScreeningOp":
+        """The same residue out of the module over `source`."""
+        return replace(self, source=source, name=self.name if name is None else name)
 
     def exponential(self) -> ExpOp:
         return ExpOp(self.coeff, self.direction, self.shift)
@@ -68,7 +76,6 @@ class ScreeningOp:
 @dataclass
 class GradedMap:
     source: Momentum
-    target: Momentum
     degree_shift: int
     blocks: dict = field(default_factory=dict)       # degree -> matrix
     source_dims: dict = field(default_factory=dict)  # degree -> int
@@ -84,10 +91,11 @@ class KernelReport:
         return list(zip(self.degrees, self.dims))
 
 
-def residue_map(sys: System, op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMap:
+def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMap:
     """Exact matrices of the screening residue on the requested degree slices."""
+    sys = op.system
     shift_deg = op.degree_shift()
-    gm = GradedMap(op.source, op.target(), shift_deg)
+    gm = GradedMap(op.source, shift_deg)
     # images are keyed by mode tuple alone, so check their momentum once
     if op.prefactor is not None and not shift_of(sys, op.prefactor).is_zero():
         raise ShapeMismatch("the prefactor shifts the momentum off the target slice")
@@ -135,7 +143,7 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
     return KernelReport(degrees, dims, bases)
 
 
-def compose_check(sys: System, s2: ScreeningOp, s1: ScreeningOp, degrees,
+def compose_check(s2: ScreeningOp, s1: ScreeningOp, degrees,
                   cap: Optional[int] = None) -> dict:
     """True per degree iff the composed residues vanish on the whole slice.
 
@@ -146,9 +154,9 @@ def compose_check(sys: System, s2: ScreeningOp, s1: ScreeningOp, degrees,
         raise MomentumMismatch("target momentum of the first map must equal the "
                                "source of the second")
     degrees = list(degrees)
-    m1 = residue_map(sys, s1, degrees, cap)
+    m1 = residue_map(s1, degrees, cap)
     shifted = [d + s1.degree_shift() for d in degrees]
-    m2 = residue_map(sys, s2, shifted, cap)
+    m2 = residue_map(s2, shifted, cap)
     out = {}
     for d in degrees:
         A = m2.blocks[d + s1.degree_shift()]
@@ -158,14 +166,14 @@ def compose_check(sys: System, s2: ScreeningOp, s1: ScreeningOp, degrees,
     return out
 
 
-def annihilates(sys: System, screenings, v: LinComb) -> bool:
-    """True iff every screening residue kills the homogeneous vector v."""
-    if v:
-        lc_degree(sys, v)  # homogeneity check
+def annihilates(ops, v: LinComb) -> bool:
+    """True iff every screening residue of ops kills the homogeneous vector v."""
+    if v and ops:
+        lc_degree(ops[0].system, v)  # homogeneity check
         momenta = {s.momentum for s in v}
         if len(momenta) > 1:
             raise MomentumMismatch("vector mixes momenta")
-    for op in screenings:
+    for op in ops:
         if op.apply(v):
             return False
     return True

@@ -311,6 +311,28 @@ def test_removed_flags_exit_2_without_a_report(tmp_path, capsys, monkeypatch):
         assert "unrecognized arguments" in err or "invalid choice: 'csv'" in err, (verb, flag)
 
 
+def test_flags_a_mode_does_not_read_exit_2_without_a_report(tmp_path, capsys, monkeypatch):
+    """`verify --control` reads no --seed or --cap, and `duality` no --seed
+    without --random-levels; the same values from a config file pass."""
+    out = tmp_path / "r.json"
+    duality = ("duality", "--pair", "sl", "--n", "2", "--k1", "-14/5", "--max-degree", "2")
+    control = ("verify", "--control", "drop-psi")
+    for argv in (control + ("--seed", "5", "--cap", "1"), control + ("--seed", "5"),
+                 control + ("--cap", "1"), duality + ("--seed", "9"),
+                 duality + ("--seed", "9", "--random-levels", "0")):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists(), argv
+        assert err.startswith("error: "), argv
+        assert all(flag in err for flag in ("--seed", "--cap") if flag in argv), argv
+    cfg = tmp_path / "wcoset.cfg"
+    cfg.write_text("seed = 9\ncap = 1000\n")
+    monkeypatch.setenv("WCOSET_CONFIG", str(cfg))
+    for argv, want in ((control, 1), (duality, 0)):
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == want and out.exists(), argv
+        out.unlink()
+
+
 def test_gram_and_ks_check_report_the_given_level(capsys):
     code, out, _ = run(capsys, "gram", "--pair", "sl", "--n", "2", "--k1", "3")
     assert code == 0 and json.loads(out)["inputs"]["k1"] == "3"

@@ -23,8 +23,7 @@ import pytest
 from wcoset import catalog as cat
 from wcoset.fock import enumerate_basis
 from wcoset.linalg import rank
-from wcoset.screening import joint_kernel, residue_map
-from wcoset.screening import ScreeningOp
+from wcoset.screening import ScreeningOp, compose_check, joint_kernel, residue_map
 
 from test_screening import oracle_block
 
@@ -69,34 +68,27 @@ def bosonized_sector_dims(pair, n, ell, sector, degrees):
     spec = cat.principal_super_realization(pair, n, ell, "bosonized")
     sys = spec.system
     src = sys.lattice_momentum((sector,))
-    maps = []
-    for op in spec.screenings:
-        shifted = ScreeningOp(sys, op.coeff, op.direction, op.shift, src,
-                              op.prefactor, op.name)
-        maps.append(residue_map(sys, shifted, degrees))
-    return joint_kernel(maps, degrees).dims
+    return joint_kernel([residue_map(op.at(src), degrees) for op in spec.screenings],
+                        degrees).dims
 
 
 def test_odd_lattice_screening_squares_to_zero():
     """Odd exponentials with regular self-OPE have vanishing residue squares."""
-    from wcoset.screening import compose_check
     # the fermionizing screening on the two-boson lattice
     spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
     sys = spec.system
     qx = spec.screenings[0]
     src1 = sys.lattice_momentum((1, 0))
-    qx2 = ScreeningOp(sys, qx.coeff, qx.direction, qx.shift, src1, None, "Qx'")
-    out = compose_check(sys, qx2, qx, range(4))
+    out = compose_check(qx.at(src1, "Qx'"), qx, range(4))
     assert all(out.values())
     # the rank-one fermion lattice
     sup = cat.principal_super_realization("sl", 2, Fraction(3), "bosonized")
     sysb = sup.system
     b_res = ScreeningOp(sysb, Fraction(1),
                         tuple(Fraction(i == 0) for i in range(len(sysb.heis_indices))),
-                        sysb.lattice_momentum((1,)), sysb.zero_momentum(), None, "b")
-    b_res2 = ScreeningOp(sysb, Fraction(1), b_res.direction, b_res.shift,
-                         sysb.lattice_momentum((1,)), None, "b'")
-    out = compose_check(sysb, b_res2, b_res, range(4))
+                        sysb.zero_momentum(), None, "b")
+    assert b_res.shift == sysb.lattice_momentum((1,))
+    out = compose_check(b_res.at(sysb.lattice_momentum((1,)), "b'"), b_res, range(4))
     assert all(out.values())
 
 
@@ -115,7 +107,7 @@ def test_fermionic_vs_bosonized_kernels(pair, n, k2):
         assert left[m] == right, (pair, n, m, left[m], right)
     # the charge pieces exhaust the full kernel
     full = joint_kernel(
-        [residue_map(spec.system, op, range(max_degree + 1))
+        [residue_map(op, range(max_degree + 1))
          for op in spec.screenings], range(max_degree + 1)).dims
     totals = [sum(left[m][d] for m in charges) for d in range(max_degree + 1)]
     assert totals == full

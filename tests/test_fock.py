@@ -68,15 +68,15 @@ def test_normal_form_swap():
     sys = bc_heis2()
     mu = sys.zero_momentum()
     # c(-1) b(-1) -> -b(-1) c(-1)
-    st = normal_form(sys, mu, [(1, 1), (0, 1)])
+    st, sign = normal_form(sys, mu, [(1, 1), (0, 1)])
     assert st.modes == ((0, 1), (1, 1))
-    assert st.sign == -1
+    assert sign == -1
     # fermionic square is zero
     assert normal_form(sys, mu, [(0, 1), (0, 1)]) is None
     # bosons commute: x1(-2) x1(-1) stays with sign +1
-    st = normal_form(sys, mu, [(2, 1), (2, 2)])
+    st, sign = normal_form(sys, mu, [(2, 1), (2, 2)])
     assert st.modes == ((2, 2), (2, 1))
-    assert st.sign == 1
+    assert sign == 1
 
 
 def test_normal_form_permutation_consistency():
@@ -134,8 +134,8 @@ def test_canonical_modes_matches_insertion_sort():
             sign = rng.choice((1, -1))
             want = insertion_normal_form(sys, raw, sign)
             assert fock.canonical_modes(sys, raw, sign) == want, raw
-            st = normal_form(sys, mu, raw, sign)
-            assert (st if st is None else (st.modes, st.sign)) == want
+            out = normal_form(sys, mu, raw, sign)
+            assert (out if out is None else (out[0].modes, out[1])) == want
             seen[want is None, want is not None and want[1] != sign] += 1
     # zeros, kept signs and flipped signs all occur
     assert len(seen) == 3

@@ -69,7 +69,7 @@ def test_conformal_field_virasoro_ope():
 def test_screening_degree_shift_bookkeeping():
     spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "coset")
     for op in spec.screenings:
-        gm = residue_map(spec.system, op, range(3))
+        gm = residue_map(op, range(3))
         assert gm.degree_shift == -1
         for d in range(3):
             tgt = enumerate_basis(spec.system, op.target(), d - 1)

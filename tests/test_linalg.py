@@ -337,7 +337,7 @@ def test_zero_cells_read_alike_by_identity_and_by_value():
     # residue_map and mat_mul fill empty cells with the one linalg.ZERO, which
     # the scans skip by identity; zeros made apart must read the same
     spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
-    M = residue_map(spec.system, spec.screenings[0], [3]).blocks[3]
+    M = residue_map(spec.screenings[0], [3]).blocks[3]
     zeros = [x for row in M for x in row if not x]
     assert zeros and all(x is linalg.ZERO for x in zeros)
     rng = random.Random(5)
@@ -556,7 +556,7 @@ def coset_maps(pair, n, k1, max_degree):
     """The screening maps of both sides of the coset duality at level k1."""
     specs = (cat.subregular_realization(pair, n, k1, "coset"),
              cat.principal_super_realization(pair, n, cat.dual_level(pair, n, k1), "coset"))
-    return [[residue_map(spec.system, op, range(max_degree + 1)) for op in spec.screenings]
+    return [[residue_map(op, range(max_degree + 1)) for op in spec.screenings]
             for spec in specs]
 
 
@@ -566,8 +566,8 @@ def gl11_compositions(max_degree):
     s1 = cat.wakimoto_shifted_screening(spec, 0)
     s2 = cat.wakimoto_shifted_screening(spec, 1)
     degrees = range(max_degree + 1)
-    m1 = residue_map(spec.system, s1, degrees)
-    m2 = residue_map(spec.system, s2, [d + s1.degree_shift() for d in degrees])
+    m1 = residue_map(s1, degrees)
+    m2 = residue_map(s2, [d + s1.degree_shift() for d in degrees])
     return [(m2.blocks[d + s1.degree_shift()], m1.blocks[d]) for d in degrees]
 
 
@@ -582,7 +582,7 @@ def test_coset_sl2_slices_match_oracle():
 
 def test_gl11_resolution_slices_match_oracle():
     spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
-    gm = residue_map(spec.system, spec.screenings[0], range(4))
+    gm = residue_map(spec.screenings[0], range(4))
     slices = stacked_slices([gm], range(4))
     assert len(slices) == 4
     for M in slices:

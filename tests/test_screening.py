@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import screening
-from wcoset.errors import MomentumMismatch, NonEnumerable, ResourceBound, ShapeMismatch
+from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
+                           ShapeMismatch)
 from wcoset.fields import (_expop_record, deriv, direction_of, gen, mode_apply,
                            nord, parity, sadd, scale, state_of_field)
 from wcoset.fock import FockState, enumerate_basis, fermion_pair, heis, register_system
@@ -66,9 +68,8 @@ def test_oracles_fixed_values():
 def resolution_screening(sys, k1, n_from=0):
     """S: W_{-n alpha} -> W_{-(n+1) alpha} with alpha = chi1 + chi2."""
     lam = direction_of(sys, {"x1": Fraction(1), "x2": Fraction(1)})
-    shift = sys.momentum((Fraction(-1), Fraction(1)))
     src = sys.momentum((Fraction(-n_from), Fraction(n_from)))
-    return ScreeningOp(sys, -1 / k1, lam, shift, src, prefactor=gen("b"), name="S")
+    return ScreeningOp(sys, -1 / k1, lam, src, prefactor=gen("b"), name="S")
 
 
 GL11_LEVELS = [(Fraction(7, 2), Fraction(1, 3)), (Fraction(-5, 3), Fraction(4, 7))]
@@ -80,9 +81,9 @@ def test_resolution_degree0_action(k1, k2):
     S = resolution_screening(sys, k1)
     vac = sys.vacuum()
     assert S.apply({vac: Fraction(1)}) == {}
-    c_state = FockState(sys.zero_momentum(), ((sys.index["c"], 1),), 1)
+    c_state = FockState(sys.zero_momentum(), ((sys.index["c"], 1),))
     out = S.apply({c_state: Fraction(1)})
-    target_vac = FockState(S.target(), (), 1)
+    target_vac = FockState(S.target(), ())
     assert out == {target_vac: Fraction(1)}
 
 
@@ -90,7 +91,7 @@ def test_resolution_degree0_action(k1, k2):
 def test_resolution_kernel_dims(k1, k2):
     sys = gl11_system(k1, k2)
     S = resolution_screening(sys, k1)
-    gm = residue_map(sys, S, range(4))
+    gm = residue_map(S, range(4))
     report = joint_kernel([gm], range(4))
     assert report.dims == [1, 4, 12, 32]
     # exact linear algebra sanity: rank + kernel = source dimension
@@ -104,7 +105,7 @@ def test_resolution_kernel_dims(k1, k2):
 def test_resolution_kernel_dim4_matches_character(k1, k2):
     sys = gl11_system(k1, k2)
     S = resolution_screening(sys, k1)
-    report = joint_kernel([residue_map(sys, S, [4])], [4])
+    report = joint_kernel([residue_map(S, [4])], [4])
     assert report.dims == [gl11_vacuum_character(4)[4]] == [76]
 
 
@@ -113,7 +114,7 @@ def test_s_compose_s_zero(k1, k2):
     sys = gl11_system(k1, k2)
     s1 = resolution_screening(sys, k1, 0)
     s2 = resolution_screening(sys, k1, 1)
-    out = compose_check(sys, s2, s1, range(5))
+    out = compose_check(s2, s1, range(5))
     assert all(out.values())
 
 
@@ -128,7 +129,7 @@ def test_compose_check_honours_cap(monkeypatch):
 
     monkeypatch.setattr(screening, "mat_mul", no_product)
     with pytest.raises(ResourceBound):
-        compose_check(sys, s2, s1, range(5), cap=10)
+        compose_check(s2, s1, range(5), cap=10)
 
 
 def test_compose_momentum_mismatch():
@@ -137,7 +138,7 @@ def test_compose_momentum_mismatch():
     s1 = resolution_screening(sys, k1, 0)
     s3 = resolution_screening(sys, k1, 2)
     with pytest.raises(MomentumMismatch):
-        compose_check(sys, s3, s1, range(2))
+        compose_check(s3, s1, range(2))
 
 
 @pytest.mark.parametrize("k1,k2", GL11_LEVELS)
@@ -147,9 +148,10 @@ def test_screening_annihilates_wakimoto_images(k1, k2):
     rho = wakimoto_images(sys, k1)
     for name, img in rho.items():
         v = state_of_field(sys, img)
-        assert annihilates(sys, [S], v), name
-    chi_state = {FockState(sys.zero_momentum(), ((sys.index["x1"], 1),), 1): Fraction(1)}
-    assert not annihilates(sys, [S], chi_state)
+        assert annihilates([S], v), name
+    chi_state = {FockState(sys.zero_momentum(), ((sys.index["x1"], 1),)): Fraction(1)}
+    assert not annihilates([S], chi_state)
+    assert annihilates([], chi_state)
 
 
 def rank1_system(K):
@@ -158,11 +160,41 @@ def rank1_system(K):
 
 def rank1_screenings(sys, K):
     lam = direction_of(sys, {"a": Fraction(1)})
-    plus = ScreeningOp(sys, Fraction(1), lam, sys.momentum((2 * K,)),
-                       sys.zero_momentum(), name="e^a")
-    minus = ScreeningOp(sys, -1 / K, lam, sys.momentum((-2,)),
-                        sys.zero_momentum(), name="e^(-a/K)")
+    plus = ScreeningOp(sys, Fraction(1), lam, sys.zero_momentum(), name="e^a")
+    minus = ScreeningOp(sys, -1 / K, lam, sys.zero_momentum(), name="e^(-a/K)")
     return plus, minus
+
+
+def test_shift_is_derived_from_the_exponential():
+    # T_{c lambda}: (-1, 1) for S, (2K,) for e^a and (-2,) for e^(-a/K)
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    assert resolution_screening(sys, k1, 2).shift == sys.momentum((Fraction(-1), Fraction(1)))
+    K = Fraction(7, 2)
+    sys = rank1_system(K)
+    plus, minus = rank1_screenings(sys, K)
+    assert (plus.shift, minus.shift) == (sys.momentum((2 * K,)), sys.momentum((-2,)))
+
+
+def test_at_re_sources_and_keeps_every_other_field():
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    op = resolution_screening(sys, k1)
+    src = sys.momentum((Fraction(-1), Fraction(1)))
+    for name, moved in ((op.name, op.at(src)), ("S'", op.at(src, "S'"))):
+        assert (moved.source, moved.name) == (src, name)
+        for f in dataclasses.fields(op):
+            if f.name not in ("source", "name"):
+                assert getattr(moved, f.name) == getattr(op, f.name), f.name
+    assert op.at(src) == resolution_screening(sys, k1, 1)
+
+
+def test_non_integral_lattice_shift_refused_when_the_op_is_made():
+    spec = cat.principal_super_realization("sl", 2, Fraction(3), "bosonized")
+    sys = spec.system
+    lam = direction_of(sys, {"phi": Fraction(1)})
+    with pytest.raises(InputError, match="integer coordinates"):
+        ScreeningOp(sys, Fraction(1, 2), lam, sys.zero_momentum())
 
 
 @pytest.mark.parametrize("K", [Fraction(7, 2), Fraction(5, 3)])
@@ -171,7 +203,7 @@ def test_rank1_ff_kernels(K):
     plus, minus = rank1_screenings(sys, K)
     expect = parts_ge2(6)
     for op in (plus, minus):
-        gm = residue_map(sys, op, range(7))
+        gm = residue_map(op, range(7))
         assert joint_kernel([gm], range(7)).dims == expect
 
 
@@ -185,9 +217,9 @@ def test_joint_kernel_order_and_rescale_invariance():
     sys = gl11_system(k1, k2)
     S = resolution_screening(sys, k1)
     lam = direction_of(sys, {"x1": Fraction(1), "x2": Fraction(1)})
-    S5 = ScreeningOp(sys, -1 / k1, lam, S.shift, S.source, prefactor=gen("b"))
-    gm = residue_map(sys, S, range(3))
-    gm5 = residue_map(sys, S5, range(3))
+    S5 = ScreeningOp(sys, -1 / k1, lam, S.source, prefactor=gen("b"))
+    gm = residue_map(S, range(3))
+    gm5 = residue_map(S5, range(3))
     gm5.blocks = {d: [[5 * x for x in row] for row in M] for d, M in gm5.blocks.items()}
     a = joint_kernel([gm, gm5], range(3)).dims
     b = joint_kernel([gm5, gm], range(3)).dims
@@ -198,7 +230,7 @@ def test_kernel_bases_reduced():
     K = Fraction(7, 2)
     sys = rank1_system(K)
     plus, _ = rank1_screenings(sys, K)
-    gm = residue_map(sys, plus, range(4))
+    gm = residue_map(plus, range(4))
     rep = joint_kernel([gm], range(4), with_bases=True)
     for d, dim in zip(rep.degrees, rep.dims):
         assert len(rep.bases[d]) == dim
@@ -216,8 +248,8 @@ def test_shape_mismatch():
     Sa = resolution_screening(sysa, k1)
     plus, _ = rank1_screenings(sysb, Fraction(7, 2))
     with pytest.raises(ShapeMismatch):
-        joint_kernel([residue_map(sysa, Sa, range(2)),
-                      residue_map(sysb, plus, range(2))], range(2))
+        joint_kernel([residue_map(Sa, range(2)),
+                      residue_map(plus, range(2))], range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +286,12 @@ def oracle_blocks(build, degrees):
     return {(i, d): oracle_block(osys, op, d) for i, op in enumerate(oops) for d in degrees}
 
 
-def compare_with_oracle(sys, ops, blocks, degrees):
-    """residue_map of each op on sys against blocks[(its index, d)]; returns the
+def compare_with_oracle(ops, blocks, degrees):
+    """residue_map of each op against blocks[(its index, d)]; returns the
     number of nonzero entries compared."""
     nonzero = 0
     for i, op in enumerate(ops):
-        gm = residue_map(sys, op, degrees)
+        gm = residue_map(op, degrees)
         for d in degrees:
             assert entries(gm.blocks[d]) == entries(blocks[i, d]), (op.name, d)
             nonzero += sum(not sc_is_zero(x) for row in gm.blocks[d] for x in row)
@@ -268,7 +300,7 @@ def compare_with_oracle(sys, ops, blocks, degrees):
 
 def matches_oracle(build, degrees):
     """build() returns (system, ops); the oracle runs on a second build()."""
-    return compare_with_oracle(*build(), oracle_blocks(build, degrees), degrees)
+    return compare_with_oracle(build()[1], oracle_blocks(build, degrees), degrees)
 
 
 def catalog_build(side, pair, n, form, k1):
@@ -289,7 +321,7 @@ def test_residue_map_matches_oracle_catalog(pair, form, k1):
                 # the weight-0 gamma makes every slice infinite, on both paths
                 sys, ops = build()
                 with pytest.raises(NonEnumerable):
-                    residue_map(sys, ops[0], [0])
+                    residue_map(ops[0], [0])
                 with pytest.raises(NonEnumerable):
                     oracle_block(sys, ops[0], 0)
                 continue
@@ -305,8 +337,7 @@ def gl11_build(k1, k2, prefactor=None):
         spec = cat.gl11_wakimoto(k1, k2)
         ops = [cat.wakimoto_shifted_screening(spec, i) for i in range(3)]
         if prefactor is not None:
-            ops = [ScreeningOp(spec.system, op.coeff, op.direction, op.shift, op.source,
-                               prefactor, op.name) for op in ops]
+            ops = [dataclasses.replace(op, prefactor=prefactor) for op in ops]
         return spec.system, ops
     return build
 
@@ -321,10 +352,10 @@ def gl11_oracle():
 def test_residue_map_matches_oracle_gl11_warm_system(gl11_oracle):
     # S[0..2] share one ExpOp over three sources: S[1], S[2] and S[0] again are
     # built on a System the earlier maps have warmed, the oracle on a fresh one
-    sys, ops = gl11_build(*GL11)()
+    _, ops = gl11_build(*GL11)()
     order = (0, 1, 2, 0)
     blocks = {(j, d): gl11_oracle[i, d] for j, i in enumerate(order) for d in range(5)}
-    assert compare_with_oracle(sys, [ops[i] for i in order], blocks, range(5)) > 0
+    assert compare_with_oracle([ops[i] for i in order], blocks, range(5)) > 0
 
 
 def test_residue_map_matches_oracle_gl11_symbolic():
@@ -356,8 +387,8 @@ def test_residue_map_matches_oracle_odd_exponential():
         sys = register_system([b, c, heis("phi")], [[Fraction(1)]],
                               lattice_indices=[2], lattice_gram=[[1]])
         lam = direction_of(sys, {"phi": Fraction(1)})
-        ops = [cat.make_screening(sys, Fraction(1), lam, sys.lattice_momentum((m,)),
-                                  prefactor=gen("b"), name=f"b e^phi [{m}]")
+        ops = [ScreeningOp(sys, Fraction(1), lam, sys.lattice_momentum((m,)),
+                           prefactor=gen("b"), name=f"b e^phi [{m}]")
                for m in (0, 1)]
         return sys, ops
     sys, ops = build()
@@ -408,10 +439,9 @@ def _golden_cases():
     ops = []
     for label in ((0, 0), (1, 0)):
         mu = sys.lattice_momentum(label)
-        ops.append(ScreeningOp(sys, exp.coeff, exp.direction, exp.shift, mu,
+        ops.append(ScreeningOp(sys, exp.coeff, exp.direction, mu,
                                scale(gamma.coeff, gamma.expr.left), f"gamma {label}"))
-        ops += [cat.make_screening(sys, op.coeff, op.direction, mu, op.prefactor,
-                                   f"{op.name} {label}") for op in spec.screenings]
+        ops += [op.at(mu, f"{op.name} {label}") for op in spec.screenings]
     cases["subregular-sl:2:bosonized -14/5"] = (sys, ops, range(5))
     return cases
 
@@ -451,7 +481,7 @@ def test_residue_map_golden_digests():
     for name, (sys, ops, degrees) in _golden_cases().items():
         h = hashlib.sha256()
         for op in ops:
-            gm = residue_map(sys, op, degrees)
+            gm = residue_map(op, degrees)
             for d in degrees:
                 for i, row in enumerate(gm.blocks[d]):
                     for j, x in enumerate(row):
@@ -465,16 +495,15 @@ def test_residue_map_off_by_one_shift_raises(monkeypatch):
     true_shift = ops[0].degree_shift()
     monkeypatch.setattr(ScreeningOp, "degree_shift", lambda self: true_shift + 1)
     with pytest.raises(ShapeMismatch, match="missing from target slice"):
-        residue_map(sys, ops[0], range(3))
+        residue_map(ops[0], range(3))
 
 
 def test_residue_map_shifting_prefactor_raises():
     sys, ops = gl11_build(*GL11)()
     op = ops[0]
-    shifted = ScreeningOp(sys, op.coeff, op.direction, op.shift, op.source,
-                          nord(gen("b"), op.exponential()), op.name)
+    shifted = dataclasses.replace(op, prefactor=nord(gen("b"), op.exponential()))
     with pytest.raises(ShapeMismatch, match="prefactor shifts the momentum"):
-        residue_map(sys, shifted, [1])
+        residue_map(shifted, [1])
 
 
 def test_oracle_comparison_negative_control(gl11_oracle):
@@ -485,5 +514,5 @@ def test_oracle_comparison_negative_control(gl11_oracle):
     s = next(iter(rec.factors))
     rec.factors[s] += 1
     with pytest.raises(AssertionError) as failure:
-        compare_with_oracle(sys, ops, gl11_oracle, range(4))
+        compare_with_oracle(ops, gl11_oracle, range(4))
     assert op.name in str(failure.value)

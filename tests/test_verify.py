@@ -97,7 +97,7 @@ def test_coset_duality_symmetric_sides():
         specs = (sub, sup) if order == "lr" else (sup, sub)
         got = []
         for spec in specs:
-            maps = [residue_map(spec.system, op, degrees) for op in spec.screenings]
+            maps = [residue_map(op, degrees) for op in spec.screenings]
             got.append(joint_kernel(maps, degrees).dims)
         dims[order] = got
     assert dims["lr"][0] == dims["rl"][1]
@@ -115,7 +115,7 @@ def test_h1_single_state_not_screening_closed():
     spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "miura")
     sys = spec.system
     one = state_of_field(sys, gen("a1"))
-    assert not annihilates(sys, spec.screenings, one)
+    assert not annihilates(spec.screenings, one)
 
 
 def test_ks_symbolic_and_negative():
@@ -207,9 +207,9 @@ def test_catalog_realizations_pass_at_two_levels():
             sub = cat.subregular_realization(pair, 2, k1, "miura")
             assert ver.check_homomorphism(sub).status == "pass"
             v = state_of_field(sub.system, sub.distinguished["H1"])
-            assert annihilates(sub.system, sub.screenings, v)
+            assert annihilates(sub.screenings, v)
             lv = cat.LevelData.from_k1(pair, 2, k1)
             sup = cat.principal_super_realization(pair, 2, lv.k2, "miura")
             assert ver.check_homomorphism(sup).status == "pass"
             v = state_of_field(sup.system, sup.distinguished["H2"])
-            assert annihilates(sup.system, sup.screenings, v)
+            assert annihilates(sup.screenings, v)
