@@ -8,7 +8,7 @@ coset dualities and their Kazama-Suzuki inversions.
 from .scalars import Rat, RatFun, T, linear_zeros
 from .fock import (FockState, Momentum, Species, enumerate_basis, graded_dimension,
                    normal_form, register_system)
-from .fields import (ExpOp, Gen, NormOrd, Scale, Sum, current_gram, l0_apply,
+from .fields import (ExpOp, Gen, NormOrd, Scale, Sum, current_gram, exp_op, l0_apply,
                      mode_apply, ope_singular, state_of_field)
 from .screening import (GradedMap, KernelReport, ScreeningOp, annihilates,
                         compose_check, joint_kernel, residue_map)

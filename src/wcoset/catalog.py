@@ -17,9 +17,10 @@ level relation.
 Levels.  A realization is built at an exact level, either a Fraction or a
 RatFun in the formal parameter t.  The two sides of the duality are linked by
 r (k1 + h1)(k2 + h2) = 1; `dual_level` inverts it exactly.  Momenta are
-labeled by zero-mode eigenvalues; every exponential operator carries the
-canonical shift T_{c lambda} (whose eigenvalue shift is forced by the mode
-algebra), which reproduces the displayed shift operators such as T_{-alpha}.
+labeled by zero-mode eigenvalues; every exponential operator is made by
+`fields.exp_op` with the canonical shift T_{c lambda} (whose eigenvalue shift
+is forced by the mode algebra), which reproduces the displayed shift operators
+such as T_{-alpha}.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import Optional, Union
 
 from . import rootdata as rd
 from .errors import ExcludedLevel, InputError, ZeroK1
-from .fields import (ExpOp, FieldExpr, canonical_shift, deriv, direction_of, gen,
-                     heis_comb, nord, sadd, scale)
+from .fields import (FieldExpr, deriv, direction_of, exp_op, gen, heis_comb, nord, sadd,
+                     scale)
 from .fock import Momentum, System, boson_pair, fermion_pair, heis, register_system
 from .scalars import RatFun, Scalar, sc_is_zero
 from .screening import ScreeningOp
@@ -45,32 +46,9 @@ Level = Union[Fraction, RatFun]
 # pair constants and levels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairTag:
-    pair: str
-    n: int
-
-    def __post_init__(self):
-        rd.check_pair(self.pair)
-        if self.n < 1:
-            raise InputError("rank n must be >= 1")
-
-    @property
-    def r(self) -> int:
-        return rd.lacity(self.pair)
-
-    @property
-    def h1(self) -> int:
-        return rd.h1(self.pair, self.n)
-
-    @property
-    def h2(self) -> int:
-        return rd.h2(self.pair, self.n)
-
-
 def degeneracy_constants(pair: str, n: int):
     """The levels (x1, x2) where the coset Heisenberg currents degenerate."""
-    PairTag(pair, n)
+    rd.check_rank(pair, n)
     if pair == rd.SL:
         return Fraction(1, n) - n, Fraction(-n * n, n + 1)
     return Fraction(2 - 2 * n), Fraction(1, 2) - n
@@ -82,17 +60,19 @@ def s1_levels(pair: str, n: int) -> set:
     return {Fraction(-rd.h1(pair, n)), x1}
 
 
-def _dual(tag: PairTag, k: Level, side: int) -> Level:
+def _dual(pair: str, n: int, k: Level, side: int) -> Level:
     """The level dual to k on side 1 or 2 under r (k1 + h1)(k2 + h2) = 1."""
-    h, h_dual = (tag.h1, tag.h2) if side == 1 else (tag.h2, tag.h1)
+    rd.check_rank(pair, n)
+    h1, h2 = rd.h1(pair, n), rd.h2(pair, n)
+    h, h_dual = (h1, h2) if side == 1 else (h2, h1)
     shifted = k + h
     if sc_is_zero(shifted):
         raise ExcludedLevel(f"k{side} = {k} lies in the excluded set K{side} = {{{-h}}}")
-    return -h_dual + 1 / (tag.r * shifted)
+    return -h_dual + 1 / (rd.lacity(pair) * shifted)
 
 
 def dual_level(pair: str, n: int, k1: Level) -> Level:
-    return _dual(PairTag(pair, n), k1, 1)
+    return _dual(pair, n, k1, 1)
 
 
 @dataclass(frozen=True)
@@ -103,9 +83,8 @@ class LevelData:
     k2: Level
 
     def __post_init__(self):
-        tag = PairTag(self.pair, self.n)
-        prod = tag.r * (self.k1 + tag.h1) * (self.k2 + tag.h2)
-        if prod != 1:
+        rd.check_rank(self.pair, self.n)
+        if self.r * self.K1 * self.K2 != 1:
             raise ExcludedLevel(
                 f"levels k1={self.k1}, k2={self.k2} violate the duality relation")
 
@@ -115,7 +94,7 @@ class LevelData:
 
     @staticmethod
     def from_k2(pair: str, n: int, k2: Level) -> "LevelData":
-        return LevelData(pair, n, _dual(PairTag(pair, n), k2, 2), k2)
+        return LevelData(pair, n, _dual(pair, n, k2, 2), k2)
 
     @property
     def r(self) -> int:
@@ -123,17 +102,17 @@ class LevelData:
 
     @property
     def K1(self) -> Level:
-        return self.k1 + PairTag(self.pair, self.n).h1
+        return self.k1 + rd.h1(self.pair, self.n)
 
     @property
     def K2(self) -> Level:
-        return self.k2 + PairTag(self.pair, self.n).h2
+        return self.k2 + rd.h2(self.pair, self.n)
 
     def excluded_sets(self):
-        tag = PairTag(self.pair, self.n)
+        h1, h2 = rd.h1(self.pair, self.n), rd.h2(self.pair, self.n)
         _, x2 = degeneracy_constants(self.pair, self.n)
-        return {"K1": {Fraction(-tag.h1)}, "K2": {Fraction(-tag.h2)},
-                "S1": s1_levels(self.pair, self.n), "S2": {Fraction(-tag.h2), x2}}
+        return {"K1": {Fraction(-h1)}, "K2": {Fraction(-h2)},
+                "S1": s1_levels(self.pair, self.n), "S2": {Fraction(-h2), x2}}
 
 
 def is_admissible_k1(pair: str, n: int, k: Fraction) -> bool:
@@ -226,7 +205,7 @@ def _screenings(sys: System, rows):
     """Screenings on the vacuum module, one per (name, c, {species: coefficient},
     prefactor) row; the direction is the coefficient map over the species."""
     vac = sys.zero_momentum()
-    return [ScreeningOp(sys, c, direction_of(sys, coeffs), vac, pref, name)
+    return [ScreeningOp(sys, exp_op(sys, c, direction_of(sys, coeffs)), vac, pref, name)
             for name, c, coeffs, pref in rows]
 
 
@@ -240,10 +219,8 @@ def _attach_companions(spec, G, K, partner: str, ladder, cartan):
     coefficients over the simple roots), and u . v_beta = -(beta|h) v_beta.
     """
     lower, upper = _unit(len(G), 1), _unit(len(G), 0, 1)
-    sys = spec.system
     # the Heisenberg species of a Miura system are the simple roots, in order
-    lam = tuple(lower)
-    exp = ExpOp(-1 / K, lam, canonical_shift(sys, -1 / K, lam))
+    exp = exp_op(spec.system, -1 / K, lower)
     spec.companions = {"lower": exp, "upper": scale(-1, nord(gen(partner), exp))}
     raising, lowering, sign = ladder
     spec.covariance = {
@@ -389,13 +366,11 @@ def _subregular_bosonized(lv: LevelData) -> RealizationSpec:
     names = _heis_names(1, n)
     table = _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(G, K))
     sys = register_system([heis("x"), heis("y")] + [heis(nm) for nm in names], table,
-                          lattice_indices=(0, 1), lattice_gram=[[1, 0], [0, -1]])
+                          lattice_indices=(0, 1))
     xy = direction_of(sys, {"x": Fraction(1), "y": Fraction(1)})
-    e_xy = ExpOp(Fraction(1), xy, canonical_shift(sys, Fraction(1), xy))
-    e_xy_m = ExpOp(Fraction(-1), xy, canonical_shift(sys, Fraction(-1), xy))
     gmap = {
-        "beta": e_xy,
-        "gamma": scale(-1, nord(gen("x"), e_xy_m)),
+        "beta": exp_op(sys, Fraction(1), xy),
+        "gamma": scale(-1, nord(gen("x"), exp_op(sys, Fraction(-1), xy))),
     }
     screenings = _screenings(sys, [
         ("Qx", Fraction(1), {"x": Fraction(1)}, None),
@@ -509,11 +484,9 @@ def _super_bosonized(lv: LevelData) -> RealizationSpec:
     names = _heis_names(0, n)
     sys = register_system([heis("phi")] + [heis(nm) for nm in names],
                           _pairing([[Fraction(1)]], _scaled(G, K2)),
-                          lattice_indices=(0,), lattice_gram=[[1]])
+                          lattice_indices=(0,))
     phi = direction_of(sys, {"phi": Fraction(1)})
-    b_img = ExpOp(Fraction(1), phi, canonical_shift(sys, Fraction(1), phi))
-    c_img = ExpOp(Fraction(-1), phi, canonical_shift(sys, Fraction(-1), phi))
-    gmap = {"b": b_img, "c": c_img}
+    gmap = {"b": exp_op(sys, Fraction(1), phi), "c": exp_op(sys, Fraction(-1), phi)}
     screenings = _screenings(sys, [
         ("Q0", -1 / K2, {"a0": Fraction(1), "phi": -K2}, None),
     ] + [(f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, None) for i in range(1, n + 1)])
@@ -576,7 +549,7 @@ class KSFields:
 
 
 def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
-    PairTag(pair, n)
+    rd.check_rank(pair, n)
     if n < 2:
         raise InputError("the Kazama-Suzuki field systems need rank n >= 2")
     lv = LevelData.from_k2(pair, n, k2)
@@ -587,7 +560,7 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
     sys_a = register_system(
         [heis("phi")] + [heis(nm) for nm in names2] + [heis("psi")],
         _pairing([[Fraction(1)]], _scaled(rd.g2_gram(pair, n), K2), [[Fraction(-1)]]),
-        lattice_indices=(0, n + 2), lattice_gram=[[1, 0], [0, -1]])
+        lattice_indices=(0, n + 2))
     a = {nm: gen(nm) for nm in names2}
     fields_a = {
         "X": sadd(scale(-1 / K2, a["a0"]), gen("phi")),
@@ -610,7 +583,7 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
         [heis("x"), heis("y")] + [heis(nm) for nm in names1] + [heis("phi")],
         _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(rd.g1_gram(pair, n), K),
                  [[Fraction(1)]]),
-        lattice_indices=(0, 1, n + 2), lattice_gram=[[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        lattice_indices=(0, 1, n + 2))
     fields_b = {
         "phit": sadd(gen("x"), gen("y"), gen("phi")),
         "B0": sadd(scale(-1, gen("y")), scale(-1, gen("phi"))),
@@ -665,8 +638,8 @@ def _parse_key(key: str):
     m = _KEY.fullmatch(key)
     if m is None or m[4] not in ((None,) if m[1].startswith("ks-") else _FORMS):
         raise InputError(f"unknown catalog key {key!r}")
-    tag = PairTag(m[2], int(m[3]))
-    return m[1], tag.pair, tag.n, m[4]
+    rd.check_rank(m[2], int(m[3]))
+    return m[1], m[2], int(m[3]), m[4]
 
 
 def get_realization(key: str, k1: Level = None, k2: Level = None) -> RealizationSpec:

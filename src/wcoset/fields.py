@@ -2,9 +2,10 @@
 
 A FieldExpr is a tree over Gen (a registered species), Deriv, NormOrd (the
 right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
-lattice/shift operator).  ``mode_apply`` gives the physical (n)-mode of any
-expression applied to a state, as an exact finite linear combination; the
-OPEs, Gram matrices and annihilation checks are built on it.  A generator's
+lattice/shift operator, made by ``exp_op``, the one place its shift is
+derived).  ``mode_apply`` gives the physical (n)-mode of any expression
+applied to a state, as an exact finite linear combination; the OPEs, Gram
+matrices and annihilation checks are built on it.  A generator's
 nonnegative modes on a state come from one walk, ``_annihilations``.
 Screening residues are built a slice at a time by ``residue_images``; it and
 ``mode_apply`` take the images of the exponential operator from one core,
@@ -52,11 +53,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import (InputError, NonIntegralExponent, NonSymmetric, ParityMismatch,
-                     ShapeMismatch)
+from .errors import NonSymmetric, ParityMismatch, ShapeMismatch
 from .fock import FockState, Momentum, System, canonical_modes, normal_form, state_str
 from .linalg import ZERO
-from .scalars import RatFun, Scalar, sc_is_zero
+from .scalars import RatFun, Scalar, _as_int, sc_is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,9 @@ class ExpOp:
     shift: Momentum
 
 
-def canonical_shift(sys: System, c: Scalar, direction) -> Momentum:
-    """The T_{c lambda} momentum: eigenvalue shift forced by the mode algebra."""
+def exp_op(sys: System, c: Scalar, direction) -> ExpOp:
+    """e^{c int lambda} with its shift T_{c lambda}, the eigenvalue shift forced
+    by the mode algebra; NonIntegralExponent unless its lattice label is integral."""
     vals = []
     for j in range(len(sys.heis_indices)):
         acc = 0
@@ -109,19 +110,9 @@ def canonical_shift(sys: System, c: Scalar, direction) -> Momentum:
             acc = acc + x * sys.pairing[i][j]
         acc = acc * c
         vals.append(acc if not isinstance(acc, int) else Fraction(acc))
-    label = None
-    if sys.lattice_indices:
-        label = []
-        for idx in sys.lattice_indices:
-            x = direction[sys.heis_pos[idx]] * c
-            if isinstance(x, RatFun):
-                x = x.as_rat()
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise InputError("lattice shift must have integer coordinates")
-            label.append(int(x))
-        # off-lattice coordinates of the direction must not shift the label
-    return Momentum(tuple(vals), tuple(label) if label is not None else None)
+    shift = Momentum(tuple(vals))
+    sys.lattice_label(shift)
+    return ExpOp(c, tuple(direction), shift)
 
 
 FieldExpr = Union[Gen, Deriv, NormOrd, Scale, Sum, ExpOp]
@@ -277,17 +268,6 @@ def shift_of(sys: System, expr: FieldExpr) -> Momentum:
     raise TypeError(expr)
 
 
-def _as_int(x: Scalar, what: str) -> int:
-    if isinstance(x, RatFun):
-        if not x.is_constant():
-            raise NonIntegralExponent(f"{what} is not constant: {x}")
-        x = x.as_rat()
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise NonIntegralExponent(f"{what} = {x} is not an integer")
-    return int(x)
-
-
 def exp_power(sys: System, op: ExpOp, mu: Momentum) -> int:
     """z-exponent c(lambda|mu) of an ExpOp on the Fock module over |mu>."""
     acc = 0
@@ -402,7 +382,7 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
             rational = not any(isinstance(x, RatFun)
                                for x in (op.coeff, *op.direction, *factors.values()))
             shared = cache[op] = ([{0: Fraction(1)}], [(1, {0: 1})] if rational else None)
-        rec = _ExpRecord(p, sys.cocycle(op.shift.lattice, mu.lattice), mu + op.shift,
+        rec = _ExpRecord(p, sys.cocycle(op.shift, mu), mu + op.shift,
                          factors, *shared)
         cache[(op, mu)] = rec
     return rec
@@ -670,11 +650,9 @@ def mode_apply(sys: System, expr: FieldExpr, n: int, arg) -> LinComb:
     raise TypeError(expr)
 
 
-def state_of_field(sys: System, expr: FieldExpr, mu: Optional[Momentum] = None) -> LinComb:
-    """Vacuum-module state of expr: its (-1)-mode on |mu> (z -> 0 limit)."""
-    if mu is None:
-        mu = sys.zero_momentum()
-    return mode_apply(sys, expr, -1, sys.vacuum(mu))
+def state_of_field(sys: System, expr: FieldExpr) -> LinComb:
+    """Vacuum-module state of expr: its (-1)-mode on the vacuum (z -> 0 limit)."""
+    return mode_apply(sys, expr, -1, sys.vacuum())
 
 
 def ope_singular(sys: System, a: FieldExpr, b: FieldExpr, max_pole: Optional[int] = None):
@@ -701,10 +679,8 @@ def l0_apply(sys: System, conformal: FieldExpr, state) -> LinComb:
     return mode_apply(sys, conformal, 1, state)
 
 
-def vacuum_coefficient(sys: System, lc: LinComb, mu: Optional[Momentum] = None) -> Scalar:
-    if mu is None:
-        mu = sys.zero_momentum()
-    vac = sys.vacuum(mu)
+def vacuum_coefficient(sys: System, lc: LinComb) -> Scalar:
+    vac = sys.vacuum()
     extra = [s for s in lc if s.modes]
     if extra:
         raise ValueError("second-order pole is not a multiple of the vacuum")

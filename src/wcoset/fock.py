@@ -15,10 +15,11 @@ A mode is (species, depth) with depth d >= 1 standing for the physical mode
 index -d; its engine degree is depth - 1 + engine_weight(species).  Canonical
 order is species registration order, then depth descending; the sign picked up
 by sorting counts odd-odd transpositions and lives in a coefficient, never in
-a state.  A Momentum stores the zero-mode
-eigenvalue of every Heisenberg species directly, plus an integer lattice label
-for systems carrying a lattice decomposition (the label feeds the two-cocycle
-and parity; its bilinear form is the integer Gram declared at registration).
+a state.  A Momentum stores the zero-mode eigenvalue of every Heisenberg
+species and nothing else.  A system may name lattice species: each pairs with
+no other Heisenberg species and has norm +-1, as in V_Z and V_{sqrt(-1) Z}, so
+a momentum's lattice label is read off its eigenvalues
+(``System.lattice_label``) and feeds the two-cocycle and parity.
 
 Enumeration is exact and finite unless the system contains a weight-0 boson
 half (then every slice is infinite and NonEnumerable is raised).  Slices come
@@ -41,7 +42,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import AsymmetricPairing, NonEnumerable, ResourceBound, UnpairedFermionHalf
-from .scalars import Scalar, sc_is_zero
+from .scalars import Scalar, _as_int, sc_is_zero
 
 EVEN, ODD = "even", "odd"
 HEIS, FERMION_HALF, BOSON_HALF = "heisenberg", "fermion-pair-half", "boson-pair-half"
@@ -80,32 +81,25 @@ def boson_pair(a: str, b: str, weights=(1, 0)):
 
 @dataclass(frozen=True)
 class Momentum:
-    """Zero-mode eigenvalues per Heisenberg species, plus optional lattice label.
+    """Zero-mode eigenvalues, one per Heisenberg species.
 
     The hash is computed once, at construction: every FockState key hashes its
     momentum, and hashing a tuple of Fractions is costly.
     """
     values: tuple
-    lattice: Optional[tuple] = None
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.values, self.lattice)))
+        object.__setattr__(self, "_hash", hash(self.values))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __add__(self, other: "Momentum") -> "Momentum":
-        vals = tuple(a + b for a, b in zip(self.values, other.values))
-        lat = None
-        if self.lattice is not None or other.lattice is not None:
-            la = self.lattice or (0,) * len(other.lattice)
-            lb = other.lattice or (0,) * len(self.lattice)
-            lat = tuple(x + y for x, y in zip(la, lb))
-        return Momentum(vals, lat)
+        return Momentum(tuple(a + b for a, b in zip(self.values, other.values)))
 
     def is_zero(self) -> bool:
-        return all(sc_is_zero(v) for v in self.values) and not any(self.lattice or ())
+        return all(sc_is_zero(v) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,7 @@ class FockState:
 class System:
     """A registered free-field system; immutable after construction."""
 
-    def __init__(self, species, pairing, lattice_indices=None, lattice_gram=None):
+    def __init__(self, species, pairing, lattice_indices=()):
         self.species = tuple(species)
         self.index = {s.name: i for i, s in enumerate(self.species)}
         if len(self.index) != len(self.species):
@@ -144,12 +138,18 @@ class System:
                 if pairing[i][j] != pairing[j][i]:
                     raise AsymmetricPairing("pairing table must be symmetric")
         self.pairing = tuple(tuple(row) for row in pairing)
-        self.lattice_indices = tuple(lattice_indices or ())
-        self.lattice_gram = tuple(tuple(r) for r in (lattice_gram or ()))
-        if self.lattice_indices:
-            ln = len(self.lattice_indices)
-            if len(self.lattice_gram) != ln or any(len(r) != ln for r in self.lattice_gram):
-                raise AsymmetricPairing("lattice gram must be square over the lattice basis")
+        self.lattice_indices = tuple(lattice_indices)
+        self._lattice = ()  # (heisenberg position, norm) per lattice species
+        for idx in self.lattice_indices:
+            if not 0 <= idx < len(self.species) or not self.species[idx].is_heis:
+                raise AsymmetricPairing(f"lattice index {idx} is not a heisenberg species")
+            p, name = self.heis_pos[idx], self.species[idx].name
+            norm = self.pairing[p][p]
+            if any(not sc_is_zero(x) for q, x in enumerate(self.pairing[p]) if q != p):
+                raise AsymmetricPairing(f"lattice species {name} pairs with another species")
+            if norm not in (1, -1):
+                raise AsymmetricPairing(f"lattice species {name} has norm {norm}, not +-1")
+            self._lattice += ((p, 1 if norm == 1 else -1),)
         self._basis_cache = {}
         # constants of exponential operators, see fields._expop_record:
         # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
@@ -171,55 +171,46 @@ class System:
     # -- momenta ----------------------------------------------------------------
 
     def zero_momentum(self) -> Momentum:
-        lat = (0,) * len(self.lattice_indices) if self.lattice_indices else None
-        return Momentum((Fraction(0),) * len(self.heis_indices), lat)
+        return Momentum((Fraction(0),) * len(self.heis_indices))
 
-    def momentum(self, values, lattice=None) -> Momentum:
+    def momentum(self, values) -> Momentum:
         vals = tuple(values)
         if len(vals) != len(self.heis_indices):
             raise AsymmetricPairing("momentum length does not match heisenberg rank")
-        if lattice is None and self.lattice_indices:
-            lattice = (0,) * len(self.lattice_indices)
-        return Momentum(vals, tuple(lattice) if lattice is not None else None)
+        return Momentum(vals)
 
     def lattice_momentum(self, label) -> Momentum:
-        """Momentum of a lattice vector: eigenvalues from the integer Gram."""
-        label = tuple(label)
+        """Momentum of a lattice vector: each coordinate times its norm."""
         vals = [Fraction(0)] * len(self.heis_indices)
-        for a, idx in enumerate(self.lattice_indices):
-            vals[self.heis_pos[idx]] = Fraction(
-                sum(self.lattice_gram[a][b] * label[b] for b in range(len(label))))
-        return Momentum(tuple(vals), label)
+        for (p, norm), x in zip(self._lattice, label):
+            vals[p] = Fraction(norm * x)
+        return Momentum(tuple(vals))
+
+    def lattice_label(self, mu: Momentum) -> tuple:
+        """The lattice coordinates of mu, each lattice eigenvalue times its norm;
+        NonIntegralExponent unless they are integers (a constant RatFun counts)."""
+        return tuple(_as_int(mu.values[p] * norm, "lattice coordinate")
+                     for p, norm in self._lattice)
 
     def momentum_value(self, mu: Momentum, species_idx: int) -> Scalar:
         return mu.values[self.heis_pos[species_idx]]
 
     def momentum_parity(self, mu: Momentum) -> int:
-        if mu.lattice is None:
-            return 0
-        q = 0
-        lab = mu.lattice
-        for a in range(len(lab)):
-            for b in range(len(lab)):
-                q += self.lattice_gram[a][b] * lab[a] * lab[b]
-        return q % 2
+        """(l|l) mod 2 of mu's lattice label l; with norms +-1 it is sum(l) mod 2."""
+        return sum(self.lattice_label(mu)) % 2
 
-    def cocycle(self, shift_label, mu_label) -> int:
-        """Two-cocycle epsilon(shift, mu), bimultiplicative from the basis table.
+    def cocycle(self, shift: Momentum, mu: Momentum) -> int:
+        """Two-cocycle epsilon(shift, mu), bimultiplicative on the lattice labels.
 
         Basis table: 1 above the diagonal, (-1)^(G_ij + G_ii G_jj) below, and
-        (-1)^(G_ii (G_ii - 1)/2) on the diagonal.  The diagonal normalization
-        makes the boson-fermion and beta-gamma bosonization contractions come
-        out with coefficient +1.
+        (-1)^(G_ii (G_ii - 1)/2) on the diagonal; with G = diag(+-1) that is
+        -1 below the diagonal and on the diagonal of a norm -1 species.  The
+        diagonal normalization makes the boson-fermion and beta-gamma
+        bosonization contractions come out with coefficient +1.
         """
-        if not self.lattice_indices or shift_label is None or mu_label is None:
-            return 1
-        e = 0
-        G = self.lattice_gram
-        for i in range(len(shift_label)):
-            e += (G[i][i] * (G[i][i] - 1) // 2) * shift_label[i] * mu_label[i]
-            for j in range(i):
-                e += (G[i][j] + G[i][i] * G[j][j]) * shift_label[i] * mu_label[j]
+        s, m = self.lattice_label(shift), self.lattice_label(mu)
+        e = sum(s[i] * (sum(m[:i]) + (m[i] if norm < 0 else 0))
+                for i, (_, norm) in enumerate(self._lattice))
         return -1 if e % 2 else 1
 
     # -- states ----------------------------------------------------------------
@@ -230,15 +221,15 @@ class System:
     def state_degree(self, state: FockState) -> int:
         return sum(self.mode_degree(s, d) for s, d in state.modes)
 
-    def vacuum(self, mu: Optional[Momentum] = None) -> FockState:
-        return FockState(mu if mu is not None else self.zero_momentum(), ())
+    def vacuum(self) -> FockState:
+        return FockState(self.zero_momentum(), ())
 
     def __repr__(self):
         return f"System({', '.join(s.name for s in self.species)})"
 
 
-def register_system(species, pairing, lattice_indices=None, lattice_gram=None) -> System:
-    return System(species, pairing, lattice_indices, lattice_gram)
+def register_system(species, pairing, lattice_indices=()) -> System:
+    return System(species, pairing, lattice_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +241,10 @@ def _mode_key(mode):
     return (s, -d)
 
 
-def canonical_modes(sys: System, raw_modes, sign: int = 1):
-    """Canonical order of a raw signed monomial as (modes, sign); None encodes
-    the zero vector.  The sign flips once per pair of odd modes out of order."""
-    odd = sys.odd_flags
+def canonical_modes(sys: System, raw_modes):
+    """Canonical order of a raw monomial as (modes, sign); None encodes the
+    zero vector.  The sign is -1 per pair of odd modes out of order."""
+    odd, sign = sys.odd_flags, 1
     odd_keys = [_mode_key(m) for m in raw_modes if odd[m[0]]]
     for i in range(1, len(odd_keys)):
         ki = odd_keys[i]
@@ -301,9 +292,9 @@ class _Packing(dict):
         return self.modes[key]
 
 
-def normal_form(sys: System, mu: Momentum, raw_modes, sign: int = 1) -> Optional[tuple]:
-    """A raw signed monomial as (canonical state, sign); None encodes zero."""
-    out = canonical_modes(sys, raw_modes, sign)
+def normal_form(sys: System, mu: Momentum, raw_modes) -> Optional[tuple]:
+    """A raw monomial as (canonical state, sign); None encodes zero."""
+    out = canonical_modes(sys, raw_modes)
     return None if out is None else (FockState(mu, out[0]), out[1])
 
 

@@ -24,6 +24,12 @@ def check_pair(pair: str) -> str:
     return pair
 
 
+def check_rank(pair: str, n: int) -> None:
+    check_pair(pair)
+    if n < 1:
+        raise InputError("rank n must be >= 1")
+
+
 def lacity(pair: str) -> int:
     return 1 if check_pair(pair) == SL else 2
 
@@ -39,9 +45,7 @@ def h2(pair: str, n: int) -> int:
 
 def g1_gram(pair: str, n: int):
     """(alpha_i|alpha_j), i,j = 1..n, for sl_{n+1} or so_{2n+1}."""
-    check_pair(pair)
-    if n < 1:
-        raise InputError("rank must be >= 1")
+    check_rank(pair, n)
     G = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         G[i][i] = Fraction(2)
@@ -55,9 +59,7 @@ def g1_gram(pair: str, n: int):
 
 def g2_gram(pair: str, n: int):
     """(alpha_i|alpha_j), i,j = 0..n, for sl(1|n+1) or osp(2|2n)."""
-    check_pair(pair)
-    if n < 1:
-        raise InputError("rank must be >= 1")
+    check_rank(pair, n)
     m = n + 1
     G = [[Fraction(0)] * m for _ in range(m)]
     if pair == SL:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import DegreeTooHigh, DivisionByZero, PoleAtPoint
+from .errors import DegreeTooHigh, DivisionByZero, NonIntegralExponent, PoleAtPoint
 
 Rat = Fraction
 
@@ -306,14 +306,6 @@ class RatFun:
             return NotImplemented
         return self._inverse()._scaled(other)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return RatFun((_ONE,)) / self ** (-k)
-        out = RatFun((_ONE,))
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
@@ -395,6 +387,17 @@ def as_ratfun(x: Scalar) -> RatFun:
 
 def sc_is_zero(x: Scalar) -> bool:
     return x.is_zero() if isinstance(x, RatFun) else x == 0
+
+
+def _as_int(x: Scalar, what: str) -> int:
+    if isinstance(x, RatFun):
+        if not x.is_constant():
+            raise NonIntegralExponent(f"{what} is not constant: {x}")
+        x = x.as_rat()
+    x = Fraction(x)
+    if x.denominator != 1:
+        raise NonIntegralExponent(f"{what} = {x} is not an integer")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------

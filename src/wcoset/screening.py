@@ -1,11 +1,11 @@
 """Screening residues as exact graded linear maps, their kernels and compositions.
 
 A ScreeningOp is the residue of :P(z) e^{c int lambda(z)}: T_s between Fock
-modules of its system: prefactor P (None meaning 1), exponent coefficient c,
-direction lambda and a source momentum; the shift s, the canonical T_{c lambda},
-is derived when the op is made.  The residue is the (0)-mode of the composite
-field; on the degree-d slice of the source it lands in degree
-d + w_P - 1 - c(lambda|mu) of the target module over |mu + s>.
+modules of its system: prefactor P (None meaning 1), the exponential
+``fields.exp_op`` made with its shift s = T_{c lambda}, and a source momentum
+mu.  The residue is the (0)-mode of the composite field; on the degree-d
+slice of the source it lands in degree d + w_P - 1 - c(lambda|mu) of the
+target module over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
 basis, columns by the source basis).  ``fields.residue_images`` builds each
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import MomentumMismatch, ShapeMismatch
-from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, canonical_shift, exp_power,
-                     lc_degree, mode_apply, residue_images, shift_of, weight)
+from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree, mode_apply,
+                     residue_images, shift_of, weight)
 from .fock import Momentum, System, enumerate_basis
 from .linalg import kernel_basis, mat_is_zero, mat_mul, rank
 
@@ -36,37 +36,26 @@ from .linalg import kernel_basis, mat_is_zero, mat_mul, rank
 class ScreeningOp:
     """Residue of :P(z) e^{c int lambda(z)}: between graded Fock slices."""
     system: System
-    coeff: object
-    direction: tuple
+    exp: ExpOp
     source: Momentum
     prefactor: Optional[FieldExpr] = None
     name: str = "S"
-    shift: Momentum = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", canonical_shift(self.system, self.coeff, self.direction))
 
     def at(self, source: Momentum, name: Optional[str] = None) -> "ScreeningOp":
         """The same residue out of the module over `source`."""
         return replace(self, source=source, name=self.name if name is None else name)
 
-    def exponential(self) -> ExpOp:
-        return ExpOp(self.coeff, self.direction, self.shift)
-
     def field(self) -> FieldExpr:
-        exp = self.exponential()
-        if self.prefactor is None:
-            return exp
-        return NormOrd(self.prefactor, exp)
+        return self.exp if self.prefactor is None else NormOrd(self.prefactor, self.exp)
 
     def target(self) -> Momentum:
-        return self.source + self.shift
+        return self.source + self.exp.shift
 
     def degree_shift(self) -> int:
         sys = self.system
         zero = sys.zero_momentum()
         w_pref = weight(sys, self.prefactor, zero) if self.prefactor is not None else 0
-        p = exp_power(sys, self.exponential(), self.source)
+        p = exp_power(sys, self.exp, self.source)
         return w_pref - 1 - p
 
     def apply(self, v: LinComb) -> LinComb:
@@ -102,8 +91,7 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMa
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
-        gm.blocks[d] = residue_images(sys, op.prefactor, op.exponential(), op.source,
-                                      src, tgt)
+        gm.blocks[d] = residue_images(sys, op.prefactor, op.exp, op.source, src, tgt)
         gm.source_dims[d] = len(src)
     return gm
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from wcoset import catalog as cat
 from wcoset import rootdata as rd
 from wcoset.errors import ExcludedLevel, InputError, ZeroK1
-from wcoset.fields import current_gram, gen, state_of_field
+from wcoset.fields import (Deriv, ExpOp, NormOrd, Scale, Sum, current_gram, direction_of,
+                           exp_op, gen, state_of_field)
 from wcoset.scalars import RatFun, T
 
 
@@ -28,8 +30,7 @@ def test_dual_level_involutive():
                 k2 = cat.dual_level(pair, n, k1)
                 lv = cat.LevelData.from_k2(pair, n, k2)
                 assert lv.k1 == k1
-                tag = cat.PairTag(pair, n)
-                assert tag.r * (k1 + tag.h1) * (k2 + tag.h2) == 1
+                assert rd.lacity(pair) * (k1 + rd.h1(pair, n)) * (k2 + rd.h2(pair, n)) == 1
 
 
 def test_dual_level_symbolic():
@@ -90,7 +91,7 @@ def test_gl11_screening_direction_isotropic():
             acc = acc + sys.pairing[i][j]
     assert acc == 0
     # the displayed shift T_{-alpha}: zero-mode eigenvalues (-1, +1)
-    assert op.shift.values == (Fraction(-1), Fraction(1))
+    assert op.exp.shift.values == (Fraction(-1), Fraction(1))
 
 
 def test_gl11_zero_k1():
@@ -225,3 +226,76 @@ def test_h1_state_shape():
     sub = cat.subregular_realization("sl", 2, Fraction(-14, 5), "miura")
     v = state_of_field(sub.system, sub.distinguished["H1"])
     assert len(v) == 3  # omega coefficients on a1, a2 and the beta-gamma pair
+
+
+# ---------------------------------------------------------------------------
+# lattice labels read off the pairing table
+# ---------------------------------------------------------------------------
+# Every lattice system of the catalog is an orthogonal sum of norm +-1
+# species, so its labels, cocycle and parity follow from the pairing table.
+# They are checked here against the general formulas over an integer lattice
+# Gram, written out per family as the systems' lattices are V_Z and
+# V_{sqrt(-1) Z}.
+
+LATTICE_GRAMS = {"subregular": [[1, 0], [0, -1]], "super": [[1]],
+                 "ks-a": [[1, 0], [0, -1]], "ks-b": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}
+
+
+def gram_cocycle(G, s, m):
+    """epsilon(s, m) from the basis table of an integer Gram G: 1 above the
+    diagonal, (-1)^(G_ij + G_ii G_jj) below, (-1)^(G_ii (G_ii - 1)/2) on it."""
+    e = 0
+    for i in range(len(s)):
+        e += (G[i][i] * (G[i][i] - 1) // 2) * s[i] * m[i]
+        for j in range(i):
+            e += (G[i][j] + G[i][i] * G[j][j]) * s[i] * m[j]
+    return -1 if e % 2 else 1
+
+
+def gram_parity(G, label):
+    return sum(G[a][b] * x * y for a, x in enumerate(label) for b, y in enumerate(label)) % 2
+
+
+def exponentials(expr):
+    """Every ExpOp in a field expression."""
+    if isinstance(expr, ExpOp):
+        return [expr]
+    if isinstance(expr, Sum):
+        return [e for t in expr.terms for e in exponentials(t)]
+    if isinstance(expr, NormOrd):
+        return exponentials(expr.left) + exponentials(expr.right)
+    if isinstance(expr, (Scale, Deriv)):
+        return exponentials(expr.expr)
+    return []
+
+
+LATTICE_KEYS = [key for key in cat.catalog_keys()
+                if key.endswith(":bosonized") or key.startswith("ks-")]
+
+
+@pytest.mark.parametrize("k1", [Fraction(-14, 5), T], ids=str)
+@pytest.mark.parametrize("key", LATTICE_KEYS)
+def test_lattice_labels_follow_from_the_pairing_table(key, k1):
+    spec = cat.get_realization(key, k1)
+    sys = spec.system
+    G = LATTICE_GRAMS[key.rsplit("-", 1)[0]]
+    pos = [sys.heis_pos[i] for i in sys.lattice_indices]
+    assert [[sys.pairing[p][q] for q in pos] for p in pos] == G
+    labels = list(itertools.product(range(-1, 3), repeat=len(G)))
+    momenta = [sys.lattice_momentum(label) for label in labels]
+    for label, mu in zip(labels, momenta):
+        assert [mu.values[p] for p in pos] == [sum(g * x for g, x in zip(row, label))
+                                               for row in G]
+        assert sys.lattice_label(mu) == label
+        assert sys.momentum_parity(mu) == gram_parity(G, label)
+    for (s, shift), (m, mu) in itertools.product(zip(labels, momenta), repeat=2):
+        assert sys.cocycle(shift, mu) == gram_cocycle(G, s, m), (s, m)
+    # the catalog's exponentials, and e^{c phi} on each lattice species
+    exps = [op.exp for op in spec.screenings]
+    for expr in list(spec.generator_map.values()) + list(spec.companions.values()):
+        exps += exponentials(expr)
+    assert len(exps) >= (4 if key.endswith(":bosonized") else 0)
+    for idx, c in itertools.product(sys.lattice_indices, (1, -1, 2)):
+        exps.append(exp_op(sys, Fraction(c), direction_of(sys, {sys.species[idx].name: 1})))
+    for exp in exps:
+        assert sys.lattice_label(exp.shift) == tuple(exp.coeff * exp.direction[p] for p in pos)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -117,6 +118,32 @@ def test_negative_controls_exit_1(capsys):
     for name in ("drop-dc", "flip-companion", "drop-psi"):
         code, out, _ = run(capsys, "verify", "--control", name)
         assert code == 1, name
+
+
+# sha256 of the `wcoset verify` JSON report, per seed and per control: a
+# refactor that must not change a result must leave these bytes identical
+VERIFY_DIGESTS = {
+    (): "ee71a9d64cf206f706559ea32f07727d3cbcda2a72d65e88485686cceeeb3714",
+    ("--seed", "1"): "7de7e8d3f72d196d5f92deacce3c2a615fa85822227d7bce2c04a5e57dd2d5c4",
+    ("--seed", "2"): "6d3085ae528f6939060d41e8d05994da2b88175ec13b8d5466b99676638ee017",
+    ("--seed", "3"): "c9cc55f575bcc70abe8a8e47baeef6c73522b674a63de0c30e9ed420198e98e8",
+    ("--control", "drop-dc"):
+        "f6082336cd2504abae5be6dd6e8ed2c732f7cb8578c89b154172bb5594a4b126",
+    ("--control", "flip-companion"):
+        "21bed4e21c41ba21fed7ef4da58a2e60f43abcf58cb75a234bde3ea0f75bc0e6",
+    ("--control", "drop-psi"):
+        "576f62d8a16ef7d846253674845f0dcbdbaa1da2b5bed2cabe883fe297b154d9",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_DIGESTS), ids=lambda a: " ".join(a) or "default")
+def test_verify_report_bytes_are_pinned(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no wcoset.cfg is read
+    monkeypatch.delenv("WCOSET_CONFIG", raising=False)
+    out = tmp_path / "verify.json"
+    code, _, _ = run(capsys, "verify", *argv, "--out", str(out))
+    assert code == (1 if "--control" in argv else 0)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
 def test_bad_level_parse(capsys):

@@ -84,10 +84,8 @@ def test_odd_lattice_screening_squares_to_zero():
     # the rank-one fermion lattice
     sup = cat.principal_super_realization("sl", 2, Fraction(3), "bosonized")
     sysb = sup.system
-    b_res = ScreeningOp(sysb, Fraction(1),
-                        tuple(Fraction(i == 0) for i in range(len(sysb.heis_indices))),
-                        sysb.zero_momentum(), None, "b")
-    assert b_res.shift == sysb.lattice_momentum((1,))
+    b_res = ScreeningOp(sysb, sup.generator_map["b"], sysb.zero_momentum(), None, "b")
+    assert b_res.exp.shift == sysb.lattice_momentum((1,))
     out = compose_check(b_res.at(sysb.lattice_momentum((1,)), "b'"), b_res, range(4))
     assert all(out.values())
 

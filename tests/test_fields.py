@@ -8,7 +8,7 @@ from wcoset import catalog as cat
 from wcoset import fields
 from wcoset.errors import NonIntegralExponent, ResourceBound
 from wcoset.fields import (ExpOp, LinComb, NormOrd, _annihilations, current_gram,
-                           deriv, gen, direction_of, exp_power, l0_apply, lc_add,
+                           deriv, gen, direction_of, exp_op, exp_power, l0_apply, lc_add,
                            lc_eq, mode_apply, nord, ope_singular, sadd, scale,
                            state_of_field)
 from wcoset.fock import (FockState, System, boson_pair, enumerate_basis, fermion_pair,
@@ -171,7 +171,7 @@ def lattice_L1():
     return register_system(
         [heis("x"), heis("y")],
         [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
-        lattice_indices=(0, 1), lattice_gram=[[1, 0], [0, -1]])
+        lattice_indices=(0, 1))
 
 
 def test_current_gram_xy():
@@ -182,17 +182,17 @@ def test_current_gram_xy():
 
 def test_expop_residue_on_vacuum_is_zero():
     sys = lattice_L1()
-    op = ExpOp(Fraction(1), direction_of(sys, {"x": Fraction(1)}),
-               sys.lattice_momentum((1, 0)))
+    op = exp_op(sys, Fraction(1), direction_of(sys, {"x": Fraction(1)}))
+    assert op.shift == sys.lattice_momentum((1, 0))
     assert mode_apply(sys, op, 0, sys.vacuum()) == {}
 
 
 def test_fms_bosonization_opes():
     sys = lattice_L1()
-    e_plus = ExpOp(Fraction(1), direction_of(sys, {"x": 1, "y": 1}),
-                   sys.lattice_momentum((1, 1)))
-    e_minus = ExpOp(Fraction(-1), direction_of(sys, {"x": 1, "y": 1}),
-                    sys.lattice_momentum((-1, -1)))
+    e_plus = exp_op(sys, Fraction(1), direction_of(sys, {"x": 1, "y": 1}))
+    e_minus = exp_op(sys, Fraction(-1), direction_of(sys, {"x": 1, "y": 1}))
+    assert (e_plus.shift, e_minus.shift) == (sys.lattice_momentum((1, 1)),
+                                             sys.lattice_momentum((-1, -1)))
     beta_img = e_plus
     gamma_img = scale(-1, NormOrd(gen("x"), e_minus))
     poles = ope_singular(sys, beta_img, gamma_img)
@@ -206,10 +206,11 @@ def test_fms_bosonization_opes():
 
 
 def test_boson_fermion_correspondence():
-    sys = register_system([heis("phi")], [[Fraction(1)]],
-                          lattice_indices=(0,), lattice_gram=[[1]])
-    b_img = ExpOp(Fraction(1), direction_of(sys, {"phi": 1}), sys.lattice_momentum((1,)))
-    c_img = ExpOp(Fraction(-1), direction_of(sys, {"phi": 1}), sys.lattice_momentum((-1,)))
+    sys = register_system([heis("phi")], [[Fraction(1)]], lattice_indices=(0,))
+    b_img = exp_op(sys, Fraction(1), direction_of(sys, {"phi": 1}))
+    c_img = exp_op(sys, Fraction(-1), direction_of(sys, {"phi": 1}))
+    assert (b_img.shift, c_img.shift) == (sys.lattice_momentum((1,)),
+                                          sys.lattice_momentum((-1,)))
     poles = ope_singular(sys, b_img, c_img)
     assert set(poles) == {1}
     assert lc_eq(poles[1], {sys.vacuum(): Fraction(1)})
@@ -243,7 +244,8 @@ def test_skew_symmetry_generators():
 
 def test_nonintegral_exponent():
     sys = register_system([heis("a")], [[Fraction(7)]])
-    op = ExpOp(Fraction(1), direction_of(sys, {"a": 1}), sys.momentum((Fraction(7),)))
+    op = exp_op(sys, Fraction(1), direction_of(sys, {"a": 1}))
+    assert op.shift == sys.momentum((Fraction(7),))
     bad = FockState(sys.momentum((Fraction(7, 2),)), ())
     with pytest.raises(NonIntegralExponent):
         mode_apply(sys, op, 0, bad)
@@ -438,7 +440,7 @@ def _exp_minus_apply(sys: System, op: ExpOp, lc: LinComb, a: int) -> LinComb:
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     mu = state.momentum
     p = exp_power(sys, op, mu)
-    eps = sys.cocycle(op.shift.lattice, mu.lattice)
+    eps = sys.cocycle(op.shift, mu)
     plus = _exp_plus_table(sys, op, state)
     target_mu = mu + op.shift
     acc = {}
@@ -490,7 +492,7 @@ def test_vertex_operator_oracle_lattice_cocycle(monkeypatch):
     for label in ((0, 0), (1, 0)):
         mu = sys.lattice_momentum(label)
         for f in fld:
-            signs.add(sys.cocycle(fields.shift_of(sys, f).lattice, mu.lattice))
+            signs.add(sys.cocycle(fields.shift_of(sys, f), mu))
             assert _oracle_compare(monkeypatch, sys, f, _basis(sys, mu, 4)) > 0
     assert signs == {1, -1}
 
@@ -559,7 +561,9 @@ def test_expop_records_lattice_momenta():
         return cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
 
     spec = build()
-    assert {spec.system.cocycle(op.shift.lattice, (1, 0)) for op in spec.screenings} == {1, -1}
+    sys = spec.system
+    mu = sys.lattice_momentum((1, 0))
+    assert {sys.cocycle(op.exp.shift, mu) for op in spec.screenings} == {1, -1}
     for i in range(len(spec.screenings)):
         def at(label, i=i):
             return lambda s: (s.screenings[i].field(), s.system.lattice_momentum(label))
@@ -638,7 +642,7 @@ def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
     monkeypatch.setattr(fields, "_images", both)
     for name, prefactor, exp, mu in cases:
         columns.clear()
-        op = ScreeningOp(sys, exp.coeff, exp.direction, mu, prefactor, name)
+        op = ScreeningOp(sys, exp, mu, prefactor, name)
         residue_map(op, range(max_degree + 1))
         for d in range(max_degree + 1):
             for st in enumerate_basis(sys, mu, d):
@@ -651,7 +655,7 @@ def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
 
 
 def _bare_cases(spec, momenta):
-    return [(f"{op.name} at {mu}", None, op.exponential(), mu)
+    return [(f"{op.name} at {mu}", None, op.exp, mu)
             for op in spec.screenings for mu in momenta]
 
 
@@ -679,9 +683,9 @@ def _gl11_cases(spec, prefactors=()):
     """S[0..2] under their b prefactor, and the bare exponential, over the
     three source momenta; then under each (name, prefactor) given."""
     ops = [cat.wakimoto_shifted_screening(spec, i) for i in range(3)]
-    return ([(op.name, op.prefactor, op.exponential(), op.source) for op in ops]
-            + [(f"bare {op.name}", None, op.exponential(), op.source) for op in ops]
-            + [(f"{name} {op.name}", pref, op.exponential(), op.source)
+    return ([(op.name, op.prefactor, op.exp, op.source) for op in ops]
+            + [(f"bare {op.name}", None, op.exp, op.source) for op in ops]
+            + [(f"{name} {op.name}", pref, op.exp, op.source)
                for name, pref in prefactors for op in ops])
 
 
@@ -728,7 +732,7 @@ def test_packed_keys_refuse_a_digit_overflow():
     with pytest.raises(ResourceBound):
         pk.pack(full + ((h, 1),))
     state = FockState(sys.zero_momentum(), ((h, 1),) * 254)
-    exp = spec.screenings[0].exponential()
+    exp = spec.screenings[0].exp
     rec = fields._expop_record(sys, exp, state.momentum)
     assert rec.p == 0 and list(rec.factors) == [h]
     # the (253)-mode contracts all 254 modes and meets P_0: a kept digit, P_0
@@ -746,7 +750,7 @@ def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
     spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
     sys = spec.system
     op = spec.screenings[0]
-    exp = op.exponential()
+    exp = op.exp
     rec = fields._expop_record(sys, exp, op.source)
     b = sys.index["b"]
 

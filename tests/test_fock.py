@@ -6,11 +6,12 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import fock
-from wcoset.errors import (AsymmetricPairing, NonEnumerable, ResourceBound,
-                           UnpairedFermionHalf)
+from wcoset.errors import (AsymmetricPairing, NonEnumerable, NonIntegralExponent,
+                           ResourceBound, UnpairedFermionHalf)
 from wcoset.fock import (Species, boson_pair, enumerate_basis, fermion_pair,
                          graded_dimension, heis, normal_form, register_system,
                          slice_dimension, state_str)
+from wcoset.scalars import RatFun, T
 
 
 def bc_heis2(p11=Fraction(3), p12=Fraction(1), p22=Fraction(-2)):
@@ -29,12 +30,56 @@ def test_register_gl11_like():
 def test_register_lattice():
     sys = register_system([heis("x"), heis("y")],
                           [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
-                          lattice_indices=(0, 1),
-                          lattice_gram=[[1, 0], [0, -1]])
+                          lattice_indices=(0, 1))
     mu = sys.lattice_momentum((2, 2))
     assert mu.values == (Fraction(2), Fraction(-2))
+    assert sys.lattice_label(mu) == (2, 2)
     assert sys.momentum_parity(mu) == 0
     assert sys.momentum_parity(sys.lattice_momentum((1, 0))) == 1
+
+
+def test_lattice_label_refuses_a_momentum_off_the_lattice():
+    sys = register_system([heis("x"), heis("a")],
+                          [[Fraction(-1), Fraction(0)], [Fraction(0), T]],
+                          lattice_indices=(0,))
+    # only the lattice coordinate is read; a constant RatFun is accepted
+    assert sys.lattice_label(sys.momentum((Fraction(3), T))) == (-3,)
+    assert sys.lattice_label(sys.momentum((RatFun.const(Fraction(-2)), T))) == (2,)
+    for off, why in ((Fraction(1, 2), "= -1/2 is not an integer"), (T, "is not constant")):
+        with pytest.raises(NonIntegralExponent, match=f"lattice coordinate {why}"):
+            sys.lattice_label(sys.momentum((off, Fraction(0))))
+
+
+def lattice_system(pairing, lattice_indices):
+    b, c = fermion_pair("b", "c")
+    return register_system([heis("x"), b, c, heis("y")], pairing, lattice_indices)
+
+
+def test_lattice_index_must_name_a_heisenberg_species():
+    unit = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert lattice_system(unit, (0, 3)).lattice_label(
+        fock.Momentum((Fraction(2), Fraction(-1)))) == (2, -1)
+    for idx in (1, 4, -1):  # a pair half, past the end, negative
+        with pytest.raises(AsymmetricPairing, match="not a heisenberg species"):
+            lattice_system(unit, (0, idx))
+
+
+def test_lattice_species_must_pair_with_no_other_species():
+    # x pairs with y: its eigenvalue would not fix its lattice coordinate
+    table = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(3)]]
+    with pytest.raises(AsymmetricPairing, match="x pairs with another species"):
+        lattice_system(table, (0,))
+    with pytest.raises(AsymmetricPairing, match="y pairs with another species"):
+        lattice_system(table, (3,))
+
+
+def test_lattice_species_must_have_norm_one():
+    for norm in (Fraction(2), Fraction(0), T, Fraction(1, 2)):
+        with pytest.raises(AsymmetricPairing, match=f"x has norm {norm}, not"):
+            lattice_system([[norm, Fraction(0)], [Fraction(0), Fraction(1)]], (0,))
+    # norm 2: e^{x} would shift the eigenvalue by 2 and the label by 1
+    with pytest.raises(AsymmetricPairing, match="norm 2"):
+        register_system([heis("x")], [[Fraction(2)]], lattice_indices=(0,))
 
 
 def test_momentum_hash_computed_once():
@@ -42,7 +87,7 @@ def test_momentum_hash_computed_once():
     a = sys.momentum((Fraction(1, 2), Fraction(-3)))
     b = sys.zero_momentum() + a
     assert a == b and a is not b
-    assert hash(a) == hash(b) == hash((a.values, a.lattice))
+    assert hash(a) == hash(b) == hash(a.values)
     assert {a: 1}[b] == 1
     assert a != sys.momentum((Fraction(1, 2), Fraction(3)))
     assert "_hash" not in repr(a)
@@ -95,10 +140,10 @@ def test_normal_form_permutation_consistency():
             if sys.species[a[0]].odd and sys.species[b[0]].odd:
                 sign = -sign
             perm[i], perm[i + 1] = b, a
-        st = normal_form(sys, mu, perm, sign)
+        st, s = normal_form(sys, mu, perm)
         if ref is None:
-            ref = st
-        assert st == ref
+            ref = (st, s * sign)
+        assert (st, s * sign) == ref
 
 
 def insertion_normal_form(sys, raw_modes, sign=1):
@@ -133,9 +178,10 @@ def test_canonical_modes_matches_insertion_sort():
                    for _ in range(rng.randint(0, 7))]
             sign = rng.choice((1, -1))
             want = insertion_normal_form(sys, raw, sign)
-            assert fock.canonical_modes(sys, raw, sign) == want, raw
-            out = normal_form(sys, mu, raw, sign)
-            assert (out if out is None else (out[0].modes, out[1])) == want
+            got = fock.canonical_modes(sys, raw)
+            assert (got if got is None else (got[0], got[1] * sign)) == want, raw
+            out = normal_form(sys, mu, raw)
+            assert (out if out is None else (out[0].modes, out[1] * sign)) == want
             seen[want is None, want is not None and want[1] != sign] += 1
     # zeros, kept signs and flipped signs all occur
     assert len(seen) == 3

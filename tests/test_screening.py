@@ -8,7 +8,7 @@ from wcoset import catalog as cat
 from wcoset import screening
 from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
                            ShapeMismatch)
-from wcoset.fields import (_expop_record, deriv, direction_of, gen, mode_apply,
+from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, gen, mode_apply,
                            nord, parity, sadd, scale, state_of_field)
 from wcoset.fock import FockState, enumerate_basis, fermion_pair, heis, register_system
 from wcoset.linalg import rank
@@ -69,7 +69,7 @@ def resolution_screening(sys, k1, n_from=0):
     """S: W_{-n alpha} -> W_{-(n+1) alpha} with alpha = chi1 + chi2."""
     lam = direction_of(sys, {"x1": Fraction(1), "x2": Fraction(1)})
     src = sys.momentum((Fraction(-n_from), Fraction(n_from)))
-    return ScreeningOp(sys, -1 / k1, lam, src, prefactor=gen("b"), name="S")
+    return ScreeningOp(sys, exp_op(sys, -1 / k1, lam), src, prefactor=gen("b"), name="S")
 
 
 GL11_LEVELS = [(Fraction(7, 2), Fraction(1, 3)), (Fraction(-5, 3), Fraction(4, 7))]
@@ -160,8 +160,8 @@ def rank1_system(K):
 
 def rank1_screenings(sys, K):
     lam = direction_of(sys, {"a": Fraction(1)})
-    plus = ScreeningOp(sys, Fraction(1), lam, sys.zero_momentum(), name="e^a")
-    minus = ScreeningOp(sys, -1 / K, lam, sys.zero_momentum(), name="e^(-a/K)")
+    plus = ScreeningOp(sys, exp_op(sys, Fraction(1), lam), sys.zero_momentum(), name="e^a")
+    minus = ScreeningOp(sys, exp_op(sys, -1 / K, lam), sys.zero_momentum(), name="e^(-a/K)")
     return plus, minus
 
 
@@ -169,11 +169,11 @@ def test_shift_is_derived_from_the_exponential():
     # T_{c lambda}: (-1, 1) for S, (2K,) for e^a and (-2,) for e^(-a/K)
     k1, k2 = GL11_LEVELS[0]
     sys = gl11_system(k1, k2)
-    assert resolution_screening(sys, k1, 2).shift == sys.momentum((Fraction(-1), Fraction(1)))
+    assert resolution_screening(sys, k1, 2).exp.shift == sys.momentum((Fraction(-1), Fraction(1)))
     K = Fraction(7, 2)
     sys = rank1_system(K)
     plus, minus = rank1_screenings(sys, K)
-    assert (plus.shift, minus.shift) == (sys.momentum((2 * K,)), sys.momentum((-2,)))
+    assert (plus.exp.shift, minus.exp.shift) == (sys.momentum((2 * K,)), sys.momentum((-2,)))
 
 
 def test_at_re_sources_and_keeps_every_other_field():
@@ -193,8 +193,8 @@ def test_non_integral_lattice_shift_refused_when_the_op_is_made():
     spec = cat.principal_super_realization("sl", 2, Fraction(3), "bosonized")
     sys = spec.system
     lam = direction_of(sys, {"phi": Fraction(1)})
-    with pytest.raises(InputError, match="integer coordinates"):
-        ScreeningOp(sys, Fraction(1, 2), lam, sys.zero_momentum())
+    with pytest.raises(InputError, match="lattice coordinate = 1/2 is not an integer"):
+        ScreeningOp(sys, exp_op(sys, Fraction(1, 2), lam), sys.zero_momentum())
 
 
 @pytest.mark.parametrize("K", [Fraction(7, 2), Fraction(5, 3)])
@@ -216,8 +216,7 @@ def test_joint_kernel_order_and_rescale_invariance():
     k1, k2 = GL11_LEVELS[0]
     sys = gl11_system(k1, k2)
     S = resolution_screening(sys, k1)
-    lam = direction_of(sys, {"x1": Fraction(1), "x2": Fraction(1)})
-    S5 = ScreeningOp(sys, -1 / k1, lam, S.source, prefactor=gen("b"))
+    S5 = ScreeningOp(sys, S.exp, S.source, prefactor=gen("b"))
     gm = residue_map(S, range(3))
     gm5 = residue_map(S5, range(3))
     gm5.blocks = {d: [[5 * x for x in row] for row in M] for d, M in gm5.blocks.items()}
@@ -385,9 +384,9 @@ def test_residue_map_matches_oracle_odd_exponential():
     def build():
         b, c = fermion_pair("b", "c")
         sys = register_system([b, c, heis("phi")], [[Fraction(1)]],
-                              lattice_indices=[2], lattice_gram=[[1]])
-        lam = direction_of(sys, {"phi": Fraction(1)})
-        ops = [ScreeningOp(sys, Fraction(1), lam, sys.lattice_momentum((m,)),
+                              lattice_indices=[2])
+        exp = exp_op(sys, Fraction(1), direction_of(sys, {"phi": Fraction(1)}))
+        ops = [ScreeningOp(sys, exp, sys.lattice_momentum((m,)),
                            prefactor=gen("b"), name=f"b e^phi [{m}]")
                for m in (0, 1)]
         return sys, ops
@@ -439,8 +438,8 @@ def _golden_cases():
     ops = []
     for label in ((0, 0), (1, 0)):
         mu = sys.lattice_momentum(label)
-        ops.append(ScreeningOp(sys, exp.coeff, exp.direction, mu,
-                               scale(gamma.coeff, gamma.expr.left), f"gamma {label}"))
+        ops.append(ScreeningOp(sys, exp, mu, scale(gamma.coeff, gamma.expr.left),
+                               f"gamma {label}"))
         ops += [op.at(mu, f"{op.name} {label}") for op in spec.screenings]
     cases["subregular-sl:2:bosonized -14/5"] = (sys, ops, range(5))
     return cases
@@ -501,7 +500,7 @@ def test_residue_map_off_by_one_shift_raises(monkeypatch):
 def test_residue_map_shifting_prefactor_raises():
     sys, ops = gl11_build(*GL11)()
     op = ops[0]
-    shifted = dataclasses.replace(op, prefactor=nord(gen("b"), op.exponential()))
+    shifted = dataclasses.replace(op, prefactor=nord(gen("b"), op.exp))
     with pytest.raises(ShapeMismatch, match="prefactor shifts the momentum"):
         residue_map(shifted, [1])
 
@@ -510,7 +509,7 @@ def test_oracle_comparison_negative_control(gl11_oracle):
     # one E+ contraction factor off in the record of S[1]; S[0] still matches
     sys, ops = gl11_build(*GL11)()
     op = ops[1]
-    rec = _expop_record(sys, op.exponential(), op.source)
+    rec = _expop_record(sys, op.exp, op.source)
     s = next(iter(rec.factors))
     rec.factors[s] += 1
     with pytest.raises(AssertionError) as failure:
