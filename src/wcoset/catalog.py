@@ -669,14 +669,14 @@ def get_realization(key: str, k1: Level = None, k2: Level = None) -> Realization
     return ks.side_a if fam == "ks-a" else ks.side_b
 
 
-def enumerable_counting_systems(n_values=(2, 3)):
+def enumerable_counting_systems():
     """Catalog systems with finite graded slices, for counting consistency."""
     out = [("wakimoto-gl11", gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)).system),
            ("rank1-ff", rank1_ff(Fraction(7, 2)).system)]
     forms = (("subregular", "bosonized"), ("subregular", "coset"),
              ("super", "miura"), ("super", "bosonized"), ("super", "coset"))
     for pair in rd.PAIRS:
-        for n in n_values:
+        for n in (2, 3):
             for fam, form in forms:
                 key = f"{fam}-{pair}:{n}:{form}"
                 out.append((key, get_realization(key, Fraction(-14, 5)).system))

@@ -395,14 +395,9 @@ def slice_dimension(sys: System, degree: int) -> int:
     return len(_mode_sets(sys, degree)) if degree >= 0 else 0
 
 
-def graded_dimension(sys: System, mu: Momentum, degrees, cap: Optional[int] = None):
-    """Slice sizes over |mu>, counted without building states; same cap as
-    enumerate_basis."""
-    dims = []
-    for d in degrees:
-        dims.append(slice_dimension(sys, d))
-        _check_cap(dims[-1], cap, d)
-    return dims
+def graded_dimension(sys: System, mu: Momentum, degrees):
+    """Slice sizes over |mu>, counted without building states."""
+    return [slice_dimension(sys, d) for d in degrees]
 
 
 def state_str(sys: System, state: FockState) -> str:

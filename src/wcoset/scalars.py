@@ -1,16 +1,21 @@
 """Exact coefficient arithmetic: rationals and rational functions in one variable.
 
 Rationals are ``fractions.Fraction`` (aliased ``Rat``).  Rational functions are
-``RatFun`` objects: a pair of coprime polynomials over Q in the single formal
-variable ``t``, with monic denominator.  Polynomials are coefficient tuples in
-ascending order of degree with no trailing zeros, ``()`` being zero.
+``RatFun`` objects: a numerator and a denominator over Z in the single formal
+variable ``t``, coprime over Q, whose coefficients taken together have no
+common factor, the denominator leading positive.  That form is unique; zero
+is ``()`` over ``(1,)``.  Polynomials are tuples of Python ints in ascending
+order of degree with no trailing zeros, ``()`` being zero.  All arithmetic
+runs on ints: a gcd is taken primitive, so by Gauss's lemma dividing by it is
+exact over Z.
 
 Mixed arithmetic upgrades transparently: ``Fraction + RatFun`` returns a
 ``RatFun``, so engine code can stay on fast Fraction arithmetic until a
-symbolic level actually enters a computation.
+symbolic level actually enters a computation.  A value read back out of a
+RatFun (``as_rat``, ``evaluate``, ``linear_zeros``) is a ``Fraction``.
 
 Textual form: a Rat prints as ``p/q`` (or a bare integer), a RatFun prints as
-``num(t)/den(t)`` with integer coefficients, e.g. ``(2*t + 3)/3``.
+``num(t)/den(t)`` with its integer coefficients, e.g. ``(2*t + 3)/3``.
 """
 
 from __future__ import annotations
@@ -23,33 +28,27 @@ from .errors import DegreeTooHigh, DivisionByZero, NonIntegralExponent, PoleAtPo
 
 Rat = Fraction
 
-Poly = tuple  # tuple[Fraction, ...], ascending degree, trimmed
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Poly = tuple  # tuple[int, ...], ascending degree, trimmed
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (on trimmed ascending coefficient tuples)
+# polynomial helpers (on trimmed ascending integer coefficient tuples)
 # ---------------------------------------------------------------------------
 
 def poly_trim(cs) -> Poly:
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
-    # a Fraction coefficient is kept as it is; only other numbers are wrapped
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in cs)
-
-
-def poly_deg(p: Poly) -> int:
-    """Degree, with deg 0 = -1."""
-    return len(p) - 1
+    return tuple(cs)
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                      for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return poly_trim(out)
 
 
 def poly_neg(a: Poly) -> Poly:
@@ -59,55 +58,53 @@ def poly_neg(a: Poly) -> Poly:
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    # no trim: the top entry is the product of two nonzero tops, and every
-    # entry is a Fraction, as it starts from _ZERO
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # no trim: the top entry is the product of two nonzero tops
     return tuple(out)
 
 
-def poly_scale(a: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
+def poly_scale(a: Poly, c: int) -> Poly:
+    if c == 1:
+        return a
+    return tuple(x * c for x in a) if c else ()
 
 
-def poly_divmod(a: Poly, b: Poly):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    n = len(b) - 1
+def _exact_div(a: Poly, g: Poly) -> Poly:
+    """a / g for a primitive g that divides a over Q, so over Z as well."""
+    if len(g) == 1:
+        return a
+    n, lead = len(g) - 1, g[-1]
     r = list(a)
-    q = [_ZERO] * max(0, len(a) - n)
-    inv_lead = 1 / b[-1]
+    q = [0] * max(0, len(a) - n)
     for i in range(len(q) - 1, -1, -1):
-        c = q[i] = r[i + n] * inv_lead
+        c = q[i] = r[i + n] // lead
         if c:
             for j in range(n):
-                r[i + j] -= c * b[j]
-    return poly_trim(q), poly_trim(r[:n])
+                r[i + j] -= c * g[j]
+    return tuple(q)
 
 
-def _primitive(p: Poly) -> list:
-    """The primitive integer polynomial with the roots of a nonzero p: p times
-    the lcm of its denominators, divided by the gcd of the numerators."""
-    L = math.lcm(*[c.denominator for c in p])
-    ints = [c.numerator * (L // c.denominator) for c in p]
-    g = math.gcd(*ints)
-    return [x // g for x in ints]
+def _content_free(p: Poly) -> list:
+    """A nonzero p divided by its content, the gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [x // g for x in p]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd, () when both are zero, 1 at once for a nonzero constant.
-    Worked over Z by a primitive pseudo-remainder sequence: each remainder is
-    divided by its content, which keeps its integer coefficients small."""
+    """Primitive gcd with a positive leading coefficient, () when both are
+    zero, 1 at once for a nonzero constant.  A primitive pseudo-remainder
+    sequence: each remainder is divided by its content, which keeps its
+    coefficients small."""
     if not a or not b:
         a = a or b
-        return poly_scale(a, 1 / a[-1]) if a else ()
+        return tuple(x if a[-1] > 0 else -x for x in _content_free(a)) if a else ()
     if len(a) == 1 or len(b) == 1:
-        return (_ONE,)
-    A, B = _primitive(a), _primitive(b)
+        return (1,)
+    A, B = _content_free(a), _content_free(b)
     if len(A) < len(B):
         A, B = B, A
     while True:
@@ -122,15 +119,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             while A and A[-1] == 0:
                 A.pop()
         if not A:
-            return tuple(Fraction(x, lead) for x in B)
+            return tuple(B) if lead > 0 else poly_neg(B)
         if len(A) == 1:
-            return (_ONE,)
-        g = math.gcd(*A)
-        A, B = B, [x // g for x in A]
+            return (1,)
+        A, B = B, _content_free(A)
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = _ZERO
+    acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -168,37 +164,35 @@ Scalar = Union[Fraction, "RatFun"]
 
 
 class RatFun:
-    """Rational function in t, canonical form: coprime, monic denominator."""
+    """Rational function in t, canonical form: num and den over Z, coprime
+    over Q, joint content 1, den leading positive."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num = poly_trim(num)
-        den = poly_trim(den)
+    def __init__(self, num, den=(1,)):
+        # int or Fraction coefficients, cleared of their denominators together
+        L = math.lcm(*[Fraction(c).denominator for c in (*num, *den)])
+        num = poly_trim(int(c * L) for c in num)
+        den = poly_trim(int(c * L) for c in den)
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         # a constant denominator is a unit: the gcd is constant, nothing cancels
         if len(den) > 1:
             g = poly_gcd(num, den)
-            if poly_deg(g) > 0:
-                num, _ = poly_divmod(num, g)
-                den, _ = poly_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = poly_scale(num, 1 / lead)
-            den = poly_scale(den, 1 / lead)
-        self.num = num
-        self.den = den
+            num, den = _exact_div(num, g), _exact_div(den, g)
+        r = _canonical(num, den)
+        self.num, self.den = r.num, r.den
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def const(c) -> "RatFun":
-        return _canonical(poly_trim((c,)), (_ONE,))
+        # an int or a Fraction: numerator and denominator are coprime already
+        return _canonical((c.numerator,) if c else (), (c.denominator,))
 
     @staticmethod
     def t() -> "RatFun":
-        return RatFun((Fraction(0), Fraction(1)))
+        return RatFun((0, 1))
 
     # -- predicates / conversions -------------------------------------------
 
@@ -206,37 +200,39 @@ class RatFun:
         return not self.num
 
     def is_constant(self) -> bool:
-        return poly_deg(self.num) <= 0 and poly_deg(self.den) == 0
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_rat(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.num[0] if self.num else _ZERO
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     # -- arithmetic ----------------------------------------------------------
     #
     # Results are built in canonical form by Henrici's rules (Knuth, TAOCP
     # vol. 2, 4.5.1), the ones Fraction uses: a gcd is taken only where a
-    # factor can cancel, and only of the polynomials it can divide.
+    # factor can cancel, and only of the polynomials it can divide.  Over Z
+    # _canonical then divides out the joint content and fixes the sign.
 
-    def _scaled(self, c) -> "RatFun":
-        """self times the number c: the numerator scales, nothing cancels."""
-        return _canonical(poly_scale(self.num, c), self.den)
+    def _scaled(self, p: int, q: int = 1) -> "RatFun":
+        """self times p/q for integers p and q != 0: nothing cancels over Q."""
+        return _canonical(poly_scale(self.num, p), poly_scale(self.den, q))
 
-    def _plus_poly(self, p: Poly) -> "RatFun":
-        """self + p for a polynomial p: (a + p b)/b, and gcd(a + p b, b) = 1."""
-        pb = p if len(self.den) == 1 else poly_mul(p, self.den)
-        return _canonical(poly_add(self.num, pb), self.den)
+    def _plus_poly(self, c: Poly, q: int) -> "RatFun":
+        """self + c/q for a polynomial c and an integer q > 0: (q a + c b)/(q b),
+        and gcd(q a + c b, b) = 1 over Q."""
+        return _canonical(poly_add(poly_scale(self.num, q), poly_mul(c, self.den)),
+                          poly_scale(self.den, q))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._plus_poly((other,)) if other else self
+            return self._plus_poly((other.numerator,), other.denominator) if other else self
         if not isinstance(other, RatFun):
             return NotImplemented
         if len(other.den) == 1:
-            return self._plus_poly(other.num)
+            return self._plus_poly(other.num, other.den[0])
         if len(self.den) == 1:
-            return other._plus_poly(self.num)
+            return other._plus_poly(self.num, self.den[0])
         a, b, c, d = self.num, self.den, other.num, other.den
         g = poly_gcd(b, d)
         if len(g) == 1:
@@ -246,7 +242,7 @@ class RatFun:
         b1, d1 = _exact_div(b, g), _exact_div(d, g)
         num = poly_add(poly_mul(a, d1), poly_mul(c, b1))
         if not num:
-            return _canonical(num, (_ONE,))
+            return _canonical(num, (1,))
         g2 = poly_gcd(num, g)
         return _canonical(_exact_div(num, g2), poly_mul(b1, _exact_div(d, g2)))
 
@@ -267,13 +263,13 @@ class RatFun:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, RatFun):
             return NotImplemented
         if other.is_constant():
-            return self._scaled(other.num[0] if other.num else _ZERO)
+            return self._scaled(other.num[0] if other.num else 0, other.den[0])
         if self.is_constant():
-            return other._scaled(self.num[0] if self.num else _ZERO)
+            return other._scaled(self.num[0] if self.num else 0, self.den[0])
         a, b, c, d = self.num, self.den, other.num, other.den
         # (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d), g2 = gcd(c, b)
         if len(d) > 1:
@@ -289,14 +285,13 @@ class RatFun:
     def _inverse(self) -> "RatFun":
         if not self.num:
             raise DivisionByZero("division by zero rational function")
-        inv = 1 / self.num[-1]
-        return _canonical(poly_scale(self.den, inv), poly_scale(self.num, inv))
+        return _canonical(self.den, self.num)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZero("division by zero rational function")
-            return self._scaled(1 / Fraction(other))
+            return self._scaled(other.denominator, other.numerator)
         if not isinstance(other, RatFun):
             return NotImplemented
         return self * other._inverse()
@@ -304,7 +299,7 @@ class RatFun:
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self._inverse()._scaled(other)
+        return self._inverse()._scaled(other.numerator, other.denominator)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -335,13 +330,12 @@ class RatFun:
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
-        num, den = _integer_cleared(self.num, self.den)
-        ns, ds = _poly_str(num), _poly_str(den)
-        if den == (Fraction(1),):
+        ns, ds = _poly_str(self.num), _poly_str(self.den)
+        if self.den == (1,):
             return ns
-        if poly_deg(num) > 0:
+        if len(self.num) > 1:
             ns = f"({ns})"
-        if poly_deg(den) > 0:
+        if len(self.den) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -350,32 +344,20 @@ class RatFun:
 
 
 def _canonical(num: Poly, den: Poly) -> RatFun:
-    """The trusted constructor: num and den already coprime, den monic, so
-    they are stored as given; a zero numerator takes the denominator 1."""
+    """The trusted constructor: num and den already coprime over Q.  Their
+    joint content is divided out, with the sign that makes den lead positive;
+    a zero numerator takes the denominator 1."""
     r = RatFun.__new__(RatFun)
-    r.num, r.den = (num, den) if num else ((), (_ONE,))
+    if not num:
+        r.num, r.den = (), (1,)
+        return r
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = tuple(x // g for x in num), tuple(x // g for x in den)
+    r.num, r.den = num, den
     return r
-
-
-def _exact_div(a: Poly, g: Poly) -> Poly:
-    """a / g for a monic g that divides a."""
-    return a if len(g) == 1 else poly_divmod(a, g)[0]
-
-
-def _integer_cleared(num: Poly, den: Poly):
-    """Rescale num/den so both have coprime integer coefficients, den leading > 0."""
-    dens = [c.denominator for c in num + den] or [1]
-    m = math.lcm(*dens)
-    num = tuple(c * m for c in num)
-    den = tuple(c * m for c in den)
-    nums = [abs(c.numerator) for c in num + den if c != 0] or [1]
-    g = math.gcd(*nums)
-    num = tuple(Fraction(c.numerator // g) for c in num)
-    den = tuple(Fraction(c.numerator // g) for c in den)
-    if den and den[-1] < 0:
-        num = poly_neg(num)
-        den = poly_neg(den)
-    return num, den
 
 
 T = RatFun.t()
@@ -404,33 +386,23 @@ def _as_int(x: Scalar, what: str) -> int:
 # zero extraction
 # ---------------------------------------------------------------------------
 
-def _rat_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def linear_zeros(f: RatFun) -> list:
-    """Rational zeros of the numerator (degree <= 2), ascending, each once."""
-    f = as_ratfun(f)
-    num = f.num
-    d = poly_deg(num)
+    """Rational zeros of the numerator (degree <= 2), ascending, each once,
+    as Fractions."""
+    num = as_ratfun(f).num
+    d = len(num) - 1
     if d > 2:
         raise DegreeTooHigh(f"numerator degree {d} > 2")
     if d <= 0:
         return []
     if d == 1:
-        return [-num[0] / num[1]]
-    c, b, a = num[0], num[1], num[2]
+        return [Fraction(-num[0], num[1])]
+    c, b, a = num
     disc = b * b - 4 * a * c
-    r = _rat_sqrt(disc)
-    if r is None:
+    if disc < 0 or math.isqrt(disc) ** 2 != disc:
         return []
-    roots = sorted({(-b - r) / (2 * a), (-b + r) / (2 * a)})
-    return roots
+    r = math.isqrt(disc)
+    return sorted({Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a)})
 
 
 # ---------------------------------------------------------------------------

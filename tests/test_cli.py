@@ -146,6 +146,25 @@ def test_verify_report_bytes_are_pinned(argv, tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[argv]
 
 
+# sha256 of the duality report with kernels over Q(t): the verify reports
+# above never print a rational function, these carry the Q(t) kernel dims
+SYMBOLIC_DIGESTS = {
+    "sl": "424421ffc1ab793ecef3b57756d0b75a668ef78fe5723ae1460cb881f5ac926a",
+    "so": "5dd5e65b260e9693ffdc35ec117a019f80c58d552ca0c0f9c0aacf25595f4a51",
+}
+
+
+@pytest.mark.parametrize("pair", list(SYMBOLIC_DIGESTS))
+def test_symbolic_duality_report_bytes_are_pinned(pair, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WCOSET_CONFIG", raising=False)
+    out = tmp_path / "duality.json"
+    code, _, _ = run(capsys, "duality", "--pair", pair, "--n", "2", "--k1", "20/7",
+                     "--max-degree", "3", "--symbolic-kernels", "3", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYMBOLIC_DIGESTS[pair]
+
+
 def test_bad_level_parse(capsys):
     code, _, _ = run(capsys, "duality", "--pair", "sl", "--n", "2", "--k1", "nope")
     assert code == 2
