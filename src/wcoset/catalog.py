@@ -642,6 +642,10 @@ def _parse_key(key: str):
     return m[1], m[2], int(m[3]), m[4]
 
 
+# the k2 of wakimoto-gl11 when none is given
+GL11_K2 = Fraction(0)
+
+
 def get_realization(key: str, k1: Level = None, k2: Level = None) -> RealizationSpec:
     """Build a catalog entry from its string key at the given level.  A level
     the key does not read is refused; `super-*` and `ks-*` read k2 or the
@@ -649,7 +653,7 @@ def get_realization(key: str, k1: Level = None, k2: Level = None) -> Realization
     if key == "wakimoto-gl11":
         if k1 is None:
             raise InputError("wakimoto-gl11 needs k1 (and optionally k2)")
-        return gl11_wakimoto(k1, k2 if k2 is not None else Fraction(0))
+        return gl11_wakimoto(k1, k2 if k2 is not None else GL11_K2)
     fam, pair, n, form = (key, None, None, None) if key == "rank1-ff" else _parse_key(key)
     if fam in ("rank1-ff", "subregular"):
         if k1 is None:

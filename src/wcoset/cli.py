@@ -10,7 +10,7 @@ duality, resolution).
 
 Exit codes: 0 all checks pass; 1 a verification failed (the report is still
 written); 2 invalid input (excluded level, parse error, an integer out of
-range); 3 resource bound exceeded.
+range, a report path that cannot be written); 3 resource bound exceeded.
 """
 
 from __future__ import annotations
@@ -112,7 +112,10 @@ def _write(report, args, cfg, command: str) -> int:
         out = Path(args.out)
         if not out.is_absolute():
             out = Path(cfg["out-dir"]) / out
-        out.write_bytes(data)
+        try:
+            out.write_bytes(data)
+        except OSError as e:
+            raise InputError(f"cannot write report {out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(data.decode("utf-8"))
     return 0 if report.status == "pass" else 1
@@ -195,9 +198,15 @@ def cmd_kernel(args, cfg) -> int:
     if not spec.screenings:
         raise InputError(f"{args.key} has no screenings")
     kr = ver._screening_kernel(spec.screenings, range(args.max_degree + 1), args.cap)
+    # the levels the system was built at: a dual level filled in, gl(1|1)'s default k2
+    if spec.level is not None:
+        k1, k2 = spec.level.k1, spec.level.k2
+    else:
+        k1 = args.k1
+        k2 = cat.GL11_K2 if args.key == "wakimoto-gl11" and args.k2 is None else args.k2
     rep = ver.Report("kernel", {"key": args.key,
-                                "k1": str(args.k1) if args.k1 is not None else "",
-                                "k2": str(args.k2) if args.k2 is not None else "",
+                                "k1": str(k1) if k1 is not None else "",
+                                "k2": str(k2) if k2 is not None else "",
                                 "max_degree": args.max_degree})
     for d, dim in kr.as_pairs():
         rep.per_degree.append(ver.PerDegree(d, dim))

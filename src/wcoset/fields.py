@@ -12,8 +12,7 @@ Screening residues are built a slice at a time by ``residue_images``; it and
 ``_images``, which works a slice of columns (one per source state) at once,
 on monomials packed into integer keys (``fock._Packing``).  A rational slice is
 summed over Z on one common denominator, a slice with a RatFun anywhere over
-the field.  A residue whose prefactor is neither absent nor a generator is
-mode_apply of the normally ordered product, one state at a time.
+the field.
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -204,12 +203,6 @@ def lc_sum(*lcs) -> LinComb:
     return acc
 
 
-def lc_eq(a: LinComb, b: LinComb) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[s] == b[s] for s in a)
-
-
 def lc_degree(sys: System, lc: LinComb) -> Optional[int]:
     degs = {sys.state_degree(s) for s in lc}
     if len(degs) > 1:
@@ -361,22 +354,14 @@ class _ExpRecord:
     zfactors: Optional[tuple] = None  # (D, {s: D f}), built on first use
 
 
-def _direction_terms(sys: System, op: ExpOp) -> list:
-    return [(idx, c) for idx, c in zip(sys.heis_indices, op.direction) if not sc_is_zero(c)]
-
-
 def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
     """The record of op over mu, built on first use and kept on the System."""
     cache = sys._expop_cache
     rec = cache.get((op, mu))
     if rec is None:
         p = exp_power(sys, op, mu)
-        lam = _direction_terms(sys, op)
-        factors = {}
-        for s in sys.heis_indices:
-            f = -op.coeff * sum(c * sys.pairing_of(idx, s) for idx, c in lam)
-            if not sc_is_zero(f):
-                factors[s] = f
+        # E+ contracts h_s(-d) for -c(lambda|h_s), minus the shift's entry s
+        factors = {s: -v for s, v in zip(sys.heis_indices, op.shift.values) if v}
         shared = cache.get(op)
         if shared is None:
             rational = not any(isinstance(x, RatFun)
@@ -395,7 +380,7 @@ def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int) -> None:
     with L_a the lcm of the denominators of P_0..P_a."""
     parts, zparts = rec.parts, rec.zparts
     pk = sys._packing
-    lam = _direction_terms(sys, op)
+    lam = [(idx, c) for idx, c in zip(sys.heis_indices, op.direction) if not sc_is_zero(c)]
     for a in range(len(parts), top + 1):
         part = {}
         for m in range(1, a + 1):
@@ -524,38 +509,36 @@ def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
                    mu: Momentum, states, targets) -> list:
-    """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor, None meaning 1)
-    on the states of one slice over mu, as the dense block with rows
-    `targets` (a slice over mu + s) and linalg.ZERO in empty cells; an image
-    outside `targets` raises ShapeMismatch.  P must not shift the momentum.
+    """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
+    generator g or Scale(a, g)) on the states of one slice over mu, as the
+    dense block with rows `targets` (a slice over mu + s) and linalg.ZERO in
+    empty cells; an image outside `targets` raises ShapeMismatch.
 
-    The (0)-mode of :P E: is sum_j P_(-1-j) E_(j) + (-1)^{p(P)p(E)} sum_j
-    E_(-1-j) P_(j) (see mode_apply).  With P None or a generator the slice is
-    one _images call: a state's job puts P_(-1-j) as the front of the images
-    of E_(j), one E+ table serving every j, and each term of the second sum,
-    from one _annihilations walk of the state, seeds a job of its own.  Any
-    other P is applied by mode_apply to :P E: on each state.
+    The (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j
+    E_(-1-j) g_(j) (see mode_apply), and the slice is one _images call: a
+    state's job puts g_(-1-j) as the front of the images of E_(j), one E+
+    table serving every j, and each term of the second sum, from one
+    _annihilations walk of the state, seeds a job of its own.  A scale a
+    multiplies every seed.
     """
     pk = sys._packing
-    if prefactor is not None and not isinstance(prefactor, Gen):
-        composite = NormOrd(prefactor, op)
-        images = [{pk.pack(t.modes): v for t, v in mode_apply(sys, composite, 0, s).items()}
-                  for s in states]
-    else:
-        rec = _expop_record(sys, op, mu)
-        if prefactor is not None:
-            g = sys.index[prefactor.name]
-            eps = -rec.eps if parity(sys, prefactor) * parity(sys, op) else rec.eps
-        columns = []
-        for s in states:
-            if prefactor is None:
-                columns.append([(s.modes, rec.eps, ((0, None),))])
-                continue
-            places = [(j, (g, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
-            columns.append([(s.modes, rec.eps, places)] + [
-                (rest, eps * v, ((-1 - j, None),))
-                for (j, rest), v in _annihilations(sys, g, s).items()])
-        images = _images(sys, op, rec, columns)
+    rec = _expop_record(sys, op, mu)
+    a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
+    eps = rec.eps * a
+    if g is not None:
+        idx = sys.index[g.name]
+        # the seed factor of the second sum
+        eps2 = -eps if parity(sys, g) * parity(sys, op) else eps
+    columns = []
+    for s in states:
+        if g is None:
+            columns.append([(s.modes, eps, ((0, None),))])
+            continue
+        places = [(j, (idx, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
+        columns.append([(s.modes, eps, places)] + [
+            (rest, eps2 * v, ((-1 - j, None),))
+            for (j, rest), v in _annihilations(sys, idx, s).items()])
+    images = _images(sys, op, rec, columns)
     index = {pk.pack(t.modes): i for i, t in enumerate(targets)}
     block = [[ZERO] * len(images) for _ in targets]
     for j, image in enumerate(images):

@@ -98,9 +98,6 @@ class Momentum:
     def __add__(self, other: "Momentum") -> "Momentum":
         return Momentum(tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def is_zero(self) -> bool:
-        return all(sc_is_zero(v) for v in self.values)
-
 
 @dataclass(frozen=True)
 class FockState:

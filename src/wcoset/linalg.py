@@ -1,12 +1,13 @@
 """Exact sparse linear algebra: Q over the integers, Q(t) over the field.
 
 Matrices are lists of row lists, and every function takes and returns them
-densely, with ``Fraction`` (or ``int``) or ``RatFun`` entries.  Inside, a row
-is a sparse list or ``{col: value}`` dict of its nonzeros.  A matrix with no
+densely, with ``Fraction`` (or ``int``) or ``RatFun`` entries; the product
+``mat_mul`` takes ``int`` and ``Fraction`` entries only.  Inside, a row is a
+sparse list or ``{col: value}`` dict of its nonzeros.  A matrix with no
 nonzero ``RatFun`` entry is worked over Z: each row is scaled by the lcm of its
 denominators (and, as the right factor of a product, each column), the work
 is done on Python integers, and the only division comes at the end.  Over
-Q(t) the work is done in the field of rational functions.
+Q(t) rank and kernels are worked in the field of rational functions.
 
 Both rings run through one elimination, which takes the columns in order and
 pivots on the sparsest remaining row with a nonzero in the current column,
@@ -32,8 +33,8 @@ combine, to reduced row echelon form (free columns parameterized in order),
 so output is reproducible; over Z the back-substitution stays integral and
 each basis entry is divided by its pivot entry only when it is written.
 Products are row-sparse: each nonzero ``A[i][p]`` meets only the nonzeros of
-row ``p`` of ``B``; over Z entry (i, j) of the product is the integer sum
-divided by L_i M_j, the scales of row i of A and column j of B.
+row ``p`` of ``B``, and entry (i, j) of the product is the integer sum divided
+by L_i M_j, the scales of row i of A and column j of B.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ResourceBound, ShapeMismatch
+from .errors import InputError, ResourceBound, ShapeMismatch
 from .scalars import RatFun
 
 SYMBOLIC_DIM_LIMIT = 64
@@ -76,15 +77,16 @@ def _ratios(M):
 
 
 def mat_mul(A, B):
+    """A B over Q; an InputError names the factor with a nonzero RatFun entry."""
     if A and B and len(A[0]) != len(B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
     m = len(B[0]) if B else 0
     if not A or not B:
         return [[ZERO] * m for _ in A]
-    ra = _ratios(A)
-    rb = _ratios(B) if ra is not None else None
-    if rb is None:
-        return _field_mat_mul(A, B, m)
+    ra, rb = _ratios(A), _ratios(B)
+    if ra is None or rb is None:
+        raise InputError(f"mat_mul works over Q only: {'A' if ra is None else 'B'} "
+                         "has a RatFun entry")
     col_scale = [1] * m
     for r in rb:
         for j, _, d in r:
@@ -101,23 +103,6 @@ def mat_mul(A, B):
                 acc[j] += a * b
         out.append([Fraction(s, L * col_scale[j]) if s else ZERO for j, s in enumerate(acc)]
                    if any(acc) else [ZERO] * m)
-    return out
-
-
-def _field_mat_mul(A, B, m):
-    # entries are Fraction or RatFun, both false exactly when zero
-    B_rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    out = []
-    for Ai in A:
-        acc = {}
-        for p, a in enumerate(Ai):
-            if a:
-                for j, b in B_rows[p]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-        row = [ZERO] * m
-        for j, x in acc.items():
-            row[j] = x
-        out.append(row)
     return out
 
 

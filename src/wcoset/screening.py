@@ -1,11 +1,13 @@
 """Screening residues as exact graded linear maps, their kernels and compositions.
 
 A ScreeningOp is the residue of :P(z) e^{c int lambda(z)}: T_s between Fock
-modules of its system: prefactor P (None meaning 1), the exponential
-``fields.exp_op`` made with its shift s = T_{c lambda}, and a source momentum
-mu.  The residue is the (0)-mode of the composite field; on the degree-d
-slice of the source it lands in degree d + w_P - 1 - c(lambda|mu) of the
-target module over |mu + s>.
+modules of its system: prefactor P (None meaning 1, a generator g, or a
+scaled generator a g), the exponential ``fields.exp_op`` made with its shift
+s = T_{c lambda}, and a source momentum mu.  Any other prefactor, or a source
+with the wrong number of eigenvalues, is refused when the op is made.  The
+residue is the (0)-mode of the composite field; on the degree-d slice of the
+source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
+over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
 basis, columns by the source basis).  ``fields.residue_images`` builds each
@@ -25,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import MomentumMismatch, ShapeMismatch
-from .fields import (ExpOp, FieldExpr, LinComb, NormOrd, exp_power, lc_degree, mode_apply,
-                     residue_images, shift_of, weight)
+from .errors import InputError, MomentumMismatch, ShapeMismatch
+from .fields import (ExpOp, FieldExpr, Gen, LinComb, NormOrd, Scale, exp_power, lc_degree,
+                     mode_apply, residue_images, weight)
 from .fock import Momentum, System, enumerate_basis
 from .linalg import kernel_basis, mat_is_zero, mat_mul, rank
 
@@ -40,6 +42,19 @@ class ScreeningOp:
     source: Momentum
     prefactor: Optional[FieldExpr] = None
     name: str = "S"
+
+    def __post_init__(self):
+        # a generator does not shift the momentum, so every image of a slice
+        # lies over the target; `at` runs this too, through `replace`
+        p = self.prefactor
+        g = p.expr if isinstance(p, Scale) else p
+        if p is not None and not (isinstance(g, Gen) and g.name in self.system.index):
+            raise InputError(f"screening prefactor {p} is neither a generator of the "
+                             "system nor a scaled one")
+        if len(self.source.values) != len(self.system.heis_indices):
+            raise MomentumMismatch(f"source momentum has {len(self.source.values)} "
+                                   f"eigenvalues, the system {len(self.system.heis_indices)} "
+                                   "Heisenberg species")
 
     def at(self, source: Momentum, name: Optional[str] = None) -> "ScreeningOp":
         """The same residue out of the module over `source`."""
@@ -85,9 +100,6 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMa
     sys = op.system
     shift_deg = op.degree_shift()
     gm = GradedMap(op.source, shift_deg)
-    # images are keyed by mode tuple alone, so check their momentum once
-    if op.prefactor is not None and not shift_of(sys, op.prefactor).is_zero():
-        raise ShapeMismatch("the prefactor shifts the momentum off the target slice")
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
@@ -136,7 +148,8 @@ def compose_check(s2: ScreeningOp, s1: ScreeningOp, degrees,
     """True per degree iff the composed residues vanish on the whole slice.
 
     `cap` bounds every slice of both residue maps, as in `residue_map`, so an
-    oversized slice raises before any composition is built.
+    oversized slice raises before any composition is built.  The product is
+    taken over Q (`linalg.mat_mul`), so both maps must be at a rational level.
     """
     if s2.source != s1.target():
         raise MomentumMismatch("target momentum of the first map must equal the "

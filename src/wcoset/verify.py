@@ -18,7 +18,7 @@ from typing import Optional
 from . import catalog as cat
 from . import rootdata as rd
 from .errors import NonEnumerable, ResourceBound, ZeroK1
-from .fields import (current_gram, gen, l0_apply, lc_eq, lc_scale, lc_str, lc_sum,
+from .fields import (current_gram, gen, l0_apply, lc_scale, lc_str, lc_sum,
                      mode_apply, nord, ope_singular, sadd, scale, state_of_field)
 from .fock import FockState, System, graded_dimension, slice_dimension
 from .linalg import SYMBOLIC_DIM_LIMIT
@@ -155,8 +155,8 @@ def check_homomorphism(spec: cat.RealizationSpec) -> Report:
         if st.central1 != 0:
             expect1 = lc_sum(expect1, {vac: st.central1})
         expect2 = {vac: st.central2} if st.central2 != 0 else {}
-        ok = (lc_eq(poles.get(1, {}), expect1)
-              and lc_eq(poles.get(2, {}), expect2)
+        ok = (poles.get(1, {}) == expect1
+              and poles.get(2, {}) == expect2
               and all(p <= 2 for p in poles))
         rep.add_check(
             f"ope({u},{v})", ok,
@@ -181,7 +181,7 @@ def check_screening_covariance(spec: cat.RealizationSpec, perturb: Optional[str]
             expect = {}
             for target, cf in action.items():
                 expect = lc_sum(expect, lc_scale(states[target], cf))
-            ok = lc_eq(got, expect)
+            ok = got == expect
             rep.add_check(f"{current}.v[{beta}]", ok,
                           expected=lc_str(sys, expect),
                           computed=lc_str(sys, got) if not ok else "match")
@@ -389,7 +389,7 @@ def check_delta(samples) -> Report:
             got = l0_apply(sys, spec.conformal, st)
             expect = {st: delta} if delta != 0 else {}
             rep.add_check(f"L0 {label} (k1={k1},k2={k2},mu=({m1},{m2}))",
-                          lc_eq(got, expect),
+                          got == expect,
                           expected=f"{delta} * state",
                           computed=lc_str(sys, got))
     return rep

@@ -71,6 +71,33 @@ def test_kernel_csv(tmp_path, capsys):
     assert [int(l.split(",")[1]) for l in lines[1:]] == [1, 0, 1, 1, 2, 2, 4]
 
 
+def test_kernel_reports_the_levels_it_ran_at(capsys):
+    # a dual level filled in by the catalog, and gl(1|1)'s default k2, are reported
+    for argv, k1, k2 in ((("--key", "wakimoto-gl11", "--k1", "7/2"), "7/2", "0"),
+                         (("--key", "wakimoto-gl11", "--k1", "7/2", "--k2", "1/3"), "7/2", "1/3"),
+                         (("--key", "super-sl:2:coset", "--k1", "1/3"), "1/3", "-17/10"),
+                         (("--key", "super-sl:2:coset", "--k2", "-17/10"), "1/3", "-17/10"),
+                         (("--key", "subregular-so:2:coset", "--k1", "1/3"), "1/3", "-37/20"),
+                         (("--key", "rank1-ff", "--k1", "7/2"), "7/2", "")):
+        code, out, _ = run(capsys, "kernel", *argv, "--max-degree", "1")
+        inputs = json.loads(out)["inputs"]
+        assert code == 0 and (inputs["k1"], inputs["k2"]) == (k1, k2), argv
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "catalog", "--out", str(missing / "x.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+    cfg = tmp_path / "wcoset.cfg"
+    cfg.write_text(f"out-dir = {missing}\n")
+    monkeypatch.setenv("WCOSET_CONFIG", str(cfg))
+    code, out, err = run(capsys, "norm", "--pair", "so", "--n", "2", "--out", "r.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write report") and str(missing) in err
+    assert not missing.exists()
+
+
 def test_duality_csv_header(tmp_path, capsys):
     out = tmp_path / "d.csv"
     code, _, _ = run(capsys, "duality", "--pair", "so", "--n", "2", "--k1", "-5/2",

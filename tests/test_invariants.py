@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from wcoset import catalog as cat
-from wcoset.fields import gen, lc_eq, mode_apply, ope_singular, parity, weight
+from wcoset.fields import gen, mode_apply, ope_singular, parity, weight
 from wcoset.fock import enumerate_basis
 from wcoset.screening import residue_map
 
@@ -41,8 +41,7 @@ def test_skew_symmetry_on_catalog_generators():
                 pba = ope_singular(sys, b, a)
                 sgn = -(-1) ** (parity(sys, a) * parity(sys, b))
                 # free generators: pole-1 states carry no derivative corrections
-                assert lc_eq(pab.get(1, {}),
-                             {k: sgn * v for k, v in pba.get(1, {}).items()})
+                assert pab.get(1, {}) == {k: sgn * v for k, v in pba.get(1, {}).items()}
                 assert pab.get(2, {}) == pba.get(2, {})
 
 
@@ -57,13 +56,13 @@ def test_conformal_field_virasoro_ope():
     t_state = state_of_field(sys, tt)
     dt_state = state_of_field(sys, deriv(tt))
     assert 4 not in poles and 3 not in poles  # c = 0, no cubic pole
-    assert lc_eq(poles.get(2, {}), lc_scale(t_state, Fraction(2)))
-    assert lc_eq(poles.get(1, {}), dt_state)
+    assert poles.get(2, {}) == lc_scale(t_state, Fraction(2))
+    assert poles.get(1, {}) == dt_state
     for name, img in spec.generator_map.items():
         jp = ope_singular(sys, tt, img)
         assert set(jp) <= {1, 2}, name
-        assert lc_eq(jp.get(2, {}), state_of_field(sys, img)), name
-        assert lc_eq(jp.get(1, {}), state_of_field(sys, deriv(img))), name
+        assert jp.get(2, {}) == state_of_field(sys, img), name
+        assert jp.get(1, {}) == state_of_field(sys, deriv(img)), name
 
 
 def test_screening_degree_shift_bookkeeping():

@@ -9,8 +9,9 @@ from wcoset import screening
 from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
                            ShapeMismatch)
 from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, gen, mode_apply,
-                           nord, parity, sadd, scale, state_of_field)
-from wcoset.fock import FockState, enumerate_basis, fermion_pair, heis, register_system
+                           nord, parity, scale, state_of_field)
+from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
+                         register_system)
 from wcoset.linalg import rank
 from wcoset.scalars import T, sc_is_zero
 from wcoset.screening import (ScreeningOp, annihilates, compose_check, joint_kernel,
@@ -361,15 +362,12 @@ def test_residue_map_matches_oracle_gl11_symbolic():
     assert matches_oracle(gl11_build(T, Fraction(1, 3)), range(4)) > 0
 
 
-# a Heisenberg generator takes the generator path with its zero mode; the other
-# prefactors are applied by mode_apply
+# a Heisenberg generator brings its zero mode; a scale multiplies every seed
 GL11_PREFACTORS = {
     "heisenberg": gen("x1"),
     "scaled": scale(Fraction(-3, 2), gen("b")),
-    # a rational record under RatFun coefficients: the field ring
+    # a rational record under RatFun seeds: the field ring
     "symbolic-scaled": scale(T, gen("b")),
-    "weight-2": sadd(deriv(gen("b")), nord(gen("x2"), gen("b"))),
-    "weight-3": nord(gen("b"), deriv(gen("b"))),
 }
 
 
@@ -418,19 +416,18 @@ def _golden_cases():
     gl11_t = gl11_build(T, t)()
     cases = {"gl11 7/2,1/3 S[0..2]": (*gl11, range(5)),
              "gl11 t,1/3 S[0..2]": (*gl11_t, range(4))}
-    # prefactors that are not bare generators, applied through mode_apply
-    for name, top in (("weight-2", 3), ("symbolic-scaled", 2)):
-        cases[f"gl11 7/2,1/3 S[0..2] under {name}"] = (
-            *gl11_build(q, t, GL11_PREFACTORS[name])(), range(top + 1))
+    # a scaled generator, its seeds multiplied by t
+    cases["gl11 7/2,1/3 S[0..2] under symbolic-scaled"] = (
+        *gl11_build(q, t, GL11_PREFACTORS["symbolic-scaled"])(), range(3))
     for pair in ("sl", "so"):
         for k1, top in ((Fraction(15, 7), 4), (T, 3)):
             for side in ("subregular", "super"):
                 spec = cat.get_realization(f"{side}-{pair}:2:coset", k1)
                 cases[f"{side}-{pair}:2:coset {k1}"] = (spec.system, spec.screenings,
                                                         range(top + 1))
-    # gamma = -:x e^{-(x+y)}: of the bosonized beta gamma pair, a prefactor
-    # that is not a bare generator, and the screenings over a source whose
-    # two-cocycle takes both signs
+    # gamma = -:x e^{-(x+y)}: of the bosonized beta gamma pair, under the
+    # scaled generator -x, and the screenings over a source whose two-cocycle
+    # takes both signs
     spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
     sys = spec.system
     gamma = spec.generator_map["gamma"]
@@ -450,8 +447,6 @@ GOLDEN = {
         "87d4660bc71bd0ea6807fcbf44168586961591ef3633318ef3d336dbdef11bf7",
     "gl11 t,1/3 S[0..2]":
         "02b62303e2f87f20c69a7733c12a12759f502ce2d3b2bbf2e374601237c50997",
-    "gl11 7/2,1/3 S[0..2] under weight-2":
-        "203f2dc4d939ee591da38e37aa4ecfc28f845f17066c18d7b9804204051aa97f",
     "gl11 7/2,1/3 S[0..2] under symbolic-scaled":
         "a6b70d372ec48cc5dfbbd9442bf91ac5c5ef1ce083871896673217ffb66f3075",
     "subregular-sl:2:coset 15/7":
@@ -498,11 +493,28 @@ def test_residue_map_off_by_one_shift_raises(monkeypatch):
 
 
 def test_residue_map_shifting_prefactor_raises():
+    # a prefactor that is not a (scaled) generator is refused when the op is
+    # made, so no residue map sees one: here one that shifts the momentum,
+    # one that does not, one scaled, and a generator the system lacks
     sys, ops = gl11_build(*GL11)()
     op = ops[0]
-    shifted = dataclasses.replace(op, prefactor=nord(gen("b"), op.exp))
-    with pytest.raises(ShapeMismatch, match="prefactor shifts the momentum"):
-        residue_map(shifted, [1])
+    for prefactor in (nord(gen("b"), op.exp), nord(gen("b"), deriv(gen("b"))),
+                      scale(2, deriv(gen("b"))), gen("beta")):
+        with pytest.raises(InputError, match="screening prefactor"):
+            dataclasses.replace(op, prefactor=prefactor)
+        with pytest.raises(InputError, match="screening prefactor"):
+            ScreeningOp(sys, op.exp, op.source, prefactor)
+
+
+def test_at_refuses_a_source_of_the_wrong_length():
+    # a one-eigenvalue source on the three-boson super sl2 coset system: Momentum
+    # addition and exp_power would truncate it and give kernel dims, no error
+    spec = cat.get_realization("super-sl:2:coset", Fraction(1, 3))
+    assert len(spec.system.heis_indices) == 3
+    op = spec.screenings[0]
+    for values in ((Fraction(1),), (Fraction(0),) * 4):
+        with pytest.raises(MomentumMismatch, match="eigenvalues"):
+            op.at(Momentum(values))
 
 
 def test_oracle_comparison_negative_control(gl11_oracle):
