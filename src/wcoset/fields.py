@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import NonSymmetric, ParityMismatch, ShapeMismatch
+from .errors import MomentumMismatch, NonSymmetric, ParityMismatch, ShapeMismatch
 from .fock import FockState, Momentum, System, canonical_modes, normal_form, state_str
 from .linalg import ZERO
 from .scalars import RatFun, Scalar, _as_int, sc_is_zero
@@ -263,6 +263,9 @@ def shift_of(sys: System, expr: FieldExpr) -> Momentum:
 
 def exp_power(sys: System, op: ExpOp, mu: Momentum) -> int:
     """z-exponent c(lambda|mu) of an ExpOp on the Fock module over |mu>."""
+    if len(op.direction) != len(mu.values):
+        raise MomentumMismatch(f"direction of {len(op.direction)} entries paired with a "
+                               f"momentum of {len(mu.values)} eigenvalues")
     acc = 0
     for pos, c in enumerate(op.direction):
         if sc_is_zero(c):

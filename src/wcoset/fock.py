@@ -23,12 +23,12 @@ a momentum's lattice label is read off its eigenvalues
 
 Enumeration is exact and finite unless the system contains a weight-0 boson
 half (then every slice is infinite and NonEnumerable is raised).  Slices come
-from one (species, degree) table per System, kept in ``System._basis_cache``:
-entry (k, d) is the sorted tuple of mode tuples over species k, k+1, ...
-of total degree d, each one species-k shape followed by a tuple of entry
-(k+1, d - d'); each species shape list is built once per System too.  The
-degree-d slice is entry (0, d).  ``slice_dimension`` and
-``graded_dimension`` count a slice without building its FockStates.
+from one (species, degree) table per species signature, the (kind, engine
+weight, parity) of each species in order: Systems of one signature share it,
+and it lives as long as one of them does.  Entry (k, d) is the sorted tuple
+of mode tuples over species k, k+1, ... of total degree d; the degree-d slice
+is entry (0, d).  ``slice_dimension`` and ``graded_dimension`` count a slice
+without building its FockStates.
 
 Every System also keeps ``_Packing``, the integer keys of its monomials, one
 digit per (species, depth), under which a product of monomials is one sum.
@@ -36,12 +36,14 @@ digit per (species, depth), under which a product of monomials is one sum.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .errors import AsymmetricPairing, NonEnumerable, ResourceBound, UnpairedFermionHalf
+from .errors import (AsymmetricPairing, MomentumMismatch, NonEnumerable, ResourceBound,
+                     UnpairedFermionHalf)
 from .scalars import Scalar, _as_int, sc_is_zero
 
 EVEN, ODD = "even", "odd"
@@ -96,6 +98,9 @@ class Momentum:
         return self._hash
 
     def __add__(self, other: "Momentum") -> "Momentum":
+        if len(self.values) != len(other.values):
+            raise MomentumMismatch(f"cannot add momenta of {len(self.values)} and "
+                                   f"{len(other.values)} eigenvalues")
         return Momentum(tuple(a + b for a, b in zip(self.values, other.values)))
 
 
@@ -147,7 +152,8 @@ class System:
             if norm not in (1, -1):
                 raise AsymmetricPairing(f"lattice species {name} has norm {norm}, not +-1")
             self._lattice += ((p, 1 if norm == 1 else -1),)
-        self._basis_cache = {}
+        self._slices = _SLICE_TABLES.setdefault(
+            tuple((s.kind, s.engine_weight, s.odd) for s in self.species), _SliceTable())
         # constants of exponential operators, see fields._expop_record:
         # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
         # for a rational ExpOp, their integer form
@@ -299,78 +305,58 @@ def normal_form(sys: System, mu: Momentum, raw_modes) -> Optional[tuple]:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _species_mode_shapes(sys: System, idx: int, degree: int):
-    """All canonical depth tuples of one species totalling the given degree."""
-    sp = sys.species[idx]
-    w = sp.engine_weight
-    if sp.kind == BOSON_HALF and w == 0:
-        raise NonEnumerable(
-            f"species {sp.name} is a weight-0 boson: graded slices are infinite")
-    fermionic = sp.odd
-    out = []
-
-    def rec(remaining, max_depth, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-        for d in range(max_depth, 0, -1):
-            dd = d - 1 + w
-            if dd > remaining:
-                continue
-            if dd == 0:
-                # zero-degree modes (weight-0 fermion at depth 1) trail the shape
-                if remaining == 0:
-                    acc.append(d)
-                    out.append(tuple(acc))
-                    acc.pop()
-                continue
-            acc.append(d)
-            rec(remaining - dd, d - 1 if fermionic else d, acc)
-            acc.pop()
-
-    rec(degree, max(0, degree + 1 - w), [])
-    return out
+class _SliceTable(dict):
+    """Entries (k, d) of the slice table of one species signature; a subclass,
+    since a plain dict cannot be held weakly."""
 
 
-def _species_prefixes(sys: System, k: int, degree: int):
-    """The species-k shapes of the given degree as mode tuples, built once per
-    System and kept in ``System._basis_cache`` under ``("shapes", k, degree)``,
-    a key apart from the table's ``(k, d)`` entries."""
-    key = ("shapes", k, degree)
-    out = sys._basis_cache.get(key)
-    if out is None:
-        out = [tuple((k, dep) for dep in shape)
-               for shape in _species_mode_shapes(sys, k, degree)]
-        sys._basis_cache[key] = out
-    return out
+# species signature -> its table, held weakly: a table lives as long as a System
+_SLICE_TABLES = weakref.WeakValueDictionary()
 
 
 def _mode_sets(sys: System, degree: int, k: int = 0):
-    """Entry (k, degree) of the System's (species, degree) table; entry (0, d)
-    is the canonical, sorted degree-d slice.
+    """Entry (k, degree) of the System's slice table; entry (0, d) is the
+    canonical, sorted degree-d slice.
 
-    Entry (k, d) is the sorted tuple of every mode tuple over species k, k+1,
-    ... totalling degree d.  It is made as ``pre + rest``: ``pre`` is one
-    species-k shape of degree d' (see ``_species_prefixes``), and ``rest``
-    runs over entry (k+1, d - d').  Every entry stays in
-    ``System._basis_cache``, so each degree reuses the lower ones and the sort
-    only merges sorted runs.
+    Entry (k, d) is every mode tuple over species k, k+1, ... totalling degree
+    d, built in lexicographic order with no sort (see ``_grow``).  Each entry
+    is built once per species signature.
     """
-    cache = sys._basis_cache
-    out = cache.get((k, degree))
+    table = sys._slices
+    out = table.get((k, degree))
     if out is not None:
         return out
     if k == len(sys.species):
         out = ((),) if degree == 0 else ()
     else:
+        sp = sys.species[k]
+        if sp.kind == BOSON_HALF and sp.engine_weight == 0:
+            raise NonEnumerable(
+                f"species {sp.name} is a weight-0 boson: graded slices are infinite")
         acc = []
-        for d in range(degree + 1):
-            for pre in _species_prefixes(sys, k, d):
-                rest = _mode_sets(sys, degree - d, k + 1)
-                acc += [pre + r for r in rest] if pre else rest
-        acc.sort()
+        _grow(sys, k, (), degree, degree + 1 - sp.engine_weight, acc)
         out = tuple(acc)
-    cache[(k, degree)] = out
+    table[(k, degree)] = out
     return out
+
+
+def _grow(sys: System, k: int, prefix: tuple, r: int, top: int, acc: list) -> None:
+    """Append to acc, in lexicographic order, every mode tuple of entry (k, .)
+    that starts with `prefix`, a run of species-k modes with degree r left and
+    no next species-k depth above `top`: the prefix itself if r = 0, then each
+    species-k continuation by ascending depth (a fermion's depths fall
+    strictly, a boson's weakly), then the prefix followed by each nonempty
+    tuple of entry (k+1, r).  Not a closure: a recursive closure is a reference
+    cycle, which would keep the System, and so its table, alive."""
+    sp = sys.species[k]
+    w, step = sp.engine_weight, 1 if sp.odd else 0
+    if r == 0:
+        acc.append(prefix)
+    for dep in range(1, min(top, r + 1 - w) + 1):
+        _grow(sys, k, prefix + ((k, dep),), r - dep + 1 - w, dep - step, acc)
+    rest = _mode_sets(sys, r, k + 1)
+    rest = rest[1:] if r == 0 else rest  # () leads entry (k+1, 0)
+    acc.extend([prefix + t for t in rest] if prefix else rest)
 
 
 def _check_cap(size: int, cap: Optional[int], degree: int) -> None:

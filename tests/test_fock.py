@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -249,10 +252,43 @@ def test_deterministic_order():
 # the (species, degree) table against the recursive enumerator it replaced
 # ---------------------------------------------------------------------------
 
+def species_mode_shapes(sys, idx, degree):
+    """Test-only: all canonical depth tuples of one species totalling the given
+    degree, by a depth-first walk from the deepest mode."""
+    sp = sys.species[idx]
+    w = sp.engine_weight
+    if sp.kind == fock.BOSON_HALF and w == 0:
+        raise NonEnumerable(
+            f"species {sp.name} is a weight-0 boson: graded slices are infinite")
+    fermionic = sp.odd
+    out = []
+
+    def rec(remaining, max_depth, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+        for d in range(max_depth, 0, -1):
+            dd = d - 1 + w
+            if dd > remaining:
+                continue
+            if dd == 0:
+                # zero-degree modes (weight-0 fermion at depth 1) trail the shape
+                if remaining == 0:
+                    acc.append(d)
+                    out.append(tuple(acc))
+                    acc.pop()
+                continue
+            acc.append(d)
+            rec(remaining - dd, d - 1 if fermionic else d, acc)
+            acc.pop()
+
+    rec(degree, max(0, degree + 1 - w), [])
+    return out
+
+
 def recursive_mode_sets(sys, degree):
     """Test-only oracle: a depth-first walk over the species for every degree,
     then one sort."""
-    per_species = [{d: fock._species_mode_shapes(sys, idx, d) for d in range(degree + 1)}
+    per_species = [{d: species_mode_shapes(sys, idx, d) for d in range(degree + 1)}
                    for idx in range(len(sys.species))]
     out = []
 
@@ -273,6 +309,24 @@ def recursive_mode_sets(sys, degree):
     return tuple(out)
 
 
+def signature(sys):
+    return tuple((s.kind, s.engine_weight, s.odd) for s in sys.species)
+
+
+def count_builds(monkeypatch):
+    """Patch a fresh, empty registry in and count each entry written, by table
+    and (k, d)."""
+    monkeypatch.setattr(fock, "_SLICE_TABLES", weakref.WeakValueDictionary())
+    builds = Counter()
+    store = fock._SliceTable.__setitem__
+
+    def counted(table, key, value):
+        builds[id(table), key] += 1
+        store(table, key, value)
+    monkeypatch.setattr(fock._SliceTable, "__setitem__", counted)
+    return builds
+
+
 def test_mode_sets_match_oracle_on_counting_catalog():
     for key, sys in cat.enumerable_counting_systems():
         for d in range(9):
@@ -289,37 +343,94 @@ def test_mode_sets_warm_system_out_of_order(monkeypatch):
     for key, sys in warm:
         for d in (5, 2, 8, 2):
             assert fock._mode_sets(sys, d) == recursive_mode_sets(sys, d), (key, d)
-        fresh = dict(_rank2_counting_systems())[key]
-        assert fock._mode_sets(fresh, 8) == fock._mode_sets(sys, 8)
 
-    def no_shapes(sys, idx, degree):
-        raise AssertionError("a warm slice was enumerated again")
-    monkeypatch.setattr(fock, "_species_mode_shapes", no_shapes)
-    for key, sys in warm:
+    def no_build(table, key, value):
+        raise AssertionError(f"warm entry {key} was built again")
+    monkeypatch.setattr(fock._SliceTable, "__setitem__", no_build)
+    for (key, sys), (fresh_key, fresh) in zip(warm, _rank2_counting_systems()):
+        assert fresh_key == key and fresh is not sys and fresh._slices is sys._slices
         for d in (8, 5, 2):
-            assert len(fock._mode_sets(sys, d)) == slice_dimension(sys, d)
+            assert fock._mode_sets(fresh, d) == fock._mode_sets(sys, d)
+            assert len(fock._mode_sets(sys, d)) == slice_dimension(fresh, d)
 
 
-def test_species_shapes_built_once_per_system(monkeypatch):
+def test_each_entry_built_once_per_signature(monkeypatch):
+    builds = count_builds(monkeypatch)
     systems = [sys for _, sys in cat.enumerable_counting_systems()]
     expected = {id(sys): {d: recursive_mode_sets(sys, d) for d in range(9)} for sys in systems}
-    shapes = fock._species_mode_shapes
-    calls = Counter()
-
-    def counted(sys, idx, degree):
-        calls[id(sys), idx, degree] += 1
-        return shapes(sys, idx, degree)
-    monkeypatch.setattr(fock, "_species_mode_shapes", counted)
     for sys in systems:
         for d in (4, 8, 0, 6, 8, 3):
             assert fock._mode_sets(sys, d) == expected[id(sys)][d]
         for d in range(9):
             assert fock._mode_sets(sys, d) == expected[id(sys)][d]
-    assert calls and set(calls.values()) == {1}
+    assert builds and set(builds.values()) == {1}
+    tables = {id(sys._slices): sys for sys in systems}
+    assert len(tables) == len({signature(sys) for sys in systems}) < len(systems)
+    for t, sys in tables.items():
+        assert {key for s, key in builds if s == t} == \
+            {(k, d) for k in range(len(sys.species) + 1) for d in range(9)}
+
+
+def test_one_signature_shares_one_table_in_either_order(monkeypatch):
+    builds = count_builds(monkeypatch)
+
+    def make(names, p):
+        b, c = fermion_pair(*names)
+        return register_system([heis(names[0] + "x"), b, c], [[Fraction(p)]])
+    for first, second in ((("b", "c"), ("psi", "chi")), (("psi", "chi"), ("b", "c"))):
+        one = make(first, 2)
+        assert fock._mode_sets(one, 6) == recursive_mode_sets(one, 6)
+        two = make(second, -3)  # other names and pairing, the same signature
+        assert two._slices is one._slices
+        assert fock._SLICE_TABLES[signature(two)] is one._slices
+        for d in (7, 6, 3):
+            assert fock._mode_sets(two, d) == recursive_mode_sets(two, d)
+        assert fock._mode_sets(one, 7) is fock._mode_sets(two, 7)
+    assert set(builds.values()) == {1}
+
+
+def test_signatures_apart_in_weight_parity_or_kind_do_not_share():
+    b, c = fermion_pair("b", "c", (1, 0))
+    cc, bb = fermion_pair("b", "c", (0, 1))
+    beta, gamma = boson_pair("b", "c", (1, 1))
+    b1, c1 = fermion_pair("b", "c", (1, 1))
+    # a pair of fermion kind but even parity: apart from b1, c1 only in parity
+    e1, e2 = (replace(s, parity="even") for s in (b1, c1))
+    groups = [[b, c], [cc, bb], [beta, gamma], [b1, c1], [e1, e2]]
+    systems = [register_system(g, []) for g in groups]
+    assert len({id(sys._slices) for sys in systems}) == len(systems)
     for sys in systems:
-        species = range(len(sys.species))
-        assert {(i, d) for s, i, d in calls if s == id(sys)} == \
-            {(i, d) for i in species for d in range(9)}
+        for d in range(7):
+            assert fock._mode_sets(sys, d) == recursive_mode_sets(sys, d), (sys, d)
+    # the even "fermion" pair counts as beta, gamma do, from its own table
+    assert fock._mode_sets(systems[4], 6) == fock._mode_sets(systems[2], 6)
+    assert fock._mode_sets(systems[4], 6) is not fock._mode_sets(systems[2], 6)
+
+
+def test_no_table_outlives_its_last_system():
+    beta, gamma = boson_pair("beta", "gamma", (3, 2))
+    species = [heis("x"), beta, gamma, heis("y")]
+    sig = signature(register_system(species, [[1, 0], [0, 1]]))
+    gc.collect()
+    assert sig not in fock._SLICE_TABLES
+    one = register_system(species, [[1, 0], [0, 1]])
+    two = register_system(species, [[2, 1], [1, 2]])
+    assert fock._SLICE_TABLES[sig] is one._slices is two._slices
+    slices = [fock._mode_sets(one, d) for d in range(6)]
+    table = weakref.ref(one._slices)
+    want = recursive_mode_sets(one, 7)  # its closure cycle goes at the collect below
+    del one
+    gc.collect()
+    assert table() is two._slices and [fock._mode_sets(two, d) for d in range(6)] == slices
+    # building an entry leaves no reference cycle: the last System, and with it
+    # the table, goes by reference count alone
+    gc.disable()
+    try:
+        assert fock._mode_sets(two, 7) == want
+        del two
+        assert table() is None and sig not in fock._SLICE_TABLES
+    finally:
+        gc.enable()
 
 
 def test_mode_sets_weight0_fermion_and_weight1_bosons():

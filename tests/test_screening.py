@@ -8,8 +8,8 @@ from wcoset import catalog as cat
 from wcoset import screening
 from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
                            ShapeMismatch)
-from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, gen, mode_apply,
-                           nord, parity, scale, state_of_field)
+from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power, gen,
+                           mode_apply, nord, parity, scale, state_of_field)
 from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
                          register_system)
 from wcoset.linalg import rank
@@ -515,6 +515,22 @@ def test_at_refuses_a_source_of_the_wrong_length():
     for values in ((Fraction(1),), (Fraction(0),) * 4):
         with pytest.raises(MomentumMismatch, match="eigenvalues"):
             op.at(Momentum(values))
+
+
+def test_momenta_of_different_lengths_do_not_pair():
+    # the same three-boson system: adding a one-eigenvalue momentum, or pairing
+    # the screening's direction with a momentum too short or too long, used to
+    # truncate (or raise IndexError) where it now refuses
+    spec = cat.get_realization("super-sl:2:coset", Fraction(1, 3))
+    op = spec.screenings[0]
+    with pytest.raises(MomentumMismatch, match="momenta of 3 and 1 eigenvalues"):
+        op.source + Momentum((Fraction(1),))
+    with pytest.raises(MomentumMismatch, match="momenta of 1 and 3 eigenvalues"):
+        Momentum((Fraction(1),)) + op.source
+    for values in ((Fraction(1),), (Fraction(0),) * 4):
+        with pytest.raises(MomentumMismatch, match=f"momentum of {len(values)} eigenvalues"):
+            exp_power(spec.system, op.exp, Momentum(values))
+    assert exp_power(spec.system, op.exp, op.source) == -op.degree_shift() - 1
 
 
 def test_oracle_comparison_negative_control(gl11_oracle):

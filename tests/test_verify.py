@@ -140,17 +140,25 @@ def test_counting_consistency_small():
 
 def test_counting_negative_control_drops_a_shape(monkeypatch):
     """Counting is checked against the Euler product, so it cannot pass by
-    construction: one species-0 shape of degree 3 dropped fails every system."""
+    construction: one mode tuple dropped from entry (0, 3) of every slice table
+    fails every system.  The registry starts empty, so a warm table (here every
+    one, kept alive) cannot serve an intact entry."""
+    import weakref
     from wcoset import fock
-    shapes = fock._species_mode_shapes
+    warm = cat.enumerable_counting_systems()
+    assert ver.check_counting(8).status == "pass"
+    monkeypatch.setattr(fock, "_SLICE_TABLES", weakref.WeakValueDictionary())
+    build = fock._mode_sets
 
-    def one_shape_short(sys, idx, degree):
-        out = shapes(sys, idx, degree)
-        return out[1:] if (idx, degree) == (0, 3) else out
-    monkeypatch.setattr(fock, "_species_mode_shapes", one_shape_short)
+    def one_tuple_short(sys, degree, k=0):
+        if (k, degree) == (0, 3) and (0, 3) not in sys._slices:
+            sys._slices[0, 3] = build(sys, 3)[1:]  # a warm entry stays intact
+        return build(sys, degree, k)
+    monkeypatch.setattr(fock, "_mode_sets", one_tuple_short)
     rep = ver.check_counting(8)
     assert rep.status == "fail"
     assert rep.items and not any(i.equal for i in rep.items)
+    assert len(rep.items) == len(warm)
 
 
 def test_check_delta_random():
