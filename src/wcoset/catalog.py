@@ -392,22 +392,14 @@ def _subregular_bosonized(lv: LevelData) -> RealizationSpec:
 
 
 def _coset_gram_alpha(lv: LevelData, K):
-    """Gram of the subregular coset basis: the tridiagonal bordered matrix."""
-    n, r = lv.n, lv.r
-    m = n + 1
-    G = [[0 * K] * m for _ in range(m)]
-    G[0][0] = 1 + 0 * K
-    G[0][1] = G[1][0] = -K
-    for i in range(1, m):
-        G[i][i] = 2 * K
-        if 1 <= i < m - 1:
-            G[i][i + 1] = G[i + 1][i] = -K
-    if n >= 2:
-        G[m - 2][m - 1] = G[m - 1][m - 2] = -r * K
-    G[m - 1][m - 1] = 2 * r * K
-    if n == 1:
-        G[0][1] = G[1][0] = -r * K
-    return G
+    """Gram of the subregular coset basis, the coroots of g1 bordered:
+    (at0|at0) = 1, (at0|at1) = -2K/(a1|a1) and
+    (at_i|at_j) = 4K (a_i|a_j) / ((a_i|a_i)(a_j|a_j))."""
+    A = rd.g1_gram(lv.pair, lv.n)
+    border = [1 + 0 * K, -2 * K / A[0][0]] + [0 * K] * (lv.n - 1)
+    return [border] + [[border[i + 1]] + [4 * K * a / (A[i][i] * A[j][j])
+                                          for j, a in enumerate(A[i])]
+                       for i in range(lv.n)]
 
 
 def _subregular_coset(lv: LevelData) -> RealizationSpec:

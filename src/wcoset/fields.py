@@ -3,16 +3,16 @@
 A FieldExpr is a tree over Gen (a registered species), Deriv, NormOrd (the
 right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
 lattice/shift operator, made by ``exp_op``, the one place its shift is
-derived).  ``mode_apply`` gives the physical (n)-mode of any expression
-applied to a state, as an exact finite linear combination; the OPEs, Gram
-matrices and annihilation checks are built on it.  A generator's
-nonnegative modes on a state come from one walk, ``_annihilations``.
-Screening residues are built a slice at a time by ``residue_images``; it and
-``mode_apply`` take the images of the exponential operator from one core,
-``_images``, which works a slice of columns (one per source state) at once,
-on monomials packed into integer keys (``fock._Packing``).  A rational slice is
-summed over Z on one common denominator, a slice with a RatFun anywhere over
-the field.
+derived, its direction checked against the system).  ``mode_apply`` gives
+the physical (n)-mode of any expression applied to a state, as an exact
+finite linear combination; the OPEs and Gram matrices are built on it.  A
+generator's nonnegative modes on a state come from one walk,
+``_annihilations``.  ``residue_images`` is the one screening residue path:
+it maps vectors to sparse images and, like ``mode_apply``, takes the images
+of the exponential operator from one core, ``_images``, which works a list
+of columns (one per vector) at once, on monomials packed into integer keys
+(``fock._Packing``).  A rational call is summed over Z on one common
+denominator, one with a RatFun anywhere over the field.
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -52,9 +52,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import MomentumMismatch, NonSymmetric, ParityMismatch, ShapeMismatch
+from .errors import MomentumMismatch, NonSymmetric, ParityMismatch
 from .fock import FockState, Momentum, System, canonical_modes, normal_form, state_str
-from .linalg import ZERO
 from .scalars import RatFun, Scalar, _as_int, sc_is_zero
 
 
@@ -99,7 +98,12 @@ class ExpOp:
 
 def exp_op(sys: System, c: Scalar, direction) -> ExpOp:
     """e^{c int lambda} with its shift T_{c lambda}, the eigenvalue shift forced
-    by the mode algebra; NonIntegralExponent unless its lattice label is integral."""
+    by the mode algebra; NonIntegralExponent unless its lattice label is integral,
+    MomentumMismatch unless lambda has one entry per Heisenberg species."""
+    direction = tuple(direction)
+    if len(direction) != len(sys.heis_indices):
+        raise MomentumMismatch(f"direction of {len(direction)} entries on a system of "
+                               f"{len(sys.heis_indices)} Heisenberg species")
     vals = []
     for j in range(len(sys.heis_indices)):
         acc = 0
@@ -111,7 +115,7 @@ def exp_op(sys: System, c: Scalar, direction) -> ExpOp:
         vals.append(acc if not isinstance(acc, int) else Fraction(acc))
     shift = Momentum(tuple(vals))
     sys.lattice_label(shift)
-    return ExpOp(c, tuple(direction), shift)
+    return ExpOp(c, direction, shift)
 
 
 FieldExpr = Union[Gen, Deriv, NormOrd, Scale, Sum, ExpOp]
@@ -436,7 +440,7 @@ def _int_factors(rec: _ExpRecord) -> tuple:
 
 
 def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
-    """Vertex-operator images over rec.target of a slice of columns, each a
+    """Vertex-operator images over rec.target of a list of columns, each a
     list of jobs: per column, a dict from packed key to nonzero coefficient.
 
     A job (modes, seed, places) asks, for each (n, front) of places, for the
@@ -445,9 +449,9 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
     product of monomials being a sum of keys.  E+ and E- touch only even
     Heisenberg modes, so the sign is that of front ahead of the state (0 when
     it repeats an odd mode), from one canonical_modes call per place.  The
-    ring is chosen once per slice.  Over Z an E+ term stands for its value
-    times D^nmax, the parts through the slice's top carry their lcm
-    denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the slice
+    ring is chosen once per call.  Over Z an E+ term stands for its value
+    times D^nmax, the parts through the call's top carry their lcm
+    denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the call
     and each distinct numerator becomes one Fraction; over the field every
     scale is 1.
     """
@@ -511,20 +515,19 @@ def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
 
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
-                   mu: Momentum, states, targets) -> list:
+                   mu: Momentum, vectors) -> list:
     """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
-    generator g or Scale(a, g)) on the states of one slice over mu, as the
-    dense block with rows `targets` (a slice over mu + s) and linalg.ZERO in
-    empty cells; an image outside `targets` raises ShapeMismatch.
+    generator g or Scale(a, g)) on vectors over mu, each an iterable of
+    (state, coefficient): one {packed key: nonzero value} image over mu + s
+    per vector.
 
     The (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j
-    E_(-1-j) g_(j) (see mode_apply), and the slice is one _images call: a
-    state's job puts g_(-1-j) as the front of the images of E_(j), one E+
-    table serving every j, and each term of the second sum, from one
-    _annihilations walk of the state, seeds a job of its own.  A scale a
-    multiplies every seed.
+    E_(-1-j) g_(j) (see mode_apply), and all the vectors are one _images
+    call, a vector one column: a state's job puts g_(-1-j) as the front of
+    the images of E_(j), one E+ table serving every j, and each term of the
+    second sum, from one _annihilations walk of the state, seeds a job of its
+    own.  The scale a and the state's coefficient multiply its seeds.
     """
-    pk = sys._packing
     rec = _expop_record(sys, op, mu)
     a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
     eps = rec.eps * a
@@ -533,25 +536,18 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
         # the seed factor of the second sum
         eps2 = -eps if parity(sys, g) * parity(sys, op) else eps
     columns = []
-    for s in states:
-        if g is None:
-            columns.append([(s.modes, eps, ((0, None),))])
-            continue
-        places = [(j, (idx, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
-        columns.append([(s.modes, eps, places)] + [
-            (rest, eps2 * v, ((-1 - j, None),))
-            for (j, rest), v in _annihilations(sys, idx, s).items()])
-    images = _images(sys, op, rec, columns)
-    index = {pk.pack(t.modes): i for i, t in enumerate(targets)}
-    block = [[ZERO] * len(images) for _ in targets]
-    for j, image in enumerate(images):
-        try:
-            for key, v in image.items():
-                block[index[key]][j] = v
-        except KeyError:
-            degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(key))
-            raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
-    return block
+    for vector in vectors:
+        column = []
+        for s, x in vector:
+            if g is None:
+                column.append((s.modes, eps * x, ((0, None),)))
+                continue
+            places = [(j, (idx, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
+            column.append((s.modes, eps * x, places))
+            column += [(rest, eps2 * x * v, ((-1 - j, None),))
+                       for (j, rest), v in _annihilations(sys, idx, s).items()]
+        columns.append(column)
+    return _images(sys, op, rec, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,8 @@ class System:
     def momentum(self, values) -> Momentum:
         vals = tuple(values)
         if len(vals) != len(self.heis_indices):
-            raise AsymmetricPairing("momentum length does not match heisenberg rank")
+            raise MomentumMismatch(f"momentum of {len(vals)} eigenvalues on a system of "
+                                   f"{len(self.heis_indices)} Heisenberg species")
         return Momentum(vals)
 
     def lattice_momentum(self, label) -> Momentum:

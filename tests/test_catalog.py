@@ -164,6 +164,37 @@ def test_coset_gram_equality_all():
             assert ga == gb, (pair, n)
 
 
+def _hand_built_coset_gram(lv, K):
+    """The tridiagonal bordered Gram of the subregular coset basis, entry by
+    entry, with its n = 1 and lacity special cases."""
+    n, r = lv.n, lv.r
+    m = n + 1
+    G = [[0 * K] * m for _ in range(m)]
+    G[0][0] = 1 + 0 * K
+    G[0][1] = G[1][0] = -K
+    for i in range(1, m):
+        G[i][i] = 2 * K
+        if 1 <= i < m - 1:
+            G[i][i + 1] = G[i + 1][i] = -K
+    if n >= 2:
+        G[m - 2][m - 1] = G[m - 1][m - 2] = -r * K
+    G[m - 1][m - 1] = 2 * r * K
+    if n == 1:
+        G[0][1] = G[1][0] = -r * K
+    return G
+
+
+def test_coset_gram_matches_hand_built_matrix():
+    for pair in rd.PAIRS:
+        for n in range(1, 6):
+            for k1 in (T, Fraction(16, 7)):
+                lv = cat.LevelData.from_k1(pair, n, k1)
+                got = cat._coset_gram_alpha(lv, lv.K1)
+                want = _hand_built_coset_gram(lv, lv.K1)
+                assert ([[(type(x), str(x)) for x in row] for row in got]
+                        == [[(type(x), str(x)) for x in row] for row in want]), (pair, n, k1)
+
+
 def test_super_miura_screening_count():
     spec = cat.principal_super_realization("sl", 2, T, "miura")
     assert len(spec.screenings) == 3

@@ -39,6 +39,12 @@ def wakimoto_images(sys, k1=K1):
     }
 
 
+def screening_field(op):
+    """The field :P E: (E alone without a prefactor) whose (0)-mode is op's
+    residue, for the mode_apply oracles."""
+    return op.exp if op.prefactor is None else NormOrd(op.prefactor, op.exp)
+
+
 def conformal_image(sys, k1=K1, k2=K2):
     chi1, chi2 = gen("x1"), gen("x2")
     chi_sum = sadd(chi1, chi2)
@@ -479,13 +485,13 @@ def test_vertex_operator_oracle_gl11_shifted(monkeypatch):
         op = cat.wakimoto_shifted_screening(spec, i)
         assert op.prefactor == gen("b")
         states = _basis(sys, op.source, 4)
-        assert _oracle_compare(monkeypatch, sys, op.field(), states) > len(states) // 4
+        assert _oracle_compare(monkeypatch, sys, screening_field(op), states) > len(states) // 4
 
 
 def test_vertex_operator_oracle_lattice_cocycle(monkeypatch):
     spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
     sys = spec.system
-    fld = [op.field() for op in spec.screenings] + [spec.generator_map["gamma"]]
+    fld = [screening_field(op) for op in spec.screenings] + [spec.generator_map["gamma"]]
     signs = set()
     for label in ((0, 0), (1, 0)):
         mu = sys.lattice_momentum(label)
@@ -502,7 +508,7 @@ def test_vertex_operator_oracle_symbolic_coset(monkeypatch):
         sys = spec.system
         states = _basis(sys, sys.zero_momentum(), max_degree)
         for op in spec.screenings:
-            assert _oracle_compare(monkeypatch, sys, op.field(), states) > 0
+            assert _oracle_compare(monkeypatch, sys, screening_field(op), states) > 0
 
 
 def test_vertex_operator_oracle_repeated_modes(monkeypatch):
@@ -515,7 +521,7 @@ def test_vertex_operator_oracle_repeated_modes(monkeypatch):
             states = _basis(sys, mu, max_degree)
             assert any(len(set(st.modes)) < len(st.modes) for st in states)
             for op in spec.screenings:
-                fld = op.field()
+                fld = screening_field(op)
                 try:
                     exp_power(sys, fld, mu)
                 except NonIntegralExponent:
@@ -564,7 +570,7 @@ def test_expop_records_lattice_momenta():
     assert {sys.cocycle(op.exp.shift, mu) for op in spec.screenings} == {1, -1}
     for i in range(len(spec.screenings)):
         def at(label, i=i):
-            return lambda s: (s.screenings[i].field(), s.system.lattice_momentum(label))
+            return lambda s: (screening_field(s.screenings[i]), s.system.lattice_momentum(label))
         # both labels, and each again at a lower degree after warming higher
         runs = [(at((0, 0)), 2), (at((1, 0)), 4), (at((0, 0)), 4), (at((1, 0)), 2),
                 (at((0, 0)), 1)]
@@ -580,7 +586,7 @@ def test_expop_records_gl11_shifted_sources(k1, top):
     def at(j):
         def field_and_source(spec):
             op = cat.wakimoto_shifted_screening(spec, j)
-            return op.field(), op.source
+            return screening_field(op), op.source
         return field_and_source
     runs = [(at(0), top - 1), (at(1), top), (at(2), top), (at(0), top), (at(1), top - 2)]
     assert _warm_equals_fresh(build, runs) > 0
@@ -598,7 +604,7 @@ def test_mode_apply_reaches_expop_mode_by_name(monkeypatch):
     spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
     monkeypatch.setattr(fields, "_expop_mode", spy)
     sys = spec.system
-    images = [mode_apply(sys, spec.screenings[0].field(), 0, st)
+    images = [mode_apply(sys, screening_field(spec.screenings[0]), 0, st)
               for st in _basis(sys, sys.zero_momentum(), 2)]
     assert seen and any(images)
 

@@ -9,8 +9,8 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import fock
-from wcoset.errors import (AsymmetricPairing, NonEnumerable, NonIntegralExponent,
-                           ResourceBound, UnpairedFermionHalf)
+from wcoset.errors import (AsymmetricPairing, MomentumMismatch, NonEnumerable,
+                           NonIntegralExponent, ResourceBound, UnpairedFermionHalf)
 from wcoset.fock import (Species, boson_pair, enumerate_basis, fermion_pair,
                          graded_dimension, heis, normal_form, register_system,
                          slice_dimension, state_str)
@@ -94,6 +94,14 @@ def test_momentum_hash_computed_once():
     assert {a: 1}[b] == 1
     assert a != sys.momentum((Fraction(1, 2), Fraction(3)))
     assert "_hash" not in repr(a)
+
+
+def test_momentum_of_the_wrong_length_refused():
+    sys = bc_heis2()
+    for values in ((Fraction(1),), (Fraction(0),) * 3):
+        with pytest.raises(MomentumMismatch, match=f"momentum of {len(values)} eigenvalues "
+                                                   "on a system of 2 Heisenberg species"):
+            sys.momentum(values)
 
 
 def test_unpaired_half():

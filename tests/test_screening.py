@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from wcoset import screening
 from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
                            ShapeMismatch)
 from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power, gen,
-                           mode_apply, nord, parity, scale, state_of_field)
+                           mode_apply, nord, parity, residue_images, scale, state_of_field)
 from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
                          register_system)
 from wcoset.linalg import rank
@@ -17,7 +18,7 @@ from wcoset.scalars import T, sc_is_zero
 from wcoset.screening import (ScreeningOp, annihilates, compose_check, joint_kernel,
                               residue_map)
 
-from test_fields import gl11_system, wakimoto_images
+from test_fields import gl11_system, screening_field, wakimoto_images
 
 
 def series_mul(a, b, n):
@@ -76,14 +77,24 @@ def resolution_screening(sys, k1, n_from=0):
 GL11_LEVELS = [(Fraction(7, 2), Fraction(1, 3)), (Fraction(-5, 3), Fraction(4, 7))]
 
 
+def apply_residue(op, vectors):
+    """op's residue on each vector (a LinComb over op.source), through
+    residue_images, as LinCombs over op.target()."""
+    sys = op.system
+    images = residue_images(sys, op.prefactor, op.exp, op.source,
+                            [v.items() for v in vectors])
+    return [{FockState(op.target(), sys._packing.unpack(key)): x for key, x in img.items()}
+            for img in images]
+
+
 @pytest.mark.parametrize("k1,k2", GL11_LEVELS)
 def test_resolution_degree0_action(k1, k2):
     sys = gl11_system(k1, k2)
     S = resolution_screening(sys, k1)
     vac = sys.vacuum()
-    assert S.apply({vac: Fraction(1)}) == {}
     c_state = FockState(sys.zero_momentum(), ((sys.index["c"], 1),))
-    out = S.apply({c_state: Fraction(1)})
+    on_vac, out = apply_residue(S, [{vac: Fraction(1)}, {c_state: Fraction(1)}])
+    assert on_vac == {}
     target_vac = FockState(S.target(), ())
     assert out == {target_vac: Fraction(1)}
 
@@ -142,7 +153,7 @@ def test_compose_momentum_mismatch():
         compose_check(s3, s1, range(2))
 
 
-@pytest.mark.parametrize("k1,k2", GL11_LEVELS)
+@pytest.mark.parametrize("k1,k2", GL11_LEVELS + [(T, Fraction(1, 3))])
 def test_screening_annihilates_wakimoto_images(k1, k2):
     sys = gl11_system(k1, k2)
     S = resolution_screening(sys, k1)
@@ -153,6 +164,24 @@ def test_screening_annihilates_wakimoto_images(k1, k2):
     chi_state = {FockState(sys.zero_momentum(), ((sys.index["x1"], 1),)): Fraction(1)}
     assert not annihilates([S], chi_state)
     assert annihilates([], chi_state)
+
+
+def test_annihilates_refusals_and_trivial_cases():
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    S = resolution_screening(sys, k1)
+    vac = sys.vacuum()
+    c_state = FockState(sys.zero_momentum(), ((sys.index["c"], 1),))
+    chi_state = FockState(sys.zero_momentum(), ((sys.index["x1"], 1),))
+    moved = FockState(S.target(), ())
+    with pytest.raises(MomentumMismatch, match="mixes momenta"):
+        annihilates([S], {vac: Fraction(1), moved: Fraction(1)})
+    with pytest.raises(ValueError, match="not homogeneous"):
+        annihilates([S], {vac: Fraction(1), chi_state: Fraction(1)})
+    assert annihilates([], {c_state: Fraction(1)})
+    assert annihilates([S], {})
+    assert annihilates([S], {vac: Fraction(1)})
+    assert not annihilates([S], {c_state: Fraction(1)})
 
 
 def rank1_system(K):
@@ -256,7 +285,7 @@ def test_shape_mismatch():
 # residue maps against the per-state mode_apply oracle
 # ---------------------------------------------------------------------------
 # residue_map builds each slice in one pass: one record lookup per slice, one
-# E+ table per source state.  The oracle applies the whole field op.field() to
+# E+ table per source state.  The oracle applies the whole field :P E: to
 # each source state with mode_apply, on a System built apart, so the two share
 # no record; blocks must agree entry for entry, by type and by string.  The
 # closed form both paths share is checked against the breadth-first expansion
@@ -268,7 +297,7 @@ def oracle_block(sys, op, d):
     tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
     index = {(s.momentum, s.modes): i for i, s in enumerate(tgt)}
     M = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-    fld = op.field()
+    fld = screening_field(op)
     for j, s in enumerate(src):
         for t, v in mode_apply(sys, fld, 0, s).items():
             M[index[(t.momentum, t.modes)]][j] = v
@@ -376,22 +405,23 @@ def test_residue_map_matches_oracle_prefactors(name):
     assert matches_oracle(gl11_build(*GL11, GL11_PREFACTORS[name]), range(4)) > 0
 
 
+def odd_exponential_build():
+    """b e^phi over two lattice sources: an odd generator under an odd
+    lattice exponential."""
+    b, c = fermion_pair("b", "c")
+    sys = register_system([b, c, heis("phi")], [[Fraction(1)]], lattice_indices=[2])
+    exp = exp_op(sys, Fraction(1), direction_of(sys, {"phi": Fraction(1)}))
+    ops = [ScreeningOp(sys, exp, sys.lattice_momentum((m,)),
+                       prefactor=gen("b"), name=f"b e^phi [{m}]")
+           for m in (0, 1)]
+    return sys, ops
+
+
 def test_residue_map_matches_oracle_odd_exponential():
-    # an odd generator under an odd lattice exponential: the second sum of the
-    # normally ordered product changes sign
-    def build():
-        b, c = fermion_pair("b", "c")
-        sys = register_system([b, c, heis("phi")], [[Fraction(1)]],
-                              lattice_indices=[2])
-        exp = exp_op(sys, Fraction(1), direction_of(sys, {"phi": Fraction(1)}))
-        ops = [ScreeningOp(sys, exp, sys.lattice_momentum((m,)),
-                           prefactor=gen("b"), name=f"b e^phi [{m}]")
-               for m in (0, 1)]
-        return sys, ops
-    sys, ops = build()
-    assert all(parity(sys, op.prefactor) == parity(sys, op.field().right) == 1
-               for op in ops)
-    assert matches_oracle(build, range(5)) > 0
+    # the second sum of the normally ordered product changes sign
+    sys, ops = odd_exponential_build()
+    assert all(parity(sys, op.prefactor) == parity(sys, op.exp) == 1 for op in ops)
+    assert matches_oracle(odd_exponential_build, range(5)) > 0
 
 
 @pytest.mark.parametrize("K", [Fraction(7, 2), T], ids=str)
@@ -400,6 +430,58 @@ def test_residue_map_matches_oracle_rank1(K):
         spec = cat.rank1_ff(K)
         return spec.system, spec.screenings
     assert matches_oracle(build, range(7)) > 0
+
+
+# ---------------------------------------------------------------------------
+# residue_images on vectors against mode_apply
+# ---------------------------------------------------------------------------
+# A vector is one column of residue_images, each state's coefficient
+# multiplying its seeds.  The oracle applies :P E: to the whole vector with
+# mode_apply, on a System built apart, and packs the result.
+
+def random_vectors(rng, sys, mu, count):
+    """The empty vector, then count seeded random vectors over mu, each on up
+    to four states of degree <= 3 with nonzero rational coefficients; every
+    third vector's coefficients are multiplied by t."""
+    states = [s for d in range(4) for s in enumerate_basis(sys, mu, d)]
+    out = [{}]
+    for i in range(count):
+        scale_by = T if i % 3 == 2 else 1
+        out.append({s: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) * scale_by
+                    for s in rng.sample(states, min(4, len(states)))})
+    return out
+
+
+VECTOR_BUILDS = {
+    "gl11 7/2,1/3": gl11_build(Fraction(7, 2), Fraction(1, 3)),
+    "gl11 t,1/3": gl11_build(T, Fraction(1, 3)),
+    "super-sl:2:miura -14/5": catalog_build("super", "sl", 2, "miura", Fraction(-14, 5)),
+    "super-sl:2:miura t": catalog_build("super", "sl", 2, "miura", T),
+    "super-so:2:miura -14/5": catalog_build("super", "so", 2, "miura", Fraction(-14, 5)),
+    "super-so:2:miura t": catalog_build("super", "so", 2, "miura", T),
+    "b e^phi": odd_exponential_build,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_BUILDS))
+def test_residue_images_match_mode_apply_on_vectors(name):
+    build = VECTOR_BUILDS[name]
+    rng = random.Random(name)
+    (sys, ops), (osys, oops) = build(), build()
+    nonzero = 0
+    for op, oop in zip(ops, oops):
+        vectors = random_vectors(rng, sys, op.source, 9)
+        images = residue_images(sys, op.prefactor, op.exp, op.source,
+                                [v.items() for v in vectors])
+        assert len(images) == len(vectors) and images[0] == {}
+        for v, image in zip(vectors, images):
+            want = mode_apply(osys, screening_field(oop), 0, v)
+            assert {s.momentum for s in want} <= {op.target()}
+            packed = {sys._packing.pack(s.modes): x for s, x in want.items()}
+            assert ({k: (type(x), str(x)) for k, x in image.items()}
+                    == {k: (type(x), str(x)) for k, x in packed.items()}), (op.name, v)
+            nonzero += bool(image)
+    assert nonzero > len(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +613,12 @@ def test_momenta_of_different_lengths_do_not_pair():
         with pytest.raises(MomentumMismatch, match=f"momentum of {len(values)} eigenvalues"):
             exp_power(spec.system, op.exp, Momentum(values))
     assert exp_power(spec.system, op.exp, op.source) == -op.degree_shift() - 1
+    # a direction is checked when its exponential is made: one entry used to
+    # give a shift read off that entry alone, four a bare IndexError
+    for direction in ((1,), (1, 0, 0, 0)):
+        with pytest.raises(MomentumMismatch,
+                           match=f"direction of {len(direction)} entries on a system of 3"):
+            exp_op(spec.system, 1, direction)
 
 
 def test_oracle_comparison_negative_control(gl11_oracle):
