@@ -5,7 +5,8 @@ right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
 lattice/shift operator, made by ``exp_op``, the one place its shift is
 derived, its direction checked against the system).  ``mode_apply`` gives
 the physical (n)-mode of any expression applied to a state, as an exact
-finite linear combination; the OPEs and Gram matrices are built on it.  A
+finite linear combination; the OPEs and Gram matrices are built on it, the
+poles of a field on a state each caller builds once (``ope_poles``).  A
 generator's nonnegative modes on a state come from one walk,
 ``_annihilations``.  ``residue_images`` is the one screening residue path:
 it maps vectors to sparse images and, like ``mode_apply``, takes the images
@@ -639,7 +640,11 @@ def state_of_field(sys: System, expr: FieldExpr) -> LinComb:
 
 def ope_singular(sys: System, a: FieldExpr, b: FieldExpr, max_pole: Optional[int] = None):
     """Singular part of a(z)b(w): pole order -> LinComb of states of b's module."""
-    v = state_of_field(sys, b)
+    return ope_poles(sys, a, state_of_field(sys, b), max_pole)
+
+
+def ope_poles(sys: System, a: FieldExpr, v: LinComb, max_pole: Optional[int] = None):
+    """Pole order j + 1 -> a_(j) v for a homogeneous state v, as in ope_singular."""
     if not v:
         return {}
     mu = next(iter(v)).momentum
@@ -663,8 +668,7 @@ def l0_apply(sys: System, conformal: FieldExpr, state) -> LinComb:
 
 def vacuum_coefficient(sys: System, lc: LinComb) -> Scalar:
     vac = sys.vacuum()
-    extra = [s for s in lc if s.modes]
-    if extra:
+    if any(s != vac for s in lc):
         raise ValueError("second-order pole is not a multiple of the vacuum")
     return lc.get(vac, Fraction(0))
 
@@ -675,11 +679,12 @@ def current_gram(sys: System, currents) -> list:
     for c in currents:
         if parity(sys, c) != 0 or weight(sys, c, zero) != 1:
             raise ValueError("gram entries require weight-1 even currents")
+    states = [state_of_field(sys, c) for c in currents]
     n = len(currents)
     G = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            poles = ope_singular(sys, currents[i], currents[j], max_pole=2)
+            poles = ope_poles(sys, currents[i], states[j], max_pole=2)
             G[i][j] = vacuum_coefficient(sys, poles.get(2, {}))
     for i in range(n):
         for j in range(i):

@@ -10,7 +10,9 @@ source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
 over |mu + s>.
 
 GradedMap holds one exact matrix per degree (rows indexed by the target
-basis, columns by the source basis).  Both residue checks go through
+basis, columns by the source basis) and its source and target momenta;
+``compose_check`` multiplies two built maps, a degree whose composite passes
+through an empty slice counting as vacuous (None).  Both residue checks go through
 ``fields.residue_images``: ``annihilates`` asks whether the image of its one
 vector is empty, and ``residue_map``, the only writer of dense blocks, passes
 each state of a slice and writes every entry from its packed monomial key
@@ -77,6 +79,7 @@ class ScreeningOp:
 @dataclass
 class GradedMap:
     source: Momentum
+    target: Momentum
     degree_shift: int
     blocks: dict = field(default_factory=dict)       # degree -> matrix
     source_dims: dict = field(default_factory=dict)  # degree -> int
@@ -97,7 +100,7 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMa
     sys = op.system
     pk = sys._packing
     shift_deg = op.degree_shift()
-    gm = GradedMap(op.source, shift_deg)
+    gm = GradedMap(op.source, op.target(), shift_deg)
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
@@ -153,27 +156,20 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
     return KernelReport(degrees, dims, bases)
 
 
-def compose_check(s2: ScreeningOp, s1: ScreeningOp, degrees,
-                  cap: Optional[int] = None) -> dict:
-    """True per degree iff the composed residues vanish on the whole slice.
-
-    `cap` bounds every slice of both residue maps, as in `residue_map`, so an
-    oversized slice raises before any composition is built.  The product is
-    taken over Q (`linalg.mat_mul`), so both maps must be at a rational level.
-    """
-    if s2.source != s1.target():
+def compose_check(m2: GradedMap, m1: GradedMap) -> dict:
+    """Per degree of m1: True iff m2 after m1 vanishes on the slice, None if
+    the source, middle or target slice is empty.  The product is taken over Q
+    (`linalg.mat_mul`), so both maps must be at a rational level."""
+    if m2.source != m1.target:
         raise MomentumMismatch("target momentum of the first map must equal the "
                                "source of the second")
-    degrees = list(degrees)
-    m1 = residue_map(s1, degrees, cap)
-    shifted = [d + s1.degree_shift() for d in degrees]
-    m2 = residue_map(s2, shifted, cap)
     out = {}
-    for d in degrees:
-        A = m2.blocks[d + s1.degree_shift()]
-        B = m1.blocks[d]
-        M = mat_mul(A, B) if A and B and B[0] else []
-        out[d] = mat_is_zero(M)
+    for d, B in m1.blocks.items():
+        e = d + m1.degree_shift
+        if e not in m2.blocks:
+            raise ShapeMismatch(f"second map lacks degree {e}")
+        A = m2.blocks[e]
+        out[d] = mat_is_zero(mat_mul(A, B)) if A and B and B[0] else None
     return out
 
 

@@ -19,7 +19,7 @@ from . import catalog as cat
 from . import rootdata as rd
 from .errors import NonEnumerable, ResourceBound, ZeroK1
 from .fields import (current_gram, gen, l0_apply, lc_scale, lc_str, lc_sum,
-                     mode_apply, nord, ope_singular, sadd, scale, state_of_field)
+                     mode_apply, nord, ope_poles, sadd, scale, state_of_field)
 from .fock import FockState, System, graded_dimension, slice_dimension
 from .linalg import SYMBOLIC_DIM_LIMIT
 from .scalars import T, linear_zeros
@@ -147,11 +147,12 @@ def check_homomorphism(spec: cat.RealizationSpec) -> Report:
     rep = Report("homomorphism", {"key": spec.key})
     sys = spec.system
     vac = sys.vacuum()
+    states = {nm: state_of_field(sys, expr) for nm, expr in spec.generator_map.items()}
     for (u, v), st in spec.structure.items():
-        poles = ope_singular(sys, spec.generator_map[u], spec.generator_map[v])
+        poles = ope_poles(sys, spec.generator_map[u], states[v])
         expect1 = {}
         for w, cf in st.fields.items():
-            expect1 = lc_sum(expect1, lc_scale(state_of_field(sys, spec.generator_map[w]), cf))
+            expect1 = lc_sum(expect1, lc_scale(states[w], cf))
         if st.central1 != 0:
             expect1 = lc_sum(expect1, {vac: st.central1})
         expect2 = {vac: st.central2} if st.central2 != 0 else {}
@@ -205,13 +206,17 @@ def check_resolution(k1: Fraction, k2: Fraction, max_degree: int = 3,
     for name, img in spec.generator_map.items():
         v = state_of_field(sys, img)
         rep.add_check(f"S(rho({name}))=0", annihilates([S0], v))
-    degrees = range(max_degree + 1)
+    # one map per chain screening, each over the degrees the previous lands in
+    maps, degrees = [], range(max_degree + 2)
+    for i in range(terms + 1):
+        maps.append(residue_map(cat.wakimoto_shifted_screening(spec, i), degrees, cap))
+        degrees = [d + maps[-1].degree_shift for d in degrees]
     for i in range(terms):
-        si = cat.wakimoto_shifted_screening(spec, i)
-        sj = cat.wakimoto_shifted_screening(spec, i + 1)
-        out = compose_check(sj, si, range(max_degree + 2), cap)
-        rep.add_check(f"S.S=0 on W[-{i}a]..W[-{i + 2}a]", all(out.values()))
-    dims = _screening_kernel([S0], degrees, cap).dims
+        out = compose_check(maps[i + 1], maps[i]).values()
+        rep.add_check(f"S.S=0 on W[-{i}a]..W[-{i + 2}a]",
+                      False not in out and True in out)
+    degrees = range(max_degree + 1)
+    dims = joint_kernel(maps[:1], degrees).dims
     expect = gl11_pbw_character(max_degree)
     for d in degrees:
         rep.per_degree.append(PerDegree(d, expect[d], dims[d]))
@@ -312,9 +317,10 @@ def check_ks(pair: str, n: int, k2, perturb: Optional[str] = None) -> Report:
     fa = dict(ks.side_a.generator_map)
     if perturb == "drop-psi":
         fa["A1"] = sadd(scale(Fraction(r), gen("a1")), scale(-1, gen("phi")))
-    a_names = [f"A{i}" for i in range(1, n + 1)]
-    currents = [fa["X"], fa["Y"]] + [fa[nm] for nm in a_names]
-    G = current_gram(sys_a, currents)
+    # one Gram per side, bordered by H~2: G is its lower right block
+    Gh = current_gram(sys_a, [fa[nm] for nm in ["Ht2", "X", "Y"]]
+                      + [fa[f"A{i}"] for i in range(1, n + 1)])
+    G = [row[1:] for row in Gh[1:]]
     rep.add("gram(X,X),(X,Y),(Y,Y)", ["1", "0", "-1"],
             [str(G[0][0]), str(G[0][1]), str(G[1][1])])
     ok = all(G[0][2 + i] == 0 and G[1][2 + i] == 0 for i in range(n))
@@ -324,16 +330,13 @@ def check_ks(pair: str, n: int, k2, perturb: Optional[str] = None) -> Report:
     got = [[G[2 + i][2 + j] for j in range(n)] for i in range(n)]
     rep.add_check("gram(A) = g1 form / K", got == target,
                   computed="match" if got == target else str(got))
-    ht2 = fa["Ht2"]
-    Gh = current_gram(sys_a, [ht2] + currents)
     rep.add_check("H~2 orthogonal to X, Y, A_i",
                   all(x == 0 for x in Gh[0][1:]))
 
     sys_b = ks.side_b.system
     fb = ks.side_b.generator_map
-    b_names = [f"B{i}" for i in range(0, n + 1)]
-    currents_b = [fb["phit"]] + [fb[nm] for nm in b_names]
-    Gb = current_gram(sys_b, currents_b)
+    Gh1 = current_gram(sys_b, [fb["Ht1"], fb["phit"]] + [fb[f"B{i}"] for i in range(n + 1)])
+    Gb = [row[1:] for row in Gh1[1:]]
     rep.add("gram(phi~,phi~)", "1", str(Gb[0][0]))
     rep.add_check("phi~ regular with all B_i", all(x == 0 for x in Gb[0][1:]))
     G2 = rd.g2_gram(pair, n)
@@ -341,8 +344,6 @@ def check_ks(pair: str, n: int, k2, perturb: Optional[str] = None) -> Report:
     got_b = [[Gb[1 + i][1 + j] for j in range(n + 1)] for i in range(n + 1)]
     rep.add_check("gram(B) = g2 form / K2", got_b == target_b,
                   computed="match" if got_b == target_b else str(got_b))
-    ht1 = fb["Ht1"]
-    Gh1 = current_gram(sys_b, [ht1] + currents_b)
     rep.add_check("H~1 orthogonal to phi~, B_i",
                   all(x == 0 for x in Gh1[0][1:]))
     return rep

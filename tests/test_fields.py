@@ -6,7 +6,7 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import fields
-from wcoset.errors import NonIntegralExponent, ResourceBound
+from wcoset.errors import NonIntegralExponent, NonSymmetric, ResourceBound
 from wcoset.fields import (ExpOp, LinComb, NormOrd, _annihilations, current_gram,
                            deriv, gen, direction_of, exp_op, exp_power, l0_apply, lc_add,
                            mode_apply, nord, ope_singular, sadd, scale, state_of_field)
@@ -182,6 +182,52 @@ def test_current_gram_xy():
     sys = lattice_L1()
     G = current_gram(sys, [gen("x"), gen("y")])
     assert G == [[1, 0], [0, -1]]
+
+
+def test_current_gram_builds_one_state_per_current(monkeypatch):
+    sys = lattice_L1()
+    calls = []
+    original = fields.state_of_field
+
+    def counted(sys_, expr):
+        calls.append(expr)
+        return original(sys_, expr)
+
+    monkeypatch.setattr(fields, "state_of_field", counted)
+    currents = [gen("x"), gen("y"), sadd(gen("x"), gen("y"))]
+    assert current_gram(sys, currents) == [[1, 0, 1], [0, -1, -1], [1, -1, 0]]
+    assert calls == currents
+
+
+def test_current_gram_refuses_an_asymmetric_entry(monkeypatch):
+    # perturb the (x, y) pole only: (y, x) stays 0, so the refusal must fire
+    sys = lattice_L1()
+    y_state = state_of_field(sys, gen("y"))
+    original = fields.ope_poles
+
+    def perturbed(sys_, a, v, max_pole=None):
+        poles = original(sys_, a, v, max_pole)
+        if a == gen("x") and v == y_state:
+            poles[2] = {sys.vacuum(): Fraction(1)}
+        return poles
+
+    monkeypatch.setattr(fields, "ope_poles", perturbed)
+    with pytest.raises(NonSymmetric, match=r"\(1,0\) != \(0,1\)"):
+        current_gram(sys, [gen("x"), gen("y")])
+
+
+def test_current_gram_refuses_a_pole_at_nonzero_momentum():
+    # psi with :psi e^{2 phi}: has the double pole -|2 phi>, a Fock vacuum of
+    # another momentum, not the vacuum; it has no Gram coefficient
+    ks = cat.ks_fields("sl", 2, Fraction(3))
+    sys = ks.side_a.system
+    e = exp_op(sys, 2, direction_of(sys, {"phi": 1}))
+    j = nord(gen("psi"), e)
+    top = FockState(sys.vacuum().momentum + e.shift, ())
+    assert top != sys.vacuum()
+    assert ope_singular(sys, gen("psi"), j) == {2: {top: -1}}
+    with pytest.raises(ValueError, match="not a multiple of the vacuum"):
+        current_gram(sys, [gen("psi"), j])
 
 
 def test_expop_residue_on_vacuum_is_zero():

@@ -6,9 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
-from wcoset import screening
-from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
-                           ShapeMismatch)
+from wcoset.errors import InputError, MomentumMismatch, NonEnumerable, ShapeMismatch
 from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power, gen,
                            mode_apply, nord, parity, residue_images, scale, state_of_field)
 from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
@@ -124,33 +122,44 @@ def test_resolution_kernel_dim4_matches_character(k1, k2):
 @pytest.mark.parametrize("k1,k2", GL11_LEVELS)
 def test_s_compose_s_zero(k1, k2):
     sys = gl11_system(k1, k2)
-    s1 = resolution_screening(sys, k1, 0)
-    s2 = resolution_screening(sys, k1, 1)
-    out = compose_check(s2, s1, range(5))
+    m1 = residue_map(resolution_screening(sys, k1, 0), range(5))
+    assert m1.target == resolution_screening(sys, k1, 1).source
+    m2 = residue_map(resolution_screening(sys, k1, 1),
+                     [d + m1.degree_shift for d in range(5)])
+    out = compose_check(m2, m1)
+    assert list(out) == list(range(5))
     assert all(out.values())
-
-
-def test_compose_check_honours_cap(monkeypatch):
-    k1, k2 = GL11_LEVELS[0]
-    sys = gl11_system(k1, k2)
-    s1 = resolution_screening(sys, k1, 0)
-    s2 = resolution_screening(sys, k1, 1)
-
-    def no_product(A, B):
-        raise AssertionError("composition built despite the cap")
-
-    monkeypatch.setattr(screening, "mat_mul", no_product)
-    with pytest.raises(ResourceBound):
-        compose_check(s2, s1, range(5), cap=10)
 
 
 def test_compose_momentum_mismatch():
     k1, k2 = GL11_LEVELS[0]
     sys = gl11_system(k1, k2)
-    s1 = resolution_screening(sys, k1, 0)
-    s3 = resolution_screening(sys, k1, 2)
+    m1 = residue_map(resolution_screening(sys, k1, 0), range(2))
+    m3 = residue_map(resolution_screening(sys, k1, 2), range(2))
     with pytest.raises(MomentumMismatch):
-        compose_check(s3, s1, range(2))
+        compose_check(m3, m1)
+
+
+def test_compose_needs_every_degree_the_first_map_reaches():
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    m1 = residue_map(resolution_screening(sys, k1, 0), range(3))
+    m2 = residue_map(resolution_screening(sys, k1, 1), range(2))
+    with pytest.raises(ShapeMismatch, match="lacks degree 2"):
+        compose_check(m2, m1)
+
+
+def test_compose_reports_a_nonzero_composite():
+    # replace the second map's degree-2 block by a row that reads one
+    # nonzero row of the first map, so that composite cannot vanish
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    m1 = residue_map(resolution_screening(sys, k1, 0), range(3))
+    m2 = residue_map(resolution_screening(sys, k1, 1), range(3))
+    B = m1.blocks[2]
+    j = next(i for i, row in enumerate(B) if any(not sc_is_zero(x) for x in row))
+    m2.blocks[2] = [[Fraction(int(c == j)) for c in range(len(B))]]
+    assert compose_check(m2, m1) == {0: True, 1: True, 2: False}
 
 
 @pytest.mark.parametrize("k1,k2", GL11_LEVELS + [(T, Fraction(1, 3))])

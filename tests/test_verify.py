@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
+from wcoset import fields, screening
 from wcoset import verify as ver
-from wcoset.fields import current_gram, gen, scale, state_of_field
+from wcoset.errors import ResourceBound
+from wcoset.fields import (current_gram, gen, ope_singular, scale, state_of_field,
+                           vacuum_coefficient)
 from wcoset.scalars import T
 from wcoset.screening import annihilates
 
@@ -38,6 +41,40 @@ def test_resolution_report():
     # the (7/2, 1/3) report is acceptance criterion 3's battery row
     with pytest.raises(ver.ZeroK1):
         ver.check_resolution(Fraction(0), Fraction(1, 3))
+
+
+def test_check_resolution_honours_cap(monkeypatch):
+    # the cap bounds every residue map of the chain, so an oversized slice
+    # raises before any composition is built
+    def no_product(A, B):
+        raise AssertionError("composition built despite the cap")
+
+    monkeypatch.setattr(screening, "mat_mul", no_product)
+    with pytest.raises(ResourceBound):
+        ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2, cap=10)
+
+
+def test_check_resolution_builds_one_map_per_screening(monkeypatch):
+    built = []
+    original = ver.residue_map
+
+    def counted(op, degrees, cap=None):
+        built.append((op.name, list(degrees)))
+        return original(op, degrees, cap)
+
+    monkeypatch.setattr(ver, "residue_map", counted)
+    rep = ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2)
+    assert rep.status == "pass"
+    # terms + 1 maps; every gl(1|1) degree shift is 0
+    assert built == [(f"S[{i}]", [0, 1, 2, 3, 4]) for i in range(3)]
+
+
+def test_check_resolution_fails_a_vacuous_composition(monkeypatch):
+    monkeypatch.setattr(ver, "compose_check", lambda m2, m1: {d: None for d in m1.blocks})
+    rep = ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 1, 1)
+    assert [(i.id, i.computed) for i in rep.items if i.id.startswith("S.S")] == [
+        ("S.S=0 on W[-0a]..W[-2a]", "fail")]
+    assert rep.status == "fail"
 
 
 def test_coset_duality_excluded():
@@ -198,6 +235,65 @@ def test_gram_bilinear_under_scale_and_sum():
     Gac = current_gram(sys, [a, c])
     Gbc = current_gram(sys, [b, c])
     assert G3[0][1] == Gac[0][1] + Gbc[0][1]
+
+
+def per_entry_gram(sys, currents):
+    """The Gram matrix one OPE at a time, each entry building its own state."""
+    return [[vacuum_coefficient(sys, ope_singular(sys, a, b, 2).get(2, {}))
+             for b in currents] for a in currents]
+
+
+@pytest.mark.parametrize("pair", ["sl", "so"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ks_grams_match_the_per_entry_oracle(pair, n):
+    ks = cat.ks_fields(pair, n, T)
+    fa, fb = ks.side_a.generator_map, ks.side_b.generator_map
+    sides = [(ks.side_a.system, [fa[nm] for nm in ["Ht2", "X", "Y"]]
+              + [fa[f"A{i}"] for i in range(1, n + 1)]),
+             (ks.side_b.system, [fb["Ht1"], fb["phit"]]
+              + [fb[f"B{i}"] for i in range(n + 1)])]
+    for sys, currents in sides:
+        assert current_gram(sys, currents) == per_entry_gram(sys, currents)
+
+
+@pytest.mark.parametrize("pair", ["sl", "so"])
+def test_norm_grams_match_the_per_entry_oracle(pair):
+    for n in (1, 2, 3):
+        for spec, name in ((cat.subregular_realization(pair, n, T, "miura"), "H1"),
+                           (cat.principal_super_realization(pair, n, T, "miura"), "H2")):
+            currents = [spec.distinguished[name]]
+            assert current_gram(spec.system, currents) == per_entry_gram(spec.system,
+                                                                         currents)
+
+
+def test_check_ks_takes_one_gram_per_side(monkeypatch):
+    sizes = []
+    original = ver.current_gram
+
+    def counted(sys, currents):
+        sizes.append(len(currents))
+        return original(sys, currents)
+
+    monkeypatch.setattr(ver, "current_gram", counted)
+    assert ver.check_ks("sl", 3, T).status == "pass"
+    # side a: H~2, X, Y, A1..A3; side b: H~1, phi~, B0..B3
+    assert sizes == [6, 6]
+
+
+def test_check_homomorphism_builds_one_state_per_generator(monkeypatch):
+    spec = cat.subregular_realization("sl", 2, T, "miura")
+    built = []
+    original = fields.state_of_field
+
+    def counted(sys, expr):
+        built.append(expr)
+        return original(sys, expr)
+
+    monkeypatch.setattr(fields, "state_of_field", counted)
+    monkeypatch.setattr(ver, "state_of_field", counted)
+    assert ver.check_homomorphism(spec).status == "pass"
+    assert len(spec.structure) > len(spec.generator_map)
+    assert built == list(spec.generator_map.values())
 
 
 def test_negative_controls_all_fail():
