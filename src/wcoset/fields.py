@@ -54,7 +54,7 @@ from math import lcm
 from typing import Optional, Union
 
 from .errors import MomentumMismatch, NonSymmetric, ParityMismatch
-from .fock import FockState, Momentum, System, canonical_modes, normal_form, state_str
+from .fock import FockState, Momentum, System, front_sign, normal_form, state_str
 from .scalars import RatFun, Scalar, _as_int, sc_is_zero
 
 
@@ -449,7 +449,7 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
     None) put ahead.  E+ terms at z^-b meet the E- part a = b - n - 1 - p, a
     product of monomials being a sum of keys.  E+ and E- touch only even
     Heisenberg modes, so the sign is that of front ahead of the state (0 when
-    it repeats an odd mode), from one canonical_modes call per place.  The
+    it repeats an odd mode), read off the canonical state by front_sign.  The
     ring is chosen once per call.  Over Z an E+ term stands for its value
     times D^nmax, the parts through the call's top carry their lcm
     denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the call
@@ -485,10 +485,10 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
             for n, front in places:
                 mults, base = scales, 0
                 if front is not None:
-                    ordered = canonical_modes(sys, (front,) + modes)
-                    if ordered is None:
+                    sign = front_sign(sys, front, modes)
+                    if not sign:
                         continue
-                    mults, base = scales if ordered[1] == 1 else negated, pk[front]
+                    mults, base = scales if sign == 1 else negated, pk[front]
                 b0 = n + 1 + rec.p
                 for (b, kept), v in plus.items():
                     a = b - b0

@@ -263,6 +263,21 @@ def canonical_modes(sys: System, raw_modes):
     return tuple(modes), sign
 
 
+def front_sign(sys: System, front, modes) -> int:
+    """The sign canonical_modes gives (front,) + modes for canonical modes,
+    without a sort: 0 when front repeats an odd mode."""
+    if not sys.odd_flags[front[0]]:
+        return 1
+    key, sign = _mode_key(front), 1
+    for m in modes:
+        if sys.odd_flags[m[0]]:
+            k = _mode_key(m)
+            if k >= key:
+                return 0 if k == key else sign
+            sign = -sign
+    return sign
+
+
 _DIGIT = 256  # a packed key's digit holds one mode's multiplicity, 0..255
 
 

@@ -10,15 +10,19 @@ is done on Python integers, and the only division comes at the end.  Over
 Q(t) rank and kernels are worked in the field of rational functions.
 
 Both rings run through one elimination, which takes the columns in order and
-pivots on the sparsest remaining row with a nonzero in the current column,
-so its pivot columns are exactly those of the reduced row echelon form.
-Rank is the number of pivots.  The ring enters only where a row r with entry
-b in the pivot column is combined with the pivot row, whose entry there is a
-(fraction-free, after Bareiss 1968): over Z, r becomes (a/g) r - (b/g) piv
-with g = gcd(a, b) and is then divided by its content, so every row stays
-primitive; over the field, the pivot row is scaled to a = 1 once and r
-becomes r - b piv.  Matrices with non-constant RatFun entries are limited to
-SYMBOLIC_DIM_LIMIT columns, since symbolic entry swell is real.
+pivots on the sparsest remaining row with a nonzero in the current column.
+Kernel bases keep the natural order, so their pivot columns are exactly those
+of the reduced row echelon form.  Rank, the number of pivots, does not depend
+on the order of the eliminated indices, so rank takes them sparsest first,
+relabelled by how many lines hold each (a stable sort, after Markowitz 1957):
+the dense indices come last and fill in few lines.  The ring enters only
+where a row r with entry b in the pivot column is combined with the pivot
+row, whose entry there is a (fraction-free, after Bareiss 1968): over Z, r
+becomes (a/g) r - (b/g) piv with g = gcd(a, b) and is then divided by its
+content, so every row stays primitive; over the field, the pivot row is
+scaled to a = 1 once and r becomes r - b piv.  Matrices with non-constant
+RatFun entries are limited to SYMBOLIC_DIM_LIMIT columns, since symbolic
+entry swell is real.
 
 Rank over Z eliminates along the shorter side: a matrix with more rows than
 columns is worked on its columns, each scaled by the lcm of its own
@@ -39,6 +43,7 @@ by L_i M_j, the scales of row i of A and column j of B.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -226,7 +231,11 @@ def rank(M) -> int:
     lines, integral = _rows(M, by_columns)
     if not integral:
         _check_symbolic_width(M, len(M[0]))
-    return len(_eliminate(lines, len(M) if integral and by_columns else len(M[0]), integral))
+    n = len(M) if integral and by_columns else len(M[0])
+    # relabel the eliminated indices sparsest first, ties in their order
+    count = Counter(j for r in lines for j in r)
+    label = {j: i for i, j in enumerate(sorted(range(n), key=count.__getitem__))}
+    return len(_eliminate([{label[j]: x for j, x in r.items()} for r in lines], n, integral))
 
 
 def kernel_basis(M, ncols=None):

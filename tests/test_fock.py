@@ -198,6 +198,29 @@ def test_canonical_modes_matches_insertion_sort():
     assert len(seen) == 3
 
 
+def test_front_sign_matches_canonical_modes():
+    """front_sign reads the sign of a front mode ahead of a canonical state
+    as canonical_modes gives it, 0 for the zero vector, on every state of the
+    first slices and for every front (idx, j + 1) up to one past the degree."""
+    systems = [cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)).system,
+               cat.principal_super_realization("sl", 2, Fraction(1, 3), "miura").system]
+    seen = Counter()
+    for sys in systems:
+        assert any(sys.odd_flags)
+        mu = sys.zero_momentum()
+        for d in range(5):
+            for state in enumerate_basis(sys, mu, d):
+                for idx in range(len(sys.species)):
+                    for j in range(d + 1):
+                        front = (idx, j + 1)
+                        out = fock.canonical_modes(sys, (front,) + state.modes)
+                        want = 0 if out is None else out[1]
+                        assert fock.front_sign(sys, front, state.modes) == want
+                        seen[want] += 1
+    # zeros, kept signs and flipped signs all occur
+    assert all(seen[s] > 50 for s in (0, 1, -1))
+
+
 def test_enumerate_bc_degree2():
     sys = register_system(list(fermion_pair("b", "c")), [])
     mu = sys.zero_momentum()

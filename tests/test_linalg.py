@@ -12,8 +12,10 @@ RatFun matrices use and compared, on entries of more than 64 bits
 and on int entries; over Z every combined row must stay primitive.  Rank
 over Z takes a tall matrix on its columns: the lines that reach the
 elimination are recorded, and the rank is compared with the oracle's and
-with the rank of the transpose.  The negative controls show that these
-comparisons can fail.
+with the rank of the transpose.  Rank takes the eliminated indices sparsest
+first: it must not move under row and column permutations, and on an
+arrowhead matrix no combine may grow a line, while kernel bases keep the
+natural order.  The negative controls show that these comparisons can fail.
 """
 
 import math
@@ -541,6 +543,76 @@ def test_ragged_matrices_are_refused():
                 fn(M)
     with pytest.raises(ShapeMismatch):
         mat_mul([[1, 0], [0, 0, 5]], [[1], [1]])
+
+
+# ---------------------------------------------------------------------------
+# rank takes the eliminated indices sparsest first; kernels keep their order
+# ---------------------------------------------------------------------------
+
+def permuted(rng, M):
+    """M with its rows and its columns shuffled."""
+    cols = list(range(len(M[0])))
+    rng.shuffle(cols)
+    return [[row[j] for j in cols] for row in rng.sample(M, len(M))]
+
+
+def test_rank_is_invariant_under_row_and_column_permutations():
+    rng = random.Random(25)
+    mats = [degenerate(rng, sparse_q(rng, n, m, density))
+            for n, m, density in ((14, 5, 0.4), (20, 6, 0.2), (4, 15, 0.3), (6, 18, 0.6))]
+    for n, m in ((6, 3), (3, 5), (5, 5)):
+        M = [[rng.choice(RATFUNS) for _ in range(m)] for _ in range(n)]
+        mats.append(M + [[T * x + y for x, y in zip(M[0], M[-1])]])  # a dependent row
+    for maps in coset_maps("sl", 2, Fraction(-14, 5), 4):
+        mats += stacked_slices(maps, range(5))
+    shapes = Counter((len(M) > len(M[0]), is_symbolic(M)) for M in mats)
+    assert shapes[True, False] >= 4 and shapes[False, False] >= 2
+    assert shapes[True, True] + shapes[False, True] >= 3
+    for M in mats:
+        r = ref_rank(M)
+        assert rank(M) == r
+        for _ in range(3):
+            assert rank(permuted(rng, M)) == r
+        assert kernel_basis(M) == ref_kernel_basis(M)
+
+
+@contextmanager
+def recorded_combines():
+    """A list that collects, for each call to _combine, the number of entries
+    of the line it combines before and after."""
+    calls = []
+    combine = linalg._combine
+
+    def recording(r, b, a, items, integral):
+        before = len(r)
+        combine(r, b, a, items, integral)
+        calls.append((before, len(r)))
+    with mock.patch.object(linalg, "_combine", recording):
+        yield calls
+
+
+def arrowhead(n):
+    """n x n: a dense first row, and rows e_0 + (i + 1) e_i below it."""
+    return [[Fraction(j + 2) for j in range(n)]] + [
+        [Fraction(1) if j == 0 else Fraction(i + 1) if j == i else Fraction(0)
+         for j in range(n)]
+        for i in range(1, n)]
+
+
+def test_sparsest_first_rank_of_an_arrowhead_grows_no_line():
+    """The first column is in every row.  Eliminated first, as the natural
+    order would, each row below gains the pivot row's other entry; taken
+    last, rank clears the dense row's diagonal entries one at a time and no
+    combine grows a line.  The kernel basis keeps the natural order."""
+    for n in (5, 12, 30):
+        M = arrowhead(n)
+        with recorded_combines() as calls:
+            assert rank(M) == ref_rank(M)
+        assert len(calls) == n - 1
+        assert all(after <= before for before, after in calls)
+        with recorded_combines() as calls:
+            assert kernel_basis(M) == ref_kernel_basis(M)
+        assert any(after > before for before, after in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -111,15 +111,28 @@ def test_symbolic_kernels_width_fails_fast(monkeypatch):
                                 symbolic_kernels=5)
 
 
-def test_coset_duality_sl2_to_degree_7():
-    # the highest degree any test reaches: its stacked slices are tall, so
-    # their rank is taken on the columns
-    rep = ver.check_coset_duality("sl", 2, Fraction(16, 7), 7)
-    dims = [1, 0, 1, 2, 4, 6, 12, 18]
+def assert_duality_dims(pair, n, dims):
+    rep = ver.check_coset_duality(pair, n, Fraction(16, 7), len(dims) - 1)
     assert rep.status == "pass"
-    assert [p.degree for p in rep.per_degree] == list(range(8))
+    assert [p.degree for p in rep.per_degree] == list(range(len(dims)))
     assert [p.dim_left for p in rep.per_degree] == dims
     assert [p.dim_right for p in rep.per_degree] == dims
+
+
+# the highest degrees any test reaches, so a slower rank shows here: the
+# stacked slices are tall, so their rank is taken on the columns
+
+def test_coset_duality_sl2_to_degree_7():
+    assert_duality_dims("sl", 2, [1, 0, 1, 2, 4, 6, 12, 18])
+
+
+def test_coset_duality_so3_to_degree_6():
+    assert_duality_dims("so", 3, [1, 0, 1, 1, 3, 3, 7])
+
+
+def test_coset_duality_sl3_to_degree_7():
+    # the degree-7 slice is 2296 x 1240 a side
+    assert_duality_dims("sl", 3, [1, 0, 1, 2, 4, 6, 12, 18])
 
 
 def test_coset_duality_symmetric_sides():
