@@ -13,7 +13,9 @@ it maps vectors to sparse images and, like ``mode_apply``, takes the images
 of the exponential operator from one core, ``_images``, which works a list
 of columns (one per vector) at once, on monomials packed into integer keys
 (``fock._Packing``).  A rational call is summed over Z on one common
-denominator, one with a RatFun anywhere over the field.
+denominator Z and returns integer entries with Z, one with a RatFun anywhere
+over the field, with Z None; a ``Fraction`` is made only where a value is
+read (``_expop_mode`` for ``mode_apply``, ``GradedMap.blocks``).
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -440,9 +442,9 @@ def _int_factors(rec: _ExpRecord) -> tuple:
     return rec.zfactors
 
 
-def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
+def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> tuple:
     """Vertex-operator images over rec.target of a list of columns, each a
-    list of jobs: per column, a dict from packed key to nonzero coefficient.
+    list of jobs: (Z, per column a dict from packed key to nonzero entry).
 
     A job (modes, seed, places) asks, for each (n, front) of places, for the
     (n)-mode image of a canonical state with the creation mode `front` (or
@@ -453,8 +455,8 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
     ring is chosen once per call.  Over Z an E+ term stands for its value
     times D^nmax, the parts through the call's top carry their lcm
     denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the call
-    and each distinct numerator becomes one Fraction; over the field every
-    scale is 1.
+    and an entry is an integer, its value times Z; over the field every scale
+    is 1, an entry is its value and Z is None.
     """
     pk = sys._packing
     jobs = [job for column in columns for job in column]
@@ -502,25 +504,23 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> list:
                         old = acc.get(key)
                         acc[key] = t if old is None else old + t
         out.append(acc)
-    if field:
-        return [{key: s for key, s in acc.items() if s} for acc in out]
-    values = {s: Fraction(s, Z) for s in {s for acc in out for s in acc.values()} if s}
-    return [{key: values[s] for key, s in acc.items() if s} for acc in out]
+    return None if field else Z, [{key: s for key, s in acc.items() if s} for acc in out]
 
 
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     rec = _expop_record(sys, op, state.momentum)
-    img = _images(sys, op, rec, [[(state.modes, rec.eps, ((n, None),))]])
-    return {FockState(rec.target, sys._packing.unpack(key)): v for key, v in img[0].items()}
+    Z, (img,) = _images(sys, op, rec, [[(state.modes, rec.eps, ((n, None),))]])
+    return {FockState(rec.target, sys._packing.unpack(key)): v if Z is None else Fraction(v, Z)
+            for key, v in img.items()}
 
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
-                   mu: Momentum, vectors) -> list:
+                   mu: Momentum, vectors) -> tuple:
     """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
     generator g or Scale(a, g)) on vectors over mu, each an iterable of
-    (state, coefficient): one {packed key: nonzero value} image over mu + s
-    per vector.
+    (state, coefficient): (Z, one {packed key: nonzero entry} image over
+    mu + s per vector), in the format of _images.
 
     The (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j
     E_(-1-j) g_(j) (see mode_apply), and all the vectors are one _images

@@ -1,44 +1,28 @@
 """Exact sparse linear algebra: Q over the integers, Q(t) over the field.
 
-Matrices are lists of row lists, and every function takes and returns them
-densely, with ``Fraction`` (or ``int``) or ``RatFun`` entries; the product
-``mat_mul`` takes ``int`` and ``Fraction`` entries only.  Inside, a row is a
-sparse list or ``{col: value}`` dict of its nonzeros.  A matrix with no
-nonzero ``RatFun`` entry is worked over Z: each row is scaled by the lcm of its
-denominators (and, as the right factor of a product, each column), the work
-is done on Python integers, and the only division comes at the end.  Over
-Q(t) rank and kernels are worked in the field of rational functions.
+The cores take a matrix as its sparse columns, ``{row: entry}`` dicts of the
+nonzeros: ``column_rank`` and ``column_kernel`` integers (a row may carry its
+own scale, which moves neither rank nor kernel) or values in Q(t), and
+``product_columns`` integers.  The screening checks hand them their residue
+slices as built; ``rank``, ``kernel_basis`` and ``mat_mul`` are dense
+adapters over the same cores for lists of rows with ``Fraction`` (or ``int``)
+or ``RatFun`` entries, each row scaled to integers by the lcm of its
+denominators unless a nonzero RatFun entry puts the matrix over Q(t).
 
-Both rings run through one elimination, which takes the columns in order and
-pivots on the sparsest remaining row with a nonzero in the current column.
-Kernel bases keep the natural order, so their pivot columns are exactly those
-of the reduced row echelon form.  Rank, the number of pivots, does not depend
-on the order of the eliminated indices, so rank takes them sparsest first,
-relabelled by how many lines hold each (a stable sort, after Markowitz 1957):
-the dense indices come last and fill in few lines.  The ring enters only
-where a row r with entry b in the pivot column is combined with the pivot
-row, whose entry there is a (fraction-free, after Bareiss 1968): over Z, r
-becomes (a/g) r - (b/g) piv with g = gcd(a, b) and is then divided by its
-content, so every row stays primitive; over the field, the pivot row is
-scaled to a = 1 once and r becomes r - b piv.  Matrices with non-constant
-RatFun entries are limited to SYMBOLIC_DIM_LIMIT columns, since symbolic
-entry swell is real.
-
-Rank over Z eliminates along the shorter side: a matrix with more rows than
-columns is worked on its columns, each scaled by the lcm of its own
-denominators and divided by its content.  The rank is unchanged, as rank(M)
-= rank(M^T) and scaling a line by a nonzero number does not change it; only
-the lines beyond the rank, each combined down to zero, are fewer (the stacked
-coset slices are tall: at 153x108 of rank 102, 6 columns against 51 rows).
-Kernel bases and matrices over Q(t) keep the rows.
-
-Kernel bases are read off the pivot rows back-substituted, with the same
-combine, to reduced row echelon form (free columns parameterized in order),
-so output is reproducible; over Z the back-substitution stays integral and
-each basis entry is divided by its pivot entry only when it is written.
-Products are row-sparse: each nonzero ``A[i][p]`` meets only the nonzeros of
-row ``p`` of ``B``, and entry (i, j) of the product is the integer sum divided
-by L_i M_j, the scales of row i of A and column j of B.
+One elimination serves both rings: it takes the indices in order and pivots
+on the sparsest remaining line with a nonzero there.  Kernels keep the
+natural order of the columns, so their pivots are those of the reduced row
+echelon form; rank, which does not depend on the order, relabels the indices
+sparsest first, by how many lines hold each (a stable sort, after Markowitz
+1957), and over Z takes a tall matrix (as the stacked coset slices are) on
+its columns, the fewer lines.  A line r with entry b at the pivot index meets
+the pivot line, whose entry there is a (fraction-free, after Bareiss 1968):
+over Z, r becomes (a/g) r - (b/g) piv with g = gcd(a, b), divided by its
+content, so every line stays primitive; over the field the pivot line is
+scaled to a = 1 once and r becomes r - b piv.  Kernel bases are the pivot
+rows back-substituted to reduced row echelon form, each entry divided by its
+pivot only when written.  Matrices with non-constant RatFun entries are
+limited to SYMBOLIC_DIM_LIMIT columns.
 """
 
 from __future__ import annotations
@@ -62,22 +46,33 @@ def is_symbolic(M) -> bool:
 
 
 def _ratios(M):
-    """Each row's nonzeros as (col, numerator, denominator) triples, or None.
-
-    This is the one test of entry type: None means M has a nonzero RatFun
-    entry and is worked over the field; int and Fraction entries are worked
-    over Z.  A ragged M is refused here, before any row is read.
-    """
+    """The sparse rows of the dense M, or None if a nonzero RatFun entry puts it
+    over the field: the one test of entry type.  A ragged M is refused first."""
     w = len(M[0])
     if any(len(row) != w for row in M):
         raise ShapeMismatch("matrix rows differ in length")
     out = []
     for row in M:
-        nz = [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
-        for _, x in nz:
-            if isinstance(x, RatFun):
-                return None
-        out.append([(j, x.numerator, x.denominator) for j, x in nz])
+        line = {j: x for j, x in enumerate(row) if x is not ZERO and x}
+        if any(isinstance(x, RatFun) for x in line.values()):
+            return None
+        out.append(line)
+    return out
+
+
+def _over_z(lines):
+    """(the L, the integer lines): each rational line over its lcm denominator L."""
+    scales = [lcm(*[x.denominator for x in r.values()]) for r in lines]
+    return scales, [{j: x.numerator * (L // x.denominator) for j, x in r.items()}
+                    for r, L in zip(lines, scales)]
+
+
+def _transpose(lines, n):
+    """The n sparse lines that cross the given ones."""
+    out = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, x in line.items():
+            out[j][i] = x
     return out
 
 
@@ -85,40 +80,31 @@ def mat_mul(A, B):
     """A B over Q; an InputError names the factor with a nonzero RatFun entry."""
     if A and B and len(A[0]) != len(B):
         raise ShapeMismatch(f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
-    m = len(B[0]) if B else 0
+    out = [[ZERO] * (len(B[0]) if B else 0) for _ in A]
     if not A or not B:
-        return [[ZERO] * m for _ in A]
+        return out
     ra, rb = _ratios(A), _ratios(B)
     if ra is None or rb is None:
         raise InputError(f"mat_mul works over Q only: {'A' if ra is None else 'B'} "
                          "has a RatFun entry")
-    col_scale = [1] * m
-    for r in rb:
-        for j, _, d in r:
-            if d != 1:
-                col_scale[j] = lcm(col_scale[j], d)
-    B_rows = [[(j, n * (col_scale[j] // d)) for j, n, d in r] for r in rb]
-    out = []
-    for r in ra:
-        L = lcm(*[d for _, _, d in r])
-        acc = [0] * m
-        for p, n, d in r:
-            a = n * (L // d)
-            for j, b in B_rows[p]:
-                acc[j] += a * b
-        out.append([Fraction(s, L * col_scale[j]) if s else ZERO for j, s in enumerate(acc)]
-                   if any(acc) else [ZERO] * m)
+    # row i of A over its lcm denominator L_i, column j of B over its M_j
+    (L, ra), (M, cb) = _over_z(ra), _over_z(_transpose(rb, len(B[0])))
+    for j, acc in enumerate(product_columns(_transpose(ra, len(B)), cb, len(A))):
+        for i, s in enumerate(acc):
+            if s:
+                out[i][j] = Fraction(s, L[i] * M[j])
     return out
 
 
-def mat_is_zero(M) -> bool:
-    # list.count tests identity before ==, so ZERO cells are counted in C
-    return all(row.count(ZERO) == len(row) for row in M)
-
-
-def _check_symbolic_width(M, ncols):
-    if ncols > SYMBOLIC_DIM_LIMIT and is_symbolic(M):
-        raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
+def product_columns(a_cols, b_cols, m):
+    """The columns of A B, each a list of m integer sums, from the sparse
+    integer columns of A (m rows) and of B."""
+    for col in b_cols:
+        acc = [0] * m
+        for p, b in col.items():
+            for i, a in a_cols[p].items():
+                acc[i] += a * b
+        yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -133,30 +119,26 @@ def _divide_content(r):
             r[j] //= c
 
 
-def _rows(M, by_columns=False):
-    """The sparse lines {index: value} of M, and whether they are integral.
+def _columns(M):
+    """The sparse columns of the dense M, its row count and whether they are
+    integral: each row scaled to integers by the lcm of its denominators or,
+    with a nonzero RatFun entry, the entries as they are."""
+    if not M:
+        return [], 0, True
+    rows = _ratios(M)
+    integral = rows is not None
+    rows = _over_z(rows)[1] if integral else [
+        {j: x for j, x in enumerate(row) if x is not ZERO and x} for row in M]
+    return _transpose(rows, len(M[0])), len(M), integral
 
-    Without a nonzero RatFun entry each row (each column, if by_columns) is
-    scaled by the lcm of its denominators and divided by its content: a
-    primitive integer line spanning the same line.  Otherwise the lines are
-    the rows, holding the nonzero entries as they are.
-    """
-    ratios = _ratios(M)
-    if ratios is None:
-        return [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in M], False
-    if by_columns:
-        columns = [[] for _ in M[0]]
-        for i, r in enumerate(ratios):
-            for j, n, d in r:
-                columns[j].append((i, n, d))
-        ratios = columns
-    lines = []
-    for r in ratios:
-        L = lcm(*[d for _, _, d in r])
-        line = {j: n * (L // d) for j, n, d in r}
-        _divide_content(line)
-        lines.append(line)
-    return lines, True
+
+def _normalize(lines, ncols, integral):
+    """Over Z divide each line by its content, in place; over Q(t) bound the width."""
+    if integral:
+        for r in lines:
+            _divide_content(r)
+    elif ncols > SYMBOLIC_DIM_LIMIT and is_symbolic([r.values() for r in lines]):
+        raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
 
 
 def _combine(r, b, a, items, integral):
@@ -189,7 +171,7 @@ def _combine(r, b, a, items, integral):
 
 
 def _eliminate(rows, ncols, integral):
-    """Forward sparse elimination of the rows from _rows, in place.
+    """Forward sparse elimination of primitive integer or Q(t) rows, in place.
 
     Returns {pivot column: (pivot entry, pivot row without that entry)}.
     Rows wait in buckets by leading column; at each column the sparsest row
@@ -222,37 +204,33 @@ def _eliminate(rows, ncols, integral):
     return pivots
 
 
-def rank(M) -> int:
-    if not M:
-        return 0
-    # over Z a tall M is eliminated on its columns, the fewer lines, since
-    # rank(M) = rank(M^T); over Q(t) it keeps its rows
-    by_columns = len(M) > len(M[0])
-    lines, integral = _rows(M, by_columns)
-    if not integral:
-        _check_symbolic_width(M, len(M[0]))
-    n = len(M) if integral and by_columns else len(M[0])
+def column_rank(columns, nrows, integral) -> int:
+    """Rank of the matrix of nrows rows with these sparse columns: integers
+    (a row may carry its own scale) if integral, else values in Q(t)."""
+    # over Z a tall matrix is eliminated on its columns, the fewer lines,
+    # since rank(M) = rank(M^T)
+    if integral and nrows > len(columns):
+        lines, n = columns, nrows
+    else:
+        lines, n = _transpose(columns, nrows), len(columns)
     # relabel the eliminated indices sparsest first, ties in their order
     count = Counter(j for r in lines for j in r)
     label = {j: i for i, j in enumerate(sorted(range(n), key=count.__getitem__))}
-    return len(_eliminate([{label[j]: x for j, x in r.items()} for r in lines], n, integral))
+    lines = [{label[j]: x for j, x in r.items()} for r in lines]
+    _normalize(lines, n, integral)
+    return len(_eliminate(lines, n, integral))
 
 
-def kernel_basis(M, ncols=None):
-    """Basis of the right kernel, reduced echelon in the free variables."""
-    if ncols is None:
-        ncols = len(M[0]) if M else 0
-    if not M:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
-                for i in range(ncols)]
-    rows, integral = _rows(M)
-    if not integral:
-        _check_symbolic_width(M, ncols)
+def column_kernel(columns, nrows, integral):
+    """Right kernel basis, reduced echelon, of the matrix given as to column_rank."""
+    ncols = len(columns)
+    rows = _transpose(columns, nrows)
+    _normalize(rows, ncols, integral)
     # back-substitute from the last pivot: each row then meets no other pivot;
     # the pivot entry rides in its row, so over Z the content it shares is
     # divided out
     reduced = {}
-    for col, (a, row) in sorted(_eliminate(rows, len(M[0]), integral).items(), reverse=True):
+    for col, (a, row) in sorted(_eliminate(rows, ncols, integral).items(), reverse=True):
         row[col] = a
         for p in [j for j in row if j in reduced]:
             q, prow = reduced[p]
@@ -270,3 +248,14 @@ def kernel_basis(M, ncols=None):
                 v[p] = Fraction(-row[f], a) if integral else -row[f]
         basis.append(v)
     return basis
+
+
+def rank(M) -> int:
+    return column_rank(*_columns(M))
+
+
+def kernel_basis(M, ncols=None):
+    """Basis of the right kernel, reduced echelon in the free variables; ncols
+    pads M with zero columns (a matrix of no rows has no other width)."""
+    columns, nrows, integral = _columns(M)
+    return column_kernel(columns + [{}] * ((ncols or 0) - len(columns)), nrows, integral)

@@ -9,34 +9,31 @@ residue is the (0)-mode of the composite field; on the degree-d slice of the
 source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
 over |mu + s>.
 
-GradedMap holds one exact matrix per degree (rows indexed by the target
-basis, columns by the source basis) and its source and target momenta;
-``compose_check`` multiplies two built maps, a degree whose composite passes
-through an empty slice counting as vacuous (None).  Both residue checks go through
-``fields.residue_images``: ``annihilates`` asks whether the image of its one
-vector is empty, and ``residue_map``, the only writer of dense blocks, passes
-each state of a slice and writes every entry from its packed monomial key
-straight to its row; an image outside the target slice raises ShapeMismatch.
-At a rational level one ``Fraction`` is made per distinct numerator of the
-slice, and the other cells hold ``linalg.ZERO``, which the eliminations skip
-by identity.  Kernels are computed by exact rank, through a sparse
-elimination (fraction-free over Z for rational slices, over the field for
-rational functions) whose pivot columns are those of the reduced row echelon
-form; kernel bases, when requested, come back in reduced echelon form.
+GradedMap holds per degree the slice ``residue_map`` builds from
+``fields.residue_images``: a sparse column {target index: entry} per source
+state, integers over one denominator Z (values, Z None, over Q(t)); an image
+outside the target slice raises ShapeMismatch.  Its ``blocks``, dense
+matrices of ``Fraction``s and ``linalg.ZERO``, are a view built on each read
+that no check reads.  ``joint_kernel`` stacks the maps' columns for the rank
+and kernel cores of ``linalg``; ``compose_check`` multiplies the integer
+columns of two built maps, a degree whose composite passes through an empty
+slice counting as vacuous (None).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, exp_power, lc_degree,
                      residue_images, weight)
-# not called here; bench/test_bench.py checks that its tracer patches this site
-from .fields import mode_apply  # noqa: F401
 from .fock import Momentum, System, enumerate_basis
-from .linalg import ZERO, kernel_basis, mat_is_zero, mat_mul, rank
+from .linalg import ZERO, column_kernel, column_rank, product_columns
+# not called here; bench/test_bench.py checks that its tracer patches these sites
+from .fields import mode_apply  # noqa: F401
+from .linalg import kernel_basis, mat_mul, rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,21 @@ class GradedMap:
     source: Momentum
     target: Momentum
     degree_shift: int
-    blocks: dict = field(default_factory=dict)       # degree -> matrix
-    source_dims: dict = field(default_factory=dict)  # degree -> int
+    # degree -> (Z, columns, target size): column j is {target index: entry}
+    # for source state j, an integer over Z, or a value with Z None over Q(t)
+    slices: dict = field(default_factory=dict)
+
+    @property
+    def blocks(self) -> dict:
+        """Dense matrices per degree, built on each read: Fraction(entry, Z) or
+        the Q(t) value on the columns, linalg.ZERO off them."""
+        out = {}
+        for d, (Z, columns, m) in self.slices.items():
+            out[d] = block = [[ZERO] * len(columns) for _ in range(m)]
+            for j, column in enumerate(columns):
+                for i, v in column.items():
+                    block[i][j] = v if Z is None else Fraction(v, Z)
+        return out
 
 
 @dataclass
@@ -96,7 +106,7 @@ class KernelReport:
 
 
 def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMap:
-    """Exact matrices of the screening residue on the requested degree slices."""
+    """Exact sparse matrices of the screening residue on the requested degree slices."""
     sys = op.system
     pk = sys._packing
     shift_deg = op.degree_shift()
@@ -104,20 +114,15 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMa
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
-        images = residue_images(sys, op.prefactor, op.exp, op.source,
-                                [((s, 1),) for s in src])
+        Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
+                                   [((s, 1),) for s in src])
         index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
-        block = [[ZERO] * len(src) for _ in tgt]
-        for j, image in enumerate(images):
-            try:
-                for key, v in image.items():
-                    block[index[key]][j] = v
-            except KeyError:
-                degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(key))
-                raise ShapeMismatch(f"image of degree {degree} missing from target "
-                                    "slice") from None
-        gm.blocks[d] = block
-        gm.source_dims[d] = len(src)
+        try:
+            gm.slices[d] = (Z, [{index[key]: v for key, v in image.items()}
+                                for image in images], len(tgt))
+        except KeyError as missing:
+            degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(missing.args[0]))
+            raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
     return gm
 
 
@@ -132,44 +137,50 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
     dims = []
     bases = {} if with_bases else None
     for d in degrees:
-        stacked = []
-        n = None
-        for m in maps:
-            if d not in m.blocks:
-                raise ShapeMismatch(f"map lacks degree {d}")
-            if n is None:
-                n = m.source_dims[d]
-            elif n != m.source_dims[d]:
-                raise ShapeMismatch("maps disagree on source dimension")
-            stacked += m.blocks[d]
-        if not stacked or not stacked[0]:
-            dims.append(n or 0)
-            if with_bases:
-                bases[d] = kernel_basis([], n or 0)
-            continue
+        if any(d not in m.slices for m in maps):
+            raise ShapeMismatch(f"map lacks degree {d}")
+        slices = [m.slices[d] for m in maps]
+        n = len(slices[0][1])
+        if any(len(columns) != n for _, columns, _ in slices):
+            raise ShapeMismatch("maps disagree on source dimension")
+        # a map's rows scaled by its Z keep rank and kernel; Q(t) takes values
+        integral = all(Z is not None for Z, _, _ in slices)
+        stacked, nrows = [{} for _ in range(n)], 0
+        for Z, columns, m in slices:
+            if not integral and Z is not None:
+                columns = [{i: Fraction(v, Z) for i, v in c.items()} for c in columns]
+            for line, column in zip(stacked, columns):
+                line.update({nrows + i: v for i, v in column.items()} if nrows else column)
+            nrows += m
         if with_bases:
-            kb = kernel_basis(stacked, n)
-            bases[d] = kb
-            dims.append(len(kb))
+            bases[d] = column_kernel(stacked, nrows, integral)
+            dims.append(len(bases[d]))
         else:
-            dims.append(n - rank(stacked))
+            dims.append(n - column_rank(stacked, nrows, integral))
     return KernelReport(degrees, dims, bases)
 
 
 def compose_check(m2: GradedMap, m1: GradedMap) -> dict:
     """Per degree of m1: True iff m2 after m1 vanishes on the slice, None if
-    the source, middle or target slice is empty.  The product is taken over Q
-    (`linalg.mat_mul`), so both maps must be at a rational level."""
+    the source, middle or target slice is empty.  The product is taken on the
+    integer columns, so both maps must be at a rational level."""
     if m2.source != m1.target:
         raise MomentumMismatch("target momentum of the first map must equal the "
                                "source of the second")
     out = {}
-    for d, B in m1.blocks.items():
+    for d, (Z1, B, middle) in m1.slices.items():
         e = d + m1.degree_shift
-        if e not in m2.blocks:
+        if e not in m2.slices:
             raise ShapeMismatch(f"second map lacks degree {e}")
-        A = m2.blocks[e]
-        out[d] = mat_is_zero(mat_mul(A, B)) if A and B and B[0] else None
+        Z2, A, rows = m2.slices[e]
+        if not (rows and middle and B):
+            out[d] = None
+            continue
+        if len(A) != middle:
+            raise ShapeMismatch(f"cannot compose {rows}x{len(A)} after {middle}x{len(B)}")
+        if Z1 is None or Z2 is None:
+            raise InputError("compose_check works over Q only: a map is at a RatFun level")
+        out[d] = not any(map(any, product_columns(A, B, rows)))
     return out
 
 
@@ -182,5 +193,5 @@ def annihilates(ops, v: LinComb) -> bool:
     if len(momenta) > 1:
         raise MomentumMismatch("vector mixes momenta")
     mu, = momenta
-    return not any(residue_images(op.system, op.prefactor, op.exp, mu, [v.items()])[0]
+    return not any(residue_images(op.system, op.prefactor, op.exp, mu, [v.items()])[1][0]
                    for op in ops)

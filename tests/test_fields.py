@@ -659,13 +659,17 @@ def test_mode_apply_reaches_expop_mode_by_name(monkeypatch):
 # the Z ring of _images against its field ring
 # ---------------------------------------------------------------------------
 # On a rational record, _images sums a slice of columns over Z on one
-# denominator and makes one Fraction per distinct numerator.  Forced onto the
-# field ring, which a RatFun record takes, it sums the same columns one
-# product at a time; run on the same jobs the two rings must give every image,
-# by type and string.
+# denominator Z and returns integer entries with Z.  Forced onto the field
+# ring, which a RatFun record takes, it sums the same columns one product at a
+# time and returns values with Z None; run on the same jobs, every integer
+# entry over Z must equal the field ring's value, by type and string.
 
-def _entries(img):
-    return {key: (type(v), str(v)) for key, v in img.items()}
+def _entries(img, Z=None):
+    """An image's entries as (type, str) of their values: an integer entry
+    over Z is read as a Fraction."""
+    assert Z is None or all(type(v) is int for v in img.values())
+    return {key: (type(x), str(x)) for key, x in
+            ((key, v if Z is None else Fraction(v, Z)) for key, v in img.items())}
 
 
 def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
@@ -678,16 +682,16 @@ def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
     columns, counts = [], []
 
     def both(sys, op, rec, cols):
-        got = real(sys, op, rec, cols)
+        Z, got = real(sys, op, rec, cols)
         rational = rec.zparts is not None and not any(
             isinstance(v, RatFun) for jobs in cols for _, v, _ in jobs)
         # the field ring grows its own parts, so rec's zparts keep pace with rec's parts
         on_field = dataclasses.replace(rec, parts=list(rec.parts), zparts=None)
-        want = real(sys, op, on_field, cols)
-        assert len(got) == len(want) == len(cols)
-        columns.extend((rational, _entries(g) == _entries(w), bool(g))
+        no_Z, want = real(sys, op, on_field, cols)
+        assert no_Z is None and len(got) == len(want) == len(cols)
+        columns.extend((rational and Z is not None, _entries(g, Z) == _entries(w), bool(g))
                        for g, w in zip(got, want))
-        return got
+        return Z, got
 
     monkeypatch.setattr(fields, "_images", both)
     for name, prefactor, exp, mu in cases:
@@ -805,7 +809,8 @@ def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
 
     def image(front, modes):
         # the (-1 - p)-mode meets P_0 with every mode of the state kept
-        return fields._images(sys, exp, rec, [[(modes, 1, ((-1 - rec.p, front),))]])[0]
+        Z, (img,) = fields._images(sys, exp, rec, [[(modes, 1, ((-1 - rec.p, front),))]])
+        return {key: Fraction(v, Z) for key, v in img.items()}
 
     key = sys._packing.pack(((b, 2), (b, 1)))
     assert image((b, 2), ((b, 1),)) == {key: 1}

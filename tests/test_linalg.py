@@ -15,7 +15,12 @@ elimination are recorded, and the rank is compared with the oracle's and
 with the rank of the transpose.  Rank takes the eliminated indices sparsest
 first: it must not move under row and column permutations, and on an
 arrowhead matrix no combine may grow a line, while kernel bases keep the
-natural order.  The negative controls show that these comparisons can fail.
+natural order.  The cores are also taken as the checks call them, on sparse
+columns: stacks of slices in residue_map's format, each with its own
+denominator, through joint_kernel; int, Fraction and Q(t) columns through
+column_rank and column_kernel, which must leave them as they were; and the
+integer product against mat_mul.  The negative controls show that these
+comparisons can fail.
 """
 
 import math
@@ -30,10 +35,12 @@ import pytest
 from wcoset import catalog as cat
 from wcoset import linalg
 from wcoset.errors import InputError, ResourceBound, ShapeMismatch
-from wcoset.linalg import (SYMBOLIC_DIM_LIMIT, is_symbolic, kernel_basis, mat_is_zero,
-                           mat_mul, rank)
+from wcoset.linalg import (SYMBOLIC_DIM_LIMIT, is_symbolic, kernel_basis, mat_mul,
+                           product_columns, rank)
 from wcoset.scalars import RatFun, T, sc_is_zero
-from wcoset.screening import joint_kernel, residue_map
+from wcoset.screening import GradedMap, joint_kernel, residue_map
+
+from test_screening import as_slice, write_block
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +199,10 @@ def transpose(M):
     return [list(col) for col in zip(*M)]
 
 
+def is_zero(M):
+    return not any(x for row in M for x in row)
+
+
 def assert_matches_oracle(M):
     """rank, kernel basis and M times the kernel agree exactly with the oracle;
     mat_mul works over Q only, so a symbolic M is multiplied by the oracle."""
@@ -203,7 +214,7 @@ def assert_matches_oracle(M):
         image = ref_mat_mul(M, transpose(kb))
         if not is_symbolic(M):
             assert mat_mul(M, transpose(kb)) == image
-        assert mat_is_zero(image)
+        assert is_zero(image)
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +373,6 @@ def test_zero_cells_read_alike_by_identity_and_by_value():
     assert product and all(x is linalg.ZERO for row in product for x in row)
 
 
-def test_mat_is_zero_reads_zeros_made_apart_and_the_last_cell():
-    # the scan counts linalg.ZERO by identity; a Fraction(0) that is not
-    # ZERO, an int 0 and a RatFun zero count as zero by value
-    Z = linalg.ZERO
-    zero_fraction = Fraction(0, 5)
-    assert zero_fraction is not Z
-    assert mat_is_zero([[Z, zero_fraction, Z], [0, RatFun.const(0), Z]])
-    assert mat_is_zero([]) and mat_is_zero([[], []])
-    for nonzero in (Fraction(1, 3), -1, T, RatFun.const(2)):
-        assert not mat_is_zero([[Z] * 3, [Z, zero_fraction, nonzero]]), nonzero
-        assert not mat_is_zero([[nonzero], [Z]]), nonzero
-
-
 def test_integer_product_negative_control():
     """A vanishing product A B, then B plus 1/(L_i M_j) at (p, j), where column p
     of A is nonzero in row i only: the product is nonzero in cell (i, j) alone."""
@@ -384,7 +382,7 @@ def test_integer_product_negative_control():
     for r, row in enumerate(A):
         row[p] = Fraction(0) if r != i else Fraction(rng.getrandbits(70) | 1, 3 ** 40)
     B = transpose(ref_kernel_basis(A))
-    assert B and mat_is_zero(mat_mul(A, B))
+    assert B and is_zero(mat_mul(A, B))
     j = len(B[0]) - 1
     L_i = math.lcm(*[x.denominator for x in A[i]])
     M_j = math.lcm(*[row[j].denominator for row in B])
@@ -414,9 +412,10 @@ def test_ratfun_matrices_reach_the_field_elimination():
 
 
 def test_integer_rows_stay_primitive():
-    """Over Z every row leaves each combine with content 1, and equals
-    (a/g) r - (b/g) piv divided by its content; some combines do divide."""
-    combine = linalg._combine
+    """Over Z every line reaches the elimination primitive and leaves each
+    combine with content 1, equal to (a/g) r - (b/g) piv divided by its
+    content; some combines do divide."""
+    combine, eliminate = linalg._combine, linalg._eliminate
     seen = Counter()
 
     def checked(r, b, a, items, integral):
@@ -432,29 +431,31 @@ def test_integer_rows_stay_primitive():
         assert not r or math.gcd(*r.values()) == 1
         seen["combines"] += 1
         seen["divided"] += c > 1
+
+    def primitive_input(rows, ncols, integral):
+        assert integral and all(math.gcd(*r.values()) == 1 for r in rows if r)
+        seen["eliminations"] += 1
+        return eliminate(rows, ncols, integral)
     rng = random.Random(31)
     mats = [degenerate(rng, big_q(rng, 8, 9, 0.6)) for _ in range(4)]
     mats += [[[x * 6 for x in row] for row in sparse_q(rng, 12, 10, 0.5)]]
     mats += stacked_slices(coset_maps("sl", 2, Fraction(-14, 5), 3)[1], range(4))
     assert sum(len(M) > len(M[0]) for M in mats) >= 4
-    with mock.patch.object(linalg, "_combine", checked):
+    with mock.patch.object(linalg, "_combine", checked), \
+            mock.patch.object(linalg, "_eliminate", primitive_input):
         for M in mats:
-            rows, integral = linalg._rows(M)
-            assert integral and all(math.gcd(*r.values()) == 1 for r in rows if r)
-            # the column lines rank takes of a tall M: each is a primitive
-            # integer line, a positive multiple of its column
-            lines, integral = linalg._rows(M, by_columns=True)
-            assert integral and len(lines) == len(M[0])
-            for j, line in enumerate(lines):
-                column = {i: row[j] for i, row in enumerate(M) if row[j]}
-                assert line.keys() == column.keys()
-                if line:
-                    assert math.gcd(*line.values()) == 1
-                    ratios = {Fraction(x) / column[i] for i, x in line.items()}
-                    assert len(ratios) == 1 and ratios.pop() > 0
+            # the integer columns the cores take: row i of M times one L_i > 0
+            columns, nrows, integral = linalg._columns(M)
+            assert integral and (nrows, len(columns)) == (len(M), len(M[0]))
+            for i, row in enumerate(M):
+                assert {j for j, x in enumerate(row) if x} == {
+                    j for j, column in enumerate(columns) if i in column}
+                ratios = {Fraction(columns[j][i]) / x for j, x in enumerate(row) if x}
+                assert len(ratios) <= 1 and all(r > 0 for r in ratios)
             assert rank(M) == ref_rank(M)
             assert kernel_basis(M) == ref_kernel_basis(M)
     assert seen["combines"] > 100 and seen["divided"] > 0
+    assert seen["eliminations"] == 2 * len(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +669,7 @@ def test_gl11_resolution_slices_match_oracle():
     for A, B in gl11_compositions(3):
         AB = mat_mul(A, B)
         assert AB == ref_mat_mul(A, B)
-        assert mat_is_zero(AB)
+        assert is_zero(AB)
 
 
 def test_symbolic_sl2_slices_match_oracle():
@@ -679,6 +680,101 @@ def test_symbolic_sl2_slices_match_oracle():
             assert_matches_oracle(M)
             count += 1
     assert count >= 4
+
+
+# ---------------------------------------------------------------------------
+# the line cores on sparse columns, as the checks hand them over
+# ---------------------------------------------------------------------------
+# A residue slice is (Z, sparse columns, rows); joint_kernel stacks the
+# slices of its maps, each map's rows scaled by its own Z, and hands the
+# columns to column_rank or column_kernel; compose_check multiplies integer
+# columns with product_columns.  Each must agree with the dense oracle.
+
+def random_block(rng, kind, n, m):
+    """An n x m block of int, Fraction or Q(t) entries, about a third nonzero."""
+    if kind == "t":
+        return [[rng.choice(RATFUNS) for _ in range(m)] for _ in range(n)]
+    M = sparse_q(rng, n, m, 0.35)
+    return [[Fraction(x.numerator) for x in row] for row in M] if kind == "int" else M
+
+
+def maps_of(slices):
+    """GradedMaps on one source whose degree-0 slices are the given ones."""
+    maps = []
+    for sl in slices:
+        gm = GradedMap(None, None, 0)
+        gm.slices[0] = sl
+        maps.append(gm)
+    return maps
+
+
+def test_stacked_slices_match_the_oracle():
+    rng = random.Random(2626)
+    seen = Counter()
+    for trial in range(60):
+        kinds = [rng.choice(("int", "q", "q", "t")) for _ in range(rng.choice((1, 2, 3)))]
+        n = rng.randint(1, 10)
+        blocks = [random_block(rng, kind, rng.randint(0, 9), n) for kind in kinds]
+        stacked = [row for M in blocks for row in M]
+        if stacked:
+            # a row of the first block repeated, scaled, in the last
+            blocks[-1].append([3 * x for x in rng.choice(stacked)])
+            stacked.append(blocks[-1][-1])
+        scales = [rng.choice((1, 2, 35, 2 ** 70 + 1)) for _ in blocks]
+        slices = [as_slice(M, n, k) for M, k in zip(blocks, scales)]
+        if len({Z for Z, _, _ in slices}) > 1:
+            seen["rows scaled apart"] += 1
+        seen["tall" if len(stacked) > n else "wide"] += 1
+        seen["t" if "t" in kinds else "Z"] += 1
+        rep = joint_kernel(maps_of(slices), [0], with_bases=True)
+        assert rep.dims == [n - (ref_rank(stacked) if stacked else 0)], (trial, kinds)
+        assert rep.bases[0] == ref_kernel_basis(stacked, n), (trial, kinds)
+        assert joint_kernel(maps_of(slices), [0]).dims == rep.dims
+    assert min(seen.values()) >= 8, seen
+
+
+def test_column_rank_takes_int_fraction_and_ratfun_columns():
+    rng = random.Random(2627)
+    for trial in range(30):
+        nrows, n = rng.choice(((9, 4), (4, 9), (6, 6)))
+        kind = ("int", "q", "t")[trial % 3]
+        M = random_block(rng, kind, nrows, n)
+        M.append([x + y for x, y in zip(M[0], M[-1])])  # a dependent row
+        columns = [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(n)]
+        if kind == "int":
+            columns = [{i: int(x) for i, x in c.items()} for c in columns]
+        before = [dict(c) for c in columns]
+        # int columns are worked over Z; Fraction and RatFun ones over the field
+        assert linalg.column_rank(columns, len(M), kind == "int") == ref_rank(M), (trial, kind)
+        assert linalg.column_kernel(columns, len(M), kind == "int") == ref_kernel_basis(M)
+        assert columns == before  # the cores leave their input as it was
+
+
+def test_product_columns_match_mat_mul():
+    rng = random.Random(2628)
+    pairs = [(sparse_q(rng, m, p, 0.4), sparse_q(rng, p, q, 0.4))
+             for m, p, q in ((3, 5, 4), (7, 2, 6), (1, 9, 1), (8, 8, 8), (5, 1, 3))]
+    pairs += [(A, B) for A, B in gl11_compositions(3) if A and B and B[0]]
+    nonzero = 0
+    for A, B in pairs:
+        ZA, a_cols, m = as_slice(A, len(B))
+        ZB, b_cols, _ = as_slice(B, len(B[0]))
+        product = list(product_columns(a_cols, b_cols, m))
+        assert len(product) == len(B[0]) and all(len(acc) == m for acc in product)
+        dense = [[Fraction(acc[i], ZA * ZB) for acc in product] for i in range(m)]
+        assert dense == mat_mul(A, B) == ref_mat_mul(A, B)
+        nonzero += any(map(any, product))
+    assert nonzero == 5
+    # the chain maps of the resolution, as their slices are stored
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    s1, s2 = (cat.wakimoto_shifted_screening(spec, i) for i in range(2))
+    m1 = residue_map(s1, range(4))
+    m2 = residue_map(s2, [d + s1.degree_shift() for d in range(4)])
+    for d in range(4):
+        (Z1, B, mid), (Z2, A, rows) = m1.slices[d], m2.slices[d + s1.degree_shift()]
+        product = list(product_columns(A, B, rows))
+        assert not any(map(any, product))
+        assert is_zero(mat_mul(m2.blocks[d + s1.degree_shift()], m1.blocks[d]))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +802,9 @@ def test_perturbed_residue_entry_changes_kernel_dims():
     while i >= len(maps[k].blocks[d]):
         i -= len(maps[k].blocks[d])
         k += 1
-    maps[k].blocks[d][i][j] += 1
+    block = maps[k].blocks[d]
+    block[i][j] += 1
+    write_block(maps[k], d, block)
     bumped = joint_kernel(maps, degrees).dims
     assert bumped[d] == dims[d] - 1
     assert bumped[:d] + bumped[d + 1:] == dims[:d] + dims[d + 1:]
@@ -714,12 +812,12 @@ def test_perturbed_residue_entry_changes_kernel_dims():
 
 def test_perturbed_composition_is_nonzero():
     A, B = gl11_compositions(3)[-1]
-    assert mat_is_zero(mat_mul(A, B))
+    assert is_zero(mat_mul(A, B))
     # doubling B[p][q] adds B[p][q] times column p of A to column q of AB
     p, q = next((p, q) for p, row in enumerate(B) for q, x in enumerate(row)
                 if x and any(r[p] for r in A))
     B[p][q] *= 2
-    assert not mat_is_zero(mat_mul(A, B))
+    assert not is_zero(mat_mul(A, B))
     assert mat_mul(A, B) == ref_mat_mul(A, B)
 
 

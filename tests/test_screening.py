@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power
 from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
                          register_system)
 from wcoset.linalg import rank
-from wcoset.scalars import T, sc_is_zero
+from wcoset.scalars import RatFun, T, sc_is_zero
 from wcoset.screening import (ScreeningOp, annihilates, compose_check, joint_kernel,
                               residue_map)
 
@@ -75,14 +76,39 @@ def resolution_screening(sys, k1, n_from=0):
 GL11_LEVELS = [(Fraction(7, 2), Fraction(1, 3)), (Fraction(-5, 3), Fraction(4, 7))]
 
 
+def image_values(Z, image):
+    """An image of residue_images as values: integer entries over Z are read
+    as Fractions, a Q(t) image (Z None) is its values."""
+    return image if Z is None else {key: Fraction(v, Z) for key, v in image.items()}
+
+
+def as_slice(M, ncols, scale=1):
+    """The dense matrix M of ncols columns as residue_map stores a slice:
+    (Z, one sparse column {row: entry} per column, row count).  Over Q the
+    entries are integers over Z, the lcm of M's denominators times `scale`;
+    with a RatFun entry they are M's values and Z is None."""
+    assert all(len(row) == ncols for row in M)
+    if any(isinstance(x, RatFun) for row in M for x in row):
+        return None, [{i: row[j] for i, row in enumerate(M) if row[j]}
+                      for j in range(ncols)], len(M)
+    Z = math.lcm(*[x.denominator for row in M for x in row if x]) * scale
+    return Z, [{i: int(row[j] * Z) for i, row in enumerate(M) if row[j]}
+               for j in range(ncols)], len(M)
+
+
+def write_block(gm, d, M):
+    """Store the dense matrix M as gm's degree-d slice, of the same width."""
+    gm.slices[d] = as_slice(M, len(gm.slices[d][1]))
+
+
 def apply_residue(op, vectors):
     """op's residue on each vector (a LinComb over op.source), through
     residue_images, as LinCombs over op.target()."""
     sys = op.system
-    images = residue_images(sys, op.prefactor, op.exp, op.source,
-                            [v.items() for v in vectors])
-    return [{FockState(op.target(), sys._packing.unpack(key)): x for key, x in img.items()}
-            for img in images]
+    Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
+                               [v.items() for v in vectors])
+    return [{FockState(op.target(), sys._packing.unpack(key)): x
+             for key, x in image_values(Z, img).items()} for img in images]
 
 
 @pytest.mark.parametrize("k1,k2", GL11_LEVELS)
@@ -108,7 +134,7 @@ def test_resolution_kernel_dims(k1, k2):
     for d in range(4):
         M = gm.blocks[d]
         r = rank(M) if M and M[0] else 0
-        assert r + report.dims[d] == gm.source_dims[d]
+        assert r + report.dims[d] == len(gm.slices[d][1])
 
 
 @pytest.mark.parametrize("k1,k2", GL11_LEVELS)
@@ -149,6 +175,23 @@ def test_compose_needs_every_degree_the_first_map_reaches():
         compose_check(m2, m1)
 
 
+def test_compose_refuses_a_ratfun_level_and_a_middle_slice_of_another_size():
+    sys = gl11_system(T, Fraction(1, 3))
+    m1 = residue_map(resolution_screening(sys, T, 0), range(3))
+    m2 = residue_map(resolution_screening(sys, T, 1), range(3))
+    assert m1.slices[2][0] is None
+    with pytest.raises(InputError, match="over Q only"):
+        compose_check(m2, m1)
+    k1, k2 = GL11_LEVELS[0]
+    sys = gl11_system(k1, k2)
+    m1 = residue_map(resolution_screening(sys, k1, 0), range(3))
+    m2 = residue_map(resolution_screening(sys, k1, 1), range(3))
+    Z, columns, rows = m2.slices[2]
+    m2.slices[2] = (Z, columns + [{}], rows)
+    with pytest.raises(ShapeMismatch, match="cannot compose"):
+        compose_check(m2, m1)
+
+
 def test_compose_reports_a_nonzero_composite():
     # replace the second map's degree-2 block by a row that reads one
     # nonzero row of the first map, so that composite cannot vanish
@@ -158,7 +201,7 @@ def test_compose_reports_a_nonzero_composite():
     m2 = residue_map(resolution_screening(sys, k1, 1), range(3))
     B = m1.blocks[2]
     j = next(i for i, row in enumerate(B) if any(not sc_is_zero(x) for x in row))
-    m2.blocks[2] = [[Fraction(int(c == j)) for c in range(len(B))]]
+    write_block(m2, 2, [[Fraction(int(c == j)) for c in range(len(B))]])
     assert compose_check(m2, m1) == {0: True, 1: True, 2: False}
 
 
@@ -258,7 +301,8 @@ def test_joint_kernel_order_and_rescale_invariance():
     S5 = ScreeningOp(sys, S.exp, S.source, prefactor=gen("b"))
     gm = residue_map(S, range(3))
     gm5 = residue_map(S5, range(3))
-    gm5.blocks = {d: [[5 * x for x in row] for row in M] for d, M in gm5.blocks.items()}
+    for d, M in gm5.blocks.items():
+        write_block(gm5, d, [[5 * x for x in row] for row in M])
     a = joint_kernel([gm, gm5], range(3)).dims
     b = joint_kernel([gm5, gm], range(3)).dims
     assert a == b == joint_kernel([gm], range(3)).dims
@@ -480,16 +524,48 @@ def test_residue_images_match_mode_apply_on_vectors(name):
     nonzero = 0
     for op, oop in zip(ops, oops):
         vectors = random_vectors(rng, sys, op.source, 9)
-        images = residue_images(sys, op.prefactor, op.exp, op.source,
-                                [v.items() for v in vectors])
+        Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
+                                   [v.items() for v in vectors])
         assert len(images) == len(vectors) and images[0] == {}
-        for v, image in zip(vectors, images):
+        for v, image in zip(vectors, (image_values(Z, img) for img in images)):
             want = mode_apply(osys, screening_field(oop), 0, v)
             assert {s.momentum for s in want} <= {op.target()}
             packed = {sys._packing.pack(s.modes): x for s, x in want.items()}
             assert ({k: (type(x), str(x)) for k, x in image.items()}
                     == {k: (type(x), str(x)) for k, x in packed.items()}), (op.name, v)
             nonzero += bool(image)
+    assert nonzero > len(ops)
+
+
+# ---------------------------------------------------------------------------
+# the dense blocks view against the residue images it is read from
+# ---------------------------------------------------------------------------
+# A slice keeps residue_images' integer entries over their Z (Q(t) values
+# with Z None); GradedMap.blocks must be the dense matrix of those values
+# divided by Z, entry for entry, by type and by string.
+
+@pytest.mark.parametrize("name", sorted(VECTOR_BUILDS))
+def test_blocks_view_is_the_residue_images_over_their_denominator(name):
+    sys, ops = VECTOR_BUILDS[name]()
+    pk = sys._packing
+    symbolic = " t" in name
+    nonzero = 0
+    for op in ops:
+        gm = residue_map(op, range(4))
+        for d in range(4):
+            src = enumerate_basis(sys, op.source, d)
+            tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
+            Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
+                                       [((s, 1),) for s in src])
+            assert (Z is None) == symbolic and gm.slices[d][0] == Z
+            index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
+            dense = [[Fraction(0)] * len(src) for _ in tgt]
+            for j, image in enumerate(images):
+                for key, v in image.items():
+                    assert symbolic or type(v) is int
+                    dense[index[key]][j] = v if Z is None else Fraction(v, Z)
+            assert entries(gm.blocks[d]) == entries(dense), (op.name, d)
+            nonzero += sum(map(len, images))
     assert nonzero > len(ops)
 
 

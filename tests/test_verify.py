@@ -46,12 +46,27 @@ def test_resolution_report():
 def test_check_resolution_honours_cap(monkeypatch):
     # the cap bounds every residue map of the chain, so an oversized slice
     # raises before any composition is built
-    def no_product(A, B):
+    def no_product(a_cols, b_cols, m):
         raise AssertionError("composition built despite the cap")
 
-    monkeypatch.setattr(screening, "mat_mul", no_product)
+    monkeypatch.setattr(screening, "product_columns", no_product)
     with pytest.raises(ResourceBound):
         ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2, cap=10)
+
+
+def test_checks_never_read_dense_blocks(monkeypatch):
+    # residue slices stay sparse from the build to rank and product: the
+    # dense GradedMap.blocks view is for reading, and no check reads it
+    def dense(self):
+        raise AssertionError("a check read GradedMap.blocks")
+
+    monkeypatch.setattr(screening.GradedMap, "blocks", property(dense))
+    with pytest.raises(AssertionError, match="read GradedMap.blocks"):
+        screening.residue_map(cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)).screenings[0],
+                              [1]).blocks
+    assert ver.check_coset_duality("sl", 2, Fraction(16, 7), 4).status == "pass"
+    assert ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2).status == "pass"
+    assert ver.full_battery(random.Random(1)).status == "pass"
 
 
 def test_check_resolution_builds_one_map_per_screening(monkeypatch):
