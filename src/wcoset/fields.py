@@ -11,11 +11,10 @@ generator's nonnegative modes on a state come from one walk,
 ``_annihilations``.  ``residue_images`` is the one screening residue path:
 it maps vectors to sparse images and, like ``mode_apply``, takes the images
 of the exponential operator from one core, ``_images``, which works a list
-of columns (one per vector) at once, on monomials packed into integer keys
-(``fock._Packing``).  A rational call is summed over Z on one common
-denominator Z and returns integer entries with Z, one with a RatFun anywhere
-over the field, with Z None; a ``Fraction`` is made only where a value is
-read (``_expop_mode`` for ``mode_apply``, ``GradedMap.blocks``).
+of columns (one per vector) at once on monomials packed into integer keys
+(``fock._Packing``), writes each column once through the caller's index,
+and returns integers over one denominator Z (values, Z None, over Q(t)); a
+``Fraction`` is made only where a value is read (``_expop_mode``, blocks).
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -36,13 +35,14 @@ eps is the lattice two-cocycle.  c(lambda|mu) must be an integer; otherwise
 NonIntegralExponent is raised.  Both exponentials act in closed form.  Since
 lambda_(m) moves past h_(-d) as the scalar m(lambda|h) delta_{m,d}, E+ keeps
 or contracts each Heisenberg mode h_(-d) of the state, a contraction carrying
--c(lambda|h) z^-d; pair-half modes are always kept.  E- is the sum of its
-degree parts P_a z^a, polynomials in the commuting creation modes with P_0 = 1
-and a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m).  What does not depend on the
-state is kept on the System: per (operator, momentum) p, eps, mu + s and the
-nonzero contraction factors -c(lambda|h_s); per operator the parts P_a, grown
-on demand, and with rational constants their integer forms.  A state's E+
-table does not depend on n, so it serves every E_(j) a residue asks for.
+f z^-d, f = -c(lambda|h); pair-half modes are always kept.  E- is the sum of
+its degree parts P_a z^a, P_0 = 1 and a P_a = c sum_{m=1..a} lambda_(-m)
+P_(a-m).  So the (n)-image of the contracted modes of a state is I(n, ()) =
+P_(-n-1-p), I(n, h(-d) rest) = f I(n-d, rest) + h(-d) I(n, rest)
+(``_suffix_image``), memoized by (n, suffix) across the calls sharing a memo:
+all degrees of one ``residue_map``, else one call.  Kept on the System: per
+(operator, momentum) p, eps, mu + s and the factors f; per operator the parts
+P_a, grown on demand, with rational constants also over Z.
 
 A LinComb is a dict FockState -> coefficient with no stored zeros; a state
 is a canonical basis monomial, so every sign is carried by its coefficient.
@@ -406,33 +406,6 @@ def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int) -> None:
                                for key, w in part.items()}))
 
 
-def _expop_plus(pk, factors: dict, D, modes: tuple, seed) -> dict:
-    """E+ on a state: {(b, packed kept modes): coefficient} of its terms at z^-b.
-
-    Each Heisenberg mode h_s(-d) with a factor is kept, or contracted for
-    factors[s] z^-d; other modes are kept.  `seed` is the coefficient of the
-    state (eps and any sign ride on it).  Over Z, _images passes the integer
-    factors D f, and a kept mode is multiplied by D, so every term stands for
-    its value times D^(number of modes)."""
-    plus = {(0, 0): seed}
-    for mode in modes:
-        f, w = factors.get(mode[0]), pk[mode]
-        if f is None:
-            plus = {(b, kept + w): v if D == 1 else v * D for (b, kept), v in plus.items()}
-            continue
-        nxt = {}
-        for (b, kept), v in plus.items():
-            key = (b, kept + w)
-            v_kept = v if D == 1 else v * D
-            old = nxt.get(key)
-            nxt[key] = v_kept if old is None else old + v_kept
-            key = (b + mode[1], kept)
-            old = nxt.get(key)
-            nxt[key] = v * f if old is None else old + v * f
-        plus = nxt
-    return plus
-
-
 def _int_factors(rec: _ExpRecord) -> tuple:
     """(D, {s: D f}): the record's E+ factors over their lcm denominator D."""
     if rec.zfactors is None:
@@ -442,69 +415,101 @@ def _int_factors(rec: _ExpRecord) -> tuple:
     return rec.zfactors
 
 
-def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns) -> tuple:
-    """Vertex-operator images over rec.target of a list of columns, each a
-    list of jobs: (Z, per column a dict from packed key to nonzero entry).
+_PACKED = type("_PackedKeys", (dict,), {"__missing__": lambda self, key: key})()  # no index
 
-    A job (modes, seed, places) asks, for each (n, front) of places, for the
+
+def _suffix_image(ctx, memo, n: int, fmodes: tuple, i: int, key: int, b: int) -> tuple:
+    """(L, I(n, fmodes[i:])), I as in the module docstring, for contracted modes
+    of packed key `key` and depths summing to b, top = b - n - 1 - p >= 0; ctx
+    is (p, D, factors, parts, packing).  Over Z an entry is its value times
+    D^(modes) L, L = L_top; over the field D and L are 1.  Not a closure: with
+    its memo that would be a reference cycle."""
+    p, D, factors, parts, pk = ctx
+    top = b - n - 1 - p
+    if i == len(fmodes):
+        return parts[top]
+    got = memo.get((n, key))
+    if got is None:
+        (s, d), w = fmodes[i], pk[fmodes[i]]
+        L, cut = _suffix_image(ctx, memo, n - d, fmodes, i + 1, key - w, b - d)
+        f = factors[s]
+        image = {k: v * f for k, v in cut.items()}
+        if top >= d:
+            L_kept, kept = _suffix_image(ctx, memo, n, fmodes, i + 1, key - w, b - d)
+            m = D * (L // L_kept)
+            for k, v in kept.items():
+                k += w
+                t = image.pop(k, 0) + v * m
+                if t:
+                    image[k] = t
+        memo[(n, key)] = got = (L, image)
+    return got
+
+
+def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=None) -> tuple:
+    """Vertex-operator images over rec.target of a list of columns, each a
+    list of jobs (modes, seed, places): (Z, per column {target index: nonzero
+    entry}).  For each (n, front) of places, by ascending n, a job asks for the
     (n)-mode image of a canonical state with the creation mode `front` (or
-    None) put ahead.  E+ terms at z^-b meet the E- part a = b - n - 1 - p, a
-    product of monomials being a sum of keys.  E+ and E- touch only even
-    Heisenberg modes, so the sign is that of front ahead of the state (0 when
-    it repeats an odd mode), read off the canonical state by front_sign.  The
-    ring is chosen once per call.  Over Z an E+ term stands for its value
-    times D^nmax, the parts through the call's top carry their lcm
-    denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the call
-    and an entry is an integer, its value times Z; over the field every scale
-    is 1, an entry is its value and Z is None.
-    """
-    pk = sys._packing
-    jobs = [job for column in columns for job in column]
-    seeds = [v for _, v, _ in jobs]
+    None) ahead: the suffix image of its contracted modes, each key plus its
+    other modes and the front, signed by front_sign (E+ and E- touch only even
+    modes).  A column is written once through `index` ({packed key: target
+    index}, KeyError off it; the key itself if None).  Over Z, with Q the lcm
+    denominator of the parts through the call's top, S that of the seeds and
+    nmax the most modes of a state, an entry is its value times Z = D^nmax Q
+    S; over the field, chosen once per call, Z is None.  Suffix images keep
+    their own L, so calls on one record may share `memo`, one dict per ring."""
+    pk, p, contracted = sys._packing, rec.p, rec.factors
+    nmax, top, split, seeds = 0, -1, [], []
+    for column in columns:
+        split.append([])
+        for modes, v, places in column:
+            fmodes, key, kept, b = [], 0, 0, 0
+            for mode in modes:
+                if mode[0] in contracted:
+                    fmodes.append(mode)
+                    key += pk[mode]
+                    b += mode[1]
+                else:
+                    kept += pk[mode]
+            if len(modes) > nmax:
+                nmax = len(modes)
+            if places and b - places[0][0] - 1 - p > top:
+                top = b - places[0][0] - 1 - p
+            split[-1].append((modes, v, places, tuple(fmodes), key, kept, b))
+            seeds.append(v)
     field = rec.zparts is None or any(isinstance(v, RatFun) for v in seeds)
     D, factors = (1, rec.factors) if field else _int_factors(rec)
     S = 1 if field else lcm(*[v.denominator for v in seeds])
-    nmax = max((len(modes) for modes, _, _ in jobs), default=0)
-    tables, top = [], -1
-    for modes, v, places in jobs:
-        v = v if field else v.numerator * (S // v.denominator) * D ** (nmax - len(modes))
-        tables.append((modes, _expop_plus(pk, factors, D, modes, v), places))
-        if places:
-            top = max(top, max(tables[-1][1])[0] - min(places)[0] - 1 - rec.p)
-    # a digit of an image counts a kept mode, one of P_a's and the front
-    pk.check(nmax + top + 1)
-    if top >= len(rec.parts):
-        _grow_parts(sys, op, rec, top)
-    parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts[:top + 1]
-    Q = parts[-1][0] if parts else 1
-    Z, scales = D ** nmax * Q * S, [Q // L for L, _ in parts]
-    negated = [-x for x in scales]
-    out, tables = [], iter(tables)
-    for column in columns:
-        acc = {}
-        # zip stops at the end of the column before drawing from tables
-        for _, (modes, plus, places) in zip(column, tables):
+    pk.check(nmax + top + 1)  # a digit counts a kept mode, one of P_a's and the front
+    _grow_parts(sys, op, rec, top)
+    parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts
+    Q = parts[top][0] if top >= 0 else 1
+    ctx, powers = (p, D, factors, parts, pk), [D ** e for e in range(nmax + 1)]
+    memo = {} if memo is None else memo.setdefault(field, {})
+    out, index = [], _PACKED if index is None else index
+    for jobs in split:
+        acc = None
+        for modes, seed, places, fmodes, key, kept, b in jobs:
+            if not field:
+                seed = seed.numerator * (S // seed.denominator) * powers[nmax - len(fmodes)]
             for n, front in places:
-                mults, base = scales, 0
-                if front is not None:
-                    sign = front_sign(sys, front, modes)
-                    if not sign:
-                        continue
-                    mults, base = scales if sign == 1 else negated, pk[front]
-                b0 = n + 1 + rec.p
-                for (b, kept), v in plus.items():
-                    a = b - b0
-                    if a < 0:
-                        continue
-                    m = v if mults[a] == 1 else v * mults[a]
-                    kept += base
-                    for key, w in parts[a][1].items():
-                        key += kept
-                        t = m * w
-                        old = acc.get(key)
-                        acc[key] = t if old is None else old + t
-        out.append(acc)
-    return None if field else Z, [{key: s for key, s in acc.items() if s} for acc in out]
+                sign = 1 if front is None else front_sign(sys, front, modes)
+                if b - n - 1 - p < 0 or not sign:
+                    continue
+                L, image = _suffix_image(ctx, memo, n, fmodes, 0, key, b)
+                s = seed if sign == 1 and L == Q else seed * (sign * (Q // L))
+                w = kept if front is None else kept + pk[front]
+                if acc is None:
+                    acc = {index[k + w]: v * s for k, v in image.items()}
+                    continue
+                for k, v in image.items():
+                    k = index[k + w]
+                    t = acc.pop(k, 0) + v * s
+                    if t:
+                        acc[k] = t
+        out.append({} if acc is None else acc)
+    return None if field else powers[nmax] * Q * S, out
 
 
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
@@ -516,26 +521,24 @@ def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
 
 
 def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
-                   mu: Momentum, vectors) -> tuple:
+                   mu: Momentum, vectors, index=None, memo=None) -> tuple:
     """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
-    generator g or Scale(a, g)) on vectors over mu, each an iterable of
-    (state, coefficient): (Z, one {packed key: nonzero entry} image over
-    mu + s per vector), in the format of _images.
+    generator g or Scale(a, g)) on vectors over mu, each an iterable of (state,
+    coefficient): (Z, one image over mu + s per vector), as _images gives them.
 
     The (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j
     E_(-1-j) g_(j) (see mode_apply), and all the vectors are one _images
     call, a vector one column: a state's job puts g_(-1-j) as the front of
-    the images of E_(j), one E+ table serving every j, and each term of the
-    second sum, from one _annihilations walk of the state, seeds a job of its
-    own.  The scale a and the state's coefficient multiply its seeds.
+    the images of E_(j), one suffix image each, and each term of the second
+    sum, from one _annihilations walk of the state, seeds a job of its own.
+    The scale a and the state's coefficient multiply its seeds.
     """
     rec = _expop_record(sys, op, mu)
     a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
     eps = rec.eps * a
     if g is not None:
         idx = sys.index[g.name]
-        # the seed factor of the second sum
-        eps2 = -eps if parity(sys, g) * parity(sys, op) else eps
+        eps2 = -eps if parity(sys, g) * parity(sys, op) else eps  # seeds of the second sum
     columns = []
     for vector in vectors:
         column = []
@@ -548,7 +551,7 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
             column += [(rest, eps2 * x * v, ((-1 - j, None),))
                        for (j, rest), v in _annihilations(sys, idx, s).items()]
         columns.append(column)
-    return _images(sys, op, rec, columns)
+    return _images(sys, op, rec, columns, index, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ class _Packing(dict):
 
     def pack(self, modes) -> int:
         self.check(len(modes))
-        return sum(self[m] for m in modes)
+        return sum(map(self.__getitem__, modes))
 
     def unpack(self, key: int) -> tuple:
         if key not in self.modes:  # every mode of a key has its weight here

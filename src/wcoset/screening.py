@@ -9,15 +9,15 @@ residue is the (0)-mode of the composite field; on the degree-d slice of the
 source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
 over |mu + s>.
 
-GradedMap holds per degree the slice ``residue_map`` builds from
-``fields.residue_images``: a sparse column {target index: entry} per source
-state, integers over one denominator Z (values, Z None, over Q(t)); an image
-outside the target slice raises ShapeMismatch.  Its ``blocks``, dense
-matrices of ``Fraction``s and ``linalg.ZERO``, are a view built on each read
-that no check reads.  ``joint_kernel`` stacks the maps' columns for the rank
-and kernel cores of ``linalg``; ``compose_check`` multiplies the integer
-columns of two built maps, a degree whose composite passes through an empty
-slice counting as vacuous (None).
+GradedMap holds per degree the slice ``fields.residue_images`` writes for
+``residue_map`` through the target index, every degree sharing one memo: a
+column {target index: entry} per source state, integers over a denominator Z
+(values, Z None, over Q(t)); an image off the target raises ShapeMismatch.
+Its ``blocks``, dense matrices of ``Fraction``s and ``linalg.ZERO``, are a
+view built on each read that no check reads.  ``joint_kernel`` stacks the
+maps' columns for the rank and kernel cores of ``linalg``; ``compose_check``
+multiplies the integer columns of two built maps, a degree whose composite
+passes through an empty slice counting as vacuous (None).
 """
 
 from __future__ import annotations
@@ -107,22 +107,19 @@ class KernelReport:
 
 def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMap:
     """Exact sparse matrices of the screening residue on the requested degree slices."""
-    sys = op.system
-    pk = sys._packing
-    shift_deg = op.degree_shift()
-    gm = GradedMap(op.source, op.target(), shift_deg)
+    sys, shift_deg, memo = op.system, op.degree_shift(), {}  # one memo for every degree
+    pk, gm = sys._packing, GradedMap(op.source, op.target(), shift_deg)
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
         tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
-        Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
-                                   [((s, 1),) for s in src])
         index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
         try:
-            gm.slices[d] = (Z, [{index[key]: v for key, v in image.items()}
-                                for image in images], len(tgt))
+            Z, columns = residue_images(sys, op.prefactor, op.exp, op.source,
+                                        [((s, 1),) for s in src], index, memo)
         except KeyError as missing:
             degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(missing.args[0]))
             raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
+        gm.slices[d] = (Z, columns, len(tgt))
     return gm
 
 

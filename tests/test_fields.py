@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import math
 import random
 from fractions import Fraction
 
@@ -11,9 +13,9 @@ from wcoset.fields import (ExpOp, LinComb, NormOrd, _annihilations, current_gram
                            deriv, gen, direction_of, exp_op, exp_power, l0_apply, lc_add,
                            mode_apply, nord, ope_singular, sadd, scale, state_of_field)
 from wcoset.fock import (FockState, System, boson_pair, enumerate_basis, fermion_pair,
-                         heis, normal_form, register_system)
+                         front_sign, heis, normal_form, register_system)
 from wcoset.scalars import RatFun, T, sc_is_zero
-from wcoset.screening import ScreeningOp, residue_map
+from wcoset.screening import ScreeningOp, annihilates, residue_map
 
 K1 = T
 K2 = RatFun.const(Fraction(1, 3))
@@ -681,13 +683,14 @@ def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
     real = fields._images
     columns, counts = [], []
 
-    def both(sys, op, rec, cols):
-        Z, got = real(sys, op, rec, cols)
+    def both(sys, op, rec, cols, index=None, memo=None):
+        Z, got = real(sys, op, rec, cols, index, memo)
         rational = rec.zparts is not None and not any(
             isinstance(v, RatFun) for jobs in cols for _, v, _ in jobs)
-        # the field ring grows its own parts, so rec's zparts keep pace with rec's parts
+        # the field ring grows its own parts, so rec's zparts keep pace with
+        # rec's parts; it writes through the same index and keeps no memo
         on_field = dataclasses.replace(rec, parts=list(rec.parts), zparts=None)
-        no_Z, want = real(sys, op, on_field, cols)
+        no_Z, want = real(sys, op, on_field, cols, index)
         assert no_Z is None and len(got) == len(want) == len(cols)
         columns.extend((rational and Z is not None, _entries(g, Z) == _entries(w), bool(g))
                        for g, w in zip(got, want))
@@ -817,3 +820,225 @@ def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
     assert image((b, 1), ((b, 2),)) == {key: -1}
     assert image((b, 1), ((b, 1),)) == {}
     assert image((b, 2), ((b, 2),)) == {}
+
+
+# ---------------------------------------------------------------------------
+# the suffix-image core against the E+ table it replaced
+# ---------------------------------------------------------------------------
+# ref_images is the earlier body of fields._images: per state the whole E+
+# table {(b, kept modes): coefficient}, each term times the E- part it meets.
+# Run on the same columns, the core must give the same Z and every entry,
+# by type and string, its keys read through the call's index.
+
+def ref_expop_plus(pk, factors: dict, D, modes: tuple, seed) -> dict:
+    """E+ on a state: {(b, packed kept modes): coefficient} of its terms at z^-b.
+
+    Each Heisenberg mode h_s(-d) with a factor is kept, or contracted for
+    factors[s] z^-d; other modes are kept.  `seed` is the coefficient of the
+    state (eps and any sign ride on it).  Over Z, ref_images passes the integer
+    factors D f, and a kept mode is multiplied by D, so every term stands for
+    its value times D^(number of modes)."""
+    plus = {(0, 0): seed}
+    for mode in modes:
+        f, w = factors.get(mode[0]), pk[mode]
+        if f is None:
+            plus = {(b, kept + w): v if D == 1 else v * D for (b, kept), v in plus.items()}
+            continue
+        nxt = {}
+        for (b, kept), v in plus.items():
+            key = (b, kept + w)
+            v_kept = v if D == 1 else v * D
+            old = nxt.get(key)
+            nxt[key] = v_kept if old is None else old + v_kept
+            key = (b + mode[1], kept)
+            old = nxt.get(key)
+            nxt[key] = v * f if old is None else old + v * f
+        plus = nxt
+    return plus
+
+
+def ref_images(sys, op, rec, columns) -> tuple:
+    """Vertex-operator images over rec.target of a list of columns, each a
+    list of jobs: (Z, per column a dict from packed key to nonzero entry).
+
+    A job (modes, seed, places) asks, for each (n, front) of places, for the
+    (n)-mode image of a canonical state with the creation mode `front` (or
+    None) put ahead.  E+ terms at z^-b meet the E- part a = b - n - 1 - p, a
+    product of monomials being a sum of keys.  E+ and E- touch only even
+    Heisenberg modes, so the sign is that of front ahead of the state (0 when
+    it repeats an odd mode), read off the canonical state by front_sign.  The
+    ring is chosen once per call.  Over Z an E+ term stands for its value
+    times D^nmax, the parts through the call's top carry their lcm
+    denominator Q and the seeds theirs, S, so Z = D^nmax Q S serves the call
+    and an entry is an integer, its value times Z; over the field every scale
+    is 1, an entry is its value and Z is None.
+    """
+    pk = sys._packing
+    jobs = [job for column in columns for job in column]
+    seeds = [v for _, v, _ in jobs]
+    field = rec.zparts is None or any(isinstance(v, RatFun) for v in seeds)
+    D, factors = (1, rec.factors) if field else fields._int_factors(rec)
+    S = 1 if field else math.lcm(*[v.denominator for v in seeds])
+    nmax = max((len(modes) for modes, _, _ in jobs), default=0)
+    tables, top = [], -1
+    for modes, v, places in jobs:
+        v = v if field else v.numerator * (S // v.denominator) * D ** (nmax - len(modes))
+        tables.append((modes, ref_expop_plus(pk, factors, D, modes, v), places))
+        if places:
+            top = max(top, max(tables[-1][1])[0] - min(places)[0] - 1 - rec.p)
+    # a digit of an image counts a kept mode, one of P_a's and the front
+    pk.check(nmax + top + 1)
+    if top >= len(rec.parts):
+        fields._grow_parts(sys, op, rec, top)
+    parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts[:top + 1]
+    Q = parts[-1][0] if parts else 1
+    Z, scales = D ** nmax * Q * S, [Q // L for L, _ in parts]
+    negated = [-x for x in scales]
+    out, tables = [], iter(tables)
+    for column in columns:
+        acc = {}
+        # zip stops at the end of the column before drawing from tables
+        for _, (modes, plus, places) in zip(column, tables):
+            for n, front in places:
+                mults, base = scales, 0
+                if front is not None:
+                    sign = front_sign(sys, front, modes)
+                    if not sign:
+                        continue
+                    mults, base = scales if sign == 1 else negated, pk[front]
+                b0 = n + 1 + rec.p
+                for (b, kept), v in plus.items():
+                    a = b - b0
+                    if a < 0:
+                        continue
+                    m = v if mults[a] == 1 else v * mults[a]
+                    kept += base
+                    for key, w in parts[a][1].items():
+                        key += kept
+                        t = m * w
+                        old = acc.get(key)
+                        acc[key] = t if old is None else old + t
+        out.append(acc)
+    return None if field else Z, [{key: s for key, s in acc.items() if s} for acc in out]
+
+
+def _against_ref(monkeypatch, run, perturb=False):
+    """Call run() with every fields._images call also made by ref_images on
+    the same columns, asserting equal Z and entries; with perturb, the core
+    is given one integer contraction factor off by one.  Returns the number
+    of nonzero columns compared."""
+    real, nonzero = fields._images, []
+
+    def both(sys, op, rec, cols, index=None, memo=None):
+        Z_ref, want = ref_images(sys, op, rec, cols)
+        if perturb and rec.zparts is not None:
+            D, zf = fields._int_factors(rec)
+            s = next(iter(zf))
+            rec = dataclasses.replace(rec, zfactors=(D, {**zf, s: zf[s] + 1}))
+        Z, got = real(sys, op, rec, cols, index, memo)
+        assert Z == Z_ref and len(got) == len(want) == len(cols)
+        keys = fields._PACKED if index is None else index
+        for g, w in zip(got, want):
+            assert _entries(g) == _entries({keys[k]: x for k, x in w.items()})
+        nonzero.append(sum(map(bool, got)))
+        return Z, got
+
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_images", both)
+        run()
+    return sum(nonzero)
+
+
+def test_core_matches_ref_images_on_the_golden_maps(monkeypatch):
+    from test_screening import _golden_cases
+    for name, (sys, ops, degrees) in _golden_cases().items():
+        assert _against_ref(monkeypatch, lambda: [residue_map(op, degrees) for op in ops]), name
+
+
+def test_core_matches_ref_images_on_the_gl11_chain(monkeypatch):
+    # S[-2..3] carry the odd prefactor b, so every first sum has odd fronts
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    sys = spec.system
+    ops = [cat.wakimoto_shifted_screening(spec, j) for j in range(-2, 4)]
+    assert {op.prefactor for op in ops} == {gen("b")} and sys.odd_flags[sys.index["b"]]
+    assert _against_ref(monkeypatch, lambda: [residue_map(op, range(5)) for op in ops]) > 100
+
+
+@pytest.mark.parametrize("K", [Fraction(7, 2), T], ids=str)
+def test_core_matches_ref_images_rank1(monkeypatch, K):
+    spec = cat.rank1_ff(K)
+    sys = spec.system
+    ops = []
+    for v in (0, 1, -2):
+        for op in spec.screenings:
+            try:
+                exp_power(sys, op.exp, sys.momentum((Fraction(v),)))
+            except NonIntegralExponent:
+                continue
+            ops.append(op.at(sys.momentum((Fraction(v),))))
+    assert len(ops) >= 2
+    assert _against_ref(monkeypatch, lambda: [residue_map(op, range(7)) for op in ops]) > 0
+
+
+def test_core_matches_ref_images_on_annihilated_vectors(monkeypatch):
+    # homogeneous vectors with Fraction coefficients, and the images of the
+    # generators, which the screening kills
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    sys = spec.system
+    rng = random.Random("annihilates")
+    vectors = [state_of_field(sys, img) for img in spec.generator_map.values()]
+    for d in (1, 2, 3):
+        states = enumerate_basis(sys, sys.zero_momentum(), d)
+        vectors += [{s: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+                     for s in rng.sample(states, 3)} for _ in range(4)]
+    killed = []
+    assert _against_ref(monkeypatch, lambda: killed.extend(
+        annihilates(spec.screenings, v) for v in vectors)) > 0
+    assert killed[:len(spec.generator_map)] == [True] * len(spec.generator_map)
+    assert not all(killed)
+
+
+def test_core_matches_ref_images_in_mode_apply(monkeypatch):
+    spec = cat.subregular_realization("sl", 2, Fraction(-14, 5), "bosonized")
+    sys = spec.system
+    mu = sys.lattice_momentum((1, 0))
+    states = [s for d in range(4) for s in enumerate_basis(sys, mu, d)]
+    exps = [op.exp for op in spec.screenings]
+    assert _against_ref(monkeypatch, lambda: [mode_apply(sys, exp, n, st) for exp in exps
+                                              for n in range(-3, 3) for st in states]) > 0
+
+
+def test_ref_images_comparison_negative_control(monkeypatch):
+    # one integer contraction factor off by one in the core: the comparison fails
+    spec = cat.gl11_wakimoto(Fraction(-11, 3), Fraction(9, 8))
+    op = cat.wakimoto_shifted_screening(spec, 1)
+    with pytest.raises(AssertionError):
+        _against_ref(monkeypatch, lambda: residue_map(op, range(4)), perturb=True)
+    assert _against_ref(monkeypatch, lambda: residue_map(op, range(4))) > 0
+
+
+# ---------------------------------------------------------------------------
+# no reference cycles
+# ---------------------------------------------------------------------------
+# A memo of suffix images held by a recursive closure is a reference cycle:
+# every map would leave garbage that only the cycle collector frees.
+
+def test_residue_maps_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        lv = cat.LevelData.from_k1("sl", 2, Fraction(15, 7))
+        maps = [residue_map(op, range(6))
+                for spec in (cat.subregular_realization("sl", 2, lv.k1, "coset"),
+                             cat.principal_super_realization("sl", 2, lv.k2, "coset"))
+                for op in spec.screenings]
+        gl11 = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+        maps.append(residue_map(cat.wakimoto_shifted_screening(gl11, 1), range(4)))
+        symbolic = cat.get_realization("subregular-sl:2:coset", T)
+        maps.append(residue_map(symbolic.screenings[0], range(4)))
+        assert all(any(c for _, columns, _ in gm.slices.values() for c in columns)
+                   for gm in maps)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

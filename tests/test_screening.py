@@ -654,9 +654,16 @@ def test_residue_map_golden_digests():
 def test_residue_map_off_by_one_shift_raises(monkeypatch):
     sys, ops = gl11_build(*GL11)()
     true_shift = ops[0].degree_shift()
+    # the error names the true target degree of the first nonzero image
+    gm = residue_map(ops[0], range(4))
+    firsts = [next(d for d in degrees if any(gm.slices[d][1]))
+              for degrees in (range(3), range(2, 4))]
+    assert [d + true_shift for d in firsts] == [0, 2]
     monkeypatch.setattr(ScreeningOp, "degree_shift", lambda self: true_shift + 1)
-    with pytest.raises(ShapeMismatch, match="missing from target slice"):
-        residue_map(ops[0], range(3))
+    for degrees, first in zip((range(3), range(2, 4)), firsts):
+        with pytest.raises(ShapeMismatch, match=f"image of degree {first + true_shift} "
+                                                "missing from target slice"):
+            residue_map(ops[0], degrees)
 
 
 def test_residue_map_shifting_prefactor_raises():
