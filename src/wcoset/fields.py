@@ -39,8 +39,9 @@ f z^-d, f = -c(lambda|h); pair-half modes are always kept.  E- is the sum of
 its degree parts P_a z^a, P_0 = 1 and a P_a = c sum_{m=1..a} lambda_(-m)
 P_(a-m).  So the (n)-image of the contracted modes of a state is I(n, ()) =
 P_(-n-1-p), I(n, h(-d) rest) = f I(n-d, rest) + h(-d) I(n, rest)
-(``_suffix_image``), memoized by (n, suffix) across the calls sharing a memo:
-all degrees of one ``residue_map``, else one call.  Kept on the System: per
+(``_suffix_image``), memoized by (n + p, suffix), which no momentum enters
+otherwise, across the calls sharing a memo (the degrees of a ``residue_map``,
+the maps of a resolution chain).  Kept on the System: per
 (operator, momentum) p, eps, mu + s and the factors f; per operator the parts
 P_a, grown on demand, with rational constants also over Z.
 
@@ -130,9 +131,7 @@ def gen(name: str) -> Gen:
 
 def nord(*factors) -> FieldExpr:
     """Right-nested normally ordered product :A(:B(:C...:):):."""
-    if len(factors) == 1:
-        return factors[0]
-    return NormOrd(factors[0], nord(*factors[1:]))
+    return factors[0] if len(factors) == 1 else NormOrd(factors[0], nord(*factors[1:]))
 
 
 def scale(c, expr) -> FieldExpr:
@@ -155,11 +154,8 @@ def deriv(expr, order=1) -> FieldExpr:
 
 def heis_comb(sys: System, coeffs: dict) -> FieldExpr:
     """Linear combination of heisenberg generators from a name -> coeff map."""
-    terms = []
-    for name, c in coeffs.items():
-        if sc_is_zero(c):
-            continue
-        terms.append(Gen(name) if c == 1 else Scale(c, Gen(name)))
+    terms = [Gen(name) if c == 1 else Scale(c, Gen(name))
+             for name, c in coeffs.items() if not sc_is_zero(c)]
     if not terms:
         raise ValueError("empty heisenberg combination")
     return sadd(*terms)
@@ -169,8 +165,7 @@ def direction_of(sys: System, coeffs: dict) -> tuple:
     """Zero-mode coefficient vector over the heisenberg species from a name map."""
     vec = [Fraction(0)] * len(sys.heis_indices)
     for name, c in coeffs.items():
-        idx = sys.index[name]
-        vec[sys.heis_pos[idx]] = c
+        vec[sys.heis_pos[sys.index[name]]] = c
     return tuple(vec)
 
 
@@ -197,9 +192,7 @@ def lc_add(acc: LinComb, state: Optional[FockState], coeff: Scalar) -> None:
 
 
 def lc_scale(lc: LinComb, c: Scalar) -> LinComb:
-    if sc_is_zero(c):
-        return {}
-    return {s: v * c for s, v in lc.items()}
+    return {} if sc_is_zero(c) else {s: v * c for s, v in lc.items()}
 
 
 def lc_sum(*lcs) -> LinComb:
@@ -220,11 +213,8 @@ def lc_degree(sys: System, lc: LinComb) -> Optional[int]:
 def lc_str(sys: System, lc: LinComb) -> str:
     if not lc:
         return "0"
-    parts = []
     order = sorted(lc, key=lambda st: (tuple(str(v) for v in st.momentum.values), st.modes))
-    for s in order:
-        parts.append(f"({lc[s]})*{state_str(sys, s)}")
-    return " + ".join(parts)
+    return " + ".join(f"({lc[s]})*{state_str(sys, s)}" for s in order)
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +408,31 @@ def _int_factors(rec: _ExpRecord) -> tuple:
 _PACKED = type("_PackedKeys", (dict,), {"__missing__": lambda self, key: key})()  # no index
 
 
-def _suffix_image(ctx, memo, n: int, fmodes: tuple, i: int, key: int, b: int) -> tuple:
+def _suffix_image(ctx, memo, np: int, fmodes: tuple, i: int, key: int, b: int) -> tuple:
     """(L, I(n, fmodes[i:])), I as in the module docstring, for contracted modes
-    of packed key `key` and depths summing to b, top = b - n - 1 - p >= 0; ctx
-    is (p, D, factors, parts, packing).  Over Z an entry is its value times
-    D^(modes) L, L = L_top; over the field D and L are 1.  Not a closure: with
-    its memo that would be a reference cycle."""
-    p, D, factors, parts, pk = ctx
-    top = b - n - 1 - p
+    of packed key `key` and depths summing to b, np = n + p, top = b - np - 1
+    >= 0; ctx is (D, factors, parts, packing).  Over Z an entry is its value
+    times D^(modes) L, L = L_top; over the field D and L are 1.  Not a
+    closure: with its memo that would be a reference cycle."""
+    D, factors, parts, pk = ctx
+    top = b - np - 1
     if i == len(fmodes):
         return parts[top]
-    got = memo.get((n, key))
+    got = memo.get((np, key))
     if got is None:
         (s, d), w = fmodes[i], pk[fmodes[i]]
-        L, cut = _suffix_image(ctx, memo, n - d, fmodes, i + 1, key - w, b - d)
+        L, cut = _suffix_image(ctx, memo, np - d, fmodes, i + 1, key - w, b - d)
         f = factors[s]
         image = {k: v * f for k, v in cut.items()}
         if top >= d:
-            L_kept, kept = _suffix_image(ctx, memo, n, fmodes, i + 1, key - w, b - d)
+            L_kept, kept = _suffix_image(ctx, memo, np, fmodes, i + 1, key - w, b - d)
             m = D * (L // L_kept)
             for k, v in kept.items():
                 k += w
                 t = image.pop(k, 0) + v * m
                 if t:
                     image[k] = t
-        memo[(n, key)] = got = (L, image)
+        memo[(np, key)] = got = (L, image)
     return got
 
 
@@ -458,7 +448,7 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
     denominator of the parts through the call's top, S that of the seeds and
     nmax the most modes of a state, an entry is its value times Z = D^nmax Q
     S; over the field, chosen once per call, Z is None.  Suffix images keep
-    their own L, so calls on one record may share `memo`, one dict per ring."""
+    their own L, so calls on one System share `memo`, a dict per op and ring."""
     pk, p, contracted = sys._packing, rec.p, rec.factors
     nmax, top, split, seeds = 0, -1, [], []
     for column in columns:
@@ -485,8 +475,8 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
     _grow_parts(sys, op, rec, top)
     parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts
     Q = parts[top][0] if top >= 0 else 1
-    ctx, powers = (p, D, factors, parts, pk), [D ** e for e in range(nmax + 1)]
-    memo = {} if memo is None else memo.setdefault(field, {})
+    ctx, powers = (D, factors, parts, pk), [D ** e for e in range(nmax + 1)]
+    memo = {} if memo is None else memo.setdefault((op, field), {})
     out, index = [], _PACKED if index is None else index
     for jobs in split:
         acc = None
@@ -497,7 +487,7 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
                 sign = 1 if front is None else front_sign(sys, front, modes)
                 if b - n - 1 - p < 0 or not sign:
                     continue
-                L, image = _suffix_image(ctx, memo, n, fmodes, 0, key, b)
+                L, image = _suffix_image(ctx, memo, n + p, fmodes, 0, key, b)
                 s = seed if sign == 1 and L == Q else seed * (sign * (Q // L))
                 w = kept if front is None else kept + pk[front]
                 if acc is None:

@@ -159,6 +159,7 @@ class System:
         # for a rational ExpOp, their integer form
         self._expop_cache = {}
         self._packing = _Packing(len(self.species))
+        self._indices = {}  # degree -> {packed key: position}, see slice_index
 
     # -- pair contraction sign: first-listed half hits partner with +1 --------
 
@@ -392,6 +393,15 @@ def enumerate_basis(sys: System, mu: Momentum, degree: int, cap: Optional[int] =
 def slice_dimension(sys: System, degree: int) -> int:
     """Size of the degree slice of every Fock module of the system."""
     return len(_mode_sets(sys, degree)) if degree >= 0 else 0
+
+
+def slice_index(sys: System, degree: int, cap: Optional[int] = None) -> dict:
+    """{packed key: position} over the degree slice, built once per System."""
+    _check_cap(slice_dimension(sys, degree), cap, degree)
+    if degree not in sys._indices:
+        shapes = _mode_sets(sys, degree) if degree >= 0 else ()
+        sys._indices[degree] = {sys._packing.pack(m): i for i, m in enumerate(shapes)}
+    return sys._indices[degree]
 
 
 def graded_dimension(sys: System, mu: Momentum, degrees):

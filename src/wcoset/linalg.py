@@ -2,12 +2,13 @@
 
 The cores take a matrix as its sparse columns, ``{row: entry}`` dicts of the
 nonzeros: ``column_rank`` and ``column_kernel`` integers (a row may carry its
-own scale, which moves neither rank nor kernel) or values in Q(t), and
-``product_columns`` integers.  The screening checks hand them their residue
-slices as built; ``rank``, ``kernel_basis`` and ``mat_mul`` are dense
-adapters over the same cores for lists of rows with ``Fraction`` (or ``int``)
-or ``RatFun`` entries, each row scaled to integers by the lcm of its
-denominators unless a nonzero RatFun entry puts the matrix over Q(t).
+own scale, which moves neither rank nor kernel) or values in Q(t), and the
+zero test ``product_vanishes`` integers.  The screening checks hand them their
+residue slices as built; ``rank``, ``kernel_basis`` and ``mat_mul`` (over
+``product_columns``) are dense adapters over the same cores for lists of rows
+with ``Fraction`` (or ``int``) or ``RatFun`` entries, each row scaled to
+integers by the lcm of its denominators unless a nonzero RatFun entry puts
+the matrix over Q(t).
 
 One elimination serves both rings: it takes the indices in order and pivots
 on the sparsest remaining line with a nonzero there.  Kernels keep the
@@ -105,6 +106,22 @@ def product_columns(a_cols, b_cols, m):
             for i, a in a_cols[p].items():
                 acc[i] += a * b
         yield acc
+
+
+def product_vanishes(a_cols, b_cols) -> bool:
+    """True iff A B = 0, from the sparse integer columns of A and of B, by
+    Kronecker substitution: with t_p = sum_i A_ip 2^(k i) and 2^k > max|A|
+    max_j |B_j|_1, column j of A B is zero iff sum_p B_pj t_p is (the lowest
+    nonzero entry of a column would be a multiple of 2^k)."""
+    amax = max([max(map(abs, col.values())) for col in a_cols if col], default=0)
+    bmax = max([sum(map(abs, col.values())) for col in b_cols], default=0)
+    t = _kronecker(a_cols, (amax * bmax).bit_length())
+    return not any(sum(b * t[p] for p, b in col.items()) for col in b_cols)
+
+
+def _kronecker(cols, k):
+    """Each sparse integer column packed over its rows: sum_i x_i 2^(k i)."""
+    return [sum(x << k * i for i, x in col.items()) for col in cols]
 
 
 # ---------------------------------------------------------------------------

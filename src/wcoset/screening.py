@@ -10,14 +10,15 @@ source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
 over |mu + s>.
 
 GradedMap holds per degree the slice ``fields.residue_images`` writes for
-``residue_map`` through the target index, every degree sharing one memo: a
+``residue_map`` through ``fock.slice_index``, every degree sharing one memo: a
 column {target index: entry} per source state, integers over a denominator Z
 (values, Z None, over Q(t)); an image off the target raises ShapeMismatch.
 Its ``blocks``, dense matrices of ``Fraction``s and ``linalg.ZERO``, are a
 view built on each read that no check reads.  ``joint_kernel`` stacks the
 maps' columns for the rank and kernel cores of ``linalg``; ``compose_check``
-multiplies the integer columns of two built maps, a degree whose composite
-passes through an empty slice counting as vacuous (None).
+runs the packed zero test ``linalg.product_vanishes`` on the integer columns
+of two built maps, a degree whose composite passes through an empty slice
+counting as vacuous (None).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Optional
 from .errors import InputError, MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, exp_power, lc_degree,
                      residue_images, weight)
-from .fock import Momentum, System, enumerate_basis
-from .linalg import ZERO, column_kernel, column_rank, product_columns
+from .fock import Momentum, System, enumerate_basis, slice_index
+from .linalg import ZERO, column_kernel, column_rank, product_vanishes
 # not called here; bench/test_bench.py checks that its tracer patches these sites
 from .fields import mode_apply  # noqa: F401
 from .linalg import kernel_basis, mat_mul, rank  # noqa: F401
@@ -105,21 +106,23 @@ class KernelReport:
         return list(zip(self.degrees, self.dims))
 
 
-def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None) -> GradedMap:
-    """Exact sparse matrices of the screening residue on the requested degree slices."""
-    sys, shift_deg, memo = op.system, op.degree_shift(), {}  # one memo for every degree
+def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None,
+                memo: Optional[dict] = None) -> GradedMap:
+    """Exact sparse matrices of the screening residue on the requested degree
+    slices, every degree sharing `memo` (fresh unless given; maps on one
+    System may share one, see fields._images)."""
+    sys, shift_deg, memo = op.system, op.degree_shift(), {} if memo is None else memo
     pk, gm = sys._packing, GradedMap(op.source, op.target(), shift_deg)
     for d in degrees:
         src = enumerate_basis(sys, op.source, d, cap)
-        tgt = enumerate_basis(sys, op.target(), d + shift_deg, cap)
-        index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
+        index = slice_index(sys, d + shift_deg, cap)
         try:
             Z, columns = residue_images(sys, op.prefactor, op.exp, op.source,
                                         [((s, 1),) for s in src], index, memo)
         except KeyError as missing:
             degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(missing.args[0]))
             raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
-        gm.slices[d] = (Z, columns, len(tgt))
+        gm.slices[d] = (Z, columns, len(index))
     return gm
 
 
@@ -159,8 +162,8 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
 
 def compose_check(m2: GradedMap, m1: GradedMap) -> dict:
     """Per degree of m1: True iff m2 after m1 vanishes on the slice, None if
-    the source, middle or target slice is empty.  The product is taken on the
-    integer columns, so both maps must be at a rational level."""
+    the source, middle or target slice is empty.  The product is tested for
+    zero on the integer columns, so both maps must be at a rational level."""
     if m2.source != m1.target:
         raise MomentumMismatch("target momentum of the first map must equal the "
                                "source of the second")
@@ -177,7 +180,7 @@ def compose_check(m2: GradedMap, m1: GradedMap) -> dict:
             raise ShapeMismatch(f"cannot compose {rows}x{len(A)} after {middle}x{len(B)}")
         if Z1 is None or Z2 is None:
             raise InputError("compose_check works over Q only: a map is at a RatFun level")
-        out[d] = not any(map(any, product_columns(A, B, rows)))
+        out[d] = product_vanishes(A, B)
     return out
 
 

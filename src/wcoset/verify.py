@@ -95,12 +95,11 @@ def _boson_factor(weights, n):
 
 
 def _fermion_factor(weights, n):
+    """prod over mode degrees (1 + q^d), d from the weight list."""
     out = [1] + [0] * n
     for d in weights:
-        nxt = out[:]
-        for m in range(n, d - 1, -1):
-            nxt[m] += out[m - d]
-        out = nxt
+        for m in range(n, d - 1, -1):  # descending: out[m - d] is not yet updated
+            out[m] += out[m - d]
     return out
 
 
@@ -111,10 +110,7 @@ def character_oracle(sys: System, max_degree: int):
     for sp in sys.species:
         degs = [d - 1 + sp.engine_weight for d in range(1, n + 2)
                 if 0 <= d - 1 + sp.engine_weight <= n]
-        if sp.odd:
-            out = _series_mul(out, _fermion_factor(degs, n), n)
-        else:
-            out = _series_mul(out, _boson_factor(degs, n), n)
+        out = _series_mul(out, (_fermion_factor if sp.odd else _boson_factor)(degs, n), n)
     return out
 
 
@@ -206,11 +202,13 @@ def check_resolution(k1: Fraction, k2: Fraction, max_degree: int = 3,
     for name, img in spec.generator_map.items():
         v = state_of_field(sys, img)
         rep.add_check(f"S(rho({name}))=0", annihilates([S0], v))
-    # one map per chain screening, each over the degrees the previous lands in
-    maps, degrees = [], range(max_degree + 2)
+    # one map per chain screening, each over the degrees the previous lands in;
+    # the re-sourced copies of S0 share one memo, dropped before the products
+    maps, degrees, memo = [], range(max_degree + 2), {}
     for i in range(terms + 1):
-        maps.append(residue_map(cat.wakimoto_shifted_screening(spec, i), degrees, cap))
+        maps.append(residue_map(cat.wakimoto_shifted_screening(spec, i), degrees, cap, memo))
         degrees = [d + maps[-1].degree_shift for d in degrees]
+    memo.clear()
     for i in range(terms):
         out = compose_check(maps[i + 1], maps[i]).values()
         rep.add_check(f"S.S=0 on W[-{i}a]..W[-{i + 2}a]",

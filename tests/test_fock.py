@@ -493,6 +493,25 @@ def test_weight0_boson_half_not_enumerable_anywhere_in_table():
             count()
 
 
+def test_slice_index_is_the_packed_slice_built_once_per_system():
+    sys = bc_heis2()
+    for d in range(-1, 4):
+        index = fock.slice_index(sys, d)
+        states = enumerate_basis(sys, sys.zero_momentum(), d)
+        assert index == {sys._packing.pack(s.modes): i for i, s in enumerate(states)}
+        assert fock.slice_index(sys, d) is index
+    # a System of the same signature shares the slice table, not the index
+    other = bc_heis2()
+    assert other._slices is sys._slices
+    assert fock.slice_index(other, 3) == fock.slice_index(sys, 3)
+    assert fock.slice_index(other, 3) is not fock.slice_index(sys, 3)
+    fock.slice_index(sys, 3, cap=64)
+    with pytest.raises(ResourceBound, match=r"slice size 64 exceeds cap 63 \(degree 3\)"):
+        fock.slice_index(sys, 3, cap=63)
+    with pytest.raises(ResourceBound, match=r"slice size 64 exceeds cap 63 \(degree 3\)"):
+        fock.slice_index(bc_heis2(), 3, cap=63)
+
+
 def test_graded_dimension_cap():
     sys = bc_heis2()
     mu = sys.zero_momentum()

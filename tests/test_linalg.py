@@ -18,9 +18,10 @@ arrowhead matrix no combine may grow a line, while kernel bases keep the
 natural order.  The cores are also taken as the checks call them, on sparse
 columns: stacks of slices in residue_map's format, each with its own
 denominator, through joint_kernel; int, Fraction and Q(t) columns through
-column_rank and column_kernel, which must leave them as they were; and the
-integer product against mat_mul.  The negative controls show that these
-comparisons can fail.
+column_rank and column_kernel, which must leave them as they were; the
+integer product against mat_mul; and the packed zero test against the
+product's entries, at its bound and on empty columns.  The negative controls
+show that these comparisons can fail.
 """
 
 import math
@@ -687,8 +688,9 @@ def test_symbolic_sl2_slices_match_oracle():
 # ---------------------------------------------------------------------------
 # A residue slice is (Z, sparse columns, rows); joint_kernel stacks the
 # slices of its maps, each map's rows scaled by its own Z, and hands the
-# columns to column_rank or column_kernel; compose_check multiplies integer
-# columns with product_columns.  Each must agree with the dense oracle.
+# columns to column_rank or column_kernel; compose_check tests the product
+# of integer columns for zero with product_vanishes.  Each must agree with the dense
+# oracle, and the zero test with the entries product_columns builds.
 
 def random_block(rng, kind, n, m):
     """An n x m block of int, Fraction or Q(t) entries, about a third nonzero."""
@@ -775,6 +777,88 @@ def test_product_columns_match_mat_mul():
         product = list(product_columns(A, B, rows))
         assert not any(map(any, product))
         assert is_zero(mat_mul(m2.blocks[d + s1.degree_shift()], m1.blocks[d]))
+
+
+def vanishes_by_product(a_cols, b_cols, m):
+    """The zero test's oracle: every entry of A B built by product_columns."""
+    return not any(map(any, product_columns(a_cols, b_cols, m)))
+
+
+def integer_columns(M, ncols):
+    return as_slice(M, ncols)[1]
+
+
+def test_zero_test_matches_product_columns():
+    # AB = 0 by construction (B's columns span part of A's kernel), AB != 0
+    # (a random B, or the kernel B with one entry bumped), small and big entries
+    rng = random.Random(2829)
+    seen = Counter()
+    for trial in range(80):
+        m, n = rng.randint(1, 9), rng.randint(2, 10)
+        A = (big_q(rng, m, n, 0.5, bits=40) if trial % 4 == 3 else
+             degenerate(rng, sparse_q(rng, m, n, rng.choice((0.2, 0.5)))))
+        kernel = ref_kernel_basis(A, n)
+        if kernel and trial % 3:
+            combos = [[sum((rng.randint(-4, 4) * x for x in col), Fraction(0))
+                       for col in zip(*rng.sample(kernel, min(len(kernel), 2)))]
+                      for _ in range(rng.randint(1, 4))]
+            B = transpose(kernel + combos)
+            if trial % 3 == 2:
+                p, q = rng.randrange(n), rng.randrange(len(B[0]))
+                B[p][q] += Fraction(1, rng.randint(1, 3))
+        else:
+            B = sparse_q(rng, n, rng.randint(1, 6), 0.4)
+        a_cols, b_cols = integer_columns(A, n), integer_columns(B, len(B[0]))
+        expected = vanishes_by_product(a_cols, b_cols, len(A))
+        assert linalg.product_vanishes(a_cols, b_cols) == expected, trial
+        assert expected == is_zero(ref_mat_mul(A, B)), trial
+        seen[expected] += 1
+    assert min(seen[True], seen[False]) >= 20, seen
+    # the resolution's compositions, as compose_check takes them
+    for A, B in gl11_compositions(3):
+        if A and B and B[0]:
+            a_cols, b_cols = integer_columns(A, len(B)), integer_columns(B, len(B[0]))
+            assert linalg.product_vanishes(a_cols, b_cols) is True
+            assert vanishes_by_product(a_cols, b_cols, len(A))
+
+
+def tight_pair(b):
+    """Columns of A = (2^b, -1)^T and B = (1): A B = (2^b, -1), whose entry 2^b
+    is max|A| max_j |B_j|_1, the bound itself."""
+    return [{0: 1 << b, 1: -1}], [{0: 1}]
+
+
+@pytest.mark.parametrize("b", [0, 1, 7, 30, 64, 100])
+def test_zero_test_at_the_bound(b):
+    a_cols, b_cols = tight_pair(b)
+    assert not vanishes_by_product(a_cols, b_cols, 2)
+    assert linalg.product_vanishes(a_cols, b_cols) is False
+    # the same product spread over two columns of B and with signs flipped
+    a_cols = [{0: -(1 << b), 1: 1}, {0: 1 << b, 3: -1}]
+    b_cols = [{0: 1, 1: 1}, {1: -1}]
+    assert not vanishes_by_product(a_cols, b_cols, 4)
+    assert linalg.product_vanishes(a_cols, b_cols) is False
+
+
+def test_zero_test_negative_control(monkeypatch):
+    # with k - 1 bits per row, (2^b, -1) packs to 2^b - 2^b = 0: the bound
+    # 2^k > max|A| max_j |B_j|_1 is needed, and the comparison can fail
+    original = linalg._kronecker
+    monkeypatch.setattr(linalg, "_kronecker", lambda cols, k: original(cols, k - 1))
+    for b in (1, 7, 64):
+        a_cols, b_cols = tight_pair(b)
+        assert not vanishes_by_product(a_cols, b_cols, 2)
+        assert linalg.product_vanishes(a_cols, b_cols) is True
+
+
+def test_zero_test_on_empty_columns_and_a_zero_matrix():
+    pv = linalg.product_vanishes
+    assert pv([], []) and pv([{}, {}], []) and pv([{0: 5}], [{}])
+    assert pv([{}, {}], [{0: 3, 1: -2}, {}, {1: 7}])   # A has no nonzeros
+    assert pv([{0: 2}, {}], [{1: 9}, {}])              # B reads only A's empty column
+    assert not pv([{0: 2}, {}], [{}, {0: 1, 1: 9}])    # a later column is nonzero
+    assert pv([{1: 3}, {1: -3}], [{0: 1, 1: 1}])       # cancelling in row 1 alone
+    assert not pv([{1: 3}, {1: -3}], [{0: 1, 1: 2}])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
-from wcoset.errors import InputError, MomentumMismatch, NonEnumerable, ShapeMismatch
+from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
+                           ShapeMismatch)
 from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power, gen,
                            mode_apply, nord, parity, residue_images, scale, state_of_field)
 from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
@@ -155,6 +156,76 @@ def test_s_compose_s_zero(k1, k2):
     out = compose_check(m2, m1)
     assert list(out) == list(range(5))
     assert all(out.values())
+
+
+@pytest.mark.parametrize("k1,k2", [(Fraction(7, 2), Fraction(1, 3)),
+                                   (Fraction(-11, 3), Fraction(9, 8))], ids=str)
+def test_chain_maps_with_a_shared_memo_equal_maps_built_alone(k1, k2):
+    # a suffix image depends on n + p and the suffix, not on the source
+    # momentum, so the re-sourced copies S[0..2] of S0 share one memo in
+    # check_resolution; each System is fresh, so no other cache is shared
+    def chain(memos):
+        spec = cat.gl11_wakimoto(k1, k2)
+        return [residue_map(cat.wakimoto_shifted_screening(spec, i), range(5), None, memo)
+                for i, memo in enumerate(memos)]
+
+    shared, alone = {}, [{}, {}, {}]
+    together = chain([shared] * 3)
+    for m, ref in zip(together, chain(alone)):
+        assert m.slices.keys() == ref.slices.keys() == set(range(5))
+        for d in range(5):
+            (Z, columns, rows), (Z_ref, columns_ref, rows_ref) = m.slices[d], ref.slices[d]
+            assert (Z, rows) == (Z_ref, rows_ref) and type(Z) is int
+            assert columns == columns_ref
+            assert all(type(v) is int for column in columns for v in column.values())
+    # the chain reuses suffix images: fewer are built than one at a time
+    size = [sum(map(len, memo.values())) for memo in [shared] + alone]
+    assert 0 < size[0] < sum(size[1:])
+
+
+def test_maps_at_momenta_of_different_powers_share_a_memo():
+    # along the gl(1|1) chain p = c(lambda|mu) is 0 throughout; here it is not,
+    # so a memo keyed by n alone, not n + p, would hand out wrong images
+    ops_at = (0, 1, -2, 3)
+
+    def maps(memos):
+        spec = cat.rank1_ff(Fraction(7, 2))
+        ops = [spec.screenings[0].at(spec.system.momentum((Fraction(v),))) for v in ops_at]
+        assert len({exp_power(op.system, op.exp, op.source) for op in ops}) == 4
+        return [residue_map(op, range(7), None, memo) for op, memo in zip(ops, memos)]
+
+    shared = {}
+    together = maps([shared] * len(ops_at))
+    assert all(m.slices == ref.slices for m, ref in zip(together, maps([{} for _ in ops_at])))
+    assert any(column for m in together for _, columns, _ in m.slices.values()
+               for column in columns)
+
+
+def test_residue_map_caps_the_target_slice_too():
+    # out of the rank-1 module at -2 the residue raises degree by 1: the
+    # degree-6 source slice (11 states) is under the cap, its target (15) not
+    spec = cat.rank1_ff(Fraction(7, 2))
+    op = spec.screenings[0].at(spec.system.momentum((Fraction(-2),)))
+    assert op.degree_shift() == 1
+    assert residue_map(op, [6], cap=15).slices[6][2] == 15
+    with pytest.raises(ResourceBound, match=r"slice size 15 exceeds cap 12 \(degree 7\)"):
+        residue_map(op, [6], cap=12)
+    with pytest.raises(ResourceBound, match=r"slice size 11 exceeds cap 10 \(degree 6\)"):
+        residue_map(op, [6], cap=10)
+
+
+def test_maps_of_two_operators_may_share_a_memo():
+    # one memo holds one sub-memo per operator and ring
+    def maps(memos):
+        spec = cat.subregular_realization("sl", 2, Fraction(16, 7), "coset")
+        assert len({op.exp for op in spec.screenings}) == len(spec.screenings) > 1
+        return [residue_map(op, range(5), None, memo)
+                for op, memo in zip(spec.screenings, memos)]
+
+    shared = {}
+    together = maps([shared] * 2)
+    assert together and all(m.slices == ref.slices for m, ref in zip(together, maps([{}, {}])))
+    assert len(shared) == 2
 
 
 def test_compose_momentum_mismatch():

@@ -46,10 +46,10 @@ def test_resolution_report():
 def test_check_resolution_honours_cap(monkeypatch):
     # the cap bounds every residue map of the chain, so an oversized slice
     # raises before any composition is built
-    def no_product(a_cols, b_cols, m):
+    def no_product(a_cols, b_cols):
         raise AssertionError("composition built despite the cap")
 
-    monkeypatch.setattr(screening, "product_columns", no_product)
+    monkeypatch.setattr(screening, "product_vanishes", no_product)
     with pytest.raises(ResourceBound):
         ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2, cap=10)
 
@@ -73,15 +73,23 @@ def test_check_resolution_builds_one_map_per_screening(monkeypatch):
     built = []
     original = ver.residue_map
 
-    def counted(op, degrees, cap=None):
+    def counted(op, degrees, cap=None, memo=None):
         built.append((op.name, list(degrees)))
-        return original(op, degrees, cap)
+        return original(op, degrees, cap, memo)
 
     monkeypatch.setattr(ver, "residue_map", counted)
     rep = ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2)
     assert rep.status == "pass"
     # terms + 1 maps; every gl(1|1) degree shift is 0
     assert built == [(f"S[{i}]", [0, 1, 2, 3, 4]) for i in range(3)]
+
+
+def test_check_resolution_to_degree_5():
+    # the chain S[0..2] through degree 6, the kernel of S[0] to degree 5
+    rep = ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 5, 2)
+    assert rep.status == "pass"
+    assert [(p.degree, p.dim_right) for p in rep.per_degree] == list(
+        enumerate([1, 4, 12, 32, 76, 168]))
 
 
 def test_check_resolution_fails_a_vacuous_composition(monkeypatch):
