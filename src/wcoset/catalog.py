@@ -12,7 +12,10 @@ diagonal of a pairing table; `_screenings` builds the screening operators on
 the vacuum module from (name, c, {species: coefficient}, prefactor) rows;
 `_attach_companions` gives a Miura side its companion intertwiners and their
 covariance table; `_parse_key` checks a catalog key; and `_dual` inverts the
-level relation.
+level relation.  Each form's System, its species and pairing table with no
+screenings, companions or structure, is one step of its own (`gl11_system`,
+`rank1_system`, `form_system`), which its builder starts from and which the
+checks that read only the System call alone.
 
 Levels.  A realization is built at an exact level, either a Fraction or a
 RatFun in the formal parameter t.  The two sides of the duality are linked by
@@ -259,12 +262,17 @@ def gl11_structure(k1: Scalar, k2: Scalar) -> dict:
     return t
 
 
+def gl11_system(k1: Scalar, k2: Scalar) -> System:
+    """The System of the gl(1|1) Wakimoto realization alone."""
+    return register_system([*fermion_pair("b", "c"), heis("x1"), heis("x2")],
+                           gl11_pairing_table(k1, k2))
+
+
 def gl11_wakimoto(k1: Scalar, k2: Scalar) -> RealizationSpec:
     """Free-field image of the affine gl(1|1) currents, with screening."""
     if sc_is_zero(k1):
         raise ZeroK1("the gl(1|1) screening needs k1 != 0")
-    b, c = fermion_pair("b", "c")
-    sys = register_system([b, c, heis("x1"), heis("x2")], gl11_pairing_table(k1, k2))
+    sys = gl11_system(k1, k2)
     chi1, chi2 = gen("x1"), gen("x2")
     chi_sum = sadd(chi1, chi2)
     gmap = {
@@ -306,6 +314,26 @@ def _heis_names(lo, hi):
     return [f"a{i}" for i in range(lo, hi + 1)]
 
 
+def form_system(family: str, form: str, lv: LevelData) -> System:
+    """The System alone of a subregular or super form at lv: the Cartan bosons
+    of g1 at K1 (subregular) or g2 at K2 (super), behind a beta gamma or b c
+    pair (miura) or the lattice bosons (bosonized); or the coset basis."""
+    sub = family == "subregular"
+    G, K = (rd.g1_gram(lv.pair, lv.n), lv.K1) if sub else (rd.g2_gram(lv.pair, lv.n), lv.K2)
+    cartan = [heis(nm) for nm in _heis_names(1 if sub else 0, lv.n)]
+    if form == "miura":
+        halves = boson_pair("beta", "gamma") if sub else fermion_pair("b", "c")
+        return register_system([*halves, *cartan], _scaled(G, K))
+    if form == "bosonized":
+        lattice = [heis("x"), heis("y")] if sub else [heis("phi")]
+        norms = [[[Fraction(1)]], [[Fraction(-1)]]][:len(lattice)]
+        return register_system(lattice + cartan, _pairing(*norms, _scaled(G, K)),
+                               tuple(range(len(lattice))))
+    names = [f"{'at' if sub else 'bt'}{i}" for i in range(lv.n + 1)]
+    gram = _coset_gram_alpha(lv, K) if sub else _coset_gram_beta(lv, K)
+    return register_system([heis(nm) for nm in names], gram)
+
+
 def subregular_realization(pair: str, n: int, k: Level, form: str = "miura") -> RealizationSpec:
     lv = LevelData.from_k1(pair, n, k)
     if form not in _SUBREGULAR_FORMS:
@@ -317,8 +345,7 @@ def _subregular_miura(lv: LevelData) -> RealizationSpec:
     n, K = lv.n, lv.K1
     G = rd.g1_gram(lv.pair, n)
     names = _heis_names(1, n)
-    beta, gamma = boson_pair("beta", "gamma")
-    sys = register_system([beta, gamma] + [heis(nm) for nm in names], _scaled(G, K))
+    sys = form_system("subregular", "miura", lv)
     a1 = gen("a1")
     gmap = {
         "e1": gen("beta"),
@@ -362,11 +389,8 @@ def _subregular_miura(lv: LevelData) -> RealizationSpec:
 
 def _subregular_bosonized(lv: LevelData) -> RealizationSpec:
     n, K = lv.n, lv.K1
-    G = rd.g1_gram(lv.pair, n)
     names = _heis_names(1, n)
-    table = _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(G, K))
-    sys = register_system([heis("x"), heis("y")] + [heis(nm) for nm in names], table,
-                          lattice_indices=(0, 1))
+    sys = form_system("subregular", "bosonized", lv)
     xy = direction_of(sys, {"x": Fraction(1), "y": Fraction(1)})
     gmap = {
         "beta": exp_op(sys, Fraction(1), xy),
@@ -405,7 +429,7 @@ def _coset_gram_alpha(lv: LevelData, K):
 def _subregular_coset(lv: LevelData) -> RealizationSpec:
     n, K = lv.n, lv.K1
     names = [f"at{i}" for i in range(n + 1)]
-    sys = register_system([heis(nm) for nm in names], _coset_gram_alpha(lv, K))
+    sys = form_system("subregular", "coset", lv)
     cs = [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (lv.r * K)]
     screenings = _screenings(sys, [(f"Qt{i}", c, {nm: Fraction(1)}, None)
                                    for i, (nm, c) in enumerate(zip(names, cs))])
@@ -434,8 +458,7 @@ def _super_miura(lv: LevelData) -> RealizationSpec:
     n, r, K2 = lv.n, lv.r, lv.K2
     G = rd.g2_gram(lv.pair, n)
     names = _heis_names(0, n)
-    b, c = fermion_pair("b", "c")
-    sys = register_system([b, c] + [heis(nm) for nm in names], _scaled(G, K2))
+    sys = form_system("super", "miura", lv)
     a0, a1 = gen("a0"), gen("a1")
     # embedded gl(1|1) Wakimoto with chi1+chi2 = -r a0, chi2 = r a1, k1 = -r K2
     gmap = {
@@ -472,11 +495,8 @@ def _super_miura(lv: LevelData) -> RealizationSpec:
 
 def _super_bosonized(lv: LevelData) -> RealizationSpec:
     n, K2 = lv.n, lv.K2
-    G = rd.g2_gram(lv.pair, n)
     names = _heis_names(0, n)
-    sys = register_system([heis("phi")] + [heis(nm) for nm in names],
-                          _pairing([[Fraction(1)]], _scaled(G, K2)),
-                          lattice_indices=(0,))
+    sys = form_system("super", "bosonized", lv)
     phi = direction_of(sys, {"phi": Fraction(1)})
     gmap = {"b": exp_op(sys, Fraction(1), phi), "c": exp_op(sys, Fraction(-1), phi)}
     screenings = _screenings(sys, [
@@ -507,9 +527,9 @@ def _coset_gram_beta(lv: LevelData, K2):
 
 
 def _super_coset(lv: LevelData) -> RealizationSpec:
-    n, K2 = lv.n, lv.K2
+    n = lv.n
     names = [f"bt{i}" for i in range(n + 1)]
-    sys = register_system([heis(nm) for nm in names], _coset_gram_beta(lv, K2))
+    sys = form_system("super", "coset", lv)
     screenings = _screenings(sys, [(f"Qt{i}", Fraction(1), {nm: Fraction(1)}, None)
                                    for i, nm in enumerate(names)])
     return RealizationSpec(
@@ -596,11 +616,16 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
 # rank-1 Feigin-Frenkel pair and the catalog index
 # ---------------------------------------------------------------------------
 
+def rank1_system(K: Level) -> System:
+    """The System of the rank-1 pair alone: one boson of squared norm 2K."""
+    return register_system([heis("a")], [[2 * K]])
+
+
 def rank1_ff(K: Level):
     """One boson of squared norm 2K with the dual pair of screenings."""
     if sc_is_zero(K):
         raise ExcludedLevel("K = 0 is excluded")
-    sys = register_system([heis("a")], [[2 * K]])
+    sys = rank1_system(K)
     screenings = _screenings(sys, [("e^a", Fraction(1), {"a": Fraction(1)}, None),
                                    ("e^(-a/K)", -1 / K, {"a": Fraction(1)}, None)])
     return RealizationSpec(key="rank1-ff", system=sys, generator_map={},
@@ -666,14 +691,15 @@ def get_realization(key: str, k1: Level = None, k2: Level = None) -> Realization
 
 
 def enumerable_counting_systems():
-    """Catalog systems with finite graded slices, for counting consistency."""
-    out = [("wakimoto-gl11", gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)).system),
-           ("rank1-ff", rank1_ff(Fraction(7, 2)).system)]
+    """Catalog systems with finite graded slices, for counting consistency;
+    each is built alone, with no realization around it."""
+    out = [("wakimoto-gl11", gl11_system(Fraction(7, 2), Fraction(1, 3))),
+           ("rank1-ff", rank1_system(Fraction(7, 2)))]
     forms = (("subregular", "bosonized"), ("subregular", "coset"),
              ("super", "miura"), ("super", "bosonized"), ("super", "coset"))
     for pair in rd.PAIRS:
         for n in (2, 3):
-            for fam, form in forms:
-                key = f"{fam}-{pair}:{n}:{form}"
-                out.append((key, get_realization(key, Fraction(-14, 5)).system))
+            lv = LevelData.from_k1(pair, n, Fraction(-14, 5))
+            out += [(f"{fam}-{pair}:{n}:{form}", form_system(fam, form, lv))
+                    for fam, form in forms]
     return out

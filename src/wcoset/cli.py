@@ -231,11 +231,9 @@ def cmd_duality(args, cfg) -> int:
 
 def cmd_gram(args, cfg) -> int:
     rep = ver.Report("gram", {"pair": args.pair, "n": args.n, "k1": str(args.k1)})
-    sub = cat.subregular_realization(args.pair, args.n, args.k1, "coset")
-    ell = cat.dual_level(args.pair, args.n, args.k1)
-    sup = cat.principal_super_realization(args.pair, args.n, ell, "coset")
-    ga = [[str(x) for x in row] for row in sub.system.pairing]
-    gb = [[str(x) for x in row] for row in sup.system.pairing]
+    lv = cat.LevelData.from_k1(args.pair, args.n, args.k1)
+    ga, gb = ([[str(x) for x in row] for row in cat.form_system(fam, "coset", lv).pairing]
+              for fam in ("subregular", "super"))
     rep.add("gram(alpha~) = gram(beta~)", ga, gb)
     return _write(rep, args, cfg, "gram")
 

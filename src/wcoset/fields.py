@@ -52,8 +52,9 @@ is a canonical basis monomial, so every sign is carried by its coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import MomentumMismatch, NonSymmetric, ParityMismatch
@@ -98,6 +99,13 @@ class ExpOp:
     coeff: Scalar
     direction: tuple  # zero-mode coefficients over the heisenberg species
     shift: Momentum
+
+    def __hash__(self) -> int:  # hashed per residue slice; a Fraction hashes slowly
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coeff, self.direction, self.shift))
 
 
 def exp_op(sys: System, c: Scalar, direction) -> ExpOp:
@@ -295,19 +303,20 @@ def weight(sys: System, expr: FieldExpr, mu: Momentum) -> int:
 # elementary mode actions
 # ---------------------------------------------------------------------------
 
-def _annihilations(sys: System, idx: int, state: FockState, n: Optional[int] = None) -> dict:
+def _annihilations(sys: System, idx: int, modes: tuple, mu: Momentum,
+                   n: Optional[int] = None) -> dict:
     """{(m, remaining modes): nonzero coefficient} of the modes g_(m), m >= 0,
-    of generator idx on a canonical state: m = n alone, or every m if n is None.
-    A Heisenberg g_(0) is the momentum value and g_(m) contracts each mode
-    h(-m) for m (g|h); a pair half contracts each partner mode at depth m + 1
-    for its pair sign, negated when g is odd and passes an odd number of odd
-    modes.  Contracting equal modes gives one merged term."""
+    of generator idx on the canonical state of `modes` over mu: m = n alone,
+    or every m if n is None.  A Heisenberg g_(0) is the momentum value and
+    g_(m) contracts each mode h(-m) for m (g|h); a pair half contracts each
+    partner mode at depth m + 1 for its pair sign, negated when g is odd and
+    passes an odd number of odd modes.  Contracting equal modes gives one
+    merged term."""
     sp = sys.species[idx]
-    modes = state.modes
     acc, terms = {}, []  # terms: (m, position of the contracted mode, coefficient)
     if sp.is_heis:
         if not n:
-            val = sys.momentum_value(state.momentum, idx)
+            val = sys.momentum_value(mu, idx)
             if not sc_is_zero(val):
                 acc[0, modes] = val
         for i, (s, d) in enumerate(modes):
@@ -334,8 +343,8 @@ def _gen_mode(sys: System, idx: int, n: int, state: FockState) -> LinComb:
     if n <= -1:
         out = normal_form(sys, state.momentum, ((idx, -n),) + state.modes)
         return {} if out is None else {out[0]: Fraction(out[1])}
-    return {FockState(state.momentum, rest): v
-            for (_, rest), v in _annihilations(sys, idx, state, n).items()}
+    return {FockState(state.momentum, rest): v for (_, rest), v in
+            _annihilations(sys, idx, state.modes, state.momentum, n).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +358,7 @@ class _ExpRecord:
     eps: int          # two-cocycle eps(s, mu)
     target: Momentum  # mu + s
     factors: dict     # Heisenberg species s -> its nonzero -c (lambda|h_s)
-    parts: list       # E- degree parts P_0, P_1, ..., {packed key: w}, shared by all momenta
+    parts: list       # E- parts P_0, P_1, ... on the field, shared by all momenta
     zparts: Optional[list]  # the same over Z (see _grow_parts); None with a RatFun
     zfactors: Optional[tuple] = None  # (D, {s: D f}), built on first use
 
@@ -366,34 +375,42 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
         if shared is None:
             rational = not any(isinstance(x, RatFun)
                                for x in (op.coeff, *op.direction, *factors.values()))
-            shared = cache[op] = ([{0: Fraction(1)}], [(1, {0: 1})] if rational else None)
+            shared = cache[op] = ([(1, {0: Fraction(1)})], [(1, {0: 1})] if rational else None)
         rec = _ExpRecord(p, sys.cocycle(op.shift, mu), mu + op.shift,
                          factors, *shared)
         cache[(op, mu)] = rec
     return rec
 
 
-def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int) -> None:
-    """Extend the E- parts through P_top: a P_a = c sum_{m=1..a} lambda_(-m) P_(a-m),
-    over commuting creation monomials keyed by their packed key.  With
-    rational constants each part is also kept over Z, as (L_a, {key: L_a w})
-    with L_a the lcm of the denominators of P_0..P_a."""
-    parts, zparts = rec.parts, rec.zparts
-    pk = sys._packing
-    lam = [(idx, c) for idx, c in zip(sys.heis_indices, op.direction) if not sc_is_zero(c)]
+def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int, field: bool) -> None:
+    """Extend the E- parts of a ring through P_top, each (L_a, {packed key of a
+    monomial: L_a w}): a P_a = sum_{m=1..a} c lambda_(-m) P_(a-m).  On the
+    field L_a = 1.  Over Z, with c lambda = u / q, the sum M over the integer
+    parts scaled to L_(a-1) is a q L_(a-1) P_a; divided by the content g of M
+    and a q L_(a-1), the denominator left is the lcm of those of P_a, so L_a is
+    the lcm of the denominators of P_0..P_a and no Fraction is made."""
+    parts, pk = rec.parts if field else rec.zparts, sys._packing
+    if len(parts) > top:
+        return
+    lam = [(idx, op.coeff * c) for idx, c in zip(sys.heis_indices, op.direction)
+           if not sc_is_zero(c)]
+    q = 1 if field else lcm(*[c.denominator for _, c in lam])
+    lam = lam if field else [(idx, c.numerator * (q // c.denominator)) for idx, c in lam]
     for a in range(len(parts), top + 1):
-        part = {}
+        L, part = parts[-1][0], {}
         for m in range(1, a + 1):
-            for key, v in parts[a - m].items():
-                for idx, c in lam:
+            Lm, prev = parts[a - m]
+            for key, v in prev.items():
+                v = v if L == Lm else v * (L // Lm)
+                for idx, u in lam:
                     old = part.get(key + pk[(idx, m)])
-                    part[key + pk[(idx, m)]] = v * c if old is None else old + v * c
-        part = {key: v * op.coeff / a for key, v in part.items()}
-        parts.append(part)
-        if zparts is not None:
-            L = lcm(zparts[-1][0], *[w.denominator for w in part.values()])
-            zparts.append((L, {key: w.numerator * (L // w.denominator)
-                               for key, w in part.items()}))
+                    part[key + pk[(idx, m)]] = v * u if old is None else old + v * u
+        if field:
+            parts.append((1, {key: v / a for key, v in part.items()}))
+            continue
+        g = gcd(a * q * L, *part.values())
+        E = a * q * L // g
+        parts.append((lcm(L, E), {key: v // g * (lcm(L, E) // E) for key, v in part.items()}))
 
 
 def _int_factors(rec: _ExpRecord) -> tuple:
@@ -416,23 +433,22 @@ def _suffix_image(ctx, memo, np: int, fmodes: tuple, i: int, key: int, b: int) -
     closure: with its memo that would be a reference cycle."""
     D, factors, parts, pk = ctx
     top = b - np - 1
-    if i == len(fmodes):
-        return parts[top]
-    got = memo.get((np, key))
-    if got is None:
-        (s, d), w = fmodes[i], pk[fmodes[i]]
-        L, cut = _suffix_image(ctx, memo, np - d, fmodes, i + 1, key - w, b - d)
-        f = factors[s]
-        image = {k: v * f for k, v in cut.items()}
-        if top >= d:
-            L_kept, kept = _suffix_image(ctx, memo, np, fmodes, i + 1, key - w, b - d)
-            m = D * (L // L_kept)
-            for k, v in kept.items():
-                k += w
-                t = image.pop(k, 0) + v * m
-                if t:
-                    image[k] = t
-        memo[(np, key)] = got = (L, image)
+    (s, d), w = fmodes[i], pk[fmodes[i]]
+    leaf = i + 1 == len(fmodes)  # the rest of the suffix is empty: a part
+    L, cut = (parts[top] if leaf else memo.get((np - d, key - w))
+              or _suffix_image(ctx, memo, np - d, fmodes, i + 1, key - w, b - d))
+    f = factors[s]
+    image = {k: v * f for k, v in cut.items()}
+    if top >= d:
+        L_kept, kept = (parts[top - d] if leaf else memo.get((np, key - w))
+                        or _suffix_image(ctx, memo, np, fmodes, i + 1, key - w, b - d))
+        m = D * (L // L_kept)
+        for k, v in kept.items():
+            k += w
+            t = image.pop(k, 0) + v * m
+            if t:
+                image[k] = t
+    memo[(np, key)] = got = (L, image)
     return got
 
 
@@ -443,17 +459,20 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
     (n)-mode image of a canonical state with the creation mode `front` (or
     None) ahead: the suffix image of its contracted modes, each key plus its
     other modes and the front, signed by front_sign (E+ and E- touch only even
-    modes).  A column is written once through `index` ({packed key: target
-    index}, KeyError off it; the key itself if None).  Over Z, with Q the lcm
+    modes).  A seed is an int, a Fraction or a RatFun; a job of one place with
+    nothing yet in its column writes the column, any other sums into it.  A
+    column is written once through `index` ({packed key: target index},
+    KeyError off it; the key itself if None).  Over Z, with Q the lcm
     denominator of the parts through the call's top, S that of the seeds and
     nmax the most modes of a state, an entry is its value times Z = D^nmax Q
-    S; over the field, chosen once per call, Z is None.  Suffix images keep
-    their own L, so calls on one System share `memo`, a dict per op and ring."""
+    S; over the field, chosen once per call by the record and the seeds, Z is
+    None.  Suffix images keep their own L, so calls on one System share
+    `memo`, a dict per op and ring."""
     pk, p, contracted = sys._packing, rec.p, rec.factors
-    nmax, top, split, seeds = 0, -1, [], []
+    nmax, top, S, field, split = 0, -1, 1, rec.zparts is None, []
     for column in columns:
-        split.append([])
-        for modes, v, places in column:
+        jobs = []
+        for modes, seed, places in column:
             fmodes, key, kept, b = [], 0, 0, 0
             for mode in modes:
                 if mode[0] in contracted:
@@ -466,28 +485,33 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
                 nmax = len(modes)
             if places and b - places[0][0] - 1 - p > top:
                 top = b - places[0][0] - 1 - p
-            split[-1].append((modes, v, places, tuple(fmodes), key, kept, b))
-            seeds.append(v)
-    field = rec.zparts is None or any(isinstance(v, RatFun) for v in seeds)
-    D, factors = (1, rec.factors) if field else _int_factors(rec)
-    S = 1 if field else lcm(*[v.denominator for v in seeds])
+            if type(seed) is not int:
+                if isinstance(seed, RatFun):
+                    field = True
+                else:
+                    S = lcm(S, seed.denominator)
+            jobs.append((modes, seed, places, tuple(fmodes), key, kept, b))
+        split.append(jobs)
     pk.check(nmax + top + 1)  # a digit counts a kept mode, one of P_a's and the front
-    _grow_parts(sys, op, rec, top)
-    parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts
+    D, factors = (1, rec.factors) if field else _int_factors(rec)
+    S, parts = (1, rec.parts) if field else (S, rec.zparts)
+    _grow_parts(sys, op, rec, top, field)
     Q = parts[top][0] if top >= 0 else 1
-    ctx, powers = (D, factors, parts, pk), [D ** e for e in range(nmax + 1)]
+    ctx, powers = (D, factors, parts, pk), [D ** e * S for e in range(nmax + 1)]
     memo = {} if memo is None else memo.setdefault((op, field), {})
     out, index = [], _PACKED if index is None else index
     for jobs in split:
         acc = None
         for modes, seed, places, fmodes, key, kept, b in jobs:
             if not field:
-                seed = seed.numerator * (S // seed.denominator) * powers[nmax - len(fmodes)]
+                e = powers[nmax - len(fmodes)]
+                seed = seed * e if type(seed) is int else seed.numerator * (e // seed.denominator)
             for n, front in places:
                 sign = 1 if front is None else front_sign(sys, front, modes)
                 if b - n - 1 - p < 0 or not sign:
                     continue
-                L, image = _suffix_image(ctx, memo, n + p, fmodes, 0, key, b)
+                L, image = (parts[b - n - 1 - p] if not fmodes else memo.get((n + p, key))
+                            or _suffix_image(ctx, memo, n + p, fmodes, 0, key, b))
                 s = seed if sign == 1 and L == Q else seed * (sign * (Q // L))
                 w = kept if front is None else kept + pk[front]
                 if acc is None:
@@ -499,7 +523,7 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
                     if t:
                         acc[k] = t
         out.append({} if acc is None else acc)
-    return None if field else powers[nmax] * Q * S, out
+    return None if field else powers[nmax] * Q, out
 
 
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
@@ -510,38 +534,44 @@ def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
             for key, v in img.items()}
 
 
-def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp,
-                   mu: Momentum, vectors, index=None, memo=None) -> tuple:
+def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp, mu: Momentum,
+                   columns, index=None, memo=None, degree: Optional[int] = None) -> tuple:
     """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
-    generator g or Scale(a, g)) on vectors over mu, each an iterable of (state,
-    coefficient): (Z, one image over mu + s per vector), as _images gives them.
+    generator g or Scale(a, g)) on columns over mu, each a list of (modes,
+    coefficient) of canonical states: (Z, one image over mu + s per column),
+    as _images gives them.  Every state has degree `degree` if it is given,
+    and otherwise its own, read off its modes.
 
     The (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j
-    E_(-1-j) g_(j) (see mode_apply), and all the vectors are one _images
-    call, a vector one column: a state's job puts g_(-1-j) as the front of
-    the images of E_(j), one suffix image each, and each term of the second
-    sum, from one _annihilations walk of the state, seeds a job of its own.
-    The scale a and the state's coefficient multiply its seeds.
+    E_(-1-j) g_(j) (see mode_apply), and all the columns are one _images
+    call: a state's job puts g_(-1-j) as the front of the images of E_(j),
+    one suffix image each, from places built once per degree, and each term
+    of the second sum, from one _annihilations walk of the modes, seeds a job
+    of its own.  eps a is folded once per call; it multiplies a coefficient
+    other than 1, and a term's coefficient other than +-1.
     """
     rec = _expop_record(sys, op, mu)
     a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
     eps = rec.eps * a
-    if g is not None:
-        idx = sys.index[g.name]
-        eps2 = -eps if parity(sys, g) * parity(sys, op) else eps  # seeds of the second sum
-    columns = []
-    for vector in vectors:
-        column = []
-        for s, x in vector:
-            if g is None:
-                column.append((s.modes, eps * x, ((0, None),)))
-                continue
-            places = [(j, (idx, j + 1)) for j in range(sys.state_degree(s) - rec.p)]
-            column.append((s.modes, eps * x, places))
-            column += [(rest, eps2 * x * v, ((-1 - j, None),))
-                       for (j, rest), v in _annihilations(sys, idx, s).items()]
-        columns.append(column)
-    return _images(sys, op, rec, columns, index, memo)
+    if g is None:
+        place = ((0, None),)
+        return _images(sys, op, rec, [[(modes, eps if x == 1 else eps * x, place)
+                                       for modes, x in column] for column in columns],
+                       index, memo)
+    idx = sys.index[g.name]
+    eps2 = -eps if parity(sys, g) * parity(sys, op) else eps  # seeds of the second sum
+    fronts, jobs = {}, []
+    for column in columns:
+        jobs.append([])
+        for modes, x in column:
+            d = sum(sys.mode_degree(*m) for m in modes) if degree is None else degree
+            if d not in fronts:
+                fronts[d] = tuple((j, (idx, j + 1)) for j in range(d - rec.p))
+            jobs[-1].append((modes, eps if x == 1 else eps * x, fronts[d]))
+            x2 = eps2 if x == 1 else eps2 * x
+            jobs[-1] += [(rest, v if x2 == 1 else -v if x2 == -1 else x2 * v, ((-1 - j, None),))
+                         for (j, rest), v in _annihilations(sys, idx, modes, mu).items()]
+    return _images(sys, op, rec, jobs, index, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +599,7 @@ def _modes_on(sys: System, expr: FieldExpr, state: FockState):
         return lambda m: mode_apply(sys, expr, m, state)
     idx = sys.index[expr.name]
     walked = {}
-    for (m, rest), v in _annihilations(sys, idx, state).items():
+    for (m, rest), v in _annihilations(sys, idx, state.modes, state.momentum).items():
         walked.setdefault(m, {})[FockState(state.momentum, rest)] = v
     return lambda m: walked.get(m, {}) if m >= 0 else _gen_mode(sys, idx, m, state)
 
@@ -667,7 +697,8 @@ def vacuum_coefficient(sys: System, lc: LinComb) -> Scalar:
 
 
 def current_gram(sys: System, currents) -> list:
-    """Matrix of second-order-pole coefficients of weight-1 even currents."""
+    """Matrix of second-order-pole coefficients of weight-1 even currents: the
+    vacuum coefficient of a_(1) b, the one mode read."""
     zero = sys.zero_momentum()
     for c in currents:
         if parity(sys, c) != 0 or weight(sys, c, zero) != 1:
@@ -677,8 +708,7 @@ def current_gram(sys: System, currents) -> list:
     G = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            poles = ope_poles(sys, currents[i], states[j], max_pole=2)
-            G[i][j] = vacuum_coefficient(sys, poles.get(2, {}))
+            G[i][j] = vacuum_coefficient(sys, mode_apply(sys, currents[i], 1, states[j]))
     for i in range(n):
         for j in range(i):
             if G[i][j] != G[j][i]:

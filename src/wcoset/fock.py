@@ -140,6 +140,7 @@ class System:
                 if pairing[i][j] != pairing[j][i]:
                     raise AsymmetricPairing("pairing table must be symmetric")
         self.pairing = tuple(tuple(row) for row in pairing)
+        self._zero = Momentum((Fraction(0),) * n)  # immutable, so shared
         self.lattice_indices = tuple(lattice_indices)
         self._lattice = ()  # (heisenberg position, norm) per lattice species
         for idx in self.lattice_indices:
@@ -175,7 +176,7 @@ class System:
     # -- momenta ----------------------------------------------------------------
 
     def zero_momentum(self) -> Momentum:
-        return Momentum((Fraction(0),) * len(self.heis_indices))
+        return self._zero
 
     def momentum(self, values) -> Momentum:
         vals = tuple(values)
@@ -381,13 +382,17 @@ def _check_cap(size: int, cap: Optional[int], degree: int) -> None:
         raise ResourceBound(f"slice size {size} exceeds cap {cap} (degree {degree})")
 
 
+def slice_modes(sys: System, degree: int, cap: Optional[int] = None) -> tuple:
+    """The degree slice as its canonical mode tuples, read off the slice table;
+    ResourceBound past the cap."""
+    shapes = _mode_sets(sys, degree) if degree >= 0 else ()
+    _check_cap(len(shapes), cap, degree)
+    return shapes
+
+
 def enumerate_basis(sys: System, mu: Momentum, degree: int, cap: Optional[int] = None):
     """Ordered basis of the degree slice of the Fock module over |mu>."""
-    if degree < 0:
-        return []
-    shapes = _mode_sets(sys, degree)
-    _check_cap(len(shapes), cap, degree)
-    return [FockState(mu, modes) for modes in shapes]
+    return [FockState(mu, modes) for modes in slice_modes(sys, degree, cap)]
 
 
 def slice_dimension(sys: System, degree: int) -> int:
@@ -397,9 +402,8 @@ def slice_dimension(sys: System, degree: int) -> int:
 
 def slice_index(sys: System, degree: int, cap: Optional[int] = None) -> dict:
     """{packed key: position} over the degree slice, built once per System."""
-    _check_cap(slice_dimension(sys, degree), cap, degree)
+    shapes = slice_modes(sys, degree, cap)
     if degree not in sys._indices:
-        shapes = _mode_sets(sys, degree) if degree >= 0 else ()
         sys._indices[degree] = {sys._packing.pack(m): i for i, m in enumerate(shapes)}
     return sys._indices[degree]
 

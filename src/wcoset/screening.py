@@ -30,10 +30,11 @@ from typing import Optional
 from .errors import InputError, MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, exp_power, lc_degree,
                      residue_images, weight)
-from .fock import Momentum, System, enumerate_basis, slice_index
+from .fock import Momentum, System, slice_index, slice_modes
 from .linalg import ZERO, column_kernel, column_rank, product_vanishes
 # not called here; bench/test_bench.py checks that its tracer patches these sites
 from .fields import mode_apply  # noqa: F401
+from .fock import enumerate_basis  # noqa: F401
 from .linalg import kernel_basis, mat_mul, rank  # noqa: F401
 
 
@@ -114,11 +115,11 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None,
     sys, shift_deg, memo = op.system, op.degree_shift(), {} if memo is None else memo
     pk, gm = sys._packing, GradedMap(op.source, op.target(), shift_deg)
     for d in degrees:
-        src = enumerate_basis(sys, op.source, d, cap)
+        src = slice_modes(sys, d, cap)
         index = slice_index(sys, d + shift_deg, cap)
         try:
             Z, columns = residue_images(sys, op.prefactor, op.exp, op.source,
-                                        [((s, 1),) for s in src], index, memo)
+                                        [((modes, 1),) for modes in src], index, memo, d)
         except KeyError as missing:
             degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(missing.args[0]))
             raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
@@ -188,10 +189,11 @@ def annihilates(ops, v: LinComb) -> bool:
     """True iff every screening residue of ops kills the homogeneous vector v."""
     if not (v and ops):
         return True
-    lc_degree(ops[0].system, v)  # homogeneity check
+    d = lc_degree(ops[0].system, v)  # homogeneity check
     momenta = {s.momentum for s in v}
     if len(momenta) > 1:
         raise MomentumMismatch("vector mixes momenta")
     mu, = momenta
-    return not any(residue_images(op.system, op.prefactor, op.exp, mu, [v.items()])[1][0]
+    column = [(s.modes, x) for s, x in v.items()]
+    return not any(residue_images(op.system, op.prefactor, op.exp, mu, [column], degree=d)[1][0]
                    for op in ops)

@@ -236,9 +236,8 @@ def check_rank1_ff_duality(K: Fraction, max_degree: int = 6,
     return rep
 
 
-def gram_of_coset(spec: cat.RealizationSpec):
+def gram_of_coset(sys: System):
     """Engine gram of the coset basis currents (matches the pairing table)."""
-    sys = spec.system
     return current_gram(sys, [gen(sp.name) for sp in sys.species])
 
 
@@ -257,17 +256,16 @@ def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
                                 f"{{{', '.join(str(x) for x in sorted(s1))}}}")
     rep = Report("coset-duality", {"pair": pair, "n": n, "k1": str(k1),
                                    "k2": str(lv.k2), "max_degree": max_degree})
-    sub_sym = sup_sym = None
-    if symbolic or symbolic_kernels:
-        sub_sym = cat.subregular_realization(pair, n, T, "coset")
-        ell_sym = cat.dual_level(pair, n, T)
-        sup_sym = cat.principal_super_realization(pair, n, ell_sym, "coset")
-    if symbolic:
-        ga, gb = sub_sym.system.pairing, sup_sym.system.pairing
-        rep.add_check("gram equality (symbolic K)", ga == gb)
+    if symbolic:  # the coset Systems alone: no screening is read
+        lv_sym = cat.LevelData.from_k1(pair, n, T)
+        sub_sys, sup_sys = (cat.form_system(fam, "coset", lv_sym)
+                            for fam in ("subregular", "super"))
+        rep.add_check("gram equality (symbolic K)", sub_sys.pairing == sup_sys.pairing)
         rep.add_check("engine gram = table (symbolic)",
-                      [list(row) for row in ga] == gram_of_coset(sub_sym))
+                      [list(row) for row in sub_sys.pairing] == gram_of_coset(sub_sys))
     if symbolic_kernels:
+        sub_sym = cat.subregular_realization(pair, n, T, "coset")
+        sup_sym = cat.principal_super_realization(pair, n, cat.dual_level(pair, n, T), "coset")
         # kernel dims over the rational-function field: a generic-level
         # certificate, valid away from the vanishing loci of the pivots
         degrees = range(min(symbolic_kernels, max_degree) + 1)

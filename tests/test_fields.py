@@ -202,18 +202,18 @@ def test_current_gram_builds_one_state_per_current(monkeypatch):
 
 
 def test_current_gram_refuses_an_asymmetric_entry(monkeypatch):
-    # perturb the (x, y) pole only: (y, x) stays 0, so the refusal must fire
+    # perturb x_(1) on the state of y only, the one mode the Gram reads:
+    # y_(1) on the state of x stays 0, so the refusal must fire
     sys = lattice_L1()
     y_state = state_of_field(sys, gen("y"))
-    original = fields.ope_poles
+    original = fields.mode_apply
 
-    def perturbed(sys_, a, v, max_pole=None):
-        poles = original(sys_, a, v, max_pole)
-        if a == gen("x") and v == y_state:
-            poles[2] = {sys.vacuum(): Fraction(1)}
-        return poles
+    def perturbed(sys_, expr, n, arg):
+        if expr == gen("x") and n == 1 and arg == y_state:
+            return {sys.vacuum(): Fraction(1)}
+        return original(sys_, expr, n, arg)
 
-    monkeypatch.setattr(fields, "ope_poles", perturbed)
+    monkeypatch.setattr(fields, "mode_apply", perturbed)
     with pytest.raises(NonSymmetric, match=r"\(1,0\) != \(0,1\)"):
         current_gram(sys, [gen("x"), gen("y")])
 
@@ -354,7 +354,8 @@ def _annihilation_oracle(sys, idx, n, state):
 
 
 def _walk(sys, idx, state, n=None):
-    return {key: (type(v), str(v)) for key, v in _annihilations(sys, idx, state, n).items()}
+    return {key: (type(v), str(v))
+            for key, v in _annihilations(sys, idx, state.modes, state.momentum, n).items()}
 
 
 @pytest.mark.parametrize("k1", [Fraction(7, 2), T], ids=str)
@@ -386,8 +387,9 @@ def test_annihilation_walk_merges_repeated_partner_modes():
     state = st(sys, ("gamma", 2), ("gamma", 1), ("gamma", 1))
     assert sys.pair_sign(b) == 1
     want = {(1, ((g, 1), (g, 1))): Fraction(1), (0, ((g, 2), (g, 1))): Fraction(2)}
-    assert _annihilations(sys, b, state) == want
-    assert _annihilations(sys, b, state, 0) == {(0, ((g, 2), (g, 1))): Fraction(2)}
+    assert _annihilations(sys, b, state.modes, state.momentum) == want
+    assert _annihilations(sys, b, state.modes, state.momentum, 0) == {
+        (0, ((g, 2), (g, 1))): Fraction(2)}
     for n in range(3):
         assert _walk(sys, b, state, n) == _annihilation_oracle(sys, b, n, state)
 
@@ -399,9 +401,10 @@ def test_annihilation_walk_drops_zero_terms():
     # a pairs with h to 0, and the momentum is zero: a_(0) and a_(1), a_(2) on
     # the h modes all vanish
     state = st(sys, ("h", 2), ("h", 1))
-    assert _annihilations(sys, a, state) == {}
+    assert _annihilations(sys, a, state.modes, state.momentum) == {}
     state = st(sys, ("a", 1), ("h", 2), ("h", 1))
-    assert _annihilations(sys, a, state) == {(1, state.modes[1:]): Fraction(1)}
+    assert _annihilations(sys, a, state.modes, state.momentum) == {
+        (1, state.modes[1:]): Fraction(1)}
     for n in range(3):
         assert _walk(sys, a, state, n) == _annihilation_oracle(sys, a, n, state)
 
@@ -822,6 +825,54 @@ def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
     assert image((b, 2), ((b, 2),)) == {}
 
 
+def test_odd_front_repeating_a_mode_adds_nothing_among_shared_places():
+    # a slice's front places are built once and shared by its states: on a
+    # state holding b(-1), the place whose front is b(-1) has sign 0 and adds
+    # nothing, and the job's other place still counts
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    sys = spec.system
+    exp = spec.screenings[0].exp
+    rec = fields._expop_record(sys, exp, spec.screenings[0].source)
+    b = sys.index["b"]
+    modes = ((b, 1),)
+    places = ((-2 - rec.p, (b, 1)), (-1 - rec.p, (b, 2)))
+    assert front_sign(sys, (b, 1), modes) == 0
+
+    def image(places):
+        Z, (img,) = fields._images(sys, exp, rec, [[(modes, 1, places)]])
+        return {key: Fraction(v, Z) for key, v in img.items()}
+
+    assert image(places[:1]) == {}
+    assert image(places) == image(places[1:]) == {sys._packing.pack(((b, 2), (b, 1))): 1}
+
+
+def test_heisenberg_zero_mode_reads_the_momentum():
+    # x1_(0) on modes over mu is mu's x1 value, a term of its own beside the
+    # contractions; through residue_images it seeds the E_(-1) job of :x1 E:
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    sys = spec.system
+    op = cat.wakimoto_shifted_screening(spec, 2)
+    x1, x2 = sys.index["x1"], sys.index["x2"]
+    modes, mu = ((x1, 2), (x2, 1)), op.source
+    assert sys.momentum_value(mu, x1) == -2
+    contractions = {(2, ((x2, 1),)): 2 * sys.pairing_of(x1, x1),
+                    (1, ((x1, 2),)): sys.pairing_of(x1, x2)}
+    assert all(contractions.values())
+    assert _annihilations(sys, x1, modes, mu) == {(0, modes): Fraction(-2), **contractions}
+    assert _annihilations(sys, x1, modes, mu, 0) == {(0, modes): Fraction(-2)}
+    assert _annihilations(sys, x1, modes, sys.zero_momentum()) == contractions
+    Z, (img,) = fields.residue_images(sys, gen("x1"), op.exp, mu, [[(modes, 1)]])
+    got = {FockState(op.target(), sys._packing.unpack(k)): Fraction(v, Z) for k, v in img.items()}
+    want = mode_apply(sys, nord(gen("x1"), op.exp), 0, FockState(mu, modes))
+    assert got == want and want
+    # on |mu> itself the x1_(0) term is the whole residue: -2 eps |mu + s>
+    Z, (img,) = fields.residue_images(sys, gen("x1"), op.exp, mu, [[((), 1)]])
+    eps = fields._expop_record(sys, op.exp, mu).eps
+    assert {k: Fraction(v, Z) for k, v in img.items()} == {0: -2 * eps}
+    assert mode_apply(sys, nord(gen("x1"), op.exp), 0, FockState(mu, ())) == {
+        FockState(op.target(), ()): -2 * eps}
+
+
 # ---------------------------------------------------------------------------
 # the suffix-image core against the E+ table it replaced
 # ---------------------------------------------------------------------------
@@ -888,9 +939,17 @@ def ref_images(sys, op, rec, columns) -> tuple:
             top = max(top, max(tables[-1][1])[0] - min(places)[0] - 1 - rec.p)
     # a digit of an image counts a kept mode, one of P_a's and the front
     pk.check(nmax + top + 1)
-    if top >= len(rec.parts):
-        fields._grow_parts(sys, op, rec, top)
-    parts = [(1, part) for part in rec.parts[:top + 1]] if field else rec.zparts[:top + 1]
+    # the parts on the field, put over Z here apart from the core's own Z
+    # parts: each over the lcm L_a of the denominators of P_0..P_a
+    fields._grow_parts(sys, op, rec, top, True)
+    parts = rec.parts[:top + 1]
+    if not field:
+        L, zparts = 1, []
+        for _, part in parts:
+            L = math.lcm(L, *[w.denominator for w in part.values()])
+            zparts.append((L, {key: w.numerator * (L // w.denominator)
+                               for key, w in part.items()}))
+        parts = zparts
     Q = parts[-1][0] if parts else 1
     Z, scales = D ** nmax * Q * S, [Q // L for L, _ in parts]
     negated = [-x for x in scales]

@@ -102,12 +102,16 @@ def write_block(gm, d, M):
     gm.slices[d] = as_slice(M, len(gm.slices[d][1]))
 
 
+def columns_of(vectors):
+    """Vectors as residue_images takes them: columns of (modes, coefficient)."""
+    return [[(s.modes, x) for s, x in v.items()] for v in vectors]
+
+
 def apply_residue(op, vectors):
     """op's residue on each vector (a LinComb over op.source), through
     residue_images, as LinCombs over op.target()."""
     sys = op.system
-    Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
-                               [v.items() for v in vectors])
+    Z, images = residue_images(sys, op.prefactor, op.exp, op.source, columns_of(vectors))
     return [{FockState(op.target(), sys._packing.unpack(key)): x
              for key, x in image_values(Z, img).items()} for img in images]
 
@@ -595,8 +599,7 @@ def test_residue_images_match_mode_apply_on_vectors(name):
     nonzero = 0
     for op, oop in zip(ops, oops):
         vectors = random_vectors(rng, sys, op.source, 9)
-        Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
-                                   [v.items() for v in vectors])
+        Z, images = residue_images(sys, op.prefactor, op.exp, op.source, columns_of(vectors))
         assert len(images) == len(vectors) and images[0] == {}
         for v, image in zip(vectors, (image_values(Z, img) for img in images)):
             want = mode_apply(osys, screening_field(oop), 0, v)
@@ -627,7 +630,7 @@ def test_blocks_view_is_the_residue_images_over_their_denominator(name):
             src = enumerate_basis(sys, op.source, d)
             tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
             Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
-                                       [((s, 1),) for s in src])
+                                       [((s.modes, 1),) for s in src], degree=d)
             assert (Z is None) == symbolic and gm.slices[d][0] == Z
             index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
             dense = [[Fraction(0)] * len(src) for _ in tgt]

@@ -9,7 +9,7 @@ from wcoset import verify as ver
 from wcoset.errors import ResourceBound
 from wcoset.fields import (current_gram, gen, ope_singular, scale, state_of_field,
                            vacuum_coefficient)
-from wcoset.scalars import T
+from wcoset.scalars import RatFun, T
 from wcoset.screening import annihilates
 
 
@@ -67,6 +67,57 @@ def test_checks_never_read_dense_blocks(monkeypatch):
     assert ver.check_coset_duality("sl", 2, Fraction(16, 7), 4).status == "pass"
     assert ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2).status == "pass"
     assert ver.full_battery(random.Random(1)).status == "pass"
+
+
+def test_residue_slices_build_no_fock_state(monkeypatch):
+    # a residue slice is read off the slice table: with enumerate_basis and
+    # FockState construction refused, coset duality runs whole, and so do the
+    # residue maps of the resolution (its annihilation checks apply the
+    # generators to states, so there FockState is refused inside the maps)
+    from wcoset import fock
+
+    def refused(*args, **kwargs):
+        raise AssertionError("refused")
+
+    dual = ver.check_coset_duality("so", 3, Fraction(16, 7), 4, symbolic=False)
+    res = ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2)
+    monkeypatch.setattr(fock, "enumerate_basis", refused)
+    monkeypatch.setattr(screening, "enumerate_basis", refused)
+    real_map = ver.residue_map
+
+    def guarded_map(*args):
+        with monkeypatch.context() as m:
+            m.setattr(fock.FockState, "__init__", refused)
+            return real_map(*args)
+
+    monkeypatch.setattr(ver, "residue_map", guarded_map)
+    assert ver.check_resolution(Fraction(7, 2), Fraction(1, 3), 3, 2) == res
+    monkeypatch.setattr(fock.FockState, "__init__", refused)
+    assert ver.check_coset_duality("so", 3, Fraction(16, 7), 4, symbolic=False) == dual
+    assert dual.status == res.status == "pass"
+    # the guard bites: the symbolic Gram check applies currents to states
+    with pytest.raises(AssertionError, match="refused"):
+        ver.check_coset_duality("so", 3, Fraction(16, 7), 1)
+
+
+def test_symbolic_gram_check_builds_systems_alone(monkeypatch):
+    # the pairing tables and the engine Gram read only the coset Systems: a
+    # realization at t is built only when kernels over Q(t) are asked for
+    def rational_only(build):
+        def checked(pair, n, k, form="miura"):
+            if isinstance(k, RatFun):
+                raise AssertionError("a realization at t was built")
+            return build(pair, n, k, form)
+        return checked
+
+    for name in ("subregular_realization", "principal_super_realization"):
+        monkeypatch.setattr(cat, name, rational_only(getattr(cat, name)))
+    rep = ver.check_coset_duality("sl", 2, Fraction(16, 7), 2)
+    assert [i.id for i in rep.items] == ["gram equality (symbolic K)",
+                                         "engine gram = table (symbolic)"]
+    assert rep.status == "pass"
+    with pytest.raises(AssertionError, match="realization at t"):
+        ver.check_coset_duality("sl", 2, Fraction(16, 7), 2, symbolic_kernels=2)
 
 
 def test_check_resolution_builds_one_map_per_screening(monkeypatch):
