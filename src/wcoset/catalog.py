@@ -12,10 +12,9 @@ diagonal of a pairing table; `_screenings` builds the screening operators on
 the vacuum module from (name, c, {species: coefficient}, prefactor) rows;
 `_attach_companions` gives a Miura side its companion intertwiners and their
 covariance table; `_parse_key` checks a catalog key; and `_dual` inverts the
-level relation.  Each form's System, its species and pairing table with no
-screenings, companions or structure, is one step of its own (`gl11_system`,
-`rank1_system`, `form_system`), which its builder starts from and which the
-checks that read only the System call alone.
+level relation.  A form's System alone, its species and pairing table, is a
+step of its own (`gl11_system`, `rank1_system`, `form_system`) for checks
+that read no screening.
 
 Levels.  A realization is built at an exact level, either a Fraction or a
 RatFun in the formal parameter t.  The two sides of the duality are linked by
@@ -329,9 +328,8 @@ def form_system(family: str, form: str, lv: LevelData) -> System:
         norms = [[[Fraction(1)]], [[Fraction(-1)]]][:len(lattice)]
         return register_system(lattice + cartan, _pairing(*norms, _scaled(G, K)),
                                tuple(range(len(lattice))))
-    names = [f"{'at' if sub else 'bt'}{i}" for i in range(lv.n + 1)]
     gram = _coset_gram_alpha(lv, K) if sub else _coset_gram_beta(lv, K)
-    return register_system([heis(nm) for nm in names], gram)
+    return register_system([heis(f"{'at' if sub else 'bt'}{i}") for i in range(lv.n + 1)], gram)
 
 
 def subregular_realization(pair: str, n: int, k: Level, form: str = "miura") -> RealizationSpec:
@@ -427,12 +425,10 @@ def _coset_gram_alpha(lv: LevelData, K):
 
 
 def _subregular_coset(lv: LevelData) -> RealizationSpec:
-    n, K = lv.n, lv.K1
-    names = [f"at{i}" for i in range(n + 1)]
-    sys = form_system("subregular", "coset", lv)
+    n, K, sys = lv.n, lv.K1, form_system("subregular", "coset", lv)
     cs = [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (lv.r * K)]
-    screenings = _screenings(sys, [(f"Qt{i}", c, {nm: Fraction(1)}, None)
-                                   for i, (nm, c) in enumerate(zip(names, cs))])
+    screenings = _screenings(sys, [(f"Qt{i}", c, {sp.name: Fraction(1)}, None)
+                                   for i, (sp, c) in enumerate(zip(sys.species, cs))])
     return RealizationSpec(
         key=f"subregular-{lv.pair}:{n}:coset", system=sys, generator_map={},
         screenings=screenings, level=lv)
@@ -527,13 +523,11 @@ def _coset_gram_beta(lv: LevelData, K2):
 
 
 def _super_coset(lv: LevelData) -> RealizationSpec:
-    n = lv.n
-    names = [f"bt{i}" for i in range(n + 1)]
     sys = form_system("super", "coset", lv)
-    screenings = _screenings(sys, [(f"Qt{i}", Fraction(1), {nm: Fraction(1)}, None)
-                                   for i, nm in enumerate(names)])
+    screenings = _screenings(sys, [(f"Qt{i}", Fraction(1), {sp.name: Fraction(1)}, None)
+                                   for i, sp in enumerate(sys.species)])
     return RealizationSpec(
-        key=f"super-{lv.pair}:{n}:coset", system=sys, generator_map={},
+        key=f"super-{lv.pair}:{lv.n}:coset", system=sys, generator_map={},
         screenings=screenings, level=lv)
 
 

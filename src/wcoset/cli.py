@@ -86,16 +86,11 @@ _LEVEL_FLAGS = ("--k1", "--k2")
 
 def _normalize_argv(argv):
     """Join level flags with their (possibly negative rational) values."""
-    out = []
-    i = 0
+    out, i = [], 0
     while i < len(argv):
-        tok = argv[i]
-        if tok in _LEVEL_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+        joined = argv[i] in _LEVEL_FLAGS and i + 1 < len(argv)
+        out.append(f"{argv[i]}={argv[i + 1]}" if joined else argv[i])
+        i += 2 if joined else 1
     return out
 
 

@@ -7,14 +7,16 @@ derived, its direction checked against the system).  ``mode_apply`` gives
 the physical (n)-mode of any expression applied to a state, as an exact
 finite linear combination; the OPEs and Gram matrices are built on it, the
 poles of a field on a state each caller builds once (``ope_poles``).  A
-generator's nonnegative modes on a state come from one walk,
-``_annihilations``.  ``residue_images`` is the one screening residue path:
-it maps vectors to sparse images and, like ``mode_apply``, takes the images
-of the exponential operator from one core, ``_images``, which works a list
-of columns (one per vector) at once on monomials packed into integer keys
-(``fock._Packing``), writes each column once through the caller's index,
-and returns integers over one denominator Z (values, Z None, over Q(t)); a
-``Fraction`` is made only where a value is read (``_expop_mode``, blocks).
+generator's nonnegative modes on the modes of a state over a momentum come
+from one walk, ``_annihilations``.  ``residue_images`` is the one screening
+residue path: it maps columns of (modes, coefficient), canonical mode tuples
+as the slice table holds them, to sparse images and, like ``mode_apply``,
+takes the images of the exponential operator from one core, ``_images``.
+The core works a list of columns at once, each a list of jobs (modes, seed,
+places), on monomials packed into integer keys (``fock._Packing``), writes
+each column once through the caller's index, and returns integers over one
+denominator Z (values, Z None, over Q(t)); a ``Fraction`` is made only where
+a value is read (``_expop_mode``, blocks).
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -41,9 +43,12 @@ P_(a-m).  So the (n)-image of the contracted modes of a state is I(n, ()) =
 P_(-n-1-p), I(n, h(-d) rest) = f I(n-d, rest) + h(-d) I(n, rest)
 (``_suffix_image``), memoized by (n + p, suffix), which no momentum enters
 otherwise, across the calls sharing a memo (the degrees of a ``residue_map``,
-the maps of a resolution chain).  Kept on the System: per
-(operator, momentum) p, eps, mu + s and the factors f; per operator the parts
-P_a, grown on demand, with rational constants also over Z.
+the maps of a resolution chain).  Where each constant is computed: per
+(operator, momentum), kept on the System, p, eps, mu + s and the factors f,
+rational ones also over their lcm denominator D; per operator the parts P_a,
+grown on demand on the field and apart over Z; per ``residue_images`` call
+eps a and the front places of each degree; per ``_images`` call the ring, Z
+and the powers of D; per state only its split into contracted and kept modes.
 
 A LinComb is a dict FockState -> coefficient with no stored zeros; a state
 is a canonical basis monomial, so every sign is carried by its coefficient.
@@ -54,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Union
 
 from .errors import MomentumMismatch, NonSymmetric, ParityMismatch
@@ -232,9 +237,7 @@ def lc_str(sys: System, lc: LinComb) -> str:
 def parity(sys: System, expr: FieldExpr) -> int:
     if isinstance(expr, Gen):
         return 1 if sys.species[sys.index[expr.name]].odd else 0
-    if isinstance(expr, Deriv):
-        return parity(sys, expr.expr)
-    if isinstance(expr, Scale):
+    if isinstance(expr, (Deriv, Scale)):
         return parity(sys, expr.expr)
     if isinstance(expr, NormOrd):
         return (parity(sys, expr.left) + parity(sys, expr.right)) % 2
@@ -249,9 +252,8 @@ def parity(sys: System, expr: FieldExpr) -> int:
 
 
 def shift_of(sys: System, expr: FieldExpr) -> Momentum:
-    zero = sys.zero_momentum()
-    if isinstance(expr, (Gen,)):
-        return zero
+    if isinstance(expr, Gen):
+        return sys.zero_momentum()
     if isinstance(expr, (Deriv, Scale)):
         return shift_of(sys, expr.expr)
     if isinstance(expr, NormOrd):
@@ -289,9 +291,8 @@ def weight(sys: System, expr: FieldExpr, mu: Momentum) -> int:
     if isinstance(expr, Scale):
         return weight(sys, expr.expr, mu)
     if isinstance(expr, NormOrd):
-        wr = weight(sys, expr.right, mu)
-        wl = weight(sys, expr.left, mu + shift_of(sys, expr.right))
-        return wl + wr
+        return (weight(sys, expr.right, mu)
+                + weight(sys, expr.left, mu + shift_of(sys, expr.right)))
     if isinstance(expr, Sum):
         return max(weight(sys, t, mu) for t in expr.terms)
     if isinstance(expr, ExpOp):
@@ -305,13 +306,12 @@ def weight(sys: System, expr: FieldExpr, mu: Momentum) -> int:
 
 def _annihilations(sys: System, idx: int, modes: tuple, mu: Momentum,
                    n: Optional[int] = None) -> dict:
-    """{(m, remaining modes): nonzero coefficient} of the modes g_(m), m >= 0,
-    of generator idx on the canonical state of `modes` over mu: m = n alone,
-    or every m if n is None.  A Heisenberg g_(0) is the momentum value and
-    g_(m) contracts each mode h(-m) for m (g|h); a pair half contracts each
-    partner mode at depth m + 1 for its pair sign, negated when g is odd and
-    passes an odd number of odd modes.  Contracting equal modes gives one
-    merged term."""
+    """{(m, remaining modes): nonzero coefficient} of the modes g_(m), m >= 0, of
+    generator idx on canonical modes over mu: m = n alone, or every m if n is
+    None.  A Heisenberg g_(0) is mu's value and g_(m) contracts each mode h(-m)
+    for m (g|h); a pair half contracts each partner mode at depth m + 1 for its
+    pair sign, negated when g is odd and passes an odd number of odd modes.
+    Contracting equal modes gives one merged term."""
     sp = sys.species[idx]
     acc, terms = {}, []  # terms: (m, position of the contracted mode, coefficient)
     if sp.is_heis:
@@ -360,7 +360,7 @@ class _ExpRecord:
     factors: dict     # Heisenberg species s -> its nonzero -c (lambda|h_s)
     parts: list       # E- parts P_0, P_1, ... on the field, shared by all momenta
     zparts: Optional[list]  # the same over Z (see _grow_parts); None with a RatFun
-    zfactors: Optional[tuple] = None  # (D, {s: D f}), built on first use
+    zfactors: Optional[tuple]  # (D, {s: D f}) over the lcm denominator D; the same
 
 
 def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
@@ -368,27 +368,26 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
     cache = sys._expop_cache
     rec = cache.get((op, mu))
     if rec is None:
-        p = exp_power(sys, op, mu)
         # E+ contracts h_s(-d) for -c(lambda|h_s), minus the shift's entry s
         factors = {s: -v for s, v in zip(sys.heis_indices, op.shift.values) if v}
-        shared = cache.get(op)
-        if shared is None:
+        if op not in cache:
             rational = not any(isinstance(x, RatFun)
                                for x in (op.coeff, *op.direction, *factors.values()))
-            shared = cache[op] = ([(1, {0: Fraction(1)})], [(1, {0: 1})] if rational else None)
-        rec = _ExpRecord(p, sys.cocycle(op.shift, mu), mu + op.shift,
-                         factors, *shared)
-        cache[(op, mu)] = rec
+            cache[op] = ([(1, {0: Fraction(1)})], [(1, {0: 1})] if rational else None)
+        parts, zparts = cache[op]
+        D = zparts and lcm(*[f.denominator for f in factors.values()])
+        rec = cache[(op, mu)] = _ExpRecord(
+            exp_power(sys, op, mu), sys.cocycle(op.shift, mu), mu + op.shift, factors,
+            parts, zparts, zparts and (D, {s: f.numerator * (D // f.denominator)
+                                           for s, f in factors.items()}))
     return rec
 
 
 def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int, field: bool) -> None:
-    """Extend the E- parts of a ring through P_top, each (L_a, {packed key of a
-    monomial: L_a w}): a P_a = sum_{m=1..a} c lambda_(-m) P_(a-m).  On the
-    field L_a = 1.  Over Z, with c lambda = u / q, the sum M over the integer
-    parts scaled to L_(a-1) is a q L_(a-1) P_a; divided by the content g of M
-    and a q L_(a-1), the denominator left is the lcm of those of P_a, so L_a is
-    the lcm of the denominators of P_0..P_a and no Fraction is made."""
+    """Extend the E- parts of a ring through P_top, each (L_a, {packed key: L_a
+    w}): a P_a = sum_{m=1..a} c lambda_(-m) P_(a-m); on the field L_a = 1.  Over
+    Z, c lambda = u / q and the sum M over the parts scaled to L_(a-1) is a q
+    L_(a-1) P_a, so with g = gcd(M, a q L_(a-1)), L_a = lcm(L_(a-1), a q L_(a-1) / g)."""
     parts, pk = rec.parts if field else rec.zparts, sys._packing
     if len(parts) > top:
         return
@@ -413,24 +412,15 @@ def _grow_parts(sys: System, op: ExpOp, rec: _ExpRecord, top: int, field: bool) 
         parts.append((lcm(L, E), {key: v // g * (lcm(L, E) // E) for key, v in part.items()}))
 
 
-def _int_factors(rec: _ExpRecord) -> tuple:
-    """(D, {s: D f}): the record's E+ factors over their lcm denominator D."""
-    if rec.zfactors is None:
-        D = lcm(*[f.denominator for f in rec.factors.values()])
-        rec.zfactors = (D, {s: f.numerator * (D // f.denominator)
-                            for s, f in rec.factors.items()})
-    return rec.zfactors
-
-
 _PACKED = type("_PackedKeys", (dict,), {"__missing__": lambda self, key: key})()  # no index
 
 
 def _suffix_image(ctx, memo, np: int, fmodes: tuple, i: int, key: int, b: int) -> tuple:
-    """(L, I(n, fmodes[i:])), I as in the module docstring, for contracted modes
-    of packed key `key` and depths summing to b, np = n + p, top = b - np - 1
-    >= 0; ctx is (D, factors, parts, packing).  Over Z an entry is its value
-    times D^(modes) L, L = L_top; over the field D and L are 1.  Not a
-    closure: with its memo that would be a reference cycle."""
+    """(L, I(n, fmodes[i:])), I as in the module docstring, for a nonempty suffix
+    of contracted modes not in the memo, of packed key `key` and depths summing
+    to b, np = n + p, top = b - np - 1 >= 0; ctx is (D, factors, parts,
+    packing).  Over Z an entry is its value times D^(modes) L, L = L_top; over
+    the field D and L are 1.  Not a closure, which would be a reference cycle."""
     D, factors, parts, pk = ctx
     top = b - np - 1
     (s, d), w = fmodes[i], pk[fmodes[i]]
@@ -453,21 +443,19 @@ def _suffix_image(ctx, memo, np: int, fmodes: tuple, i: int, key: int, b: int) -
 
 
 def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=None) -> tuple:
-    """Vertex-operator images over rec.target of a list of columns, each a
-    list of jobs (modes, seed, places): (Z, per column {target index: nonzero
+    """Vertex-operator images over rec.target of a list of columns, each a list
+    of jobs (modes, seed, places): (Z, per column {target index: nonzero
     entry}).  For each (n, front) of places, by ascending n, a job asks for the
-    (n)-mode image of a canonical state with the creation mode `front` (or
-    None) ahead: the suffix image of its contracted modes, each key plus its
-    other modes and the front, signed by front_sign (E+ and E- touch only even
-    modes).  A seed is an int, a Fraction or a RatFun; a job of one place with
-    nothing yet in its column writes the column, any other sums into it.  A
-    column is written once through `index` ({packed key: target index},
-    KeyError off it; the key itself if None).  Over Z, with Q the lcm
-    denominator of the parts through the call's top, S that of the seeds and
-    nmax the most modes of a state, an entry is its value times Z = D^nmax Q
-    S; over the field, chosen once per call by the record and the seeds, Z is
-    None.  Suffix images keep their own L, so calls on one System share
-    `memo`, a dict per op and ring."""
+    (n)-mode image of the canonical state of `modes` with the creation mode
+    `front` (or None) ahead, times the seed (int, Fraction or RatFun): the
+    suffix image of its contracted modes, each key plus its other modes and the
+    front, signed by front_sign (E+ and E- touch only even modes).  A column's
+    first image is written as its dict through `index` ({packed key: target
+    index}, KeyError off it; the key itself if None), later ones sum into it.
+    Over Z, with Q the lcm denominator of the parts through the call's top, S
+    that of the seeds and nmax the most modes of a state, an entry is its value
+    times Z = D^nmax Q S; over the field, chosen once per call, Z is None.
+    Suffix images keep their own L, so calls on one System share `memo`."""
     pk, p, contracted = sys._packing, rec.p, rec.factors
     nmax, top, S, field, split = 0, -1, 1, rec.zparts is None, []
     for column in columns:
@@ -493,7 +481,7 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
             jobs.append((modes, seed, places, tuple(fmodes), key, kept, b))
         split.append(jobs)
     pk.check(nmax + top + 1)  # a digit counts a kept mode, one of P_a's and the front
-    D, factors = (1, rec.factors) if field else _int_factors(rec)
+    D, factors = (1, rec.factors) if field else rec.zfactors
     S, parts = (1, rec.parts) if field else (S, rec.zparts)
     _grow_parts(sys, op, rec, top, field)
     Q = parts[top][0] if top >= 0 else 1
@@ -538,18 +526,12 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp, mu: M
                    columns, index=None, memo=None, degree: Optional[int] = None) -> tuple:
     """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
     generator g or Scale(a, g)) on columns over mu, each a list of (modes,
-    coefficient) of canonical states: (Z, one image over mu + s per column),
-    as _images gives them.  Every state has degree `degree` if it is given,
-    and otherwise its own, read off its modes.
-
-    The (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j
-    E_(-1-j) g_(j) (see mode_apply), and all the columns are one _images
-    call: a state's job puts g_(-1-j) as the front of the images of E_(j),
-    one suffix image each, from places built once per degree, and each term
-    of the second sum, from one _annihilations walk of the modes, seeds a job
-    of its own.  eps a is folded once per call; it multiplies a coefficient
-    other than 1, and a term's coefficient other than +-1.
-    """
+    coefficient) of canonical states of degree `degree` (if None, read off the
+    modes): (Z, one image over mu + s per column), from one _images call.  The
+    (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j E_(-1-j)
+    g_(j) (see mode_apply): a state's job puts g_(-1-j) ahead of E_(j) by its
+    degree's front places, built once, and each term of its _annihilations walk
+    seeds a job.  eps a is folded once; no coefficient 1 or sign is multiplied."""
     rec = _expop_record(sys, op, mu)
     a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
     eps = rec.eps * a
@@ -565,9 +547,9 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp, mu: M
         jobs.append([])
         for modes, x in column:
             d = sum(sys.mode_degree(*m) for m in modes) if degree is None else degree
-            if d not in fronts:
-                fronts[d] = tuple((j, (idx, j + 1)) for j in range(d - rec.p))
-            jobs[-1].append((modes, eps if x == 1 else eps * x, fronts[d]))
+            places = fronts.get(d) or fronts.setdefault(
+                d, tuple((j, (idx, j + 1)) for j in range(d - rec.p)))
+            jobs[-1].append((modes, eps if x == 1 else eps * x, places))
             x2 = eps2 if x == 1 else eps2 * x
             jobs[-1] += [(rest, v if x2 == 1 else -v if x2 == -1 else x2 * v, ((-1 - j, None),))
                          for (j, rest), v in _annihilations(sys, idx, modes, mu).items()]
@@ -579,10 +561,7 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp, mu: M
 # ---------------------------------------------------------------------------
 
 def _falling(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= (n - i)
-    return out
+    return prod(range(n, n - r, -1))
 
 
 def _modes_on(sys: System, expr: FieldExpr, state: FockState):
@@ -629,29 +608,17 @@ def mode_apply(sys: System, expr: FieldExpr, n: int, arg) -> LinComb:
     if isinstance(expr, ExpOp):
         return _expop_mode(sys, expr, n, state)
     if isinstance(expr, NormOrd):
-        A, B = expr.left, expr.right
-        mu = state.momentum
-        d = sys.state_degree(state)
+        A, B, mu, d = expr.left, expr.right, state.momentum, sys.state_degree(state)
         sgn = (-1) ** (parity(sys, A) * parity(sys, B))
         acc = {}
-        # sum_j A_(-1-j) B_(n+j)
-        jmax = d + weight(sys, B, mu) - 1 - n
-        modes = _modes_on(sys, B, state)
-        for j in range(0, jmax + 1):
-            t = modes(n + j)
-            if not t:
-                continue
-            for s2, v2 in mode_apply(sys, A, -1 - j, t).items():
-                lc_add(acc, s2, v2)
-        # (+-) sum_j B_(n-1-j) A_(j)
-        jmax = d + weight(sys, A, mu) - 1
-        modes = _modes_on(sys, A, state)
-        for j in range(0, jmax + 1):
-            t = modes(j)
-            if not t:
-                continue
-            for s2, v2 in mode_apply(sys, B, n - 1 - j, t).items():
-                lc_add(acc, s2, v2 * sgn)
+        # sum_j A_(-1-j) B_(n+j), then (+-) sum_j B_(n-1-j) A_(j), for j up to
+        # the grading's bound; modes(lo + j) on the state, top - j after it
+        for inner, outer, lo, top, sign in ((B, A, n, -1, 1), (A, B, 0, n - 1, sgn)):
+            modes = _modes_on(sys, inner, state)
+            for j in range(d + weight(sys, inner, mu) - lo):
+                t = modes(lo + j)
+                for s2, v2 in (mode_apply(sys, outer, top - j, t) if t else {}).items():
+                    lc_add(acc, s2, v2 if sign == 1 else v2 * sign)
         return acc
     raise TypeError(expr)
 
@@ -661,20 +628,17 @@ def state_of_field(sys: System, expr: FieldExpr) -> LinComb:
     return mode_apply(sys, expr, -1, sys.vacuum())
 
 
-def ope_singular(sys: System, a: FieldExpr, b: FieldExpr, max_pole: Optional[int] = None):
+def ope_singular(sys: System, a: FieldExpr, b: FieldExpr):
     """Singular part of a(z)b(w): pole order -> LinComb of states of b's module."""
-    return ope_poles(sys, a, state_of_field(sys, b), max_pole)
+    return ope_poles(sys, a, state_of_field(sys, b))
 
 
-def ope_poles(sys: System, a: FieldExpr, v: LinComb, max_pole: Optional[int] = None):
+def ope_poles(sys: System, a: FieldExpr, v: LinComb):
     """Pole order j + 1 -> a_(j) v for a homogeneous state v, as in ope_singular."""
     if not v:
         return {}
     mu = next(iter(v)).momentum
-    d = lc_degree(sys, v)
-    jmax = d + weight(sys, a, mu) - 1
-    if max_pole is not None:
-        jmax = min(jmax, max_pole - 1)
+    jmax = lc_degree(sys, v) + weight(sys, a, mu) - 1
     poles = [{} for _ in range(jmax + 1)]
     for st, coeff in v.items():
         modes = _modes_on(sys, a, st)
@@ -704,12 +668,8 @@ def current_gram(sys: System, currents) -> list:
         if parity(sys, c) != 0 or weight(sys, c, zero) != 1:
             raise ValueError("gram entries require weight-1 even currents")
     states = [state_of_field(sys, c) for c in currents]
-    n = len(currents)
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            G[i][j] = vacuum_coefficient(sys, mode_apply(sys, currents[i], 1, states[j]))
-    for i in range(n):
+    G = [[vacuum_coefficient(sys, mode_apply(sys, a, 1, v)) for v in states] for a in currents]
+    for i in range(len(G)):
         for j in range(i):
             if G[i][j] != G[j][i]:
                 raise NonSymmetric(f"gram entry ({i},{j}) != ({j},{i})")

@@ -10,9 +10,11 @@ source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
 over |mu + s>.
 
 GradedMap holds per degree the slice ``fields.residue_images`` writes for
-``residue_map`` through ``fock.slice_index``, every degree sharing one memo: a
-column {target index: entry} per source state, integers over a denominator Z
-(values, Z None, over Q(t)); an image off the target raises ShapeMismatch.
+``residue_map`` from the source slice's mode tuples (``fock.slice_modes``, the
+slice table itself: no FockState is built) through ``fock.slice_index``, every
+degree sharing one memo: a column {target index: entry} per source state,
+integers over a denominator Z (values, Z None, over Q(t)); an image off the
+target raises ShapeMismatch; a slice over the cap, source or target, is refused.
 Its ``blocks``, dense matrices of ``Fraction``s and ``linalg.ZERO``, are a
 view built on each read that no check reads.  ``joint_kernel`` stacks the
 maps' columns for the rank and kernel cores of ``linalg``; ``compose_check``

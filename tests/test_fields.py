@@ -766,7 +766,7 @@ def test_rational_core_negative_control(monkeypatch):
     spec = cat.gl11_wakimoto(Fraction(-11, 3), Fraction(9, 8))
     cases = _gl11_cases(spec)
     name, _, exp, mu = cases[1]
-    D, zf = fields._int_factors(fields._expop_record(spec.system, exp, mu))
+    D, zf = fields._expop_record(spec.system, exp, mu).zfactors
     zf[next(iter(zf))] += 1
     with pytest.raises(AssertionError) as failure:
         _core_against_field_ring(monkeypatch, spec.system, cases[:2], 3)
@@ -928,7 +928,7 @@ def ref_images(sys, op, rec, columns) -> tuple:
     jobs = [job for column in columns for job in column]
     seeds = [v for _, v, _ in jobs]
     field = rec.zparts is None or any(isinstance(v, RatFun) for v in seeds)
-    D, factors = (1, rec.factors) if field else fields._int_factors(rec)
+    D, factors = (1, rec.factors) if field else rec.zfactors
     S = 1 if field else math.lcm(*[v.denominator for v in seeds])
     nmax = max((len(modes) for modes, _, _ in jobs), default=0)
     tables, top = [], -1
@@ -991,7 +991,7 @@ def _against_ref(monkeypatch, run, perturb=False):
     def both(sys, op, rec, cols, index=None, memo=None):
         Z_ref, want = ref_images(sys, op, rec, cols)
         if perturb and rec.zparts is not None:
-            D, zf = fields._int_factors(rec)
+            D, zf = rec.zfactors
             s = next(iter(zf))
             rec = dataclasses.replace(rec, zfactors=(D, {**zf, s: zf[s] + 1}))
         Z, got = real(sys, op, rec, cols, index, memo)

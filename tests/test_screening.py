@@ -788,12 +788,15 @@ def test_momenta_of_different_lengths_do_not_pair():
 
 
 def test_oracle_comparison_negative_control(gl11_oracle):
-    # one E+ contraction factor off in the record of S[1]; S[0] still matches
+    # one E+ contraction factor off by 1 in the record of S[1], as a value and
+    # over its denominator D, the form the integer core reads; S[0] still matches
     sys, ops = gl11_build(*GL11)()
     op = ops[1]
     rec = _expop_record(sys, op.exp, op.source)
     s = next(iter(rec.factors))
     rec.factors[s] += 1
+    D, zf = rec.zfactors
+    zf[s] += D
     with pytest.raises(AssertionError) as failure:
         compare_with_oracle(ops, gl11_oracle, range(4))
     assert op.name in str(failure.value)

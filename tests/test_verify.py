@@ -326,7 +326,7 @@ def test_gram_bilinear_under_scale_and_sum():
 
 def per_entry_gram(sys, currents):
     """The Gram matrix one OPE at a time, each entry building its own state."""
-    return [[vacuum_coefficient(sys, ope_singular(sys, a, b, 2).get(2, {}))
+    return [[vacuum_coefficient(sys, ope_singular(sys, a, b).get(2, {}))
              for b in currents] for a in currents]
 
 
