@@ -24,19 +24,19 @@ a momentum's lattice label is read off its eigenvalues
 Enumeration is exact and finite unless the system contains a weight-0 boson
 half (then every slice is infinite and NonEnumerable is raised).  Slices come
 from one (species, degree) table per species signature, the (kind, engine
-weight, parity) of each species in order: Systems of one signature share it,
-and it lives as long as one of them does.  Entry (k, d) is the sorted tuple
+weight, parity) of each species in order.  Entry (k, d) is the sorted tuple
 of mode tuples over species k, k+1, ... of total degree d; the degree-d slice
 is entry (0, d).  ``slice_dimension`` and ``graded_dimension`` count a slice
 without building its FockStates.
 
-Every System also keeps ``_Packing``, the integer keys of its monomials, one
-digit per (species, depth), under which a product of monomials is one sum.
+A signature also has a ``_Packing``, the integer keys of its monomials, one
+digit per (species, depth), under which a product of monomials is one sum,
+and an index ``{packed key: position}`` per slice.  The Systems of a signature
+share this basis, which is kept for the life of the process.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -153,14 +153,15 @@ class System:
             if norm not in (1, -1):
                 raise AsymmetricPairing(f"lattice species {name} has norm {norm}, not +-1")
             self._lattice += ((p, 1 if norm == 1 else -1),)
-        self._slices = _SLICE_TABLES.setdefault(
-            tuple((s.kind, s.engine_weight, s.odd) for s in self.species), _SliceTable())
+        sig = tuple((s.kind, s.engine_weight, s.odd) for s in self.species)
+        if sig not in _BASES:
+            _BASES[sig] = ({}, _Packing(len(sig)), {})
+        # the signature's slice table, packing and slice indices, see _BASES
+        self._slices, self._packing, self._indices = _BASES[sig]
         # constants of exponential operators, see fields._expop_record:
         # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
         # for a rational ExpOp, their integer form
         self._expop_cache = {}
-        self._packing = _Packing(len(self.species))
-        self._indices = {}  # degree -> {packed key: position}, see slice_index
 
     # -- pair contraction sign: first-listed half hits partner with +1 --------
 
@@ -284,7 +285,7 @@ _DIGIT = 256  # a packed key's digit holds one mode's multiplicity, 0..255
 
 
 class _Packing(dict):
-    """Packed keys of the creation monomials of one System: mode (s, d) ->
+    """Packed keys of the creation monomials over `nspecies` species: mode (s, d) ->
     256^pos, pos = s + (number of species)(d - 1), so each mode's multiplicity
     fills one digit, the key of a product of commuting monomials is the sum of
     their keys, and `modes` maps a key back to its canonical mode tuple.  A
@@ -323,18 +324,15 @@ def normal_form(sys: System, mu: Momentum, raw_modes) -> Optional[tuple]:
 # enumeration
 # ---------------------------------------------------------------------------
 
-class _SliceTable(dict):
-    """Entries (k, d) of the slice table of one species signature; a subclass,
-    since a plain dict cannot be held weakly."""
-
-
-# species signature -> its table, held weakly: a table lives as long as a System
-_SLICE_TABLES = weakref.WeakValueDictionary()
+# species signature -> its Fock basis, kept for the process: the slice table
+# {(k, d): mode tuples}, the _Packing and the slice indices {degree: {packed
+# key: position}}, shared by every System of the signature
+_BASES = {}
 
 
 def _mode_sets(sys: System, degree: int, k: int = 0):
-    """Entry (k, degree) of the System's slice table; entry (0, d) is the
-    canonical, sorted degree-d slice.
+    """Entry (k, degree) of the slice table of the System's signature; entry
+    (0, d) is the canonical, sorted degree-d slice.
 
     Entry (k, d) is every mode tuple over species k, k+1, ... totalling degree
     d, built in lexicographic order with no sort (see ``_grow``).  Each entry
@@ -364,8 +362,7 @@ def _grow(sys: System, k: int, prefix: tuple, r: int, top: int, acc: list) -> No
     no next species-k depth above `top`: the prefix itself if r = 0, then each
     species-k continuation by ascending depth (a fermion's depths fall
     strictly, a boson's weakly), then the prefix followed by each nonempty
-    tuple of entry (k+1, r).  Not a closure: a recursive closure is a reference
-    cycle, which would keep the System, and so its table, alive."""
+    tuple of entry (k+1, r)."""
     sp = sys.species[k]
     w, step = sp.engine_weight, 1 if sp.odd else 0
     if r == 0:
@@ -401,7 +398,7 @@ def slice_dimension(sys: System, degree: int) -> int:
 
 
 def slice_index(sys: System, degree: int, cap: Optional[int] = None) -> dict:
-    """{packed key: position} over the degree slice, built once per System."""
+    """{packed key: position} over the degree slice, built once per signature."""
     shapes = slice_modes(sys, degree, cap)
     if degree not in sys._indices:
         sys._indices[degree] = {sys._packing.pack(m): i for i, m in enumerate(shapes)}
@@ -409,7 +406,8 @@ def slice_index(sys: System, degree: int, cap: Optional[int] = None) -> dict:
 
 
 def graded_dimension(sys: System, mu: Momentum, degrees):
-    """Slice sizes over |mu>, counted without building states."""
+    """Slice sizes over |mu>, counted without building states.  mu is not read:
+    every Fock module of a system has the same slice sizes."""
     return [slice_dimension(sys, d) for d in degrees]
 
 

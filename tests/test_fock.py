@@ -1,6 +1,5 @@
 import gc
 import random
-import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 
 from wcoset import catalog as cat
 from wcoset import fock
+from wcoset import rootdata as rd
 from wcoset.errors import (AsymmetricPairing, MomentumMismatch, NonEnumerable,
                            NonIntegralExponent, ResourceBound, UnpairedFermionHalf)
 from wcoset.fock import (Species, boson_pair, enumerate_basis, fermion_pair,
@@ -344,18 +344,38 @@ def signature(sys):
     return tuple((s.kind, s.engine_weight, s.odd) for s in sys.species)
 
 
-def count_builds(monkeypatch):
-    """Patch a fresh, empty registry in and count each entry written, by table
-    and (k, d)."""
-    monkeypatch.setattr(fock, "_SLICE_TABLES", weakref.WeakValueDictionary())
-    builds = Counter()
-    store = fock._SliceTable.__setitem__
+class CountingTable(dict):
+    """A slice table that counts each entry written into it, by table and (k, d)."""
 
-    def counted(table, key, value):
-        builds[id(table), key] += 1
-        store(table, key, value)
-    monkeypatch.setattr(fock._SliceTable, "__setitem__", counted)
+    def __init__(self, builds):
+        super().__init__()
+        self.builds = builds
+
+    def __setitem__(self, key, value):
+        self.builds[id(self), key] += 1
+        super().__setitem__(key, value)
+
+
+def count_builds(monkeypatch):
+    """Patch a fresh, empty registry in whose every new basis gets a counting
+    slice table, and return the counts of entries written."""
+    builds = Counter()
+
+    class Registry(dict):
+        def __setitem__(self, sig, basis):
+            table, packing, indices = basis
+            assert not table
+            super().__setitem__(sig, (CountingTable(builds), packing, indices))
+    monkeypatch.setattr(fock, "_BASES", Registry())
     return builds
+
+
+def basis(sys):
+    return sys._slices, sys._packing, sys._indices
+
+
+def same(xs, ys):
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
 
 
 def test_mode_sets_match_oracle_on_counting_catalog():
@@ -370,19 +390,19 @@ def _rank2_counting_systems():
 
 
 def test_mode_sets_warm_system_out_of_order(monkeypatch):
+    builds = count_builds(monkeypatch)
     warm = _rank2_counting_systems()[:4]
     for key, sys in warm:
         for d in (5, 2, 8, 2):
             assert fock._mode_sets(sys, d) == recursive_mode_sets(sys, d), (key, d)
-
-    def no_build(table, key, value):
-        raise AssertionError(f"warm entry {key} was built again")
-    monkeypatch.setattr(fock._SliceTable, "__setitem__", no_build)
+    assert builds
+    builds.clear()
     for (key, sys), (fresh_key, fresh) in zip(warm, _rank2_counting_systems()):
         assert fresh_key == key and fresh is not sys and fresh._slices is sys._slices
         for d in (8, 5, 2):
             assert fock._mode_sets(fresh, d) == fock._mode_sets(sys, d)
             assert len(fock._mode_sets(sys, d)) == slice_dimension(fresh, d)
+    assert not builds, f"warm entries built again: {sorted(k for _, k in builds)}"
 
 
 def test_each_entry_built_once_per_signature(monkeypatch):
@@ -413,11 +433,41 @@ def test_one_signature_shares_one_table_in_either_order(monkeypatch):
         assert fock._mode_sets(one, 6) == recursive_mode_sets(one, 6)
         two = make(second, -3)  # other names and pairing, the same signature
         assert two._slices is one._slices
-        assert fock._SLICE_TABLES[signature(two)] is one._slices
+        assert same(fock._BASES[signature(two)], basis(one))
         for d in (7, 6, 3):
             assert fock._mode_sets(two, d) == recursive_mode_sets(two, d)
         assert fock._mode_sets(one, 7) is fock._mode_sets(two, 7)
     assert set(builds.values()) == {1}
+
+
+def counting_systems_at(k):
+    """The systems of the counting catalog with every level set to k."""
+    forms = (("subregular", "bosonized"), ("subregular", "coset"),
+             ("super", "miura"), ("super", "bosonized"), ("super", "coset"))
+    out = [cat.gl11_system(k, Fraction(1, 3)), cat.rank1_system(k)]
+    for pair in rd.PAIRS:
+        for n in (2, 3):
+            lv = cat.LevelData.from_k1(pair, n, k)
+            out += [cat.form_system(fam, form, lv) for fam, form in forms]
+    return out
+
+
+def test_one_basis_per_signature(monkeypatch):
+    monkeypatch.setattr(fock, "_BASES", {})
+    systems = [sys for _, sys in cat.enumerable_counting_systems()]
+    systems += counting_systems_at(Fraction(16, 7)) + counting_systems_at(Fraction(7, 2))
+    assert len(systems) == 3 * 22
+    groups = {}
+    for sys in systems:
+        groups.setdefault(signature(sys), []).append(sys)
+    assert len(fock._BASES) == len(groups) == 7
+    for sig, group in groups.items():
+        first = group[0]
+        assert same(fock._BASES[sig], basis(first))
+        for sys in group:
+            assert sys._packing is first._packing
+            assert all(fock.slice_index(sys, d) is fock.slice_index(first, d)
+                       for d in range(5))
 
 
 def test_signatures_apart_in_weight_parity_or_kind_do_not_share():
@@ -438,30 +488,31 @@ def test_signatures_apart_in_weight_parity_or_kind_do_not_share():
     assert fock._mode_sets(systems[4], 6) is not fock._mode_sets(systems[2], 6)
 
 
-def test_no_table_outlives_its_last_system():
+def test_a_basis_outlives_its_systems(monkeypatch):
+    """A System made after the last one of its signature went gets the same
+    table, packing and indices, and builds no entry or index."""
+    builds = count_builds(monkeypatch)
     beta, gamma = boson_pair("beta", "gamma", (3, 2))
     species = [heis("x"), beta, gamma, heis("y")]
-    sig = signature(register_system(species, [[1, 0], [0, 1]]))
-    gc.collect()
-    assert sig not in fock._SLICE_TABLES
     one = register_system(species, [[1, 0], [0, 1]])
-    two = register_system(species, [[2, 1], [1, 2]])
-    assert fock._SLICE_TABLES[sig] is one._slices is two._slices
+    sig, packing = signature(one), one._packing
+    # hold entries and indices, not the table or the index dict: only the
+    # registry may keep those
     slices = [fock._mode_sets(one, d) for d in range(6)]
-    table = weakref.ref(one._slices)
-    want = recursive_mode_sets(one, 7)  # its closure cycle goes at the collect below
+    indices = [fock.slice_index(one, d) for d in range(6)]
     del one
     gc.collect()
-    assert table() is two._slices and [fock._mode_sets(two, d) for d in range(6)] == slices
-    # building an entry leaves no reference cycle: the last System, and with it
-    # the table, goes by reference count alone
-    gc.disable()
-    try:
-        assert fock._mode_sets(two, 7) == want
-        del two
-        assert table() is None and sig not in fock._SLICE_TABLES
-    finally:
-        gc.enable()
+    assert builds
+    builds.clear()
+
+    def no_pack(packing, modes):
+        raise AssertionError(f"an index was built again, packing {modes}")
+    monkeypatch.setattr(fock._Packing, "pack", no_pack)
+    two = register_system(species, [[2, 1], [1, 2]])
+    assert same(basis(two), fock._BASES[sig]) and two._packing is packing
+    assert same([fock._mode_sets(two, d) for d in range(6)], slices)
+    assert same([fock.slice_index(two, d) for d in range(6)], indices)
+    assert not builds
 
 
 def test_mode_sets_weight0_fermion_and_weight1_bosons():
@@ -493,18 +544,17 @@ def test_weight0_boson_half_not_enumerable_anywhere_in_table():
             count()
 
 
-def test_slice_index_is_the_packed_slice_built_once_per_system():
+def test_slice_index_is_the_packed_slice_built_once_per_signature():
     sys = bc_heis2()
     for d in range(-1, 4):
         index = fock.slice_index(sys, d)
         states = enumerate_basis(sys, sys.zero_momentum(), d)
         assert index == {sys._packing.pack(s.modes): i for i, s in enumerate(states)}
         assert fock.slice_index(sys, d) is index
-    # a System of the same signature shares the slice table, not the index
-    other = bc_heis2()
-    assert other._slices is sys._slices
-    assert fock.slice_index(other, 3) == fock.slice_index(sys, 3)
-    assert fock.slice_index(other, 3) is not fock.slice_index(sys, 3)
+    # a System of the same signature, at another pairing, shares the index
+    other = bc_heis2(Fraction(5), Fraction(0), Fraction(7))
+    assert same(basis(other), basis(sys))
+    assert fock.slice_index(other, 3) is fock.slice_index(sys, 3)
     fock.slice_index(sys, 3, cap=64)
     with pytest.raises(ResourceBound, match=r"slice size 64 exceeds cap 63 \(degree 3\)"):
         fock.slice_index(sys, 3, cap=63)

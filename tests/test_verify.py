@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
-from wcoset import fields, screening
+from wcoset import fields, fock, screening
 from wcoset import verify as ver
 from wcoset.errors import ResourceBound
 from wcoset.fields import (current_gram, gen, ope_singular, scale, state_of_field,
                            vacuum_coefficient)
 from wcoset.scalars import RatFun, T
 from wcoset.screening import annihilates
+
+from test_fock import recursive_mode_sets, signature
 
 
 def test_homomorphism_sl2_wakimoto_symbolic():
@@ -74,7 +76,6 @@ def test_residue_slices_build_no_fock_state(monkeypatch):
     # FockState construction refused, coset duality runs whole, and so do the
     # residue maps of the resolution (its annihilation checks apply the
     # generators to states, so there FockState is refused inside the maps)
-    from wcoset import fock
 
     def refused(*args, **kwargs):
         raise AssertionError("refused")
@@ -262,16 +263,11 @@ def test_counting_consistency_small():
     assert rep.status == "pass"
 
 
-def test_counting_negative_control_drops_a_shape(monkeypatch):
-    """Counting is checked against the Euler product, so it cannot pass by
-    construction: one mode tuple dropped from entry (0, 3) of every slice table
-    fails every system.  The registry starts empty, so a warm table (here every
-    one, kept alive) cannot serve an intact entry."""
-    import weakref
-    from wcoset import fock
-    warm = cat.enumerable_counting_systems()
-    assert ver.check_counting(8).status == "pass"
-    monkeypatch.setattr(fock, "_SLICE_TABLES", weakref.WeakValueDictionary())
+def count_one_tuple_short(monkeypatch):
+    """check_counting(8) with one mode tuple dropped from entry (0, 3) of every
+    slice table.  A fresh registry is patched in first, so a warm table cannot
+    serve an intact entry."""
+    monkeypatch.setattr(fock, "_BASES", {})
     build = fock._mode_sets
 
     def one_tuple_short(sys, degree, k=0):
@@ -279,10 +275,30 @@ def test_counting_negative_control_drops_a_shape(monkeypatch):
             sys._slices[0, 3] = build(sys, 3)[1:]  # a warm entry stays intact
         return build(sys, degree, k)
     monkeypatch.setattr(fock, "_mode_sets", one_tuple_short)
-    rep = ver.check_counting(8)
+    return ver.check_counting(8)
+
+
+def test_counting_negative_control_drops_a_shape(monkeypatch):
+    """Counting is checked against the Euler product, so it cannot pass by
+    construction: one mode tuple dropped from entry (0, 3) of every slice table
+    fails every system, though every real table is warm and kept."""
+    warm = cat.enumerable_counting_systems()
+    assert ver.check_counting(8).status == "pass"
+    rep = count_one_tuple_short(monkeypatch)
     assert rep.status == "fail"
     assert rep.items and not any(i.equal for i in rep.items)
     assert len(rep.items) == len(warm)
+
+
+def test_counting_negative_control_leaks_no_entry(monkeypatch):
+    """Bases are kept for the process, so the control's short entries must stay
+    in its own registry: afterwards a fresh System of each counting signature
+    reads an intact entry (0, 3) from the real one."""
+    assert count_one_tuple_short(monkeypatch).status == "fail"
+    monkeypatch.undo()
+    for key, sys in cat.enumerable_counting_systems():
+        assert sys._slices is fock._BASES[signature(sys)][0]
+        assert fock._mode_sets(sys, 3) == recursive_mode_sets(sys, 3), key
 
 
 def test_check_delta_random():
