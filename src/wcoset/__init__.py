@@ -10,7 +10,7 @@ from .fock import (FockState, Momentum, Species, enumerate_basis, graded_dimensi
                    normal_form, register_system)
 from .fields import (ExpOp, Gen, NormOrd, Scale, Sum, current_gram, exp_op, l0_apply,
                      mode_apply, ope_singular, state_of_field)
-from .screening import (GradedMap, KernelReport, ScreeningOp, annihilates,
+from .screening import (GradedMap, ScreeningOp, annihilates,
                         compose_check, joint_kernel, residue_map)
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from pathlib import Path
 from . import catalog as cat
 from . import verify as ver
 from .errors import InputError, ResourceBound
+from .linalg import SYMBOLIC_DIM_LIMIT
 from .rootdata import PAIRS
 from .report import emit_report
 from .scalars import T, parse_rat
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additional seeded generic levels to test")
     p.add_argument("--symbolic-kernels", type=_integer(0), default=0, metavar="D",
                    help="also certify kernel dims over the function field "
-                        "through degree D (slices capped at 64 columns)")
+                        f"through degree D (slices capped at {SYMBOLIC_DIM_LIMIT} columns)")
 
     p = verb("gram", "coset gram matrices, symbolic or specialized")
     p.add_argument("--pair", required=True, choices=PAIRS)
@@ -192,7 +193,7 @@ def cmd_kernel(args, cfg) -> int:
     spec = cat.get_realization(args.key, args.k1, args.k2)
     if not spec.screenings:
         raise InputError(f"{args.key} has no screenings")
-    kr = ver._screening_kernel(spec.screenings, range(args.max_degree + 1), args.cap)
+    dims = ver._screening_kernel(spec.screenings, range(args.max_degree + 1), args.cap)
     # the levels the system was built at: a dual level filled in, gl(1|1)'s default k2
     if spec.level is not None:
         k1, k2 = spec.level.k1, spec.level.k2
@@ -203,7 +204,7 @@ def cmd_kernel(args, cfg) -> int:
                                 "k1": str(k1) if k1 is not None else "",
                                 "k2": str(k2) if k2 is not None else "",
                                 "max_degree": args.max_degree})
-    for d, dim in kr.as_pairs():
+    for d, dim in enumerate(dims):
         rep.per_degree.append(ver.PerDegree(d, dim))
     return _write(rep, args, cfg, "kernel")
 

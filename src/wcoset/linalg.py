@@ -1,35 +1,37 @@
 """Exact sparse linear algebra: Q over the integers, Q(t) over the field.
 
 The cores take a matrix as its sparse columns, ``{row: entry}`` dicts of the
-nonzeros: ``column_rank`` and ``column_kernel`` integers (a row may carry its
-own scale, which moves neither rank nor kernel) or values in Q(t), and the
-zero test ``product_vanishes`` integers.  The screening checks hand them their
-residue slices as built; ``rank``, ``kernel_basis`` and ``mat_mul`` (over
-``product_columns``) are dense adapters over the same cores for lists of rows
-with ``Fraction`` (or ``int``) or ``RatFun`` entries, each row scaled to
-integers by the lcm of its denominators unless a nonzero RatFun entry puts
-the matrix over Q(t).
+nonzeros, integers (a row may carry its own scale, which moves neither rank
+nor kernel) or values in Q(t): ``column_rank`` a stack of blocks, each
+(columns, row count) over the same columns, as ``screening.joint_kernel``
+hands it a degree's residue slices; ``column_kernel`` one matrix; the zero
+test ``product_vanishes`` integers.  ``rank`` (one block), ``kernel_basis``
+and ``mat_mul`` (over ``product_columns``) are dense adapters over the same
+cores for lists of rows with ``Fraction`` (or ``int``) or ``RatFun`` entries,
+each row scaled to integers by the lcm of its denominators unless a nonzero
+RatFun entry puts the matrix over Q(t).
 
-One elimination serves both rings: it takes the indices in order and pivots
-on the sparsest remaining line with a nonzero there.  Kernels keep the
-natural order of the columns, so their pivots are those of the reduced row
-echelon form; rank, which does not depend on the order, relabels the indices
-sparsest first, by how many lines hold each (a stable sort, after Markowitz
-1957), and over Z takes a tall matrix (as the stacked coset slices are) on
-its columns, the fewer lines.  A line r with entry b at the pivot index meets
-the pivot line, whose entry there is a (fraction-free, after Bareiss 1968):
-over Z, r becomes (a/g) r - (b/g) piv with g = gcd(a, b), divided by its
-content, so every line stays primitive; over the field the pivot line is
-scaled to a = 1 once and r becomes r - b piv.  Kernel bases are the pivot
-rows back-substituted to reduced row echelon form, each entry divided by its
-pivot only when written.  Matrices with non-constant RatFun entries are
-limited to SYMBOLIC_DIM_LIMIT columns.
+One elimination serves both rings: it takes the indices in order and pivots on
+the sparsest remaining line with a nonzero there.  Kernels keep the natural
+order of the columns, so their pivots are those of the reduced row echelon
+form.  Rank, which does not depend on the order, builds each line once from
+its blocks: over Z a tall stack (as the coset slices are) on its columns, the
+fewer lines, and the indices labelled sparsest first, by how many lines hold
+each (a stable sort, after Markowitz 1957).  A line r with entry b at the
+pivot index meets the pivot line, whose entry there is a (fraction-free, after
+Bareiss 1968): over Z, r becomes (a/g) r - (b/g) piv with g = gcd(a, b),
+divided by its content, so every line stays primitive; over the field the
+pivot line is scaled to a = 1 once and r becomes r - b piv.  Kernel bases are
+the pivot rows back-substituted to reduced row echelon form, each entry
+divided by its pivot only when written.  Matrices with non-constant RatFun
+entries are limited to SYMBOLIC_DIM_LIMIT columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import InputError, ResourceBound, ShapeMismatch
@@ -221,25 +223,36 @@ def _eliminate(rows, ncols, integral):
     return pivots
 
 
-def column_rank(columns, nrows, integral) -> int:
-    """Rank of the matrix of nrows rows with these sparse columns: integers
-    (a row may carry its own scale) if integral, else values in Q(t)."""
-    # over Z a tall matrix is eliminated on its columns, the fewer lines,
-    # since rank(M) = rank(M^T)
-    if integral and nrows > len(columns):
-        lines, n = columns, nrows
+def column_rank(blocks, integral) -> int:
+    """Rank of the stack of blocks, each (sparse columns, row count) over the same
+    columns: integers (a row may carry its own scale) if integral, else Q(t)."""
+    offsets = list(accumulate([m for _, m in blocks], initial=0))
+    ncols, nrows = len(blocks[0][0]), offsets.pop()
+    # over Z a tall stack is eliminated on its columns, the fewer lines, since
+    # rank(M) = rank(M^T); the eliminated indices are labelled sparsest first,
+    # by how many lines hold each, ties in their order
+    tall = integral and nrows > ncols
+    if tall:
+        n, count = nrows, Counter(o + i for (columns, _), o in zip(blocks, offsets)
+                                  for column in columns for i in column)
     else:
-        lines, n = _transpose(columns, nrows), len(columns)
-    # relabel the eliminated indices sparsest first, ties in their order
-    count = Counter(j for r in lines for j in r)
-    label = {j: i for i, j in enumerate(sorted(range(n), key=count.__getitem__))}
-    lines = [{label[j]: x for j, x in r.items()} for r in lines]
+        n, count = ncols, [sum(len(columns[j]) for columns, _ in blocks) for j in range(ncols)]
+    label = {j: k for k, j in enumerate(sorted(range(n), key=count.__getitem__))}
+    if tall:
+        lines = [{label[o + i]: x for (columns, _), o in zip(blocks, offsets)
+                  for i, x in columns[j].items()} for j in range(ncols)]
+    else:
+        lines = [{} for _ in range(nrows)]
+        for (columns, _), o in zip(blocks, offsets):
+            for j, column in enumerate(columns):
+                for i, x in column.items():
+                    lines[o + i][label[j]] = x
     _normalize(lines, n, integral)
     return len(_eliminate(lines, n, integral))
 
 
 def column_kernel(columns, nrows, integral):
-    """Right kernel basis, reduced echelon, of the matrix given as to column_rank."""
+    """Right kernel basis, reduced echelon, of one block (columns, nrows) of column_rank."""
     ncols = len(columns)
     rows = _transpose(columns, nrows)
     _normalize(rows, ncols, integral)
@@ -268,7 +281,8 @@ def column_kernel(columns, nrows, integral):
 
 
 def rank(M) -> int:
-    return column_rank(*_columns(M))
+    columns, nrows, integral = _columns(M)
+    return column_rank([(columns, nrows)], integral)
 
 
 def kernel_basis(M, ncols=None):

@@ -16,11 +16,12 @@ degree sharing one memo: a column {target index: entry} per source state,
 integers over a denominator Z (values, Z None, over Q(t)); an image off the
 target raises ShapeMismatch; a slice over the cap, source or target, is refused.
 Its ``blocks``, dense matrices of ``Fraction``s and ``linalg.ZERO``, are a
-view built on each read that no check reads.  ``joint_kernel`` stacks the
-maps' columns for the rank and kernel cores of ``linalg``; ``compose_check``
-runs the packed zero test ``linalg.product_vanishes`` on the integer columns
-of two built maps, a degree whose composite passes through an empty slice
-counting as vacuous (None).
+view built on each read that no check reads.  ``joint_kernel`` returns the
+per-degree kernel dims, handing the maps' slices to ``linalg.column_rank`` as
+the blocks of one stack; ``compose_check`` runs the packed zero test
+``linalg.product_vanishes`` on the integer columns of two built maps, a
+degree whose composite passes through an empty slice counting as vacuous
+(None).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import InputError, MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, exp_power, lc_degree,
                      residue_images, weight)
 from .fock import Momentum, System, slice_index, slice_modes
-from .linalg import ZERO, column_kernel, column_rank, product_vanishes
+from .linalg import ZERO, column_rank, product_vanishes
 # not called here; bench/test_bench.py checks that its tracer patches these sites
 from .fields import mode_apply  # noqa: F401
 from .fock import enumerate_basis  # noqa: F401
@@ -99,16 +100,6 @@ class GradedMap:
         return out
 
 
-@dataclass
-class KernelReport:
-    degrees: list
-    dims: list
-    bases: Optional[dict] = None
-
-    def as_pairs(self):
-        return list(zip(self.degrees, self.dims))
-
-
 def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None,
                 memo: Optional[dict] = None) -> GradedMap:
     """Exact sparse matrices of the screening residue on the requested degree
@@ -129,16 +120,14 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None,
     return gm
 
 
-def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
+def joint_kernel(maps, degrees) -> list:
     """Per-degree dimension of the intersection of kernels (stacked-matrix rank)."""
-    degrees = list(degrees)
     if not maps:
         raise ShapeMismatch("joint kernel of no maps")
     src = maps[0].source
     if any(m.source != src for m in maps):
         raise ShapeMismatch("joint kernel requires a common source module")
     dims = []
-    bases = {} if with_bases else None
     for d in degrees:
         if any(d not in m.slices for m in maps):
             raise ShapeMismatch(f"map lacks degree {d}")
@@ -148,19 +137,11 @@ def joint_kernel(maps, degrees, with_bases: bool = False) -> KernelReport:
             raise ShapeMismatch("maps disagree on source dimension")
         # a map's rows scaled by its Z keep rank and kernel; Q(t) takes values
         integral = all(Z is not None for Z, _, _ in slices)
-        stacked, nrows = [{} for _ in range(n)], 0
-        for Z, columns, m in slices:
-            if not integral and Z is not None:
-                columns = [{i: Fraction(v, Z) for i, v in c.items()} for c in columns]
-            for line, column in zip(stacked, columns):
-                line.update({nrows + i: v for i, v in column.items()} if nrows else column)
-            nrows += m
-        if with_bases:
-            bases[d] = column_kernel(stacked, nrows, integral)
-            dims.append(len(bases[d]))
-        else:
-            dims.append(n - column_rank(stacked, nrows, integral))
-    return KernelReport(degrees, dims, bases)
+        blocks = [(columns if integral or Z is None else
+                   [{i: Fraction(v, Z) for i, v in c.items()} for c in columns], m)
+                  for Z, columns, m in slices]
+        dims.append(n - column_rank(blocks, integral))
+    return dims
 
 
 def compose_check(m2: GradedMap, m1: GradedMap) -> dict:

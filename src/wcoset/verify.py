@@ -214,7 +214,7 @@ def check_resolution(k1: Fraction, k2: Fraction, max_degree: int = 3,
         rep.add_check(f"S.S=0 on W[-{i}a]..W[-{i + 2}a]",
                       False not in out and True in out)
     degrees = range(max_degree + 1)
-    dims = joint_kernel(maps[:1], degrees).dims
+    dims = joint_kernel(maps[:1], degrees)
     expect = gl11_pbw_character(max_degree)
     for d in degrees:
         rep.per_degree.append(PerDegree(d, expect[d], dims[d]))
@@ -227,7 +227,7 @@ def check_rank1_ff_duality(K: Fraction, max_degree: int = 6,
     """The two dual rank-1 screenings cut out the same graded subspace sizes."""
     rep = Report("rank1-ff", {"K": str(K), "max_degree": max_degree})
     degrees = range(max_degree + 1)
-    dims = [_screening_kernel([op], degrees, cap).dims for op in cat.rank1_ff(K).screenings]
+    dims = [_screening_kernel([op], degrees, cap) for op in cat.rank1_ff(K).screenings]
     oracle = _boson_factor(list(range(2, max_degree + 1)), max_degree)
     for d in degrees:
         rep.per_degree.append(PerDegree(d, dims[0][d], dims[1][d]))
@@ -242,13 +242,18 @@ def gram_of_coset(sys: System):
 
 
 def _screening_kernel(ops, degrees, cap: Optional[int] = None):
-    """The joint kernel of the residue maps of the screenings ops, per degree."""
+    """The joint kernel dims of the residue maps of the screenings ops, per degree."""
     return joint_kernel([residue_map(op, degrees, cap) for op in ops], degrees)
 
 
 def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
                         cap: Optional[int] = None, symbolic: bool = True,
                         symbolic_kernels: int = 0) -> Report:
+    """Coset duality at dual levels: per degree, the dims of the joint kernels
+    of the subregular and the super coset screenings (also over Q(t) through
+    degree symbolic_kernels), and, with symbolic, the equal Gram of the two
+    coset systems at the formal level.  It compares dimensions only, not the
+    two kernels as one subspace of one Fock space."""
     lv = cat.LevelData.from_k1(pair, n, k1)
     s1 = lv.excluded_sets()["S1"]
     if k1 in s1:
@@ -275,13 +280,11 @@ def check_coset_duality(pair: str, n: int, k1: Fraction, max_degree: int = 4,
                 raise ResourceBound(
                     f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
         rep.add("symbolic kernel dims agree",
-                _screening_kernel(sub_sym.screenings, degrees, cap).dims,
-                _screening_kernel(sup_sym.screenings, degrees, cap).dims)
+                *(_screening_kernel(s.screenings, degrees, cap) for s in (sub_sym, sup_sym)))
     sub = cat.subregular_realization(pair, n, lv.k1, "coset")
     sup = cat.principal_super_realization(pair, n, lv.k2, "coset")
     degrees = range(max_degree + 1)
-    left = _screening_kernel(sub.screenings, degrees, cap).dims
-    right = _screening_kernel(sup.screenings, degrees, cap).dims
+    left, right = (_screening_kernel(s.screenings, degrees, cap) for s in (sub, sup))
     for d in degrees:
         rep.per_degree.append(PerDegree(d, left[d], right[d]))
     return rep

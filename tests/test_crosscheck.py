@@ -69,7 +69,7 @@ def bosonized_sector_dims(pair, n, ell, sector, degrees):
     sys = spec.system
     src = sys.lattice_momentum((sector,))
     return joint_kernel([residue_map(op.at(src), degrees) for op in spec.screenings],
-                        degrees).dims
+                        degrees)
 
 
 def composite_square(s1, s2, degrees):
@@ -115,6 +115,6 @@ def test_fermionic_vs_bosonized_kernels(pair, n, k2):
     # the charge pieces exhaust the full kernel
     full = joint_kernel(
         [residue_map(op, range(max_degree + 1))
-         for op in spec.screenings], range(max_degree + 1)).dims
+         for op in spec.screenings], range(max_degree + 1))
     totals = [sum(left[m][d] for m in charges) for d in range(max_degree + 1)]
     assert totals == full

@@ -17,11 +17,12 @@ first: it must not move under row and column permutations, and on an
 arrowhead matrix no combine may grow a line, while kernel bases keep the
 natural order.  The cores are also taken as the checks call them, on sparse
 columns: stacks of slices in residue_map's format, each with its own
-denominator, through joint_kernel; int, Fraction and Q(t) columns through
-column_rank and column_kernel, which must leave them as they were; the
-integer product against mat_mul; and the packed zero test against the
-product's entries, at its bound and on empty columns.  The negative controls
-show that these comparisons can fail.
+denominator, through joint_kernel, and their kernel bases through
+column_kernel on the same stack; int, Fraction and Q(t) columns cut into
+blocks of rows through column_rank, and whole through column_kernel, which
+must leave them as they were; the integer product against mat_mul; and the
+packed zero test against the product's entries, at its bound and on empty
+columns.  The negative controls show that these comparisons can fail.
 """
 
 import math
@@ -686,11 +687,11 @@ def test_symbolic_sl2_slices_match_oracle():
 # ---------------------------------------------------------------------------
 # the line cores on sparse columns, as the checks hand them over
 # ---------------------------------------------------------------------------
-# A residue slice is (Z, sparse columns, rows); joint_kernel stacks the
-# slices of its maps, each map's rows scaled by its own Z, and hands the
-# columns to column_rank or column_kernel; compose_check tests the product
-# of integer columns for zero with product_vanishes.  Each must agree with the dense
-# oracle, and the zero test with the entries product_columns builds.
+# A residue slice is (Z, sparse columns, rows); joint_kernel hands the
+# slices of its maps to column_rank as blocks of one stack, each map's rows
+# scaled by its own Z; compose_check tests the product of integer columns
+# for zero with product_vanishes.  Each must agree with the dense oracle, and
+# the zero test with the entries product_columns builds.
 
 def random_block(rng, kind, n, m):
     """An n x m block of int, Fraction or Q(t) entries, about a third nonzero."""
@@ -708,6 +709,20 @@ def maps_of(slices):
         gm.slices[0] = sl
         maps.append(gm)
     return maps
+
+
+def stacked_columns(slices, n):
+    """The slices stacked into the sparse columns of one matrix, as
+    joint_kernel ranks them, and its row count and ring: over Z each slice's
+    integers (its rows scaled by its Z), with a Q(t) slice Fraction(v, Z)."""
+    integral = all(Z is not None for Z, _, _ in slices)
+    stacked, nrows = [{} for _ in range(n)], 0
+    for Z, columns, m in slices:
+        for line, column in zip(stacked, columns):
+            line.update({nrows + i: v if integral or Z is None else Fraction(v, Z)
+                         for i, v in column.items()})
+        nrows += m
+    return stacked, nrows, integral
 
 
 def test_stacked_slices_match_the_oracle():
@@ -728,28 +743,56 @@ def test_stacked_slices_match_the_oracle():
             seen["rows scaled apart"] += 1
         seen["tall" if len(stacked) > n else "wide"] += 1
         seen["t" if "t" in kinds else "Z"] += 1
-        rep = joint_kernel(maps_of(slices), [0], with_bases=True)
-        assert rep.dims == [n - (ref_rank(stacked) if stacked else 0)], (trial, kinds)
-        assert rep.bases[0] == ref_kernel_basis(stacked, n), (trial, kinds)
-        assert joint_kernel(maps_of(slices), [0]).dims == rep.dims
+        seen["mixed rings"] += "t" in kinds and kinds.count("t") < len(kinds)
+        before = [(Z, [dict(c) for c in columns], m) for Z, columns, m in slices]
+        maps = maps_of(slices)
+        assert joint_kernel(maps, [0]) == [n - (ref_rank(stacked) if stacked else 0)], \
+            (trial, kinds)
+        assert [gm.slices[0] for gm in maps] == before  # joint_kernel leaves them as they were
+        basis = linalg.column_kernel(*stacked_columns(slices, n))
+        assert basis == ref_kernel_basis(stacked, n), (trial, kinds)
     assert min(seen.values()) >= 8, seen
 
 
+def row_blocks(rng, columns, nrows, k):
+    """The sparse columns of nrows rows cut at random rows into k blocks
+    (columns, row count) over the same columns; for k > 1 one has no rows."""
+    bounds = [0, *sorted(rng.randint(0, nrows) for _ in range(k - 2)), nrows]
+    if k > 1:
+        i = rng.randrange(len(bounds))
+        bounds.insert(i, bounds[i])
+    return [([{i - lo: x for i, x in c.items() if lo <= i < hi} for c in columns], hi - lo)
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def test_column_rank_takes_int_fraction_and_ratfun_columns():
+    """Every ring, a tall and a wide shape and one to three blocks."""
     rng = random.Random(2627)
-    for trial in range(30):
-        nrows, n = rng.choice(((9, 4), (4, 9), (6, 6)))
+    for trial in range(36):
         kind = ("int", "q", "t")[trial % 3]
+        nrows, n = ((9, 4), (4, 9), (6, 6))[trial // 3 % 3]
+        k = trial // 9 % 3 + 1
         M = random_block(rng, kind, nrows, n)
         M.append([x + y for x, y in zip(M[0], M[-1])])  # a dependent row
         columns = [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(n)]
         if kind == "int":
             columns = [{i: int(x) for i, x in c.items()} for c in columns]
-        before = [dict(c) for c in columns]
+        blocks = row_blocks(rng, columns, len(M), k)
+        assert sum(m for _, m in blocks) == len(M) and len(blocks) == k
+        assert k == 1 or any(m == 0 for _, m in blocks)
+        before = [dict(c) for c in columns], [([dict(c) for c in cs], m) for cs, m in blocks]
         # int columns are worked over Z; Fraction and RatFun ones over the field
-        assert linalg.column_rank(columns, len(M), kind == "int") == ref_rank(M), (trial, kind)
+        assert linalg.column_rank(blocks, kind == "int") == ref_rank(M), (trial, kind)
         assert linalg.column_kernel(columns, len(M), kind == "int") == ref_kernel_basis(M)
-        assert columns == before  # the cores leave their input as it was
+        assert (columns, blocks) == before  # the cores leave their input as it was
+    # the unit rows of Q^4 in two blocks, a block of no rows and a zero row
+    # between them: the rank needs every offset, on the columns over Z (a
+    # tall stack) and on the rows over the field
+    for integral, one in ((True, 1), (False, Fraction(1))):
+        none = [{}, {}, {}, {}]
+        blocks = [([{0: one}, {1: one}, {}, {}], 2), (none, 0), (none, 1),
+                  ([{}, {}, {0: one}, {1: one}], 2)]
+        assert linalg.column_rank(blocks, integral) == 4
 
 
 def test_product_columns_match_mat_mul():
@@ -868,7 +911,7 @@ def test_zero_test_on_empty_columns_and_a_zero_matrix():
 def test_perturbed_residue_entry_changes_kernel_dims():
     maps = coset_maps("sl", 2, Fraction(-14, 5), 3)[0]
     degrees = range(4)
-    dims = joint_kernel(maps, degrees).dims
+    dims = joint_kernel(maps, degrees)
     # a slice with both a kernel vector v and a left kernel vector u: adding
     # 1 at (i, j) with u_i != 0 and v_j != 0 raises the rank by exactly one
     for d in degrees:
@@ -889,7 +932,7 @@ def test_perturbed_residue_entry_changes_kernel_dims():
     block = maps[k].blocks[d]
     block[i][j] += 1
     write_block(maps[k], d, block)
-    bumped = joint_kernel(maps, degrees).dims
+    bumped = joint_kernel(maps, degrees)
     assert bumped[d] == dims[d] - 1
     assert bumped[:d] + bumped[d + 1:] == dims[:d] + dims[d + 1:]
 
