@@ -20,11 +20,12 @@ fewer lines, and the indices labelled sparsest first, by how many lines hold
 each (a stable sort, after Markowitz 1957).  A line r with entry b at the
 pivot index meets the pivot line, whose entry there is a (fraction-free, after
 Bareiss 1968): over Z, r becomes (a/g) r - (b/g) piv with g = gcd(a, b),
-divided by its content, so every line stays primitive; over the field the
-pivot line is scaled to a = 1 once and r becomes r - b piv.  Kernel bases are
-the pivot rows back-substituted to reduced row echelon form, each entry
-divided by its pivot only when written.  Matrices with non-constant RatFun
-entries are limited to SYMBOLIC_DIM_LIMIT columns.
+and a line is divided by its content only when it becomes a pivot, since
+later arithmetic reads only pivot lines; over the field the pivot line is
+scaled to a = 1 once and r becomes r - b piv.  Kernel bases are the pivot
+rows back-substituted to reduced row echelon form, each row then divided by
+its content and each entry by its pivot only when written.  Matrices with
+non-constant RatFun entries are limited to SYMBOLIC_DIM_LIMIT columns.
 """
 
 from __future__ import annotations
@@ -151,12 +152,9 @@ def _columns(M):
     return _transpose(rows, len(M[0])), len(M), integral
 
 
-def _normalize(lines, ncols, integral):
-    """Over Z divide each line by its content, in place; over Q(t) bound the width."""
-    if integral:
-        for r in lines:
-            _divide_content(r)
-    elif ncols > SYMBOLIC_DIM_LIMIT and is_symbolic([r.values() for r in lines]):
+def _bound_width(lines, ncols, integral):
+    """Refuse a Q(t) elimination over more than SYMBOLIC_DIM_LIMIT indices."""
+    if not integral and ncols > SYMBOLIC_DIM_LIMIT and is_symbolic([r.values() for r in lines]):
         raise ResourceBound(f"symbolic elimination limited to {SYMBOLIC_DIM_LIMIT} columns")
 
 
@@ -165,9 +163,9 @@ def _combine(r, b, a, items, integral):
     r <- a r - b piv, for the pivot row piv with entry a there and its other
     entries in `items`.
 
-    Over Z both multipliers are first divided by gcd(a, b) and r is then
-    divided by its content, so it stays primitive.  Over the field the pivot
-    row is scaled to a = 1 once per pivot, so r <- r - b piv.
+    Over Z both multipliers are first divided by gcd(a, b); r keeps its
+    content.  Over the field the pivot row is scaled to a = 1 once per pivot,
+    so r <- r - b piv.
     """
     if integral:
         g = gcd(a, b)
@@ -185,18 +183,17 @@ def _combine(r, b, a, items, integral):
                 del r[j]
         else:
             r[j] = t * x
-    if integral:
-        _divide_content(r)
 
 
 def _eliminate(rows, ncols, integral):
-    """Forward sparse elimination of primitive integer or Q(t) rows, in place.
+    """Forward sparse elimination of integer or Q(t) rows, in place.
 
     Returns {pivot column: (pivot entry, pivot row without that entry)}.
     Rows wait in buckets by leading column; at each column the sparsest row
     of its bucket is the pivot, and _combine clears that column from the
     others, which move on to the bucket of their new leading column, or
-    vanish.  Over the field the pivot row is scaled to 1 first.
+    vanish.  Over Z the pivot row is first divided by its content, so every
+    pivot is primitive; over the field it is scaled to 1.
     """
     buckets = {}
     for r in rows:
@@ -208,6 +205,8 @@ def _eliminate(rows, ncols, integral):
         if rows is None:
             continue
         piv = min(rows, key=len)
+        if integral:
+            _divide_content(piv)
         a = piv.pop(col)
         if not integral:
             for j, x in piv.items():
@@ -247,7 +246,7 @@ def column_rank(blocks, integral) -> int:
             for j, column in enumerate(columns):
                 for i, x in column.items():
                     lines[o + i][label[j]] = x
-    _normalize(lines, n, integral)
+    _bound_width(lines, n, integral)
     return len(_eliminate(lines, n, integral))
 
 
@@ -255,16 +254,18 @@ def column_kernel(columns, nrows, integral):
     """Right kernel basis, reduced echelon, of one block (columns, nrows) of column_rank."""
     ncols = len(columns)
     rows = _transpose(columns, nrows)
-    _normalize(rows, ncols, integral)
+    _bound_width(rows, ncols, integral)
     # back-substitute from the last pivot: each row then meets no other pivot;
-    # the pivot entry rides in its row, so over Z the content it shares is
-    # divided out
+    # the pivot entry rides in its row, so over Z the content it gathers is
+    # divided out once the row is reduced
     reduced = {}
     for col, (a, row) in sorted(_eliminate(rows, ncols, integral).items(), reverse=True):
         row[col] = a
         for p in [j for j in row if j in reduced]:
             q, prow = reduced[p]
             _combine(row, row.pop(p), q, prow.items(), integral)
+        if integral:
+            _divide_content(row)
         reduced[col] = (row.pop(col), row)
     basis = []
     for f in range(ncols):

@@ -9,13 +9,17 @@ over Q; the product refuses RatFun entries) on random sparse matrices and on
 the screening slices the checks decompose.  Matrices over Q are worked over
 Z, so their ranks and kernel bases are also computed on the field ring that
 RatFun matrices use and compared, on entries of more than 64 bits
-and on int entries; over Z every combined row must stay primitive.  Rank
-over Z takes a tall matrix on its columns: the lines that reach the
-elimination are recorded, and the rank is compared with the oracle's and
-with the rank of the transpose.  Rank takes the eliminated indices sparsest
-first: it must not move under row and column permutations, and on an
-arrowhead matrix no combine may grow a line, while kernel bases keep the
-natural order.  The cores are also taken as the checks call them, on sparse
+and on int entries.  Over Z only pivot rows are divided by their content:
+each must be primitive and no combine may divide, and the elimination must
+take the pivot columns, the combines and the pivot rows of a reference that
+divides every line after every combine, on random matrices and on the coset
+stacks to sl n=3 at degree 6.  Rank over Z takes a tall matrix on its
+columns: the lines that reach the elimination are recorded, and the rank is
+compared with the oracle's and with the rank of the transpose.  Rank takes
+the eliminated indices sparsest first: it must not move under row and column
+permutations, and on an arrowhead matrix no combine may grow a line, while
+kernel bases keep the natural order.  The cores are also taken as the checks
+call them, on sparse
 columns: stacks of slices in residue_map's format, each with its own
 denominator, through joint_kernel, and their kernel bases through
 column_kernel on the same stack; int, Fraction and Q(t) columns cut into
@@ -413,38 +417,53 @@ def test_ratfun_matrices_reach_the_field_elimination():
         assert calls == {"field": 2, "Z": 2}
 
 
-def test_integer_rows_stay_primitive():
-    """Over Z every line reaches the elimination primitive and leaves each
-    combine with content 1, equal to (a/g) r - (b/g) piv divided by its
-    content; some combines do divide."""
-    combine, eliminate = linalg._combine, linalg._eliminate
+def integer_mats(rng):
+    """Z matrices: big and degenerate, a small one with content, and coset stacks."""
+    mats = [degenerate(rng, big_q(rng, 8, 9, 0.6)) for _ in range(4)]
+    mats += [[[x * 6 for x in row] for row in sparse_q(rng, 12, 10, 0.5)]]
+    mats += stacked_slices(coset_maps("sl", 2, Fraction(-14, 5), 3)[1], range(4))
+    return mats
+
+
+def test_integer_pivots_are_primitive():
+    """Over Z a line is divided by its content only when it becomes a pivot:
+    every pivot row is primitive when it clears its column, every combine
+    leaves (a/g) r - (b/g) piv exactly, undivided, and some pivots do need
+    the division, while rank and kernel basis equal the oracle's."""
+    combine, eliminate, divide = linalg._combine, linalg._eliminate, linalg._divide_content
     seen = Counter()
 
     def checked(r, b, a, items, integral):
         assert integral
+        items = list(items)
+        assert math.gcd(a, *(x for _, x in items)) == 1
         g = math.gcd(a, b)
         raw = {j: (a // g) * x for j, x in r.items()}
         for j, x in items:
             raw[j] = raw.get(j, 0) - (b // g) * x
-        raw = {j: x for j, x in raw.items() if x}
-        c = math.gcd(*raw.values())
         combine(r, b, a, items, integral)
-        assert r == {j: x // c for j, x in raw.items()}
-        assert not r or math.gcd(*r.values()) == 1
+        assert r == {j: x for j, x in raw.items() if x}
         seen["combines"] += 1
-        seen["divided"] += c > 1
+        seen["content kept"] += bool(r) and math.gcd(*r.values()) > 1
 
-    def primitive_input(rows, ncols, integral):
-        assert integral and all(math.gcd(*r.values()) == 1 for r in rows if r)
+    def primitive_pivots(rows, ncols, integral):
+        pivots = eliminate(rows, ncols, integral)
+        assert all(math.gcd(a, *row.values()) == 1 for a, row in pivots.values())
         seen["eliminations"] += 1
-        return eliminate(rows, ncols, integral)
-    rng = random.Random(31)
-    mats = [degenerate(rng, big_q(rng, 8, 9, 0.6)) for _ in range(4)]
-    mats += [[[x * 6 for x in row] for row in sparse_q(rng, 12, 10, 0.5)]]
-    mats += stacked_slices(coset_maps("sl", 2, Fraction(-14, 5), 3)[1], range(4))
+        return pivots
+
+    def counted(r):
+        seen["divided"] += math.gcd(*r.values()) > 1
+        divide(r)
+    mats = integer_mats(random.Random(31))
     assert sum(len(M) > len(M[0]) for M in mats) >= 4
     with mock.patch.object(linalg, "_combine", checked), \
-            mock.patch.object(linalg, "_eliminate", primitive_input):
+            mock.patch.object(linalg, "_eliminate", primitive_pivots), \
+            mock.patch.object(linalg, "_divide_content", counted):
+        # rank divides nothing but its pivots
+        for M in mats:
+            assert rank(M) == ref_rank(M)
+        assert seen["divided"] > 0
         for M in mats:
             # the integer columns the cores take: row i of M times one L_i > 0
             columns, nrows, integral = linalg._columns(M)
@@ -454,10 +473,92 @@ def test_integer_rows_stay_primitive():
                     j for j, column in enumerate(columns) if i in column}
                 ratios = {Fraction(columns[j][i]) / x for j, x in enumerate(row) if x}
                 assert len(ratios) <= 1 and all(r > 0 for r in ratios)
-            assert rank(M) == ref_rank(M)
             assert kernel_basis(M) == ref_kernel_basis(M)
-    assert seen["combines"] > 100 and seen["divided"] > 0
+    assert seen["combines"] > 100 and seen["content kept"] > 0
     assert seen["eliminations"] == 2 * len(mats)
+
+
+def primitive_lines_eliminate(rows, ncols):
+    """The integer elimination under the rule the pivot-only division
+    replaced, kept as a reference: every line divided by its content on entry
+    and after every combine.  Returns its pivots, as _eliminate does, and its
+    number of combines."""
+    def primitive(r):
+        c = math.gcd(*r.values())
+        return {j: x // c for j, x in r.items()}
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(primitive(r))
+    pivots, combines = {}, 0
+    for col in range(ncols):
+        lines = buckets.pop(col, None)
+        if lines is None:
+            continue
+        piv = min(lines, key=len)
+        a = piv.pop(col)
+        pivots[col] = (a, piv)
+        for r in lines:
+            if r is not piv:
+                b = r.pop(col)
+                g = math.gcd(a, b)
+                out = {j: (a // g) * x for j, x in r.items()}
+                for j, x in piv.items():
+                    out[j] = out.get(j, 0) - (b // g) * x
+                out = {j: x for j, x in out.items() if x}
+                combines += 1
+                if out:
+                    out = primitive(out)
+                    buckets.setdefault(min(out), []).append(out)
+    return pivots, combines
+
+
+@contextmanager
+def against_primitive_lines():
+    """A Counter of pivots and eliminations; each integer _eliminate is checked
+    against primitive_lines_eliminate on a copy of its lines: the same number
+    of combines and the same pivots, columns and rows.  Content is positive,
+    so the rows agree in sign too."""
+    seen = Counter()
+    eliminate, combine = linalg._eliminate, linalg._combine
+
+    def counted(r, b, a, items, integral):
+        seen["combines"] += 1
+        combine(r, b, a, items, integral)
+
+    def compared(rows, ncols, integral):
+        assert integral
+        ref, combines = primitive_lines_eliminate([dict(r) for r in rows], ncols)
+        before = seen["combines"]
+        pivots = eliminate(rows, ncols, integral)
+        assert seen["combines"] - before == combines
+        assert pivots == ref
+        seen["pivots"] += len(pivots)
+        seen["eliminations"] += 1
+        return pivots
+    with mock.patch.object(linalg, "_combine", counted), \
+            mock.patch.object(linalg, "_eliminate", compared):
+        yield seen
+
+
+def test_pivot_only_division_follows_the_primitive_lines_rule():
+    rng = random.Random(3232)
+    mats = integer_mats(rng) + [degenerate(rng, sparse_q(rng, n, m, density))
+                                for n, m, density in ((14, 5, 0.4), (4, 15, 0.3), (9, 9, 0.8))]
+    mats.append([[rng.choice((0, 0, 1, -2, 3, 12, -18)) for _ in range(7)] for _ in range(9)])
+    with against_primitive_lines() as seen:
+        for M in mats:
+            rank(M)
+            kernel_basis(M)
+        assert seen["eliminations"] == 2 * len(mats)
+        # the coset stacks as joint_kernel hands them over, both sides of the duality
+        for pair, n, max_degree in (("sl", 2, 5), ("so", 3, 4), ("sl", 3, 6)):
+            degrees = range(max_degree + 1)
+            left, right = (joint_kernel(maps, degrees)
+                           for maps in coset_maps(pair, n, Fraction(16, 7), max_degree))
+            assert left == right
+    assert seen["eliminations"] > 2 * len(mats) + 30
+    assert seen["pivots"] > 1000
 
 
 # ---------------------------------------------------------------------------
