@@ -14,7 +14,10 @@ the vacuum module from (name, c, {species: coefficient}, prefactor) rows;
 covariance table; `_parse_key` checks a catalog key; and `_dual` inverts the
 level relation.  A form's System alone, its species and pairing table, is a
 step of its own (`gl11_system`, `rank1_system`, `form_system`) for checks
-that read no screening.
+that read no screening.  `_FORMS` maps each (family, form) to its builder,
+in catalog key order, for realization dispatch, `form_system`, `_parse_key`
+and `catalog_keys`; both coset forms share one builder.  A Kazama-Suzuki side
+is a bosonized form's System and one lattice boson (`_with_lattice_boson`).
 
 Levels.  A realization is built at an exact level, either a Fraction or a
 RatFun in the formal parameter t.  The two sides of the duality are linked by
@@ -31,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from . import rootdata as rd
@@ -317,6 +321,7 @@ def form_system(family: str, form: str, lv: LevelData) -> System:
     """The System alone of a subregular or super form at lv: the Cartan bosons
     of g1 at K1 (subregular) or g2 at K2 (super), behind a beta gamma or b c
     pair (miura) or the lattice bosons (bosonized); or the coset basis."""
+    _builder(family, form)
     sub = family == "subregular"
     G, K = (rd.g1_gram(lv.pair, lv.n), lv.K1) if sub else (rd.g2_gram(lv.pair, lv.n), lv.K2)
     cartan = [heis(nm) for nm in _heis_names(1 if sub else 0, lv.n)]
@@ -332,11 +337,23 @@ def form_system(family: str, form: str, lv: LevelData) -> System:
     return register_system([heis(f"{'at' if sub else 'bt'}{i}") for i in range(lv.n + 1)], gram)
 
 
+def _with_lattice_boson(sys: System, name: str, norm: int) -> System:
+    """sys, a System of Heisenberg species alone, with one more lattice boson
+    of squared norm +-1 after its species, orthogonal to them."""
+    return register_system([*sys.species, heis(name)], _pairing(sys.pairing, [[Fraction(norm)]]),
+                           sys.lattice_indices + (len(sys.species),))
+
+
+def _builder(family: str, form: str):
+    """The realization builder of a family's form; InputError if there is none."""
+    if (family, form) not in _FORMS:
+        raise InputError(f"unknown form {form!r} of family {family!r}")
+    return _FORMS[family, form]
+
+
 def subregular_realization(pair: str, n: int, k: Level, form: str = "miura") -> RealizationSpec:
     lv = LevelData.from_k1(pair, n, k)
-    if form not in _SUBREGULAR_FORMS:
-        raise InputError(f"unknown form {form!r}")
-    return _SUBREGULAR_FORMS[form](lv)
+    return _builder("subregular", form)(lv)
 
 
 def _subregular_miura(lv: LevelData) -> RealizationSpec:
@@ -424,20 +441,6 @@ def _coset_gram_alpha(lv: LevelData, K):
                        for i in range(lv.n)]
 
 
-def _subregular_coset(lv: LevelData) -> RealizationSpec:
-    n, K, sys = lv.n, lv.K1, form_system("subregular", "coset", lv)
-    cs = [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (lv.r * K)]
-    screenings = _screenings(sys, [(f"Qt{i}", c, {sp.name: Fraction(1)}, None)
-                                   for i, (sp, c) in enumerate(zip(sys.species, cs))])
-    return RealizationSpec(
-        key=f"subregular-{lv.pair}:{n}:coset", system=sys, generator_map={},
-        screenings=screenings, level=lv)
-
-
-_SUBREGULAR_FORMS = {"miura": _subregular_miura, "bosonized": _subregular_bosonized,
-                     "coset": _subregular_coset}
-
-
 # ---------------------------------------------------------------------------
 # principal super side (g2)
 # ---------------------------------------------------------------------------
@@ -445,9 +448,7 @@ _SUBREGULAR_FORMS = {"miura": _subregular_miura, "bosonized": _subregular_bosoni
 def principal_super_realization(pair: str, n: int, ell: Level,
                                 form: str = "miura") -> RealizationSpec:
     lv = LevelData.from_k2(pair, n, ell)
-    if form not in _SUPER_FORMS:
-        raise InputError(f"unknown form {form!r}")
-    return _SUPER_FORMS[form](lv)
+    return _builder("super", form)(lv)
 
 
 def _super_miura(lv: LevelData) -> RealizationSpec:
@@ -514,25 +515,31 @@ def _super_bosonized(lv: LevelData) -> RealizationSpec:
 
 def _coset_gram_beta(lv: LevelData, K2):
     """Gram of the super coset basis, directly from the g2 root data."""
-    n = lv.n
-    G2 = rd.g2_gram(lv.pair, n)
-    m = n + 1
-    G = [[G2[i][j] / K2 for j in range(m)] for i in range(m)]
+    G = [[x / K2 for x in row] for row in rd.g2_gram(lv.pair, lv.n)]
     G[0][0] = G[0][0] + 1
     return G
 
 
-def _super_coset(lv: LevelData) -> RealizationSpec:
-    sys = form_system("super", "coset", lv)
-    screenings = _screenings(sys, [(f"Qt{i}", Fraction(1), {sp.name: Fraction(1)}, None)
-                                   for i, sp in enumerate(sys.species)])
+def _coset(family: str, lv: LevelData) -> RealizationSpec:
+    """A coset basis, one screening e^{c bt_i} or e^{c at_i} per basis boson:
+    c = 1 on the super side; 1, then -1/K1, and -1/(r K1) last on the
+    subregular side."""
+    n, K, sys = lv.n, lv.K1, form_system(family, "coset", lv)
+    cs = ([Fraction(1)] * (n + 1) if family == "super" else
+          [Fraction(1)] + [-1 / K for _ in range(1, n)] + [-1 / (lv.r * K)])
+    screenings = _screenings(sys, [(f"Qt{i}", c, {sp.name: Fraction(1)}, None)
+                                   for i, (sp, c) in enumerate(zip(sys.species, cs))])
     return RealizationSpec(
-        key=f"super-{lv.pair}:{lv.n}:coset", system=sys, generator_map={},
+        key=f"{family}-{lv.pair}:{n}:coset", system=sys, generator_map={},
         screenings=screenings, level=lv)
 
 
-_SUPER_FORMS = {"miura": _super_miura, "bosonized": _super_bosonized,
-                "coset": _super_coset}
+# (family, form) -> realization builder, in catalog key order
+_FORMS = {("subregular", "miura"): _subregular_miura, ("super", "miura"): _super_miura,
+          ("subregular", "bosonized"): _subregular_bosonized,
+          ("super", "bosonized"): _super_bosonized,
+          ("subregular", "coset"): partial(_coset, "subregular"),
+          ("super", "coset"): partial(_coset, "super")}
 
 
 # ---------------------------------------------------------------------------
@@ -561,35 +568,27 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
     lv = LevelData.from_k2(pair, n, k2)
     r, K, K2 = lv.r, lv.K1, lv.K2
 
-    # side A: phi + g2 Cartan + psi
+    # side A: the super side's bosonized System and psi
+    sys_a = _with_lattice_boson(form_system("super", "bosonized", lv), "psi", -1)
     names2 = _heis_names(0, n)
-    sys_a = register_system(
-        [heis("phi")] + [heis(nm) for nm in names2] + [heis("psi")],
-        _pairing([[Fraction(1)]], _scaled(rd.g2_gram(pair, n), K2), [[Fraction(-1)]]),
-        lattice_indices=(0, n + 2))
-    a = {nm: gen(nm) for nm in names2}
     fields_a = {
-        "X": sadd(scale(-1 / K2, a["a0"]), gen("phi")),
-        "Y": sadd(scale(1 / K2, a["a0"]), gen("psi")),
+        "X": sadd(scale(-1 / K2, gen("a0")), gen("phi")),
+        "Y": sadd(scale(1 / K2, gen("a0")), gen("psi")),
     }
-    fields_a["A1"] = sadd(scale(Fraction(r), a["a1"]),
+    fields_a["A1"] = sadd(scale(Fraction(r), gen("a1")),
                           scale(-1, gen("phi")), scale(-1, gen("psi")))
     for i in range(2, n):
-        fields_a[f"A{i}"] = scale(Fraction(r), a[f"a{i}"])
-    fields_a[f"A{n}"] = a[f"a{n}"]
+        fields_a[f"A{i}"] = scale(Fraction(r), gen(f"a{i}"))
+    fields_a[f"A{n}"] = gen(f"a{n}")
     omega0 = rd.omega0_coeffs(pair, n)
     fields_a["Ht2"] = sadd(heis_comb(sys_a, dict(zip(names2, omega0))),
                            gen("phi"), gen("psi"))
     spec_a = RealizationSpec(key=f"ks-a-{pair}:{n}", system=sys_a,
                              generator_map=fields_a, screenings=[], level=lv)
 
-    # side B: x, y + g1 Cartan + phi
+    # side B: the subregular side's bosonized System and phi
+    sys_b = _with_lattice_boson(form_system("subregular", "bosonized", lv), "phi", 1)
     names1 = _heis_names(1, n)
-    sys_b = register_system(
-        [heis("x"), heis("y")] + [heis(nm) for nm in names1] + [heis("phi")],
-        _pairing([[Fraction(1)]], [[Fraction(-1)]], _scaled(rd.g1_gram(pair, n), K),
-                 [[Fraction(1)]]),
-        lattice_indices=(0, 1, n + 2))
     fields_b = {
         "phit": sadd(gen("x"), gen("y"), gen("phi")),
         "B0": sadd(scale(-1, gen("y")), scale(-1, gen("phi"))),
@@ -626,7 +625,6 @@ def rank1_ff(K: Level):
                            screenings=screenings)
 
 
-_FORMS = ("miura", "bosonized", "coset")
 # "<family>-<pair>:<n>:<form>"; the Kazama-Suzuki families take no form
 _KEY = re.compile(r"(subregular|super|ks-a|ks-b)-(\w+):([0-9]+)(?::(\w+))?")
 
@@ -635,19 +633,15 @@ def catalog_keys():
     keys = ["wakimoto-gl11", "rank1-ff"]
     for pair in rd.PAIRS:
         for n in (1, 2, 3):
-            for form in _FORMS:
-                keys.append(f"subregular-{pair}:{n}:{form}")
-                keys.append(f"super-{pair}:{n}:{form}")
-            if n >= 2:
-                keys.append(f"ks-a-{pair}:{n}")
-                keys.append(f"ks-b-{pair}:{n}")
+            keys += [f"{fam}-{pair}:{n}:{form}" for fam, form in _FORMS]
+            keys += [f"{fam}-{pair}:{n}" for fam in ("ks-a", "ks-b") if n >= 2]
     return keys
 
 
 def _parse_key(key: str):
     """(family, pair, n, form) of a catalog key; InputError if it is malformed."""
     m = _KEY.fullmatch(key)
-    if m is None or m[4] not in ((None,) if m[1].startswith("ks-") else _FORMS):
+    if m is None or (m[4] is not None if m[1].startswith("ks-") else (m[1], m[4]) not in _FORMS):
         raise InputError(f"unknown catalog key {key!r}")
     rd.check_rank(m[2], int(m[3]))
     return m[1], m[2], int(m[3]), m[4]

@@ -2,11 +2,11 @@
 
 Verbs: verify, kernel, duality, gram, ks-check, resolution, norm, delta,
 catalog.  Levels are exact rationals "p/q".  A plain "key = value" config
-file (default ./wcoset.cfg, overridable through the WCOSET_CONFIG environment
-variable) may pin max-degree, seed, cap and the output directory.  A verb has
-a flag only for the keys it reads, and the flag wins over the config; CSV is
-offered only by the verbs whose reports have per-degree rows (kernel,
-duality, resolution).
+file (./wcoset.cfg if there is one, or the file the WCOSET_CONFIG environment
+variable must name) may pin max-degree, seed, cap and the output directory.
+A verb has a flag only for the keys it reads, and the flag wins over the
+config; CSV is offered only by the verbs whose reports have per-degree rows
+(kernel, duality, resolution).
 
 Exit codes: 0 all checks pass; 1 a verification failed (the report is still
 written); 2 invalid input (excluded level, parse error, an integer out of
@@ -56,6 +56,8 @@ _INTEGER_KEYS = {"max-degree": _integer(0), "seed": _integer(), "cap": _integer(
 def load_config() -> dict:
     cfg = dict(DEFAULTS)
     path = Path(os.environ.get("WCOSET_CONFIG", "wcoset.cfg"))
+    if "WCOSET_CONFIG" in os.environ and not path.is_file():
+        raise InputError(f"config file {str(path)!r} named by WCOSET_CONFIG is not a file")
     if path.is_file():
         for line in path.read_text().splitlines():
             line = line.split("#", 1)[0].strip()

@@ -522,26 +522,28 @@ def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
             for key, v in img.items()}
 
 
-def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp, mu: Momentum,
-                   columns, index=None, memo=None, degree: Optional[int] = None) -> tuple:
-    """Residues of :P(z) e^{c int lambda(z)}: (P = prefactor: None meaning 1, a
-    generator g or Scale(a, g)) on columns over mu, each a list of (modes,
-    coefficient) of canonical states of degree `degree` (if None, read off the
-    modes): (Z, one image over mu + s per column), from one _images call.  The
-    (0)-mode of :g E: is sum_j g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j E_(-1-j)
-    g_(j) (see mode_apply): a state's job puts g_(-1-j) ahead of E_(j) by its
-    degree's front places, built once, and each term of its _annihilations walk
-    seeds a job.  eps a is folded once; no coefficient 1 or sign is multiplied."""
-    rec = _expop_record(sys, op, mu)
+def residue_images(op, columns, index=None, memo=None,
+                   degree: Optional[int] = None) -> tuple:
+    """Residues of a ``screening.ScreeningOp`` :P(z) e^{c int lambda(z)}: (P:
+    None meaning 1, g or Scale(a, g), as the op checks) on columns over its
+    source mu, each a list of (modes, coefficient) of canonical states of
+    degree `degree` (if None, read off the modes): (Z, one image over mu + s
+    per column), from one _images call.  The (0)-mode of :g E: is sum_j
+    g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j E_(-1-j) g_(j) (see mode_apply): a
+    state's job puts g_(-1-j) ahead of E_(j) by its degree's front places,
+    built once, and each term of its _annihilations walk seeds a job.  eps a
+    is folded once; no coefficient 1 or sign is multiplied."""
+    sys, prefactor, exp, mu = op.system, op.prefactor, op.exp, op.source
+    rec = _expop_record(sys, exp, mu)
     a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
     eps = rec.eps * a
     if g is None:
         place = ((0, None),)
-        return _images(sys, op, rec, [[(modes, eps if x == 1 else eps * x, place)
-                                       for modes, x in column] for column in columns],
+        return _images(sys, exp, rec, [[(modes, eps if x == 1 else eps * x, place)
+                                        for modes, x in column] for column in columns],
                        index, memo)
     idx = sys.index[g.name]
-    eps2 = -eps if parity(sys, g) * parity(sys, op) else eps  # seeds of the second sum
+    eps2 = -eps if parity(sys, g) * parity(sys, exp) else eps  # seeds of the second sum
     fronts, jobs = {}, []
     for column in columns:
         jobs.append([])
@@ -553,7 +555,7 @@ def residue_images(sys: System, prefactor: Optional[FieldExpr], op: ExpOp, mu: M
             x2 = eps2 if x == 1 else eps2 * x
             jobs[-1] += [(rest, v if x2 == 1 else -v if x2 == -1 else x2 * v, ((-1 - j, None),))
                          for (j, rest), v in _annihilations(sys, idx, modes, mu).items()]
-    return _images(sys, op, rec, jobs, index, memo)
+    return _images(sys, exp, rec, jobs, index, memo)
 
 
 # ---------------------------------------------------------------------------

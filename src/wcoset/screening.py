@@ -111,8 +111,7 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None,
         src = slice_modes(sys, d, cap)
         index = slice_index(sys, d + shift_deg, cap)
         try:
-            Z, columns = residue_images(sys, op.prefactor, op.exp, op.source,
-                                        [((modes, 1),) for modes in src], index, memo, d)
+            Z, columns = residue_images(op, [((modes, 1),) for modes in src], index, memo, d)
         except KeyError as missing:
             degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(missing.args[0]))
             raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
@@ -178,5 +177,5 @@ def annihilates(ops, v: LinComb) -> bool:
         raise MomentumMismatch("vector mixes momenta")
     mu, = momenta
     column = [(s.modes, x) for s, x in v.items()]
-    return not any(residue_images(op.system, op.prefactor, op.exp, mu, [column], degree=d)[1][0]
+    return not any(residue_images(op if op.source == mu else op.at(mu), [column], degree=d)[1][0]
                    for op in ops)

@@ -231,6 +231,39 @@ def test_ks_needs_rank2():
         cat.ks_fields("sl", 1, Fraction(3))
 
 
+@pytest.mark.parametrize("k1", [Fraction(16, 7), T], ids=str)
+@pytest.mark.parametrize("pair,n", [(pair, n) for pair in rd.PAIRS for n in (2, 3)])
+def test_ks_sides_are_the_bosonized_systems_and_one_lattice_boson(pair, n, k1):
+    """Side A is the super side's bosonized System and psi of norm -1, side B
+    the subregular side's and phi of norm 1, orthogonal to the rest."""
+    lv = cat.LevelData.from_k1(pair, n, k1)
+    ks = cat.ks_fields(pair, n, lv.k2)
+    names = {"super": ["phi"] + [f"a{i}" for i in range(n + 1)],
+             "subregular": ["x", "y"] + [f"a{i}" for i in range(1, n + 1)]}
+    for side, family, boson, norm in ((ks.side_a, "super", "psi", -1),
+                                      (ks.side_b, "subregular", "phi", 1)):
+        sys, base = side.system, cat.form_system(family, "bosonized", lv)
+        m = len(base.species)
+        assert [s.name for s in base.species] == names[family]
+        assert [s.name for s in sys.species] == names[family] + [boson]
+        assert all(s.is_heis for s in sys.species)
+        assert [list(row) for row in sys.pairing] == (
+            [list(row) + [0] for row in base.pairing] + [[0] * m + [norm]])
+        assert sys.lattice_indices == base.lattice_indices + (m,)
+
+
+def test_form_system_refuses_unknown_names():
+    lv = cat.LevelData.from_k1("sl", 2, Fraction(16, 7))
+    for family, form in (("bogus", "nonsense"), ("bogus", "bosonized"), ("ks-a", "bosonized"),
+                         ("subregular", "nonsense"), ("super", "Miura")):
+        with pytest.raises(InputError, match="unknown form"):
+            cat.form_system(family, form, lv)
+    with pytest.raises(InputError, match="unknown form"):
+        cat.subregular_realization("sl", 2, Fraction(16, 7), "nonsense")
+    with pytest.raises(InputError, match="unknown form"):
+        cat.principal_super_realization("sl", 2, Fraction(16, 7), "nonsense")
+
+
 def test_catalog_keys_resolve():
     for key in cat.catalog_keys():
         spec = cat.get_realization(key, k1=Fraction(-14, 5), k2=None)

@@ -307,6 +307,21 @@ def test_out_of_range_integer_flags_exit_2(capsys):
     assert code == 0 and json.loads(out)["inputs"]["k2"] == "-17/10"
 
 
+def test_missing_named_config_exit_2(tmp_path, capsys, monkeypatch):
+    """A path in WCOSET_CONFIG that is not a file is refused, a directory
+    included; an absent ./wcoset.cfg is not."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "r.json"
+    for named in (tmp_path / "wcoset.cgf", tmp_path):
+        monkeypatch.setenv("WCOSET_CONFIG", str(named))
+        code, stdout, err = run(capsys, "norm", "--pair", "sl", "--n", "1", "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists(), named
+        assert err == f"error: config file {str(named)!r} named by WCOSET_CONFIG is not a file\n"
+    monkeypatch.delenv("WCOSET_CONFIG")
+    code, _, _ = run(capsys, "norm", "--pair", "sl", "--n", "1", "--out", str(out))
+    assert code == 0 and out.exists()
+
+
 def test_bad_config_integer_exit_2(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "wcoset.cfg"
     monkeypatch.setenv("WCOSET_CONFIG", str(cfg))

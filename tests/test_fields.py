@@ -861,12 +861,13 @@ def test_heisenberg_zero_mode_reads_the_momentum():
     assert _annihilations(sys, x1, modes, mu) == {(0, modes): Fraction(-2), **contractions}
     assert _annihilations(sys, x1, modes, mu, 0) == {(0, modes): Fraction(-2)}
     assert _annihilations(sys, x1, modes, sys.zero_momentum()) == contractions
-    Z, (img,) = fields.residue_images(sys, gen("x1"), op.exp, mu, [[(modes, 1)]])
+    x1_op = ScreeningOp(sys, op.exp, mu, gen("x1"))
+    Z, (img,) = fields.residue_images(x1_op, [[(modes, 1)]])
     got = {FockState(op.target(), sys._packing.unpack(k)): Fraction(v, Z) for k, v in img.items()}
     want = mode_apply(sys, nord(gen("x1"), op.exp), 0, FockState(mu, modes))
     assert got == want and want
     # on |mu> itself the x1_(0) term is the whole residue: -2 eps |mu + s>
-    Z, (img,) = fields.residue_images(sys, gen("x1"), op.exp, mu, [[((), 1)]])
+    Z, (img,) = fields.residue_images(x1_op, [[((), 1)]])
     eps = fields._expop_record(sys, op.exp, mu).eps
     assert {k: Fraction(v, Z) for k, v in img.items()} == {0: -2 * eps}
     assert mode_apply(sys, nord(gen("x1"), op.exp), 0, FockState(mu, ())) == {

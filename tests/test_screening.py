@@ -111,7 +111,7 @@ def apply_residue(op, vectors):
     """op's residue on each vector (a LinComb over op.source), through
     residue_images, as LinCombs over op.target()."""
     sys = op.system
-    Z, images = residue_images(sys, op.prefactor, op.exp, op.source, columns_of(vectors))
+    Z, images = residue_images(op, columns_of(vectors))
     return [{FockState(op.target(), sys._packing.unpack(key)): x
              for key, x in image_values(Z, img).items()} for img in images]
 
@@ -308,6 +308,15 @@ def test_annihilates_refusals_and_trivial_cases():
     assert annihilates([S], {})
     assert annihilates([S], {vac: Fraction(1)})
     assert not annihilates([S], {c_state: Fraction(1)})
+    # a vector over another module is screened out of that module, here one
+    # where S's exponent -(x1 + x2 | mu)/k1 = 1 is not its exponent on S.source
+    mu = sys.momentum((-k1, Fraction(0)))
+    gm, killed = residue_map(S.at(mu), range(3)), []
+    for d in range(3):
+        for s, column in zip(enumerate_basis(sys, mu, d), gm.slices[d][1]):
+            killed.append(annihilates([S], {s: Fraction(1)}))
+            assert killed[-1] == (not column), s
+    assert True in killed and False in killed
 
 
 def rank1_system(K):
@@ -598,7 +607,7 @@ def test_residue_images_match_mode_apply_on_vectors(name):
     nonzero = 0
     for op, oop in zip(ops, oops):
         vectors = random_vectors(rng, sys, op.source, 9)
-        Z, images = residue_images(sys, op.prefactor, op.exp, op.source, columns_of(vectors))
+        Z, images = residue_images(op, columns_of(vectors))
         assert len(images) == len(vectors) and images[0] == {}
         for v, image in zip(vectors, (image_values(Z, img) for img in images)):
             want = mode_apply(osys, screening_field(oop), 0, v)
@@ -628,8 +637,7 @@ def test_blocks_view_is_the_residue_images_over_their_denominator(name):
         for d in range(4):
             src = enumerate_basis(sys, op.source, d)
             tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
-            Z, images = residue_images(sys, op.prefactor, op.exp, op.source,
-                                       [((s.modes, 1),) for s in src], degree=d)
+            Z, images = residue_images(op, [((s.modes, 1),) for s in src], degree=d)
             assert (Z is None) == symbolic and gm.slices[d][0] == Z
             index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
             dense = [[Fraction(0)] * len(src) for _ in tgt]
