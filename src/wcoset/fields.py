@@ -9,14 +9,14 @@ finite linear combination; the OPEs and Gram matrices are built on it, the
 poles of a field on a state each caller builds once (``ope_poles``).  A
 generator's nonnegative modes on the modes of a state over a momentum come
 from one walk, ``_annihilations``.  ``residue_images`` is the one screening
-residue path: it maps columns of (modes, coefficient), canonical mode tuples
-as the slice table holds them, to sparse images and, like ``mode_apply``,
-takes the images of the exponential operator from one core, ``_images``.
-The core works a list of columns at once, each a list of jobs (modes, seed,
-places), on monomials packed into integer keys (``fock._Packing``), writes
-each column once through the caller's index, and returns integers over one
-denominator Z (values, Z None, over Q(t)); a ``Fraction`` is made only where
-a value is read (``_expop_mode``, blocks).
+residue path: it maps a source slice's ``fock.Split``, or vectors it splits
+itself, to sparse images and, like ``mode_apply``, takes the images of the
+exponential operator from one core, ``_images``.  The core works columns of
+jobs (split state, seed, places) on monomials packed into integer keys
+(``fock._Packing``), writes each column in one pass through the caller's
+index, and returns integers over one denominator Z (values, Z None, over
+Q(t)); a ``Fraction`` is made only where a value is read (``_expop_mode``,
+blocks).
 
 Conventions.  Fields expand as a(z) = sum_n a_(n) z^(-n-1).  A mode a_(n) of a
 homogeneous expression of engine weight w shifts engine degree by w - n - 1.
@@ -46,9 +46,10 @@ otherwise, across the calls sharing a memo (the degrees of a ``residue_map``,
 the maps of a resolution chain).  Where each constant is computed: per
 (operator, momentum), kept on the System, p, eps, mu + s and the factors f,
 rational ones also over their lcm denominator D; per operator the parts P_a,
-grown on demand on the field and apart over Z; per ``residue_images`` call
-eps a and the front places of each degree; per ``_images`` call the ring, Z
-and the powers of D; per state only its split into contracted and kept modes.
+grown on demand on the field and apart over Z; per basis and contracted
+species set, each slice's split of its states (``fock.slice_split``) with
+the maxima that fix Z; per ``residue_images`` call eps a and the front places
+of each degree; per ``_images`` call the ring, Z and the powers of D.
 
 A LinComb is a dict FockState -> coefficient with no stored zeros; a state
 is a canonical basis monomial, so every sign is carried by its coefficient.
@@ -59,11 +60,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
 from typing import Optional, Union
 
 from .errors import MomentumMismatch, NonSymmetric, ParityMismatch
-from .fock import FockState, Momentum, System, front_sign, normal_form, state_str
+from .fock import (FockState, Momentum, Split, System, front_sign, normal_form, split_modes,
+                   state_str)
 from .scalars import RatFun, Scalar, _as_int, sc_is_zero
 
 
@@ -111,6 +114,11 @@ class ExpOp:
     @cached_property
     def _hash(self) -> int:
         return hash((self.coeff, self.direction, self.shift))
+
+    @cached_property
+    def contracted(self) -> tuple:
+        """The Heisenberg positions E+ contracts: those the shift moves."""
+        return tuple(p for p, v in enumerate(self.shift.values) if v)
 
 
 def exp_op(sys: System, c: Scalar, direction) -> ExpOp:
@@ -369,7 +377,7 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
     rec = cache.get((op, mu))
     if rec is None:
         # E+ contracts h_s(-d) for -c(lambda|h_s), minus the shift's entry s
-        factors = {s: -v for s, v in zip(sys.heis_indices, op.shift.values) if v}
+        factors = {sys.heis_indices[p]: -op.shift.values[p] for p in op.contracted}
         if op not in cache:
             rational = not any(isinstance(x, RatFun)
                                for x in (op.coeff, *op.direction, *factors.values()))
@@ -442,44 +450,34 @@ def _suffix_image(ctx, memo, np: int, fmodes: tuple, i: int, key: int, b: int) -
     return got
 
 
-def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=None) -> tuple:
-    """Vertex-operator images over rec.target of a list of columns, each a list
-    of jobs (modes, seed, places): (Z, per column {target index: nonzero
-    entry}).  For each (n, front) of places, by ascending n, a job asks for the
-    (n)-mode image of the canonical state of `modes` with the creation mode
-    `front` (or None) ahead, times the seed (int, Fraction or RatFun): the
-    suffix image of its contracted modes, each key plus its other modes and the
-    front, signed by front_sign (E+ and E- touch only even modes).  A column's
-    first image is written as its dict through `index` ({packed key: target
-    index}, KeyError off it; the key itself if None), later ones sum into it.
-    Over Z, with Q the lcm denominator of the parts through the call's top, S
-    that of the seeds and nmax the most modes of a state, an entry is its value
-    times Z = D^nmax Q S; over the field, chosen once per call, Z is None.
-    Suffix images keep their own L, so calls on one System share `memo`."""
-    pk, p, contracted = sys._packing, rec.p, rec.factors
-    nmax, top, S, field, split = 0, -1, 1, rec.zparts is None, []
+def _bounds(columns, p: int) -> tuple:
+    """(nmax, top, S) of columns of jobs: the most modes of a state, the highest
+    E- part met (-1 if none) and the seeds' lcm denominator, None with a RatFun."""
+    nmax, top, S = 0, -1, 1
     for column in columns:
-        jobs = []
-        for modes, seed, places in column:
-            fmodes, key, kept, b = [], 0, 0, 0
-            for mode in modes:
-                if mode[0] in contracted:
-                    fmodes.append(mode)
-                    key += pk[mode]
-                    b += mode[1]
-                else:
-                    kept += pk[mode]
+        for (modes, _, _, _, b), seed, places in column:
             if len(modes) > nmax:
                 nmax = len(modes)
             if places and b - places[0][0] - 1 - p > top:
                 top = b - places[0][0] - 1 - p
-            if type(seed) is not int:
-                if isinstance(seed, RatFun):
-                    field = True
-                else:
-                    S = lcm(S, seed.denominator)
-            jobs.append((modes, seed, places, tuple(fmodes), key, kept, b))
-        split.append(jobs)
+            if type(seed) is not int and S is not None:
+                S = None if isinstance(seed, RatFun) else lcm(S, seed.denominator)
+    return nmax, top, S
+
+
+def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, nmax: int, top: int,
+            S: Optional[int], index=None, memo=None) -> tuple:
+    """Vertex-operator images over rec.target of columns of jobs (split, seed,
+    places), a split being a state's ``fock.split_modes`` over rec's species,
+    written in one pass: (Z, per column {target index: nonzero entry}).  For
+    each (n, front) of places a job adds the (n)-mode image of the state with
+    the creation mode `front` (or None) ahead times the seed (int, Fraction or
+    RatFun): its contracted modes' suffix image, each key plus its other modes
+    and the front, signed by front_sign, through `index` ({packed key: target
+    index}, KeyError off it; the key itself if None).  Given the _bounds, an
+    entry over Z is its value times Z = D^nmax Q S, Q the parts' lcm denominator
+    through top; over the field (S None or no Z parts) Z is None."""
+    pk, p, field = sys._packing, rec.p, S is None or rec.zparts is None
     pk.check(nmax + top + 1)  # a digit counts a kept mode, one of P_a's and the front
     D, factors = (1, rec.factors) if field else rec.zfactors
     S, parts = (1, rec.parts) if field else (S, rec.zparts)
@@ -488,9 +486,9 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
     ctx, powers = (D, factors, parts, pk), [D ** e * S for e in range(nmax + 1)]
     memo = {} if memo is None else memo.setdefault((op, field), {})
     out, index = [], _PACKED if index is None else index
-    for jobs in split:
+    for column in columns:
         acc = None
-        for modes, seed, places, fmodes, key, kept, b in jobs:
+        for (modes, fmodes, key, kept, b), seed, places in column:
             if not field:
                 e = powers[nmax - len(fmodes)]
                 seed = seed * e if type(seed) is int else seed.numerator * (e // seed.denominator)
@@ -517,45 +515,52 @@ def _images(sys: System, op: ExpOp, rec: _ExpRecord, columns, index=None, memo=N
 def _expop_mode(sys: System, op: ExpOp, n: int, state: FockState) -> LinComb:
     """(n)-mode of eps T_s z^p E-(z) E+(z) on a state, in closed form."""
     rec = _expop_record(sys, op, state.momentum)
-    Z, (img,) = _images(sys, op, rec, [[(state.modes, rec.eps, ((n, None),))]])
+    jobs = [[(split_modes(sys._packing, rec.factors, state.modes), rec.eps, ((n, None),))]]
+    Z, (img,) = _images(sys, op, rec, jobs, *_bounds(jobs, rec.p))
     return {FockState(rec.target, sys._packing.unpack(key)): v if Z is None else Fraction(v, Z)
             for key, v in img.items()}
 
 
-def residue_images(op, columns, index=None, memo=None,
-                   degree: Optional[int] = None) -> tuple:
+def residue_images(op, columns, index=None, memo=None) -> tuple:
     """Residues of a ``screening.ScreeningOp`` :P(z) e^{c int lambda(z)}: (P:
-    None meaning 1, g or Scale(a, g), as the op checks) on columns over its
-    source mu, each a list of (modes, coefficient) of canonical states of
-    degree `degree` (if None, read off the modes): (Z, one image over mu + s
-    per column), from one _images call.  The (0)-mode of :g E: is sum_j
-    g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j E_(-1-j) g_(j) (see mode_apply): a
-    state's job puts g_(-1-j) ahead of E_(j) by its degree's front places,
-    built once, and each term of its _annihilations walk seeds a job.  eps a
-    is folded once; no coefficient 1 or sign is multiplied."""
+    None meaning 1, g or Scale(a, g)) over its source mu: (Z, one image over
+    mu + s per column), from one _images call.  `columns` is a source slice's
+    ``fock.Split`` over exp.contracted, a column per state, or vectors, each
+    an iterable of (modes, coefficient), split here.  Without P a Split is
+    written straight, its maxima fixing Z.  The (0)-mode of :g E: is sum_j
+    g_(-1-j) E_(j) + (-1)^{p(g)p(E)} sum_j E_(-1-j) g_(j) (see mode_apply):
+    g_(-1-j) goes ahead of E_(j) by the degree's front places, each term of
+    the state's _annihilations seeds a job, and the jobs' _bounds fix Z.  eps
+    a is folded once; no coefficient 1 or sign is multiplied."""
     sys, prefactor, exp, mu = op.system, op.prefactor, op.exp, op.source
-    rec = _expop_record(sys, exp, mu)
+    rec, pk = _expop_record(sys, exp, mu), sys._packing
     a, g = (prefactor.coeff, prefactor.expr) if isinstance(prefactor, Scale) else (1, prefactor)
     eps = rec.eps * a
-    if g is None:
-        place = ((0, None),)
-        return _images(sys, exp, rec, [[(modes, eps if x == 1 else eps * x, place)
-                                        for modes, x in column] for column in columns],
-                       index, memo)
-    idx = sys.index[g.name]
-    eps2 = -eps if parity(sys, g) * parity(sys, exp) else eps  # seeds of the second sum
+    if isinstance(columns, Split):
+        degree, states, nmax, bmax = columns
+        if g is None:  # eps is rec.eps, an int; one job per column, its (0)-mode
+            return _images(sys, exp, rec, zip(zip(states, repeat(eps), repeat(((0, None),)))),
+                           nmax, max(bmax - 1 - rec.p, -1) if states else -1, 1, index, memo)
+        columns = [((st, 1, degree),) for st in states]
+    else:
+        columns = [[(split_modes(pk, rec.factors, modes), x,
+                     sum(sys.mode_degree(*m) for m in modes)) for modes, x in column]
+                   for column in columns]
+    idx = g and sys.index[g.name]
+    eps2 = -eps if g and parity(sys, g) * parity(sys, exp) else eps  # seeds of the second sum
     fronts, jobs = {}, []
     for column in columns:
         jobs.append([])
-        for modes, x in column:
-            d = sum(sys.mode_degree(*m) for m in modes) if degree is None else degree
-            places = fronts.get(d) or fronts.setdefault(
+        for st, x, d in column:
+            places = ((0, None),) if g is None else fronts.get(d) or fronts.setdefault(
                 d, tuple((j, (idx, j + 1)) for j in range(d - rec.p)))
-            jobs[-1].append((modes, eps if x == 1 else eps * x, places))
-            x2 = eps2 if x == 1 else eps2 * x
-            jobs[-1] += [(rest, v if x2 == 1 else -v if x2 == -1 else x2 * v, ((-1 - j, None),))
-                         for (j, rest), v in _annihilations(sys, idx, modes, mu).items()]
-    return _images(sys, exp, rec, jobs, index, memo)
+            jobs[-1].append((st, eps if x == 1 else eps * x, places))
+            if g is not None:
+                x2 = eps2 if x == 1 else eps2 * x
+                jobs[-1] += [(split_modes(pk, rec.factors, rest),
+                              v if x2 == 1 else -v if x2 == -1 else x2 * v, ((-1 - j, None),))
+                             for (j, rest), v in _annihilations(sys, idx, st[0], mu).items()]
+    return _images(sys, exp, rec, jobs, *_bounds(jobs, rec.p), index, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ is entry (0, d).  ``slice_dimension`` and ``graded_dimension`` count a slice
 without building its FockStates.
 
 A signature also has a ``_Packing``, the integer keys of its monomials, one
-digit per (species, depth), under which a product of monomials is one sum,
-and an index ``{packed key: position}`` per slice.  The Systems of a signature
-share this basis, which is kept for the life of the process.
+digit per (species, depth), under which a product of monomials is one sum, an
+index ``{packed key: position}`` per slice and a ``Split`` per slice and set of
+contracted Heisenberg species; its Systems share this basis, kept for the process.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ class System:
             self._lattice += ((p, 1 if norm == 1 else -1),)
         sig = tuple((s.kind, s.engine_weight, s.odd) for s in self.species)
         if sig not in _BASES:
-            _BASES[sig] = ({}, _Packing(len(sig)), {})
-        # the signature's slice table, packing and slice indices, see _BASES
-        self._slices, self._packing, self._indices = _BASES[sig]
+            _BASES[sig] = ({}, _Packing(len(sig)), {}, {})
+        # the signature's slice table, packing, slice indices and splits, see _BASES
+        self._slices, self._packing, self._indices, self._splits = _BASES[sig]
         # constants of exponential operators, see fields._expop_record:
         # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
         # for a rational ExpOp, their integer form
@@ -324,9 +324,9 @@ def normal_form(sys: System, mu: Momentum, raw_modes) -> Optional[tuple]:
 # enumeration
 # ---------------------------------------------------------------------------
 
-# species signature -> its Fock basis, kept for the process: the slice table
-# {(k, d): mode tuples}, the _Packing and the slice indices {degree: {packed
-# key: position}}, shared by every System of the signature
+# species signature -> its Fock basis, kept for the process and shared by its
+# Systems: the slice table {(k, d): mode tuples}, the _Packing, the slice
+# indices {degree: {packed key: position}} and the {(positions, degree): Split}
 _BASES = {}
 
 
@@ -403,6 +403,36 @@ def slice_index(sys: System, degree: int, cap: Optional[int] = None) -> dict:
     if degree not in sys._indices:
         sys._indices[degree] = {sys._packing.pack(m): i for i, m in enumerate(shapes)}
     return sys._indices[degree]
+
+
+def split_modes(packing: _Packing, contracted, modes: tuple) -> tuple:
+    """Canonical modes as an E+ contracting the species `contracted` reads them:
+    (modes, contracted modes, their packed key, the others' key, their depth sum)."""
+    fmodes, key, kept, b = [], 0, 0, 0
+    for mode in modes:
+        if mode[0] in contracted:
+            fmodes.append(mode)
+            key += packing[mode]
+            b += mode[1]
+        else:
+            kept += packing[mode]
+    return modes, tuple(fmodes), key, kept, b
+
+
+class Split(tuple):
+    """(degree, split_modes of each state in slice order, most modes, most b)."""
+
+
+def slice_split(sys: System, contracted: tuple, degree: int, cap: Optional[int] = None) -> Split:
+    """The degree slice's Split for an E+ contracting the Heisenberg positions
+    `contracted`, built once per signature; ResourceBound past the cap."""
+    shapes = slice_modes(sys, degree, cap)
+    if (contracted, degree) not in sys._splits:
+        species = {sys.heis_indices[p] for p in contracted}
+        states = tuple(split_modes(sys._packing, species, modes) for modes in shapes)
+        sys._splits[contracted, degree] = Split((degree, states, max(map(len, shapes), default=0),
+                                                 max((st[4] for st in states), default=0)))
+    return sys._splits[contracted, degree]
 
 
 def graded_dimension(sys: System, mu: Momentum, degrees):

@@ -10,18 +10,18 @@ source it lands in degree d + w_P - 1 - c(lambda|mu) of the target module
 over |mu + s>.
 
 GradedMap holds per degree the slice ``fields.residue_images`` writes for
-``residue_map`` from the source slice's mode tuples (``fock.slice_modes``, the
-slice table itself: no FockState is built) through ``fock.slice_index``, every
-degree sharing one memo: a column {target index: entry} per source state,
-integers over a denominator Z (values, Z None, over Q(t)); an image off the
-target raises ShapeMismatch; a slice over the cap, source or target, is refused.
-Its ``blocks``, dense matrices of ``Fraction``s and ``linalg.ZERO``, are a
-view built on each read that no check reads.  ``joint_kernel`` returns the
-per-degree kernel dims, handing the maps' slices to ``linalg.column_rank`` as
-the blocks of one stack; ``compose_check`` runs the packed zero test
-``linalg.product_vanishes`` on the integer columns of two built maps, a
-degree whose composite passes through an empty slice counting as vacuous
-(None).
+``residue_map`` from the source slice's ``fock.Split`` over the contracted
+species (``fock.slice_split``, kept per basis: no state is built or walked)
+through ``fock.slice_index``, every degree sharing one memo: a column {target
+index: entry} per source state, integers over a denominator Z (values, Z
+None, over Q(t)); an image off the target raises ShapeMismatch; a slice over
+the cap, source or target, is refused.  Its ``blocks``, dense matrices of
+``Fraction``s and ``linalg.ZERO``, are a view built on each read that no
+check reads.  ``joint_kernel`` returns the per-degree kernel dims, handing
+the maps' slices to ``linalg.column_rank`` as the blocks of one stack;
+``compose_check`` runs the packed zero test ``linalg.product_vanishes`` on the
+integer columns of two built maps, a degree whose composite passes through an
+empty slice counting as vacuous (None).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional
 from .errors import InputError, MomentumMismatch, ShapeMismatch
 from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, exp_power, lc_degree,
                      residue_images, weight)
-from .fock import Momentum, System, slice_index, slice_modes
+from .fock import Momentum, System, slice_index, slice_split
 from .linalg import ZERO, column_rank, product_vanishes
 # not called here; bench/test_bench.py checks that its tracer patches these sites
 from .fields import mode_apply  # noqa: F401
@@ -104,14 +104,14 @@ def residue_map(op: ScreeningOp, degrees, cap: Optional[int] = None,
                 memo: Optional[dict] = None) -> GradedMap:
     """Exact sparse matrices of the screening residue on the requested degree
     slices, every degree sharing `memo` (fresh unless given; maps on one
-    System may share one, see fields._images)."""
+    System may share one, as suffix images keep their own L)."""
     sys, shift_deg, memo = op.system, op.degree_shift(), {} if memo is None else memo
     pk, gm = sys._packing, GradedMap(op.source, op.target(), shift_deg)
     for d in degrees:
-        src = slice_modes(sys, d, cap)
+        split = slice_split(sys, op.exp.contracted, d, cap)
         index = slice_index(sys, d + shift_deg, cap)
         try:
-            Z, columns = residue_images(op, [((modes, 1),) for modes in src], index, memo, d)
+            Z, columns = residue_images(op, split, index, memo)
         except KeyError as missing:
             degree = sum(sys.mode_degree(*mode) for mode in pk.unpack(missing.args[0]))
             raise ShapeMismatch(f"image of degree {degree} missing from target slice") from None
@@ -171,11 +171,10 @@ def annihilates(ops, v: LinComb) -> bool:
     """True iff every screening residue of ops kills the homogeneous vector v."""
     if not (v and ops):
         return True
-    d = lc_degree(ops[0].system, v)  # homogeneity check
+    lc_degree(ops[0].system, v)  # homogeneity check
     momenta = {s.momentum for s in v}
     if len(momenta) > 1:
         raise MomentumMismatch("vector mixes momenta")
     mu, = momenta
     column = [(s.modes, x) for s, x in v.items()]
-    return not any(residue_images(op if op.source == mu else op.at(mu), [column], degree=d)[1][0]
-                   for op in ops)
+    return not any(residue_images(op.at(mu), [column])[1][0] for op in ops)

@@ -13,7 +13,7 @@ from wcoset.fields import (ExpOp, LinComb, NormOrd, _annihilations, current_gram
                            deriv, gen, direction_of, exp_op, exp_power, l0_apply, lc_add,
                            mode_apply, nord, ope_singular, sadd, scale, state_of_field)
 from wcoset.fock import (FockState, System, boson_pair, enumerate_basis, fermion_pair,
-                         front_sign, heis, normal_form, register_system)
+                         front_sign, heis, normal_form, register_system, split_modes)
 from wcoset.scalars import RatFun, T, sc_is_zero
 from wcoset.screening import ScreeningOp, annihilates, residue_map
 
@@ -686,14 +686,15 @@ def _core_against_field_ring(monkeypatch, sys, cases, max_degree):
     real = fields._images
     columns, counts = [], []
 
-    def both(sys, op, rec, cols, index=None, memo=None):
-        Z, got = real(sys, op, rec, cols, index, memo)
+    def both(sys, op, rec, cols, nmax, top, S, index=None, memo=None):
+        cols = [list(jobs) for jobs in cols]
+        Z, got = real(sys, op, rec, cols, nmax, top, S, index, memo)
         rational = rec.zparts is not None and not any(
             isinstance(v, RatFun) for jobs in cols for _, v, _ in jobs)
         # the field ring grows its own parts, so rec's zparts keep pace with
         # rec's parts; it writes through the same index and keeps no memo
         on_field = dataclasses.replace(rec, parts=list(rec.parts), zparts=None)
-        no_Z, want = real(sys, op, on_field, cols, index)
+        no_Z, want = real(sys, op, on_field, cols, nmax, top, S, index)
         assert no_Z is None and len(got) == len(want) == len(cols)
         columns.extend((rational and Z is not None, _entries(g, Z) == _entries(w), bool(g))
                        for g, w in zip(got, want))
@@ -803,6 +804,14 @@ def test_packed_keys_refuse_a_digit_overflow():
         mode_apply(sys, exp, 252, state)
 
 
+def core(sys, exp, rec, columns):
+    """fields._images on columns of jobs (modes, seed, places): each state
+    split over rec's contracted species, the bounds read off the jobs."""
+    jobs = [[(split_modes(sys._packing, rec.factors, modes), seed, places)
+             for modes, seed, places in column] for column in columns]
+    return fields._images(sys, exp, rec, jobs, *fields._bounds(jobs, rec.p))
+
+
 def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
     # b is odd; its creation mode put ahead of a state's b modes reorders them
     # with a sign, and repeating one of them gives zero
@@ -815,7 +824,7 @@ def test_odd_front_ahead_of_a_state_takes_its_sign_or_zero():
 
     def image(front, modes):
         # the (-1 - p)-mode meets P_0 with every mode of the state kept
-        Z, (img,) = fields._images(sys, exp, rec, [[(modes, 1, ((-1 - rec.p, front),))]])
+        Z, (img,) = core(sys, exp, rec, [[(modes, 1, ((-1 - rec.p, front),))]])
         return {key: Fraction(v, Z) for key, v in img.items()}
 
     key = sys._packing.pack(((b, 2), (b, 1)))
@@ -839,7 +848,7 @@ def test_odd_front_repeating_a_mode_adds_nothing_among_shared_places():
     assert front_sign(sys, (b, 1), modes) == 0
 
     def image(places):
-        Z, (img,) = fields._images(sys, exp, rec, [[(modes, 1, places)]])
+        Z, (img,) = core(sys, exp, rec, [[(modes, 1, places)]])
         return {key: Fraction(v, Z) for key, v in img.items()}
 
     assert image(places[:1]) == {}
@@ -989,13 +998,16 @@ def _against_ref(monkeypatch, run, perturb=False):
     of nonzero columns compared."""
     real, nonzero = fields._images, []
 
-    def both(sys, op, rec, cols, index=None, memo=None):
-        Z_ref, want = ref_images(sys, op, rec, cols)
+    def both(sys, op, rec, cols, nmax, top, S, index=None, memo=None):
+        cols = [list(jobs) for jobs in cols]
+        # ref_images reads each job's modes, not their split
+        Z_ref, want = ref_images(sys, op, rec, [[(st[0], seed, places) for st, seed, places in jobs]
+                                                for jobs in cols])
         if perturb and rec.zparts is not None:
             D, zf = rec.zfactors
             s = next(iter(zf))
             rec = dataclasses.replace(rec, zfactors=(D, {**zf, s: zf[s] + 1}))
-        Z, got = real(sys, op, rec, cols, index, memo)
+        Z, got = real(sys, op, rec, cols, nmax, top, S, index, memo)
         assert Z == Z_ref and len(got) == len(want) == len(cols)
         keys = fields._PACKED if index is None else index
         for g, w in zip(got, want):

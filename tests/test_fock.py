@@ -358,20 +358,21 @@ class CountingTable(dict):
 
 def count_builds(monkeypatch):
     """Patch a fresh, empty registry in whose every new basis gets a counting
-    slice table, and return the counts of entries written."""
+    slice table and split table, and return the counts of entries written."""
     builds = Counter()
 
     class Registry(dict):
         def __setitem__(self, sig, basis):
-            table, packing, indices = basis
-            assert not table
-            super().__setitem__(sig, (CountingTable(builds), packing, indices))
+            table, packing, indices, splits = basis
+            assert not table and not splits
+            super().__setitem__(sig, (CountingTable(builds), packing, indices,
+                                      CountingTable(builds)))
     monkeypatch.setattr(fock, "_BASES", Registry())
     return builds
 
 
 def basis(sys):
-    return sys._slices, sys._packing, sys._indices
+    return sys._slices, sys._packing, sys._indices, sys._splits
 
 
 def same(xs, ys):
@@ -574,3 +575,106 @@ def test_graded_dimension_cap():
     assert str(counted.value) == str(built.value) == \
         "slice size 24 exceeds cap 23 (degree 2)"
     assert graded_dimension(sys, mu, [-1]) == [0]
+
+
+# ---------------------------------------------------------------------------
+# slice splits
+# ---------------------------------------------------------------------------
+# A residue slice reads each source state split for the Heisenberg species its
+# E+ contracts: the contracted modes with their packed key, the packed key of
+# the other modes and the contracted depth, with the slice's most modes and
+# largest contracted depth.  A basis keeps one Split per (contracted
+# positions, degree), built once like its slice table entries.
+
+def split_of_slice_modes(sys, positions, d):
+    """The Split of slice d for the Heisenberg positions, made here from
+    slice_modes."""
+    species, pk = {sys.heis_indices[p] for p in positions}, sys._packing
+    states = []
+    for modes in fock.slice_modes(sys, d):
+        contracted = tuple(m for m in modes if m[0] in species)
+        others = tuple(m for m in modes if m[0] not in species)
+        states.append((modes, contracted, pk.pack(contracted), pk.pack(others),
+                       sum(depth for _, depth in contracted)))
+    return (d, tuple(states), max((len(st[0]) for st in states), default=0),
+            max((st[4] for st in states), default=0))
+
+
+def three_heisenberg(p=Fraction(2)):
+    return register_system([heis("x"), heis("y"), heis("z")],
+                           [[p, 1, 0], [1, -p, 3], [0, 3, 1]])
+
+
+def position_subsets(sys):
+    n = len(sys.heis_indices)
+    return [tuple(p for p in range(n) if mask >> p & 1) for mask in range(2 ** n)]
+
+
+@pytest.mark.parametrize("build", [three_heisenberg,
+                                   lambda: cat.gl11_system(Fraction(7, 2), Fraction(1, 3))],
+                         ids=["3 heisenberg", "gl11"])
+def test_slice_split_matches_a_split_of_slice_modes(build):
+    sys = build()
+    subsets = position_subsets(sys)
+    assert len(subsets) == 2 ** len(sys.heis_indices) >= 4
+    for positions in subsets:
+        for d in (5, 0, 3, 1, 4, 2):
+            split = fock.slice_split(sys, positions, d)
+            assert split == split_of_slice_modes(sys, positions, d), (positions, d)
+            assert split[1] and split[0] == d
+    # the empty slice below degree 0
+    assert fock.slice_split(sys, subsets[-1], -1) == (-1, (), 0, 0)
+
+
+def test_each_split_built_once_per_signature_positions_and_degree(monkeypatch):
+    builds = count_builds(monkeypatch)
+    systems = [three_heisenberg(), three_heisenberg(Fraction(-5, 3)), bc_heis2(),
+               cat.gl11_system(Fraction(7, 2), Fraction(1, 3))]
+    for sys in systems:
+        for positions in position_subsets(sys):
+            for d in (4, 1, 4, 0, 2, 1):
+                assert fock.slice_split(sys, positions, d) == split_of_slice_modes(sys, positions, d)
+    # bc_heis2 and gl11 share a signature, and so do the two three_heisenberg
+    splits = {id(sys._splits): sys for sys in systems}
+    assert len(splits) == 2 and set(builds.values()) == {1}
+    for t, sys in splits.items():
+        assert {key for s, key in builds if s == t} == \
+            {(positions, d) for positions in position_subsets(sys) for d in (0, 1, 2, 4)}
+
+
+def test_one_signature_shares_its_splits_across_pairings():
+    one, two = bc_heis2(), bc_heis2(Fraction(5), Fraction(0), Fraction(7))
+    assert one.pairing != two.pairing and two._splits is one._splits
+    for positions in position_subsets(one):
+        for d in range(4):
+            assert fock.slice_split(two, positions, d) is fock.slice_split(one, positions, d)
+    # a screening of one re-sourced on the other's System reads the same split
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    other = cat.gl11_system(Fraction(-11, 3), Fraction(9, 8))
+    exp = spec.screenings[0].exp
+    assert exp.contracted == (0, 1)
+    assert fock.slice_split(other, exp.contracted, 3) is fock.slice_split(spec.system, (0, 1), 3)
+
+
+def test_a_slice_over_the_cap_is_refused_before_any_image(monkeypatch):
+    from wcoset import fields
+    from wcoset.screening import residue_map
+    written = []
+    real = fields._images
+
+    def spy(*args, **kwargs):
+        written.append(args[3])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(fields, "_images", spy)
+    count_builds(monkeypatch)  # a fresh registry: no split is built yet
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    op = spec.screenings[0]
+    size = slice_dimension(spec.system, 3)
+    assert size == 64 and op.degree_shift() == 0
+    with pytest.raises(ResourceBound, match=r"slice size 64 exceeds cap 63 \(degree 3\)"):
+        fock.slice_split(spec.system, op.exp.contracted, 3, cap=63)
+    with pytest.raises(ResourceBound, match=r"slice size 64 exceeds cap 63 \(degree 3\)"):
+        residue_map(op, [3], cap=63)
+    assert not written and (op.exp.contracted, 3) not in spec.system._splits
+    residue_map(op, [3], cap=size)
+    assert written and (op.exp.contracted, 3) in spec.system._splits

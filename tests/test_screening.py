@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
+from wcoset import fock
 from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
                            ShapeMismatch)
 from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power, gen,
@@ -637,7 +638,7 @@ def test_blocks_view_is_the_residue_images_over_their_denominator(name):
         for d in range(4):
             src = enumerate_basis(sys, op.source, d)
             tgt = enumerate_basis(sys, op.target(), d + op.degree_shift())
-            Z, images = residue_images(op, [((s.modes, 1),) for s in src], degree=d)
+            Z, images = residue_images(op, [((s.modes, 1),) for s in src])
             assert (Z is None) == symbolic and gm.slices[d][0] == Z
             index = {pk.pack(t.modes): i for i, t in enumerate(tgt)}
             dense = [[Fraction(0)] * len(src) for _ in tgt]
@@ -807,3 +808,50 @@ def test_oracle_comparison_negative_control(gl11_oracle):
     with pytest.raises(AssertionError) as failure:
         compare_with_oracle(ops, gl11_oracle, range(4))
     assert op.name in str(failure.value)
+
+
+# ---------------------------------------------------------------------------
+# residue slices from cold and warm splits
+# ---------------------------------------------------------------------------
+# A source slice is read from its basis's Split, kept for the process and
+# shared by every System of the signature, so one coset side warms the other.
+# Built cold (no split kept) or warm, in either order of the sides, every
+# slice must be the same, entry for entry, with the same Z.
+
+COSET_SPLIT_CASES = [("sl", 2, 5), ("so", 3, 4)]
+
+
+def coset_sides(pair, n, k1):
+    """The screenings of the subregular and the super coset side at k1."""
+    lv = cat.LevelData.from_k1(pair, n, k1)
+    return [cat.subregular_realization(pair, n, lv.k1, "coset").screenings,
+            cat.principal_super_realization(pair, n, lv.k2, "coset").screenings]
+
+
+def typed_slices(gm):
+    return {d: (Z, [{i: (type(v), v) for i, v in c.items()} for c in columns], m)
+            for d, (Z, columns, m) in gm.slices.items()}
+
+
+def empty_splits():
+    for basis in fock._BASES.values():
+        basis[3].clear()
+
+
+@pytest.mark.parametrize("k1", [Fraction(16, 7), T], ids=str)
+@pytest.mark.parametrize("pair,n,top", COSET_SPLIT_CASES)
+def test_coset_slices_from_cold_and_warm_splits_agree(pair, n, top, k1):
+    sides, degrees = coset_sides(pair, n, k1), range(top + 1)
+    assert sides[0][0].system._splits is sides[1][0].system._splits  # one signature
+    cold = []
+    for ops in sides:
+        for op in ops:
+            empty_splits()
+            cold.append(typed_slices(residue_map(op, degrees)))
+    assert all(any(c for _, columns, _ in gm.values() for c in columns) for gm in cold)
+    for order in (sides, sides[::-1]):
+        empty_splits()
+        warm = [typed_slices(residue_map(op, degrees)) for ops in order for op in ops]
+        if order is not sides:
+            warm = warm[len(order[0]):] + warm[:len(order[0])]
+        assert warm == cold, order is sides
