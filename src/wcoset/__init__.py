@@ -6,8 +6,8 @@ coset dualities and their Kazama-Suzuki inversions.
 """
 
 from .scalars import Rat, RatFun, T, linear_zeros
-from .fock import (FockState, Momentum, Species, enumerate_basis, graded_dimension,
-                   normal_form, register_system)
+from .fock import (FockState, Momentum, Species, System, enumerate_basis, graded_dimension,
+                   normal_form)
 from .fields import (ExpOp, Gen, NormOrd, Scale, Sum, current_gram, exp_op, l0_apply,
                      mode_apply, ope_singular, state_of_field)
 from .screening import (GradedMap, ScreeningOp, annihilates,

@@ -10,14 +10,16 @@ Shared steps.  Each step the builders repeat is written once: `_pairing`
 lays square blocks, such as a root Gram scaled by `_scaled`, along the
 diagonal of a pairing table; `_screenings` builds the screening operators on
 the vacuum module from (name, c, {species: coefficient}, prefactor) rows;
-`_attach_companions` gives a Miura side its companion intertwiners and their
-covariance table; `_parse_key` checks a catalog key; and `_dual` inverts the
-level relation.  A form's System alone, its species and pairing table, is a
-step of its own (`gl11_system`, `rank1_system`, `form_system`) for checks
-that read no screening.  `_FORMS` maps each (family, form) to its builder,
-in catalog key order, for realization dispatch, `form_system`, `_parse_key`
-and `catalog_keys`; both coset forms share one builder.  A Kazama-Suzuki side
-is a bosonized form's System and one lattice boson (`_with_lattice_boson`).
+`_cartan_tail` adds ht2, h3..hn to a Miura side and `_attach_companions` its
+companion intertwiners and their covariance table; `_parse_key` checks a
+catalog key; and `_dual` inverts the level relation.  A form's System alone
+(`fock.System`, the one constructor) is a step of its own (`gl11_system`,
+`rank1_system`, `form_system`) for checks that read no screening.  `_FORMS`,
+the only list of forms, maps each (family, form) to its builder, in catalog
+key order, for realization dispatch, `form_system`, `_parse_key`,
+`catalog_keys` and the counting systems; both coset forms share one builder.
+A Kazama-Suzuki side is a bosonized form's System and one lattice boson
+(`_with_lattice_boson`).
 
 Levels.  A realization is built at an exact level, either a Fraction or a
 RatFun in the formal parameter t.  The two sides of the duality are linked by
@@ -35,13 +37,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Optional, Union
 
 from . import rootdata as rd
-from .errors import ExcludedLevel, InputError, ZeroK1
+from .errors import ExcludedLevel, InputError, NonEnumerable, ZeroK1
 from .fields import (FieldExpr, deriv, direction_of, exp_op, gen, heis_comb, nord, sadd,
                      scale)
-from .fock import Momentum, System, boson_pair, fermion_pair, heis, register_system
+from .fock import Momentum, System, boson_pair, fermion_pair, heis, slice_dimension
 from .scalars import RatFun, Scalar, sc_is_zero
 from .screening import ScreeningOp
 
@@ -215,6 +218,27 @@ def _screenings(sys: System, rows):
             for name, c, coeffs, pref in rows]
 
 
+def _pair_structure(u: str, v: str, sign: int) -> dict:
+    """The contraction table of a realized pair (FMS structure): u(z)v(w) ~ 1/(z-w)
+    and v(z)u(w) ~ sign/(z-w)."""
+    S = StructurePair
+    return {(u, v): S({}, central1=Fraction(1)), (v, u): S({}, central1=Fraction(sign)),
+            (u, u): S({}), (v, v): S({})}
+
+
+def _cartan_tail(lv, names, htilde2, gmap: dict, cartan: list) -> None:
+    """Extend a Miura side's generator map and (current, coefficients over the
+    Heisenberg `names`) rows by ht2, at htilde2(pair, n), and h3..hn = a3..an;
+    nothing below rank 2."""
+    if lv.n >= 2:
+        coeffs = htilde2(lv.pair, lv.n)
+        gmap["ht2"] = heis_comb(names, coeffs)
+        cartan.append(("ht2", coeffs))
+        for i in range(3, lv.n + 1):
+            gmap[f"h{i}"] = gen(f"a{i}")
+            cartan.append((f"h{i}", _unit(len(names), names.index(f"a{i}"))))
+
+
 def _attach_companions(spec, G, K, partner: str, ladder, cartan):
     """Companion intertwiners S_beta of a Miura side and their covariance table.
 
@@ -249,7 +273,7 @@ def gl11_pairing_table(k1: Scalar, k2: Scalar):
 def gl11_structure(k1: Scalar, k2: Scalar) -> dict:
     """gl(1|1) bracket and form; the form is antisymmetric on the odd part."""
     S = StructurePair
-    t = {
+    return {
         ("E11", "E11"): S({}, central2=k1 + k2),
         ("E22", "E22"): S({}, central2=k2 - k1),
         ("E11", "E22"): S({}, central2=-k2),
@@ -262,13 +286,11 @@ def gl11_structure(k1: Scalar, k2: Scalar) -> dict:
         ("E22", "E21"): S({"E21": 1}), ("E21", "E22"): S({"E21": -1}),
         ("E12", "E12"): S({}), ("E21", "E21"): S({}),
     }
-    return t
 
 
 def gl11_system(k1: Scalar, k2: Scalar) -> System:
     """The System of the gl(1|1) Wakimoto realization alone."""
-    return register_system([*fermion_pair("b", "c"), heis("x1"), heis("x2")],
-                           gl11_pairing_table(k1, k2))
+    return System([*fermion_pair("b", "c"), heis("x1"), heis("x2")], gl11_pairing_table(k1, k2))
 
 
 def gl11_wakimoto(k1: Scalar, k2: Scalar) -> RealizationSpec:
@@ -327,21 +349,21 @@ def form_system(family: str, form: str, lv: LevelData) -> System:
     cartan = [heis(nm) for nm in _heis_names(1 if sub else 0, lv.n)]
     if form == "miura":
         halves = boson_pair("beta", "gamma") if sub else fermion_pair("b", "c")
-        return register_system([*halves, *cartan], _scaled(G, K))
+        return System([*halves, *cartan], _scaled(G, K))
     if form == "bosonized":
         lattice = [heis("x"), heis("y")] if sub else [heis("phi")]
         norms = [[[Fraction(1)]], [[Fraction(-1)]]][:len(lattice)]
-        return register_system(lattice + cartan, _pairing(*norms, _scaled(G, K)),
-                               tuple(range(len(lattice))))
+        return System(lattice + cartan, _pairing(*norms, _scaled(G, K)),
+                      tuple(range(len(lattice))))
     gram = _coset_gram_alpha(lv, K) if sub else _coset_gram_beta(lv, K)
-    return register_system([heis(f"{'at' if sub else 'bt'}{i}") for i in range(lv.n + 1)], gram)
+    return System([heis(f"{'at' if sub else 'bt'}{i}") for i in range(lv.n + 1)], gram)
 
 
 def _with_lattice_boson(sys: System, name: str, norm: int) -> System:
     """sys, a System of Heisenberg species alone, with one more lattice boson
     of squared norm +-1 after its species, orthogonal to them."""
-    return register_system([*sys.species, heis(name)], _pairing(sys.pairing, [[Fraction(norm)]]),
-                           sys.lattice_indices + (len(sys.species),))
+    return System([*sys.species, heis(name)], _pairing(sys.pairing, [[Fraction(norm)]]),
+                  sys.lattice_indices + (len(sys.species),))
 
 
 def _builder(family: str, form: str):
@@ -370,19 +392,12 @@ def _subregular_miura(lv: LevelData) -> RealizationSpec:
                    nord(gen("gamma"), a1)),
     }
     cartan = [("h1", _unit(n, 0))]
-    if n >= 2:
-        coeffs = rd.htilde2_g1_coeffs(lv.pair, n)
-        gmap["ht2"] = heis_comb(sys, dict(zip(names, coeffs)))
-        cartan.append(("ht2", coeffs))
-        for i in range(3, n + 1):
-            gmap[f"h{i}"] = gen(f"a{i}")
-            cartan.append((f"h{i}", _unit(n, i - 1)))
+    _cartan_tail(lv, names, rd.htilde2_g1_coeffs, gmap, cartan)
     screenings = _screenings(sys, [
         (f"Q{i}", -1 / K, {f"a{i}": Fraction(1)}, gen("beta") if i == 1 else None)
         for i in range(1, n + 1)])
     omega = rd.omega1_coeffs(lv.pair, n)
-    H1 = sadd(heis_comb(sys, dict(zip(names, omega))),
-              scale(-1, nord(gen("beta"), gen("gamma"))))
+    H1 = sadd(heis_comb(names, omega), scale(-1, nord(gen("beta"), gen("gamma"))))
     # sl2 OPE table at level K-2
     S = StructurePair
     structure = {
@@ -404,7 +419,6 @@ def _subregular_miura(lv: LevelData) -> RealizationSpec:
 
 def _subregular_bosonized(lv: LevelData) -> RealizationSpec:
     n, K = lv.n, lv.K1
-    names = _heis_names(1, n)
     sys = form_system("subregular", "bosonized", lv)
     xy = direction_of(sys, {"x": Fraction(1), "y": Fraction(1)})
     gmap = {
@@ -415,19 +429,11 @@ def _subregular_bosonized(lv: LevelData) -> RealizationSpec:
         ("Qx", Fraction(1), {"x": Fraction(1)}, None),
         ("Q1", -1 / K, {"a1": Fraction(1), "x": -K, "y": -K}, None),
     ] + [(f"Q{i}", -1 / K, {f"a{i}": Fraction(1)}, None) for i in range(2, n + 1)])
-    omega = rd.omega1_coeffs(lv.pair, n)
-    H1 = sadd(heis_comb(sys, dict(zip(names, omega))), scale(-1, gen("y")))
-    # FMS structure: contraction table of the realized beta gamma pair
-    S = StructurePair
-    structure = {
-        ("beta", "gamma"): S({}, central1=Fraction(1)),
-        ("gamma", "beta"): S({}, central1=Fraction(-1)),
-        ("beta", "beta"): S({}), ("gamma", "gamma"): S({}),
-    }
+    H1 = sadd(heis_comb(_heis_names(1, n), rd.omega1_coeffs(lv.pair, n)), scale(-1, gen("y")))
     return RealizationSpec(
         key=f"subregular-{lv.pair}:{n}:bosonized", system=sys, generator_map=gmap,
         screenings=screenings, level=lv,
-        distinguished={"H1": H1}, structure=structure)
+        distinguished={"H1": H1}, structure=_pair_structure("beta", "gamma", -1))
 
 
 def _coset_gram_alpha(lv: LevelData, K):
@@ -468,19 +474,11 @@ def _super_miura(lv: LevelData) -> RealizationSpec:
         "h1": sadd(scale(Fraction(1, r), nord(gen("c"), gen("b"))), a1),
     }
     cartan = [("h0", _unit(n + 1, 0)), ("h1", _unit(n + 1, 1))]
-    if n >= 2:
-        coeffs = rd.htilde2_g2_coeffs(lv.pair, n)
-        gmap["ht2"] = heis_comb(sys, dict(zip(names, coeffs)))
-        cartan.append(("ht2", coeffs))
-        for i in range(3, n + 1):
-            gmap[f"h{i}"] = gen(f"a{i}")
-            cartan.append((f"h{i}", _unit(n + 1, i)))
+    _cartan_tail(lv, names, rd.htilde2_g2_coeffs, gmap, cartan)
     screenings = _screenings(sys, [
         (f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, gen("b") if i == 0 else None)
         for i in range(0, n + 1)])
-    omega = rd.omega0_coeffs(lv.pair, n)
-    H2 = sadd(heis_comb(sys, dict(zip(names, omega))),
-              nord(gen("b"), gen("c")))
+    H2 = sadd(heis_comb(names, rd.omega0_coeffs(lv.pair, n)), nord(gen("b"), gen("c")))
     structure = gl11_structure(-r * K2, r * K2 + 1)
     spec = RealizationSpec(
         key=f"super-{lv.pair}:{n}:miura", system=sys, generator_map=gmap,
@@ -492,25 +490,17 @@ def _super_miura(lv: LevelData) -> RealizationSpec:
 
 def _super_bosonized(lv: LevelData) -> RealizationSpec:
     n, K2 = lv.n, lv.K2
-    names = _heis_names(0, n)
     sys = form_system("super", "bosonized", lv)
     phi = direction_of(sys, {"phi": Fraction(1)})
     gmap = {"b": exp_op(sys, Fraction(1), phi), "c": exp_op(sys, Fraction(-1), phi)}
     screenings = _screenings(sys, [
         ("Q0", -1 / K2, {"a0": Fraction(1), "phi": -K2}, None),
     ] + [(f"Q{i}", -1 / K2, {f"a{i}": Fraction(1)}, None) for i in range(1, n + 1)])
-    omega = rd.omega0_coeffs(lv.pair, n)
-    H2 = sadd(heis_comb(sys, dict(zip(names, omega))), gen("phi"))
-    S = StructurePair
-    structure = {
-        ("b", "c"): S({}, central1=Fraction(1)),
-        ("c", "b"): S({}, central1=Fraction(1)),
-        ("b", "b"): S({}), ("c", "c"): S({}),
-    }
+    H2 = sadd(heis_comb(_heis_names(0, n), rd.omega0_coeffs(lv.pair, n)), gen("phi"))
     return RealizationSpec(
         key=f"super-{lv.pair}:{n}:bosonized", system=sys, generator_map=gmap,
         screenings=screenings, level=lv,
-        distinguished={"H2": H2}, structure=structure)
+        distinguished={"H2": H2}, structure=_pair_structure("b", "c", 1))
 
 
 def _coset_gram_beta(lv: LevelData, K2):
@@ -570,7 +560,6 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
 
     # side A: the super side's bosonized System and psi
     sys_a = _with_lattice_boson(form_system("super", "bosonized", lv), "psi", -1)
-    names2 = _heis_names(0, n)
     fields_a = {
         "X": sadd(scale(-1 / K2, gen("a0")), gen("phi")),
         "Y": sadd(scale(1 / K2, gen("a0")), gen("psi")),
@@ -580,15 +569,13 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
     for i in range(2, n):
         fields_a[f"A{i}"] = scale(Fraction(r), gen(f"a{i}"))
     fields_a[f"A{n}"] = gen(f"a{n}")
-    omega0 = rd.omega0_coeffs(pair, n)
-    fields_a["Ht2"] = sadd(heis_comb(sys_a, dict(zip(names2, omega0))),
+    fields_a["Ht2"] = sadd(heis_comb(_heis_names(0, n), rd.omega0_coeffs(pair, n)),
                            gen("phi"), gen("psi"))
     spec_a = RealizationSpec(key=f"ks-a-{pair}:{n}", system=sys_a,
                              generator_map=fields_a, screenings=[], level=lv)
 
     # side B: the subregular side's bosonized System and phi
     sys_b = _with_lattice_boson(form_system("subregular", "bosonized", lv), "phi", 1)
-    names1 = _heis_names(1, n)
     fields_b = {
         "phit": sadd(gen("x"), gen("y"), gen("phi")),
         "B0": sadd(scale(-1, gen("y")), scale(-1, gen("phi"))),
@@ -597,8 +584,7 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
     for i in range(2, n):
         fields_b[f"B{i}"] = gen(f"a{i}")
     fields_b[f"B{n}"] = scale(Fraction(r), gen(f"a{n}"))
-    omega1 = rd.omega1_coeffs(pair, n)
-    fields_b["Ht1"] = sadd(scale(-1, heis_comb(sys_b, dict(zip(names1, omega1)))),
+    fields_b["Ht1"] = sadd(scale(-1, heis_comb(_heis_names(1, n), rd.omega1_coeffs(pair, n))),
                            gen("y"), gen("phi"))
     spec_b = RealizationSpec(key=f"ks-b-{pair}:{n}", system=sys_b,
                              generator_map=fields_b, screenings=[], level=lv)
@@ -611,7 +597,7 @@ def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
 
 def rank1_system(K: Level) -> System:
     """The System of the rank-1 pair alone: one boson of squared norm 2K."""
-    return register_system([heis("a")], [[2 * K]])
+    return System([heis("a")], [[2 * K]])
 
 
 def rank1_ff(K: Level):
@@ -679,15 +665,19 @@ def get_realization(key: str, k1: Level = None, k2: Level = None) -> Realization
 
 
 def enumerable_counting_systems():
-    """Catalog systems with finite graded slices, for counting consistency;
-    each is built alone, with no realization around it."""
+    """Catalog systems with finite graded slices, for counting consistency: gl(1|1),
+    rank 1, then at ranks 2 and 3 each `_FORMS` System, subregular family first,
+    that raises no NonEnumerable; each built alone, with no realization around it."""
     out = [("wakimoto-gl11", gl11_system(Fraction(7, 2), Fraction(1, 3))),
            ("rank1-ff", rank1_system(Fraction(7, 2)))]
-    forms = (("subregular", "bosonized"), ("subregular", "coset"),
-             ("super", "miura"), ("super", "bosonized"), ("super", "coset"))
     for pair in rd.PAIRS:
         for n in (2, 3):
             lv = LevelData.from_k1(pair, n, Fraction(-14, 5))
-            out += [(f"{fam}-{pair}:{n}:{form}", form_system(fam, form, lv))
-                    for fam, form in forms]
+            for fam, form in sorted(_FORMS, key=itemgetter(0)):
+                sys = form_system(fam, form, lv)
+                try:
+                    slice_dimension(sys, 0)
+                except NonEnumerable:
+                    continue
+                out.append((f"{fam}-{pair}:{n}:{form}", sys))
     return out

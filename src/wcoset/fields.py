@@ -173,10 +173,10 @@ def deriv(expr, order=1) -> FieldExpr:
     return Deriv(expr, order)
 
 
-def heis_comb(sys: System, coeffs: dict) -> FieldExpr:
-    """Linear combination of heisenberg generators from a name -> coeff map."""
+def heis_comb(names, coefficients) -> FieldExpr:
+    """Linear combination of heisenberg generators, one coefficient per name."""
     terms = [Gen(name) if c == 1 else Scale(c, Gen(name))
-             for name, c in coeffs.items() if not sc_is_zero(c)]
+             for name, c in zip(names, coefficients) if not sc_is_zero(c)]
     if not terms:
         raise ValueError("empty heisenberg combination")
     return sadd(*terms)
@@ -276,7 +276,7 @@ def shift_of(sys: System, expr: FieldExpr) -> Momentum:
     raise TypeError(expr)
 
 
-def exp_power(sys: System, op: ExpOp, mu: Momentum) -> int:
+def exp_power(op: ExpOp, mu: Momentum) -> int:
     """z-exponent c(lambda|mu) of an ExpOp on the Fock module over |mu>."""
     if len(op.direction) != len(mu.values):
         raise MomentumMismatch(f"direction of {len(op.direction)} entries paired with a "
@@ -304,7 +304,7 @@ def weight(sys: System, expr: FieldExpr, mu: Momentum) -> int:
     if isinstance(expr, Sum):
         return max(weight(sys, t, mu) for t in expr.terms)
     if isinstance(expr, ExpOp):
-        return -exp_power(sys, expr, mu)
+        return -exp_power(expr, mu)
     raise TypeError(expr)
 
 
@@ -385,7 +385,7 @@ def _expop_record(sys: System, op: ExpOp, mu: Momentum) -> _ExpRecord:
         parts, zparts = cache[op]
         D = zparts and lcm(*[f.denominator for f in factors.values()])
         rec = cache[(op, mu)] = _ExpRecord(
-            exp_power(sys, op, mu), sys.cocycle(op.shift, mu), mu + op.shift, factors,
+            exp_power(op, mu), sys.cocycle(op.shift, mu), mu + op.shift, factors,
             parts, zparts, zparts and (D, {s: f.numerator * (D // f.denominator)
                                            for s, f in factors.items()}))
     return rec

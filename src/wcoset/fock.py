@@ -1,7 +1,8 @@
 """Free-field systems and exact graded Fock bases.
 
-A system is an ordered list of species together with an exact symmetric
-pairing table on its Heisenberg block.  Species come in three kinds:
+A system (``System``, its one constructor) is an ordered list of species
+together with an exact symmetric pairing table on its Heisenberg block.
+Species come in three kinds:
 
 * ``heisenberg`` -- an even current h(z) with h(z)h'(w) ~ table(h,h')/(z-w)^2;
   engine weight is always 1.
@@ -32,7 +33,8 @@ without building its FockStates.
 A signature also has a ``_Packing``, the integer keys of its monomials, one
 digit per (species, depth), under which a product of monomials is one sum, an
 index ``{packed key: position}`` per slice and a ``Split`` per slice and set of
-contracted Heisenberg species; its Systems share this basis, kept for the process.
+contracted Heisenberg species; its Systems share this basis, kept for the process
+(a non-enumerable System keeps one of its own).
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class FockState:
 
 
 class System:
-    """A registered free-field system; immutable after construction."""
+    """A free-field system; immutable after construction."""
 
     def __init__(self, species, pairing, lattice_indices=()):
         self.species = tuple(species)
@@ -154,10 +156,15 @@ class System:
                 raise AsymmetricPairing(f"lattice species {name} has norm {norm}, not +-1")
             self._lattice += ((p, 1 if norm == 1 else -1),)
         sig = tuple((s.kind, s.engine_weight, s.odd) for s in self.species)
-        if sig not in _BASES:
+        # a weight-0 boson half makes every slice infinite (see _mode_sets), so
+        # such a System keeps a basis of its own and building one registers none
+        self._infinite = [s.name for s in self.species
+                          if s.kind == BOSON_HALF and s.engine_weight == 0]
+        if sig not in _BASES and not self._infinite:
             _BASES[sig] = ({}, _Packing(len(sig)), {}, {})
         # the signature's slice table, packing, slice indices and splits, see _BASES
-        self._slices, self._packing, self._indices, self._splits = _BASES[sig]
+        self._slices, self._packing, self._indices, self._splits = (
+            ({}, _Packing(len(sig)), {}, {}) if self._infinite else _BASES[sig])
         # constants of exponential operators, see fields._expop_record:
         # (ExpOp, Momentum) -> its record, ExpOp -> its E- degree parts and,
         # for a rational ExpOp, their integer form
@@ -233,10 +240,6 @@ class System:
 
     def __repr__(self):
         return f"System({', '.join(s.name for s in self.species)})"
-
-
-def register_system(species, pairing, lattice_indices=()) -> System:
-    return System(species, pairing, lattice_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +345,14 @@ def _mode_sets(sys: System, degree: int, k: int = 0):
     out = table.get((k, degree))
     if out is not None:
         return out
+    if sys._infinite:
+        raise NonEnumerable(
+            f"species {sys._infinite[0]} is a weight-0 boson: graded slices are infinite")
     if k == len(sys.species):
         out = ((),) if degree == 0 else ()
     else:
-        sp = sys.species[k]
-        if sp.kind == BOSON_HALF and sp.engine_weight == 0:
-            raise NonEnumerable(
-                f"species {sp.name} is a weight-0 boson: graded slices are infinite")
         acc = []
-        _grow(sys, k, (), degree, degree + 1 - sp.engine_weight, acc)
+        _grow(sys, k, (), degree, degree + 1 - sys.species[k].engine_weight, acc)
         out = tuple(acc)
     table[(k, degree)] = out
     return out

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, MomentumMismatch, ShapeMismatch
-from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, exp_power, lc_degree,
+from .fields import (ExpOp, FieldExpr, Gen, LinComb, Scale, _expop_record, lc_degree,
                      residue_images, weight)
 from .fock import Momentum, System, slice_index, slice_split
 from .linalg import ZERO, column_rank, product_vanishes
@@ -68,14 +68,12 @@ class ScreeningOp:
         return replace(self, source=source, name=self.name if name is None else name)
 
     def target(self) -> Momentum:
-        return self.source + self.exp.shift
+        return _expop_record(self.system, self.exp, self.source).target
 
     def degree_shift(self) -> int:
-        sys = self.system
-        zero = sys.zero_momentum()
-        w_pref = weight(sys, self.prefactor, zero) if self.prefactor is not None else 0
-        p = exp_power(sys, self.exp, self.source)
-        return w_pref - 1 - p
+        sys, pref = self.system, self.prefactor
+        w_pref = 0 if pref is None else weight(sys, pref, sys.zero_momentum())
+        return w_pref - 1 - _expop_record(sys, self.exp, self.source).p
 
 
 @dataclass

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import wcoset
 from wcoset import catalog as cat
+from wcoset import fock
 from wcoset import rootdata as rd
-from wcoset.errors import ExcludedLevel, InputError, ZeroK1
+from wcoset.errors import ExcludedLevel, InputError, NonEnumerable, ZeroK1
 from wcoset.fields import (Deriv, ExpOp, NormOrd, Scale, Sum, current_gram, direction_of,
-                           exp_op, gen, state_of_field)
+                           exp_op, gen, heis_comb, state_of_field)
 from wcoset.scalars import RatFun, T
 
 
@@ -262,6 +264,76 @@ def test_form_system_refuses_unknown_names():
         cat.subregular_realization("sl", 2, Fraction(16, 7), "nonsense")
     with pytest.raises(InputError, match="unknown form"):
         cat.principal_super_realization("sl", 2, Fraction(16, 7), "nonsense")
+
+
+def has_weight0_boson_half(sys):
+    return any(sp.kind == fock.BOSON_HALF and sp.engine_weight == 0 for sp in sys.species)
+
+
+def test_counting_systems_are_the_enumerable_registry_forms():
+    """The counting catalog names no form of its own: after gl(1|1) and rank 1
+    it is, rank by rank, every `_FORMS` entry whose System has no weight-0
+    boson half, in registry order within each family, subregular first."""
+    keys = [key for key, _ in cat.enumerable_counting_systems()]
+    want = ["wakimoto-gl11", "rank1-ff"]
+    for pair in rd.PAIRS:
+        for n in (2, 3):
+            lv = cat.LevelData.from_k1(pair, n, Fraction(-14, 5))
+            want += [f"{fam}-{pair}:{n}:{form}" for family in ("subregular", "super")
+                     for fam, form in cat._FORMS if fam == family and
+                     not has_weight0_boson_half(cat.form_system(fam, form, lv))]
+    assert keys == want and len(keys) == 22
+    assert not [key for key in keys if key.startswith("subregular-") and key.endswith(":miura")]
+
+
+@pytest.mark.parametrize("pair", rd.PAIRS)
+def test_only_the_subregular_miura_system_is_not_enumerable(pair):
+    """Its gamma is a weight-0 boson half, so fock refuses to count its slices."""
+    for n in (1, 2, 3):
+        lv = cat.LevelData.from_k1(pair, n, Fraction(16, 7))
+        for family, form in cat._FORMS:
+            sys = cat.form_system(family, form, lv)
+            if (family, form) == ("subregular", "miura"):
+                assert has_weight0_boson_half(sys)
+                with pytest.raises(NonEnumerable):
+                    fock.slice_dimension(sys, 0)
+            else:
+                assert fock.slice_dimension(sys, 0) >= 1
+
+
+def test_system_is_the_one_constructor():
+    assert wcoset.System is fock.System
+    assert not hasattr(wcoset, "register_system") and not hasattr(fock, "register_system")
+
+
+@pytest.mark.parametrize("k1", [Fraction(16, 7), T], ids=str)
+@pytest.mark.parametrize("pair", rd.PAIRS)
+def test_miura_cartan_tail(pair, k1):
+    """Both Miura sides of rank n >= 2 end their generator maps with ht2 and
+    h3..hn = a3..an, and each such current u scales the companion S_beta by
+    -(beta|u): beta = alpha at Heisenberg position 1 (lower), or the sum of
+    those at positions 0 and 1 (upper)."""
+    for n in (1, 2, 3):
+        lv = cat.LevelData.from_k1(pair, n, k1)
+        tail = ["ht2"] + [f"h{i}" for i in range(3, n + 1)] if n >= 2 else []
+        sub = cat.subregular_realization(pair, n, lv.k1, "miura")
+        sup = cat.principal_super_realization(pair, n, lv.k2, "miura")
+        assert list(sub.generator_map) == ["e1", "h1", "f1"] + tail
+        assert list(sup.generator_map) == ["E12", "E21", "E11", "E22", "h0", "h1"] + tail
+        assert list(sub.covariance) == (["e1", "f1", "h1"] + tail if n >= 2 else [])
+        assert list(sup.covariance) == ["E12", "E21", "h0", "h1"] + tail
+        for spec, G, htilde2 in ((sub, rd.g1_gram(pair, n), rd.htilde2_g1_coeffs),
+                                 (sup, rd.g2_gram(pair, n), rd.htilde2_g2_coeffs)):
+            names = [sp.name for sp in spec.system.species if sp.is_heis]
+            m = len(names)
+            lower, upper = [int(j == 1) for j in range(m)], [int(j < 2) for j in range(m)]
+            for u in tail:
+                h = (htilde2(pair, n) if u == "ht2" else
+                     [int(name == f"a{u[1:]}") for name in names])
+                assert spec.generator_map[u] == (heis_comb(names, h) if u == "ht2"
+                                                 else gen(f"a{u[1:]}"))
+                assert spec.covariance[u] == {"lower": {"lower": -rd.pairing(G, lower, h)},
+                                              "upper": {"upper": -rd.pairing(G, upper, h)}}
 
 
 def test_catalog_keys_resolve():

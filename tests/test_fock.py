@@ -11,15 +11,14 @@ from wcoset import fock
 from wcoset import rootdata as rd
 from wcoset.errors import (AsymmetricPairing, MomentumMismatch, NonEnumerable,
                            NonIntegralExponent, ResourceBound, UnpairedFermionHalf)
-from wcoset.fock import (Species, boson_pair, enumerate_basis, fermion_pair,
-                         graded_dimension, heis, normal_form, register_system,
-                         slice_dimension, state_str)
+from wcoset.fock import (Species, System, boson_pair, enumerate_basis, fermion_pair,
+                         graded_dimension, heis, normal_form, slice_dimension, state_str)
 from wcoset.scalars import RatFun, T
 
 
 def bc_heis2(p11=Fraction(3), p12=Fraction(1), p22=Fraction(-2)):
     b, c = fermion_pair("b", "c")
-    return register_system(
+    return System(
         [b, c, heis("x1"), heis("x2")],
         [[p11, p12], [p12, p22]])
 
@@ -31,9 +30,9 @@ def test_register_gl11_like():
 
 
 def test_register_lattice():
-    sys = register_system([heis("x"), heis("y")],
-                          [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
-                          lattice_indices=(0, 1))
+    sys = System([heis("x"), heis("y")],
+                 [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]],
+                 lattice_indices=(0, 1))
     mu = sys.lattice_momentum((2, 2))
     assert mu.values == (Fraction(2), Fraction(-2))
     assert sys.lattice_label(mu) == (2, 2)
@@ -42,9 +41,9 @@ def test_register_lattice():
 
 
 def test_lattice_label_refuses_a_momentum_off_the_lattice():
-    sys = register_system([heis("x"), heis("a")],
-                          [[Fraction(-1), Fraction(0)], [Fraction(0), T]],
-                          lattice_indices=(0,))
+    sys = System([heis("x"), heis("a")],
+                 [[Fraction(-1), Fraction(0)], [Fraction(0), T]],
+                 lattice_indices=(0,))
     # only the lattice coordinate is read; a constant RatFun is accepted
     assert sys.lattice_label(sys.momentum((Fraction(3), T))) == (-3,)
     assert sys.lattice_label(sys.momentum((RatFun.const(Fraction(-2)), T))) == (2,)
@@ -55,7 +54,7 @@ def test_lattice_label_refuses_a_momentum_off_the_lattice():
 
 def lattice_system(pairing, lattice_indices):
     b, c = fermion_pair("b", "c")
-    return register_system([heis("x"), b, c, heis("y")], pairing, lattice_indices)
+    return System([heis("x"), b, c, heis("y")], pairing, lattice_indices)
 
 
 def test_lattice_index_must_name_a_heisenberg_species():
@@ -82,7 +81,7 @@ def test_lattice_species_must_have_norm_one():
             lattice_system([[norm, Fraction(0)], [Fraction(0), Fraction(1)]], (0,))
     # norm 2: e^{x} would shift the eigenvalue by 2 and the label by 1
     with pytest.raises(AsymmetricPairing, match="norm 2"):
-        register_system([heis("x")], [[Fraction(2)]], lattice_indices=(0,))
+        System([heis("x")], [[Fraction(2)]], lattice_indices=(0,))
 
 
 def test_momentum_hash_computed_once():
@@ -107,17 +106,17 @@ def test_momentum_of_the_wrong_length_refused():
 def test_unpaired_half():
     b = Species("b", "odd", "fermion-pair-half", 1, "c")
     with pytest.raises(UnpairedFermionHalf):
-        register_system([b, heis("x")], [[Fraction(1)]])
+        System([b, heis("x")], [[Fraction(1)]])
 
 
 def test_asymmetric_pairing():
     with pytest.raises(AsymmetricPairing):
-        register_system([heis("x"), heis("y")],
-                        [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]])
+        System([heis("x"), heis("y")],
+               [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]])
     # the vertex operators treat Heisenberg modes as even, of weight 1
     for odd_or_heavy in (Species("x", "odd"), Species("x", engine_weight=2)):
         with pytest.raises(AsymmetricPairing, match="must be even, weight 1"):
-            register_system([odd_or_heavy], [[Fraction(1)]])
+            System([odd_or_heavy], [[Fraction(1)]])
 
 
 def test_normal_form_swap():
@@ -179,8 +178,8 @@ def test_canonical_modes_matches_insertion_sort():
     rng = random.Random(17)
     bos = boson_pair("beta", "gamma", (1, 1))
     systems = [bc_heis2(),
-               register_system([*fermion_pair("b", "c"), heis("x"), *bos],
-                               [[Fraction(1)]])]
+               System([*fermion_pair("b", "c"), heis("x"), *bos],
+                      [[Fraction(1)]])]
     seen = Counter()
     for sys in systems:
         mu = sys.zero_momentum()
@@ -222,7 +221,7 @@ def test_front_sign_matches_canonical_modes():
 
 
 def test_enumerate_bc_degree2():
-    sys = register_system(list(fermion_pair("b", "c")), [])
+    sys = System(list(fermion_pair("b", "c")), [])
     mu = sys.zero_momentum()
     basis = enumerate_basis(sys, mu, 2)
     names = {state_str(sys, s) for s in basis}
@@ -232,13 +231,13 @@ def test_enumerate_bc_degree2():
 
 
 def test_rank2_heisenberg_degree2():
-    sys = register_system([heis("a"), heis("b")],
-                          [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
+    sys = System([heis("a"), heis("b")],
+                 [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
     assert graded_dimension(sys, sys.zero_momentum(), range(7)) == [1, 2, 5, 10, 20, 36, 65]
 
 
 def test_rank1_partition_numbers():
-    sys = register_system([heis("a")], [[Fraction(2)]])
+    sys = System([heis("a")], [[Fraction(2)]])
     assert graded_dimension(sys, sys.zero_momentum(), range(7)) == [1, 1, 2, 3, 5, 7, 11]
 
 
@@ -249,17 +248,32 @@ def test_bc_heis2_character():
 
 
 def test_degree0_vacuum_only():
-    sys = register_system([heis("a"), heis("b")],
-                          [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
+    sys = System([heis("a"), heis("b")],
+                 [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
     basis = enumerate_basis(sys, sys.zero_momentum(), 0)
     assert len(basis) == 1 and basis[0].modes == ()
 
 
 def test_weight0_boson_not_enumerable():
     beta, gamma = boson_pair("beta", "gamma")
-    sys = register_system([beta, gamma], [])
+    sys = System([beta, gamma], [])
     with pytest.raises(NonEnumerable):
         enumerate_basis(sys, sys.zero_momentum(), 0)
+
+
+def test_a_weight0_boson_system_registers_no_basis(monkeypatch):
+    """Every slice of such a System is infinite, so it keeps a basis of its
+    own: building one, as the counting catalog does to skip it, leaves the
+    registry as it was."""
+    monkeypatch.setattr(fock, "_BASES", {})
+    beta, gamma = boson_pair("beta", "gamma")
+    one = System([heis("x"), beta, gamma], [[Fraction(1)]])
+    two = System([heis("y"), beta, gamma], [[Fraction(2)]])
+    assert fock._BASES == {} and one._packing is not two._packing
+    for sys in (one, two):
+        with pytest.raises(NonEnumerable, match="species gamma is a weight-0 boson"):
+            slice_dimension(sys, 0)
+    assert normal_form(one, one.zero_momentum(), ((1, 2), (0, 1)))[0].modes == ((0, 1), (1, 2))
 
 
 def test_no_repeated_fermionic_modes():
@@ -428,7 +442,7 @@ def test_one_signature_shares_one_table_in_either_order(monkeypatch):
 
     def make(names, p):
         b, c = fermion_pair(*names)
-        return register_system([heis(names[0] + "x"), b, c], [[Fraction(p)]])
+        return System([heis(names[0] + "x"), b, c], [[Fraction(p)]])
     for first, second in ((("b", "c"), ("psi", "chi")), (("psi", "chi"), ("b", "c"))):
         one = make(first, 2)
         assert fock._mode_sets(one, 6) == recursive_mode_sets(one, 6)
@@ -479,7 +493,7 @@ def test_signatures_apart_in_weight_parity_or_kind_do_not_share():
     # a pair of fermion kind but even parity: apart from b1, c1 only in parity
     e1, e2 = (replace(s, parity="even") for s in (b1, c1))
     groups = [[b, c], [cc, bb], [beta, gamma], [b1, c1], [e1, e2]]
-    systems = [register_system(g, []) for g in groups]
+    systems = [System(g, []) for g in groups]
     assert len({id(sys._slices) for sys in systems}) == len(systems)
     for sys in systems:
         for d in range(7):
@@ -495,7 +509,7 @@ def test_a_basis_outlives_its_systems(monkeypatch):
     builds = count_builds(monkeypatch)
     beta, gamma = boson_pair("beta", "gamma", (3, 2))
     species = [heis("x"), beta, gamma, heis("y")]
-    one = register_system(species, [[1, 0], [0, 1]])
+    one = System(species, [[1, 0], [0, 1]])
     sig, packing = signature(one), one._packing
     # hold entries and indices, not the table or the index dict: only the
     # registry may keep those
@@ -509,7 +523,7 @@ def test_a_basis_outlives_its_systems(monkeypatch):
     def no_pack(packing, modes):
         raise AssertionError(f"an index was built again, packing {modes}")
     monkeypatch.setattr(fock._Packing, "pack", no_pack)
-    two = register_system(species, [[2, 1], [1, 2]])
+    two = System(species, [[2, 1], [1, 2]])
     assert same(basis(two), fock._BASES[sig]) and two._packing is packing
     assert same([fock._mode_sets(two, d) for d in range(6)], slices)
     assert same([fock.slice_index(two, d) for d in range(6)], indices)
@@ -521,10 +535,10 @@ def test_mode_sets_weight0_fermion_and_weight1_bosons():
     cc, bb = fermion_pair("cc", "bb", weights=(0, 1))  # the weight-0 half first
     beta, gamma = boson_pair("beta", "gamma", weights=(1, 1))
     systems = [
-        register_system([b, c], []),
-        register_system([cc, bb, heis("x")], [[Fraction(2)]]),
-        register_system([heis("x"), beta, gamma, b, c], [[Fraction(1)]]),
-        register_system([beta, gamma], []),
+        System([b, c], []),
+        System([cc, bb, heis("x")], [[Fraction(2)]]),
+        System([heis("x"), beta, gamma, b, c], [[Fraction(1)]]),
+        System([beta, gamma], []),
     ]
     for sys in systems:
         for d in range(7):
@@ -537,7 +551,7 @@ def test_mode_sets_weight0_fermion_and_weight1_bosons():
 
 def test_weight0_boson_half_not_enumerable_anywhere_in_table():
     beta, gamma = boson_pair("beta", "gamma")
-    sys = register_system([heis("x"), beta, gamma], [[Fraction(1)]])
+    sys = System([heis("x"), beta, gamma], [[Fraction(1)]])
     for count in (lambda: slice_dimension(sys, 0),
                   lambda: graded_dimension(sys, sys.zero_momentum(), range(3)),
                   lambda: enumerate_basis(sys, sys.zero_momentum(), 0)):
@@ -601,8 +615,8 @@ def split_of_slice_modes(sys, positions, d):
 
 
 def three_heisenberg(p=Fraction(2)):
-    return register_system([heis("x"), heis("y"), heis("z")],
-                           [[p, 1, 0], [1, -p, 3], [0, 3, 1]])
+    return System([heis("x"), heis("y"), heis("z")],
+                  [[p, 1, 0], [1, -p, 3], [0, 3, 1]])
 
 
 def position_subsets(sys):

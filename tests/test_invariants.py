@@ -1,8 +1,11 @@
 """Cross-cutting engine invariants on catalog systems."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
+import wcoset
 from wcoset import catalog as cat
 from wcoset.fields import gen, mode_apply, ope_singular, parity, weight
 from wcoset.fock import enumerate_basis
@@ -73,3 +76,28 @@ def test_screening_degree_shift_bookkeeping():
         for d in range(3):
             tgt = enumerate_basis(spec.system, op.target(), d - 1)
             assert len(gm.blocks[d]) == len(tgt)
+
+
+def unread_parameters(package_dir):
+    """(module, function, parameter) of every parameter, self aside, that its
+    function's body never reads, over the package's modules."""
+    found = set()
+    for path in sorted(pathlib.Path(package_dir).glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            a = fn.args
+            found |= {(path.stem, getattr(fn, "name", "<lambda>"), p.arg)
+                      for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None and p.arg != "self" and p.arg not in read}
+    return found
+
+
+def test_every_parameter_is_read():
+    """No function takes a parameter it never reads.  fock.graded_dimension
+    keeps its mu while the benchmark harness still passes it."""
+    found = unread_parameters(pathlib.Path(wcoset.__file__).parent)
+    assert found <= {("fock", "graded_dimension", "mu")}, sorted(found)

@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from wcoset import catalog as cat
-from wcoset import fock
+from wcoset import fields, fock
 from wcoset.errors import (InputError, MomentumMismatch, NonEnumerable, ResourceBound,
                            ShapeMismatch)
 from wcoset.fields import (_expop_record, deriv, direction_of, exp_op, exp_power, gen,
                            mode_apply, nord, parity, residue_images, scale, state_of_field)
-from wcoset.fock import (FockState, Momentum, enumerate_basis, fermion_pair, heis,
-                         register_system)
+from wcoset.fock import FockState, Momentum, System, enumerate_basis, fermion_pair, heis
 from wcoset.linalg import kernel_basis, rank
 from wcoset.scalars import RatFun, T, sc_is_zero
 from wcoset.screening import (ScreeningOp, annihilates, compose_check, joint_kernel,
@@ -195,7 +194,7 @@ def test_maps_at_momenta_of_different_powers_share_a_memo():
     def maps(memos):
         spec = cat.rank1_ff(Fraction(7, 2))
         ops = [spec.screenings[0].at(spec.system.momentum((Fraction(v),))) for v in ops_at]
-        assert len({exp_power(op.system, op.exp, op.source) for op in ops}) == 4
+        assert len({exp_power(op.exp, op.source) for op in ops}) == 4
         return [residue_map(op, range(7), None, memo) for op, memo in zip(ops, memos)]
 
     shared = {}
@@ -321,7 +320,7 @@ def test_annihilates_refusals_and_trivial_cases():
 
 
 def rank1_system(K):
-    return register_system([heis("a")], [[2 * K]])
+    return System([heis("a")], [[2 * K]])
 
 
 def rank1_screenings(sys, K):
@@ -546,7 +545,7 @@ def odd_exponential_build():
     """b e^phi over two lattice sources: an odd generator under an odd
     lattice exponential."""
     b, c = fermion_pair("b", "c")
-    sys = register_system([b, c, heis("phi")], [[Fraction(1)]], lattice_indices=[2])
+    sys = System([b, c, heis("phi")], [[Fraction(1)]], lattice_indices=[2])
     exp = exp_op(sys, Fraction(1), direction_of(sys, {"phi": Fraction(1)}))
     ops = [ScreeningOp(sys, exp, sys.lattice_momentum((m,)),
                        prefactor=gen("b"), name=f"b e^phi [{m}]")
@@ -773,6 +772,31 @@ def test_at_refuses_a_source_of_the_wrong_length():
             op.at(Momentum(values))
 
 
+def test_degree_shift_and_target_read_the_exponential_record(monkeypatch):
+    """An op's degree shift is its prefactor's weight - 1 - c(lambda|source) and
+    its target is source + shift, both read off the exponential's record: the
+    pairing is taken once per (exponential, source), for the op and its
+    residue map alike."""
+    calls = []
+    pair = fields.exp_power
+    monkeypatch.setattr(fields, "exp_power", lambda op, mu: calls.append(mu) or pair(op, mu))
+    specs = [cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3)), cat.rank1_ff(Fraction(7, 2)),
+             cat.get_realization("super-so:2:miura", Fraction(16, 7)),
+             cat.get_realization("subregular-sl:2:coset", T)]
+    for spec in specs:
+        for op in spec.screenings:
+            calls.clear()
+            shifts = {op.degree_shift() for _ in range(3)}
+            targets = {op.target() for _ in range(3)}
+            residue_map(op, range(2))
+            assert calls == [op.source]
+            w = 0 if op.prefactor is None else 1  # every prefactor here is of weight 1
+            assert shifts == {w - 1 - pair(op.exp, op.source)}
+            assert targets == {op.source + op.exp.shift}
+            rec = _expop_record(op.system, op.exp, op.source)
+            assert (rec.p, rec.target) == (pair(op.exp, op.source), op.source + op.exp.shift)
+
+
 def test_momenta_of_different_lengths_do_not_pair():
     # the same three-boson system: adding a one-eigenvalue momentum, or pairing
     # the screening's direction with a momentum too short or too long, used to
@@ -785,8 +809,8 @@ def test_momenta_of_different_lengths_do_not_pair():
         Momentum((Fraction(1),)) + op.source
     for values in ((Fraction(1),), (Fraction(0),) * 4):
         with pytest.raises(MomentumMismatch, match=f"momentum of {len(values)} eigenvalues"):
-            exp_power(spec.system, op.exp, Momentum(values))
-    assert exp_power(spec.system, op.exp, op.source) == -op.degree_shift() - 1
+            exp_power(op.exp, Momentum(values))
+    assert exp_power(op.exp, op.source) == -op.degree_shift() - 1
     # a direction is checked when its exponential is made: one entry used to
     # give a shift read off that entry alone, four a bare IndexError
     for direction in ((1,), (1, 0, 0, 0)):

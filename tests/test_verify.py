@@ -253,8 +253,8 @@ def test_character_oracle_examples():
     assert ver.character_oracle(spec.system, 3) == [2, 8, 24, 64]
     sup = cat.principal_super_realization("sl", 2, Fraction(3), "coset")
     assert ver.character_oracle(sup.system, 4) == [1, 3, 9, 22, 51]
-    from wcoset.fock import register_system
-    empty = register_system([], [])
+    from wcoset.fock import System
+    empty = System([], [])
     assert ver.character_oracle(empty, 4) == [1, 0, 0, 0, 0]
 
 
