@@ -552,9 +552,7 @@ class KSFields:
 
 
 def ks_fields(pair: str, n: int, k2: Level) -> KSFields:
-    rd.check_rank(pair, n)
-    if n < 2:
-        raise InputError("the Kazama-Suzuki field systems need rank n >= 2")
+    rd.check_rank(pair, n, 2)
     lv = LevelData.from_k2(pair, n, k2)
     r, K, K2 = lv.r, lv.K1, lv.K2
 

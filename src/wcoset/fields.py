@@ -5,13 +5,16 @@ right-nested normally ordered product), Scale, Sum, and ExpOp (an exponential
 lattice/shift operator, made by ``exp_op``, the one place its shift is
 derived, its direction checked against the system).  ``mode_apply`` gives
 the physical (n)-mode of any expression applied to a state, as an exact
-finite linear combination; the OPEs and Gram matrices are built on it, the
-poles of a field on a state each caller builds once (``ope_poles``).  A
-generator's nonnegative modes on the modes of a state over a momentum come
-from one walk, ``_annihilations``.  ``residue_images`` is the one screening
-residue path: it maps a source slice's ``fock.Split``, or vectors it splits
-itself, to sparse images and, like ``mode_apply``, takes the images of the
-exponential operator from one core, ``_images``.  The core works columns of
+finite linear combination from one recursion, ``_apply``, on which the OPEs
+(the poles of a field on a state each caller builds once, ``ope_poles``) and
+Gram matrices are built.  A generator's nonnegative modes on the modes of a
+state over a momentum come from one walk, ``_annihilations``, for every m at
+once; a call (a mode, an OPE with b's state, a Gram matrix) keeps the walks
+it makes in one dict, so it walks each generator on each state once.  The
+one screening residue path, ``residue_images``, maps a source slice's
+``fock.Split``, or vectors it splits itself, to sparse images and, like
+``mode_apply``, takes the images of the exponential operator from one core,
+``_images``.  The core works columns of
 jobs (split state, seed, places) on monomials packed into integer keys
 (``fock._Packing``), writes each column in one pass through the caller's
 index, and returns integers over one denominator Z (values, Z None, over
@@ -312,23 +315,21 @@ def weight(sys: System, expr: FieldExpr, mu: Momentum) -> int:
 # elementary mode actions
 # ---------------------------------------------------------------------------
 
-def _annihilations(sys: System, idx: int, modes: tuple, mu: Momentum,
-                   n: Optional[int] = None) -> dict:
-    """{(m, remaining modes): nonzero coefficient} of the modes g_(m), m >= 0, of
-    generator idx on canonical modes over mu: m = n alone, or every m if n is
-    None.  A Heisenberg g_(0) is mu's value and g_(m) contracts each mode h(-m)
-    for m (g|h); a pair half contracts each partner mode at depth m + 1 for its
-    pair sign, negated when g is odd and passes an odd number of odd modes.
-    Contracting equal modes gives one merged term."""
+def _annihilations(sys: System, idx: int, modes: tuple, mu: Momentum) -> dict:
+    """{(m, remaining modes): nonzero coefficient} of every mode g_(m), m >= 0, of
+    generator idx on canonical modes over mu.  A Heisenberg g_(0) is mu's value
+    and g_(m) contracts each mode h(-m) for m (g|h); a pair half contracts each
+    partner mode at depth m + 1 for its pair sign, negated when g is odd and
+    passes an odd number of odd modes.  Contracting equal modes gives one merged
+    term."""
     sp = sys.species[idx]
     acc, terms = {}, []  # terms: (m, position of the contracted mode, coefficient)
     if sp.is_heis:
-        if not n:
-            val = sys.momentum_value(mu, idx)
-            if not sc_is_zero(val):
-                acc[0, modes] = val
+        val = sys.momentum_value(mu, idx)
+        if not sc_is_zero(val):
+            acc[0, modes] = val
         for i, (s, d) in enumerate(modes):
-            if (n is None or d == n) and sys.species[s].is_heis:
+            if sys.species[s].is_heis:
                 v = d * sys.pairing_of(idx, s)
                 if not sc_is_zero(v):
                     terms.append((d, i, v))
@@ -336,7 +337,7 @@ def _annihilations(sys: System, idx: int, modes: tuple, mu: Momentum,
         partner = sys.index[sp.partner]
         odd_passed = 0
         for i, (s, d) in enumerate(modes):
-            if s == partner and (n is None or d == n + 1):
+            if s == partner:
                 v = sys.pair_sign(idx)
                 terms.append((d - 1, i, Fraction(-v if sp.odd and odd_passed % 2 else v)))
             if sys.species[s].odd:
@@ -347,12 +348,19 @@ def _annihilations(sys: System, idx: int, modes: tuple, mu: Momentum,
     return acc
 
 
-def _gen_mode(sys: System, idx: int, n: int, state: FockState) -> LinComb:
+def _gen_mode(sys: System, idx: int, n: int, state: FockState, walks: dict) -> LinComb:
+    """g_(n) on a state: a creation mode put in front by normal_form, or for
+    n >= 0 the m = n terms of the state's one _annihilations walk, grouped by m
+    and kept in walks[(idx, state)]."""
     if n <= -1:
         out = normal_form(sys, state.momentum, ((idx, -n),) + state.modes)
         return {} if out is None else {out[0]: Fraction(out[1])}
-    return {FockState(state.momentum, rest): v for (_, rest), v in
-            _annihilations(sys, idx, state.modes, state.momentum, n).items()}
+    walked = walks.get((idx, state))
+    if walked is None:
+        walked = walks[idx, state] = {}
+        for (m, rest), v in _annihilations(sys, idx, state.modes, state.momentum).items():
+            walked.setdefault(m, {})[FockState(state.momentum, rest)] = v
+    return walked.get(n, {})
 
 
 # ---------------------------------------------------------------------------
@@ -567,51 +575,34 @@ def residue_images(op, columns, index=None, memo=None) -> tuple:
 # mode_apply and friends
 # ---------------------------------------------------------------------------
 
-def _falling(n: int, r: int) -> int:
-    return prod(range(n, n - r, -1))
-
-
-def _modes_on(sys: System, expr: FieldExpr, state: FockState):
-    """m -> expr_(m) on a state.  A generator reads every m >= 0 from one
-    _annihilations walk, where mode_apply would walk once per m; a Scale or
-    Sum of generators combines their walks as mode_apply does."""
-    if isinstance(expr, Scale):
-        inner = _modes_on(sys, expr.expr, state)
-        return lambda m: lc_scale(inner(m), expr.coeff)
-    if isinstance(expr, Sum):
-        inners = [_modes_on(sys, t, state) for t in expr.terms]
-        return lambda m: lc_sum(*(f(m) for f in inners))
-    if not isinstance(expr, Gen):
-        return lambda m: mode_apply(sys, expr, m, state)
-    idx = sys.index[expr.name]
-    walked = {}
-    for (m, rest), v in _annihilations(sys, idx, state.modes, state.momentum).items():
-        walked.setdefault(m, {})[FockState(state.momentum, rest)] = v
-    return lambda m: walked.get(m, {}) if m >= 0 else _gen_mode(sys, idx, m, state)
-
-
 def mode_apply(sys: System, expr: FieldExpr, n: int, arg) -> LinComb:
     """expr_(n) applied to a FockState or LinComb; exact, grading-faithful."""
+    return _apply(sys, expr, n, arg, {})
+
+
+def _apply(sys: System, expr: FieldExpr, n: int, arg, walks: dict) -> LinComb:
+    """mode_apply's one recursion; every node of one call shares walks (see
+    _gen_mode), so a generator walks each state it meets once."""
     if isinstance(arg, dict):
         acc = {}
         for st, coeff in arg.items():
-            for s2, v2 in mode_apply(sys, expr, n, st).items():
+            for s2, v2 in _apply(sys, expr, n, st, walks).items():
                 lc_add(acc, s2, v2 * coeff)
         return acc
     state: FockState = arg
 
     if isinstance(expr, Gen):
-        return _gen_mode(sys, sys.index[expr.name], n, state)
+        return _gen_mode(sys, sys.index[expr.name], n, state, walks)
     if isinstance(expr, Scale):
-        return lc_scale(mode_apply(sys, expr.expr, n, state), expr.coeff)
+        return lc_scale(_apply(sys, expr.expr, n, state, walks), expr.coeff)
     if isinstance(expr, Sum):
-        return lc_sum(*(mode_apply(sys, t, n, state) for t in expr.terms))
+        return lc_sum(*(_apply(sys, t, n, state, walks) for t in expr.terms))
     if isinstance(expr, Deriv):
-        ff = _falling(n, expr.order)
+        ff = prod(range(n, n - expr.order, -1))  # falling factorial n (n-1) ... (n-order+1)
         if ff == 0:
             return {}
         c = Fraction((-1) ** expr.order * ff)
-        return lc_scale(mode_apply(sys, expr.expr, n - expr.order, state), c)
+        return lc_scale(_apply(sys, expr.expr, n - expr.order, state, walks), c)
     if isinstance(expr, ExpOp):
         return _expop_mode(sys, expr, n, state)
     if isinstance(expr, NormOrd):
@@ -619,12 +610,11 @@ def mode_apply(sys: System, expr: FieldExpr, n: int, arg) -> LinComb:
         sgn = (-1) ** (parity(sys, A) * parity(sys, B))
         acc = {}
         # sum_j A_(-1-j) B_(n+j), then (+-) sum_j B_(n-1-j) A_(j), for j up to
-        # the grading's bound; modes(lo + j) on the state, top - j after it
+        # the grading's bound; inner(lo + j) on the state, outer(top - j) after it
         for inner, outer, lo, top, sign in ((B, A, n, -1, 1), (A, B, 0, n - 1, sgn)):
-            modes = _modes_on(sys, inner, state)
             for j in range(d + weight(sys, inner, mu) - lo):
-                t = modes(lo + j)
-                for s2, v2 in (mode_apply(sys, outer, top - j, t) if t else {}).items():
+                t = _apply(sys, inner, lo + j, state, walks)
+                for s2, v2 in (_apply(sys, outer, top - j, t, walks) if t else {}).items():
                     lc_add(acc, s2, v2 if sign == 1 else v2 * sign)
         return acc
     raise TypeError(expr)
@@ -636,23 +626,24 @@ def state_of_field(sys: System, expr: FieldExpr) -> LinComb:
 
 
 def ope_singular(sys: System, a: FieldExpr, b: FieldExpr):
-    """Singular part of a(z)b(w): pole order -> LinComb of states of b's module."""
-    return ope_poles(sys, a, state_of_field(sys, b))
+    """Singular part of a(z)b(w): pole order -> LinComb of states of b's module;
+    b's state and the poles share one walks (see _gen_mode)."""
+    walks = {}
+    return _poles(sys, a, _apply(sys, b, -1, sys.vacuum(), walks), walks)
 
 
 def ope_poles(sys: System, a: FieldExpr, v: LinComb):
     """Pole order j + 1 -> a_(j) v for a homogeneous state v, as in ope_singular."""
+    return _poles(sys, a, v, {})
+
+
+def _poles(sys: System, a: FieldExpr, v: LinComb, walks: dict):
     if not v:
         return {}
     mu = next(iter(v)).momentum
-    jmax = lc_degree(sys, v) + weight(sys, a, mu) - 1
-    poles = [{} for _ in range(jmax + 1)]
-    for st, coeff in v.items():
-        modes = _modes_on(sys, a, st)
-        for j, acc in enumerate(poles):
-            for s2, v2 in modes(j).items():
-                lc_add(acc, s2, v2 * coeff)
-    return {j + 1: acc for j, acc in enumerate(poles) if acc}
+    poles = {j + 1: _apply(sys, a, j, v, walks)
+             for j in range(lc_degree(sys, v) + weight(sys, a, mu))}
+    return {j: acc for j, acc in poles.items() if acc}
 
 
 def l0_apply(sys: System, conformal: FieldExpr, state) -> LinComb:
@@ -674,8 +665,9 @@ def current_gram(sys: System, currents) -> list:
     for c in currents:
         if parity(sys, c) != 0 or weight(sys, c, zero) != 1:
             raise ValueError("gram entries require weight-1 even currents")
-    states = [state_of_field(sys, c) for c in currents]
-    G = [[vacuum_coefficient(sys, mode_apply(sys, a, 1, v)) for v in states] for a in currents]
+    states, walks = [state_of_field(sys, c) for c in currents], {}
+    G = [[vacuum_coefficient(sys, _apply(sys, a, 1, v, walks)) for v in states]
+         for a in currents]
     for i in range(len(G)):
         for j in range(i):
             if G[i][j] != G[j][i]:

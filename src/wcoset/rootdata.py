@@ -24,10 +24,10 @@ def check_pair(pair: str) -> str:
     return pair
 
 
-def check_rank(pair: str, n: int) -> None:
+def check_rank(pair: str, n: int, least: int = 1) -> None:
     check_pair(pair)
-    if n < 1:
-        raise InputError("rank n must be >= 1")
+    if n < least:
+        raise InputError(f"rank n must be >= {least}")
 
 
 def lacity(pair: str) -> int:
@@ -101,9 +101,7 @@ def omega0_coeffs(pair: str, n: int):
 
 def htilde2_g1_coeffs(pair: str, n: int):
     """J^{h~2} on the subregular side as coefficients over alpha_1..alpha_n."""
-    check_pair(pair)
-    if n < 2:
-        raise InputError("h~2 needs rank >= 2")
+    check_rank(pair, n, 2)
     out = [Fraction(0)] * n
     out[0] = Fraction(1, 2)
     out[1] = Fraction(1)
@@ -117,9 +115,7 @@ def htilde2_g2_coeffs(pair: str, n: int):
     case; the value is forced by (h~2|h1) = 0 and gets a dedicated
     orthogonality test since the delta-term is easy to mis-transcribe.
     """
-    check_pair(pair)
-    if n < 2:
-        raise InputError("h~2 needs rank >= 2")
+    check_rank(pair, n, 2)
     out = [Fraction(0)] * (n + 1)
     out[0] = Fraction(-2) if (pair == SO and n == 2) else Fraction(-1)
     out[2] = Fraction(1)

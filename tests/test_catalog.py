@@ -233,6 +233,18 @@ def test_ks_needs_rank2():
         cat.ks_fields("sl", 1, Fraction(3))
 
 
+@pytest.mark.parametrize("pair", rd.PAIRS)
+def test_rank_two_floor_refuses_rank_one(pair):
+    # h~2 and the Kazama-Suzuki systems read the one rank floor, check_rank(.., 2)
+    for build in (rd.htilde2_g1_coeffs, rd.htilde2_g2_coeffs,
+                  lambda pair, n: cat.ks_fields(pair, n, Fraction(3))):
+        with pytest.raises(InputError, match="rank n must be >= 2"):
+            build(pair, 1)
+        build(pair, 2)
+    with pytest.raises(InputError, match="unknown pair"):
+        rd.htilde2_g1_coeffs("sp", 2)
+
+
 @pytest.mark.parametrize("k1", [Fraction(16, 7), T], ids=str)
 @pytest.mark.parametrize("pair,n", [(pair, n) for pair in rd.PAIRS for n in (2, 3)])
 def test_ks_sides_are_the_bosonized_systems_and_one_lattice_boson(pair, n, k1):

@@ -206,14 +206,14 @@ def test_current_gram_refuses_an_asymmetric_entry(monkeypatch):
     # y_(1) on the state of x stays 0, so the refusal must fire
     sys = lattice_L1()
     y_state = state_of_field(sys, gen("y"))
-    original = fields.mode_apply
+    original = fields._apply
 
-    def perturbed(sys_, expr, n, arg):
+    def perturbed(sys_, expr, n, arg, walks):
         if expr == gen("x") and n == 1 and arg == y_state:
             return {sys.vacuum(): Fraction(1)}
-        return original(sys_, expr, n, arg)
+        return original(sys_, expr, n, arg, walks)
 
-    monkeypatch.setattr(fields, "mode_apply", perturbed)
+    monkeypatch.setattr(fields, "_apply", perturbed)
     with pytest.raises(NonSymmetric, match=r"\(1,0\) != \(0,1\)"):
         current_gram(sys, [gen("x"), gen("y")])
 
@@ -308,7 +308,7 @@ def test_nonintegral_exponent():
 # ---------------------------------------------------------------------------
 # fields._annihilations walks a state once for every nonnegative mode of a
 # generator.  The two functions below apply one mode at a time, each with its
-# own loop; the walk must give their terms for each n, and all of them at once.
+# own loop; the walk's terms of each m must be theirs for n = m.
 
 def _heis_annihilate(sys: System, idx: int, n: int, state: FockState) -> LinComb:
     """h_(n), n >= 1, on a canonical state (even mover: no signs)."""
@@ -353,9 +353,15 @@ def _annihilation_oracle(sys, idx, n, state):
     return {(n, t.modes): (type(v), str(v)) for t, v in lc.items()}
 
 
+def _terms(sys, idx, modes, mu, n):
+    """The walk's terms of g_(n) alone."""
+    return {key: v for key, v in _annihilations(sys, idx, modes, mu).items() if key[0] == n}
+
+
 def _walk(sys, idx, state, n=None):
-    return {key: (type(v), str(v))
-            for key, v in _annihilations(sys, idx, state.modes, state.momentum, n).items()}
+    terms = (_annihilations(sys, idx, state.modes, state.momentum) if n is None
+             else _terms(sys, idx, state.modes, state.momentum, n))
+    return {key: (type(v), str(v)) for key, v in terms.items()}
 
 
 @pytest.mark.parametrize("k1", [Fraction(7, 2), T], ids=str)
@@ -388,7 +394,7 @@ def test_annihilation_walk_merges_repeated_partner_modes():
     assert sys.pair_sign(b) == 1
     want = {(1, ((g, 1), (g, 1))): Fraction(1), (0, ((g, 2), (g, 1))): Fraction(2)}
     assert _annihilations(sys, b, state.modes, state.momentum) == want
-    assert _annihilations(sys, b, state.modes, state.momentum, 0) == {
+    assert _terms(sys, b, state.modes, state.momentum, 0) == {
         (0, ((g, 2), (g, 1))): Fraction(2)}
     for n in range(3):
         assert _walk(sys, b, state, n) == _annihilation_oracle(sys, b, n, state)
@@ -407,6 +413,29 @@ def test_annihilation_walk_drops_zero_terms():
         (1, state.modes[1:]): Fraction(1)}
     for n in range(3):
         assert _walk(sys, a, state, n) == _annihilation_oracle(sys, a, n, state)
+
+
+def test_one_call_walks_each_generator_on_each_state_once(monkeypatch):
+    # ope_singular reads b's state and every pole, current_gram every entry,
+    # through one recursion with one walks: no (generator, modes, momentum)
+    # is walked twice within the call
+    walked = []
+    original = fields._annihilations
+
+    def counted(sys_, idx, modes, mu, *n):
+        walked.append((idx, modes, mu))
+        return original(sys_, idx, modes, mu, *n)
+
+    monkeypatch.setattr(fields, "_annihilations", counted)
+    spec = cat.gl11_wakimoto(Fraction(7, 2), Fraction(1, 3))
+    T = spec.conformal
+    assert ope_singular(spec.system, T, nord(T, T))
+    assert walked and len(set(walked)) == len(walked)
+    side = cat.ks_fields("sl", 2, Fraction(3)).side_a
+    fa = side.generator_map
+    walked.clear()
+    current_gram(side.system, [fa[nm] for nm in ("Ht2", "X", "Y", "A1", "A2")])
+    assert walked and len(set(walked)) == len(walked)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +897,7 @@ def test_heisenberg_zero_mode_reads_the_momentum():
                     (1, ((x1, 2),)): sys.pairing_of(x1, x2)}
     assert all(contractions.values())
     assert _annihilations(sys, x1, modes, mu) == {(0, modes): Fraction(-2), **contractions}
-    assert _annihilations(sys, x1, modes, mu, 0) == {(0, modes): Fraction(-2)}
+    assert _terms(sys, x1, modes, mu, 0) == {(0, modes): Fraction(-2)}
     assert _annihilations(sys, x1, modes, sys.zero_momentum()) == contractions
     x1_op = ScreeningOp(sys, op.exp, mu, gen("x1"))
     Z, (img,) = fields.residue_images(x1_op, [[(modes, 1)]])

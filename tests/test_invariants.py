@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import wcoset
@@ -101,3 +102,46 @@ def test_every_parameter_is_read():
     keeps its mu while the benchmark harness still passes it."""
     found = unread_parameters(pathlib.Path(wcoset.__file__).parent)
     assert found <= {("fock", "graded_dimension", "mu")}, sorted(found)
+
+
+def _named(node):
+    """How often each name is read under node, as a variable or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def uncalled_functions(package_dir):
+    """(module or class, name) of every function and method, dunders aside,
+    whose name the package's modules read nowhere outside its own body; an
+    import does not count as a read."""
+    trees = [(p.stem, ast.parse(p.read_text()))
+             for p in sorted(pathlib.Path(package_dir).glob("*.py"))]
+    named = sum((_named(tree) for _, tree in trees), Counter())
+    found = set()
+    scopes = list(trees)
+    while scopes:
+        owner, node = scopes.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                scopes.append((child.name, child))
+                continue
+            scopes.append((owner, child))
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not child.name.startswith("__")
+                    and named[child.name] == _named(child)[child.name]):
+                found.add((owner, child.name))
+    return found
+
+
+def test_every_function_is_called():
+    """No function or method goes unnamed outside its own body, but these."""
+    kept = {
+        ("fields", "ope_singular"): "public API, exported by the package",
+        ("fock", "enumerate_basis"): "the benchmark harness traces and calls it",
+        ("System", "lattice_momentum"): "ROADMAP item 5 re-sources screenings by it",
+        ("linalg", "rank"): "only the benchmark harness and tests call it (ROADMAP item 1)",
+        ("linalg", "kernel_basis"): "only the benchmark harness and tests call it (ROADMAP item 1)",
+        ("linalg", "mat_mul"): "only the benchmark harness and tests call it (ROADMAP item 1)",
+    }
+    found = uncalled_functions(pathlib.Path(wcoset.__file__).parent)
+    assert found <= set(kept), sorted(found - set(kept))
